@@ -170,20 +170,14 @@ def _run_command(cfg):
     if cfg.command == "partial-color":
         out, rep = _run_partial_color(cfg, g)
     elif cfg.command == "sparsify":
-        if g.is_connected():
-            out = sparsify.spectral_sparsify(g, cfg.epsilon, _sparsify_options(cfg)).graph
-        else:
-            out = sparsify.sparsify_components(
-                g, lambda sub: sparsify.spectral_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
-            )
+        out = sparsify.sparsify_components(
+            g, lambda sub: sparsify.spectral_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
+        )
         rep = verify.check_spectral(g, out, target=cfg.epsilon)
     elif cfg.command == "uc":
-        if g.is_connected():
-            out = sparsify.uc_sparsify(g, cfg.epsilon, _sparsify_options(cfg)).graph
-        else:
-            out = sparsify.sparsify_components(
-                g, lambda sub: sparsify.uc_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
-            )
+        out = sparsify.sparsify_components(
+            g, lambda sub: sparsify.uc_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
+        )
         rep = verify.check_uc_undirected(g, out, target=cfg.epsilon)
     elif cfg.command == "sv":
         if g.directed:

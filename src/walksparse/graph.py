@@ -293,15 +293,6 @@ def default_phi_target(n):
     return 1.0 / (4.0 * max(1.0, np.log2(max(n, 2))) ** 2)
 
 
-def _conductance(order_prefix, volumes, cut_weight, total_volume):
-    vol_s = volumes
-    vol_t = total_volume - volumes
-    denom = min(vol_s, vol_t)
-    if denom <= 0:
-        return np.inf
-    return cut_weight / denom
-
-
 def _best_sweep_cut(gsub):
     """Best-conductance prefix cut along the Fiedler embedding.
 
@@ -335,7 +326,8 @@ def _best_sweep_cut(gsub):
                 cut -= w
             else:
                 cut += w
-        phi = _conductance(None, vol, cut, total)
+        denom = min(vol, total - vol)
+        phi = cut / denom if denom > 0 else np.inf
         if phi < best[0] - 1e-15:
             best = (phi, k)
     k = best[1]

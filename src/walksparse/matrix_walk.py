@@ -43,6 +43,7 @@ from .linalg import Subspace
 from .potential import solve_normalizer_from_eigenvalues
 
 _ROW_DROP_TOL = 1e-12
+_FREEZE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +232,15 @@ class DoubledFamily:
 
 @dataclass
 class WalkOptions:
-    """Tunable walk parameters; defaults follow the analysis constants.
+    """Walk switches; eta = sqrt(m)/4 and the step cap 1/(2 eta) are fixed.
 
-    eta defaults to sqrt(m)/4 and the step cap to 1/(2 eta).  With
-    adaptive_steps the cap is raised to 1/(2 eta ||M^{1/2} A(y)||_op),
+    With adaptive_steps the cap is raised to 1/(2 eta ||M^{1/2} A(y)||_op),
     which preserves the admissibility condition exactly while letting the
     walk reach the box boundary in far fewer iterations.
     """
 
-    eta: float | None = None
-    step_cap: float | None = None
     adaptive_steps: bool = False
     m_min: int = 40
-    freeze_tol: float = 1e-9
-    low_eig_fraction: float = 1.0 / 3.0
-    max_iterations: int | None = None
-
-
-@dataclass
-class ColoringState:
-    """Snapshot of the walk: current point, active set, iteration counter."""
-
-    x: np.ndarray
-    active: np.ndarray
-    t: int
-    alpha: float
-    eta: float
 
 
 @dataclass
@@ -385,18 +369,17 @@ class _MatrixSide:
         return 0.5 / (self.eta * self._prod)
 
     def observe(self, y_act, y_full, delta, log):
-        linear = float(self._linear @ y_act)
-        quad = float(y_act @ self._n @ y_act)
+        """Check admissibility and log this side's terms; returns the step norm."""
         step_norm = self.eta * delta * self._prod
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge(
                 f"inadmissible step: eta*delta*||M^(1/2)A(y)|| = {step_norm:.4f}"
             )
         if log is not None:
-            log.linear_term.append(linear)
-            log.quad_term.append(quad)
-            log.step_norm.append(step_norm)
+            log.linear_term.append(float(self._linear @ y_act))
+            log.quad_term.append(float(y_act @ self._n @ y_act))
             log.phi.append(self.spectra.potential())
+        return step_norm
 
 
 class _VectorSide:
@@ -447,16 +430,16 @@ class _VectorSide:
         return 0.5 / (self.lambda0 * self.max_dot)
 
     def observe(self, y_act, y_full, delta, log):
+        """Check admissibility; returns the step norm (None without constraints)."""
         if self.ahat.shape[0] == 0:
-            return
+            return None
         step_norm = self.lambda0 * delta * self.max_dot
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge("inadmissible multiplicative-weights step")
-        if log is not None:
-            log.step_norm.append(step_norm)
+        return step_norm
 
 
-def _walk_loop(m, sides, extra_rows, base_cap, options, log):
+def _walk_loop(m, sides, extra_rows, base_cap, adaptive_steps, log):
     """Shared walk loop: assemble constraints, pick y, step, freeze.
 
     extra_rows is a (r, m) array of static linear constraints (the caller's
@@ -464,10 +447,7 @@ def _walk_loop(m, sides, extra_rows, base_cap, options, log):
     """
     x = np.zeros(m)
     active = np.arange(m)
-    freeze_tol = options.freeze_tol
-    max_iter = options.max_iterations
-    if max_iter is None:
-        max_iter = int(np.ceil(m / base_cap**2)) + m + 16
+    max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
         log.m = m
     iterations = 0
@@ -508,10 +488,10 @@ def _walk_loop(m, sides, extra_rows, base_cap, options, log):
         y_full[active] = y_act
 
         # every side computes (and caches) its admissibility cap; in fixed
-        # mode the cap is the configured one, in adaptive mode the tightest
+        # mode the cap is base_cap, in adaptive mode the tightest
         # admissible bound (which is never below the fixed cap)
         admissible = [side.step_cap(y_full) for side in sides]
-        if options.adaptive_steps:
+        if adaptive_steps:
             finite = [c for c in admissible if np.isfinite(c)]
             cap = min(finite) if finite else np.inf
         else:
@@ -529,17 +509,20 @@ def _walk_loop(m, sides, extra_rows, base_cap, options, log):
         if not np.isfinite(delta) or delta <= 0:
             raise SubspaceExhausted("no admissible step length")
 
-        for side in sides:
-            side.observe(y_act, y_full, delta, log)
+        # one admissibility figure per iteration: the largest over the sides
+        step_norms = [side.observe(y_act, y_full, delta, log) for side in sides]
+        step_norms = [v for v in step_norms if v is not None]
 
         x[active] = x_act + delta * y_act
 
         if log is not None:
+            if step_norms:
+                log.step_norm.append(max(step_norms))
             log.m_t.append(m_t)
             log.delta.append(delta)
             log.norm_sq.append(float(x @ x))
 
-        frozen = np.abs(x[active]) >= 1.0 - freeze_tol
+        frozen = np.abs(x[active]) >= 1.0 - _FREEZE_TOL
         if np.any(frozen):
             hit = active[frozen]
             x[hit] = np.sign(x[hit])
@@ -580,53 +563,6 @@ def quad_matrix(m_density, family, active=None):
     return linalg.sym(x.T @ x)
 
 
-def step_subspace(state, ctx, family, n_mat, h):
-    """The per-iteration update subspace of the walk, as an explicit Subspace.
-
-    Intersects: support on active coordinates, orthogonality to the current
-    point, the kernel of y -> tr(M A(y)), the span of the lowest floor(m_t/3)
-    eigenvectors of N, and the caller's subspace H.
-    """
-    if isinstance(family, DoubledFamily):
-        mats = family.doubled
-    elif isinstance(family, MatrixFamily):
-        mats = family.members()
-    else:
-        mats = [np.asarray(a, dtype=float) for a in family]
-    m = len(mats)
-    active = np.asarray(sorted(state.active), dtype=int)
-    m_t = len(active)
-    if 4 * m_t <= 3 * m:
-        raise InvalidInput("step subspace is only defined while m_t > (3/4) m")
-    rows = []
-    inactive = np.setdiff1d(np.arange(m), active)
-    for i in inactive:
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append(e)
-    if np.linalg.norm(state.x) > _ROW_DROP_TOL:
-        rows.append(np.asarray(state.x, dtype=float))
-    density = ctx.density
-    linear = np.zeros(m)
-    for i in active:
-        linear[i] = float(np.trace(density @ mats[i]))
-    if np.linalg.norm(linear) > _ROW_DROP_TOL:
-        rows.append(linear)
-    keep = m_t // 3
-    if keep <= 0:
-        raise SubspaceExhausted("no room for the low-eigenspace restriction")
-    _, vecs = linalg.eigh(np.asarray(n_mat, dtype=float))
-    for col in range(keep, m_t):
-        lifted = np.zeros(m)
-        lifted[active] = vecs[:, col]
-        rows.append(lifted)
-    rows.extend(h.complement_rows)
-    sub = linalg.nullspace(rows, m=m)
-    if sub.dim <= 0:
-        raise SubspaceExhausted("empty intersection of walk constraints")
-    return sub
-
-
 def partial_color(family, h=None, options=None, log=None):
     """Partial fractional coloring with small operator-norm discrepancy.
 
@@ -650,11 +586,9 @@ def partial_color(family, h=None, options=None, log=None):
     if abs_norm > 1.0 + 1e-8:
         raise InvalidInput(f"sum of |A_i| has operator norm {abs_norm:.6f} > 1")
 
-    eta = options.eta if options.eta is not None else 0.25 * np.sqrt(m)
-    base_cap = options.step_cap if options.step_cap is not None else 1.0 / (2.0 * eta)
-    frac = options.low_eig_fraction
-    side = _MatrixSide(family, eta, keep_count=lambda mt: int(np.floor(frac * mt)))
+    eta = 0.25 * np.sqrt(m)
+    side = _MatrixSide(family, eta, keep_count=lambda mt: int(np.floor(mt / 3.0)))
     if log is not None:
         log.n_doubled = 2 * family.n
-    x = _walk_loop(m, [side], h.complement_rows, base_cap, options, log)
-    return x
+    base_cap = 1.0 / (2.0 * eta)
+    return _walk_loop(m, [side], h.complement_rows, base_cap, options.adaptive_steps, log)

@@ -27,14 +27,7 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg, verify
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
-from .matrix_walk import (
-    MatrixFamily,
-    WalkLog,
-    WalkOptions,
-    _MatrixSide,
-    _VectorSide,
-    _walk_loop,
-)
+from .matrix_walk import MatrixFamily, WalkLog, _MatrixSide, _VectorSide, _walk_loop
 from .vector_walk import default_lambda0, prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
@@ -47,10 +40,6 @@ class SketchOptions:
 
     phi_target: float | None = None
     c_resist: float = 1.0
-    c_disc: float = 12.0
-    adaptive_steps: bool = True
-    freeze_tol: float = 1e-9
-    combined_cut_fraction: float = 1.0 / 6.0
 
 
 @dataclass
@@ -221,7 +210,7 @@ def _worst_ratio(g, out, kvecs):
     return worst
 
 
-def sketch_expander(g, kvecs, eps, lam, options=None):
+def sketch_expander(g, kvecs, eps, lam):
     """Spectral sketch of a connected expander piece.
 
     Runs the halving loop with threshold n f / eps where
@@ -230,7 +219,6 @@ def sketch_expander(g, kvecs, eps, lam, options=None):
     subspace intersected with the degree and freeze subspaces.
     """
     _require_sketchable(g)
-    options = options or SketchOptions()
     kvecs = np.asarray(kvecs, dtype=float)
     if kvecs.ndim != 2 or kvecs.shape[1] != g.n:
         raise InvalidInput("constraint vectors must be rows of length n")
@@ -246,59 +234,10 @@ def sketch_expander(g, kvecs, eps, lam, options=None):
     k = kvecs.shape[0]
     f_factor = max(1.0, np.sqrt(max(0.0, np.log(k / m)))) / lam
     threshold = n_eff * f_factor / eps
-
-    d = g.weighted_degrees()
-    zbar = kvecs - (kvecs @ d / np.sum(d))[:, None]
-    zbar_d = (zbar**2) @ d
-    _check_courant_fischer(g, zbar, zbar_d, lam2)
-
-    s = np.ones(m)
-    result = SketchResult(g, 0, 0.0, threshold)
-    while np.count_nonzero(s) > threshold:
-        support = np.flatnonzero(s)
-        m_r = len(support)
-        e0, e1, es = freeze_sets(g, s)
-        if len(es) < int(np.ceil(m_r / 4.0)):
-            result.stopped_early = "freeze sets leave too few movable edges"
-            break
-        a_rows = _constraint_matrix(zbar, g, s, support, es)
-        diag = RoundDiagnostics(support=m_r, frozen_sets=(len(e0), len(e1), len(es)))
-        diag.norm_chain_margin = _check_norm_chain(a_rows, zbar_d, n_eff, m_r)
-        extra_rows = _degree_and_pin_rows(g, s, support, np.concatenate([e0, e1]))
-
-        unit = prepare_constraints(a_rows, m_r)
-        lambda0 = default_lambda0(unit.shape[0], m_r)
-        side = _VectorSide(
-            unit,
-            lambda0,
-            heavy_count=lambda mt: int(np.ceil(mt / 10.0)),
-            cut_count=lambda mt: int(np.ceil(mt / 10.0)),
-        )
-        walk_opts = WalkOptions(
-            adaptive_steps=options.adaptive_steps, freeze_tol=options.freeze_tol
-        )
-        wlog = WalkLog()
-        try:
-            x_sub = _walk_loop(
-                m_r, [side], extra_rows, 1.0 / (2.0 * lambda0), walk_opts, wlog
-            )
-        except SubspaceExhausted as exc:
-            result.stopped_early = f"walk subspace exhausted: {exc}"
-            break
-        diag.walk_iterations = wlog.iterations
-        diag.identity_residual = _check_identity(
-            g, kvecs, a_rows, x_sub, s, support, zbar_d
-        )
-        diag.walk_discrepancy = _walk_discrepancy(a_rows, x_sub)
-        x_sub = _sign_flip(x_sub)
-        s[support] = s[support] * (1.0 + x_sub)
-        diag.degree_dev = _check_degrees_preserved(g, s)
-        result.rounds += 1
-        result.diagnostics.append(diag)
-
-    result.graph = g.reweighted(s)
-    result.worst_ratio = _worst_ratio(g, result.graph, kvecs)
-    return result
+    s, diagnostics, stopped = _halve(g, kvecs, lam2, threshold)
+    out = g.reweighted(s)
+    worst = _worst_ratio(g, out, kvecs)
+    return SketchResult(out, len(diagnostics), worst, threshold, diagnostics, stopped)
 
 
 def sketch(g, kvecs, eps, options=None):
@@ -316,20 +255,17 @@ def sketch(g, kvecs, eps, options=None):
         phi = graph_mod.default_phi_target(g.n)
     pieces = graph_mod.expander_decompose(g, phi)
     edges = []
-    rounds = 0
     diagnostics = []
     stopped = None
     for piece in pieces:
         lam = graph_mod.lambda2(piece)
-        res = sketch_expander(piece, kvecs, eps, lam, options)
-        rounds += res.rounds
+        res = sketch_expander(piece, kvecs, eps, lam)
         diagnostics.extend(res.diagnostics)
         stopped = stopped or res.stopped_early
         edges.extend(res.graph.edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
     worst = _worst_ratio(g, out, kvecs)
-    result = SketchResult(out, rounds, worst, 0.0, diagnostics, stopped, len(pieces))
-    return result
+    return SketchResult(out, len(diagnostics), worst, 0.0, diagnostics, stopped, len(pieces))
 
 
 @dataclass
@@ -352,16 +288,15 @@ def resistance_pairs(g):
     return vecs.T
 
 
-def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, options, n_eff):
-    """One halving round of the combined matrix+vector walk on a piece.
+def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
+    """One halving round of the walk on a piece; returns (s_new, diagnostics).
 
-    The matrix side steers {(1/2) s(e) L^{+/2} b_e b_e^T L^{+/2}} with the
-    lowest 5/6 of the eigenspace; the vector side steers the recentered
-    resistance constraints with 1/6 budgets for the heavy and top-eigenspace
-    cuts, so the intersection keeps positive dimension alongside the degree
-    and freeze rows.
+    The vector side steers the recentered constraints a_z.  Given lph =
+    L^{+/2}, the matrix side also steers {(1/2) s(e) L^{+/2} b_e b_e^T L^{+/2}}
+    with the lowest 5/6 of the eigenspace, and the vector side's heavy and
+    top-eigenspace cuts shrink from 1/10 to 1/6 budgets, so the intersection
+    keeps positive dimension alongside the degree and freeze rows.
     """
-    m = piece.m
     support = np.flatnonzero(s)
     m_r = len(support)
     e0, e1, es = freeze_sets(piece, s)
@@ -372,31 +307,24 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, options, n_eff):
     diag.norm_chain_margin = _check_norm_chain(a_rows, zbar_d, n_eff, m_r)
     extra_rows = _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
 
-    vectors = lph @ piece.incidence_signed()[:, support]
-    family = MatrixFamily.from_rank_one(vectors, 0.5 * s[support])
-    top = float(linalg.eigvalsh(family.blocks[0].aggregate(np.ones(m_r)))[-1])
-    if top > 1.0 + 1e-6:
-        raise WalksparseError(f"loop invariant failed: half-aggregate norm {top:.4f} > 1")
-
-    eta = 0.25 * np.sqrt(m_r)
     unit = prepare_constraints(a_rows, m_r)
     lambda0 = default_lambda0(unit.shape[0], m_r)
-    cut = options.combined_cut_fraction
-    sides = [
-        _MatrixSide(family, eta, keep_count=lambda mt: mt - int(np.floor(cut * mt))),
-        _VectorSide(
-            unit,
-            lambda0,
-            heavy_count=lambda mt: int(np.ceil(cut * mt)),
-            cut_count=lambda mt: int(np.ceil(cut * mt)),
-        ),
-    ]
+    base_cap = 1.0 / (2.0 * lambda0)
+    cut = 0.1 if lph is None else 1.0 / 6.0
+    budget = lambda mt: int(np.ceil(cut * mt))
+    sides = [_VectorSide(unit, lambda0, heavy_count=budget, cut_count=budget)]
+    if lph is not None:
+        vectors = lph @ piece.incidence_signed()[:, support]
+        family = MatrixFamily.from_rank_one(vectors, 0.5 * s[support])
+        top = float(linalg.eigvalsh(family.blocks[0].aggregate(np.ones(m_r)))[-1])
+        if top > 1.0 + 1e-6:
+            raise WalksparseError(f"loop invariant failed: half-aggregate norm {top:.4f} > 1")
+        eta = 0.25 * np.sqrt(m_r)
+        keep = lambda mt: mt - int(np.floor(cut * mt))
+        sides.insert(0, _MatrixSide(family, eta, keep_count=keep))
+        base_cap = min(1.0 / (2.0 * eta), base_cap)
     wlog = WalkLog()
-    walk_opts = WalkOptions(
-        adaptive_steps=options.adaptive_steps, freeze_tol=options.freeze_tol
-    )
-    base_cap = min(1.0 / (2.0 * eta), 1.0 / (2.0 * lambda0))
-    x_sub = _walk_loop(m_r, sides, extra_rows, base_cap, walk_opts, wlog)
+    x_sub = _walk_loop(m_r, sides, extra_rows, base_cap, True, wlog)
     diag.walk_iterations = wlog.iterations
     diag.identity_residual = _check_identity(
         piece, kvecs, a_rows, x_sub, s, support, zbar_d
@@ -407,6 +335,27 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, options, n_eff):
     s_new[support] = s[support] * (1.0 + x_sub)
     diag.degree_dev = _check_degrees_preserved(piece, s_new)
     return s_new, diag
+
+
+def _halve(piece, kvecs, lam2, threshold, lph=None):
+    """Halving rounds on one piece until its support is at most threshold.
+
+    Returns (s, per-round diagnostics, stop reason or None).
+    """
+    n_eff = max(1, len(piece.non_isolated()))
+    d = piece.weighted_degrees()
+    zbar = kvecs - (kvecs @ d / np.sum(d))[:, None]
+    zbar_d = (zbar**2) @ d
+    _check_courant_fischer(piece, zbar, zbar_d, lam2)
+    s = np.ones(piece.m)
+    diagnostics = []
+    while np.count_nonzero(s) > threshold:
+        try:
+            s, diag = _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff)
+        except SubspaceExhausted as exc:
+            return s, diagnostics, f"walk stopped: {exc}"
+        diagnostics.append(diag)
+    return s, diagnostics, None
 
 
 def resistance_sparsify(g, eps, options=None):
@@ -424,7 +373,6 @@ def resistance_sparsify(g, eps, options=None):
     kvecs = resistance_pairs(g)
     pieces = graph_mod.expander_decompose(g, phi)
     edges = []
-    rounds = 0
     diagnostics = []
     stopped = None
     for piece in pieces:
@@ -436,28 +384,16 @@ def resistance_sparsify(g, eps, options=None):
             * np.sqrt(np.log(max(n_eff, 2)))
             / (max(lam, 1e-12) * eps)
         )
-        d = piece.weighted_degrees()
-        total = float(np.sum(d))
-        zbar = kvecs - (kvecs @ d / total)[:, None]
-        zbar_d = (zbar**2) @ d
-        _check_courant_fischer(piece, zbar, zbar_d, lam)
         lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
-        s = np.ones(piece.m)
-        while np.count_nonzero(s) > threshold:
-            try:
-                s, diag = _combined_round(
-                    piece, lph, kvecs, zbar, zbar_d, s, options, n_eff
-                )
-            except SubspaceExhausted as exc:
-                stopped = f"piece walk stopped: {exc}"
-                break
-            rounds += 1
-            diagnostics.append(diag)
+        s, diags, piece_stop = _halve(piece, kvecs, lam, threshold, lph)
+        diagnostics.extend(diags)
+        stopped = stopped or piece_stop
         edges.extend(piece.reweighted(s).edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
     spectral_eps = verify.check_spectral(g, out, target=np.inf).measured_eps
     sketch_eps = _worst_ratio(g, out, kvecs)
     worst = verify.effective_resistance_report(g, out)
     return ResistanceResult(
-        out, rounds, worst, spectral_eps, sketch_eps, len(pieces), diagnostics, stopped
+        out, len(diagnostics), worst, spectral_eps, sketch_eps, len(pieces), diagnostics,
+        stopped,
     )

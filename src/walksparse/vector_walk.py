@@ -5,7 +5,7 @@ partial coloring x in [-1,1]^m with at least m/4 frozen coordinates and
 
     |<a_i, x>| <= C_disc * ||a_i||_2 * max(1, sqrt(log(k/m)))  for all i,
 
-with C_disc calibrated once against a Gaussian oracle family (default 12).
+with C_disc calibrated once against a Gaussian oracle family (the tests use 12).
 The walk tracks the exponential potential sum_i exp(lambda0 <a_i/||a_i||, x>
 - lambda0^2) and keeps the update direction orthogonal to the potential
 gradient void of the heaviest constraints, inside the low eigenspace of the
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, matrix_walk
-from .errors import InvalidInput, SubspaceExhausted
+from . import matrix_walk
+from .errors import InvalidInput
 
-DEFAULT_C_DISC = 12.0
 _DROP_NORM = 1e-12
 
 
@@ -50,85 +49,15 @@ def prepare_constraints(vectors, m=None):
 
 @dataclass
 class MwuOptions:
-    """Vector-walk knobs.
+    """Vector-walk switch.
 
-    lambda0 defaults to max(1, sqrt(log(k/m))).  The step is capped by the
+    lambda0 is max(1, sqrt(log(k/m))).  The step is capped by the
     admissibility condition lambda0 * delta * max_i |<a_i_hat, y>| <= 1/2;
     with adaptive_steps (default) the cap is met with equality unless the
     box boundary is closer, otherwise a fixed 1/(2 lambda0) cap is used.
     """
 
-    lambda0: float | None = None
-    step_cap: float | None = None
     adaptive_steps: bool = True
-    freeze_tol: float = 1e-9
-    heavy_fraction: float = 0.1
-    eigencut_fraction: float = 0.1
-    max_iterations: int | None = None
-
-
-@dataclass
-class MwuState:
-    """Walk state: point, active set, and the normalized constraint rows."""
-
-    x: np.ndarray
-    active: np.ndarray
-    lambda0: float
-    unit_rows: np.ndarray
-
-    def weights(self):
-        return np.exp(self.lambda0 * (self.unit_rows @ self.x) - self.lambda0**2)
-
-
-def mwu_subspace(state, extra=None, heavy_fraction=0.1, eigencut_fraction=0.1):
-    """The restricted update subspace at the current walk state.
-
-    Members y satisfy: supp(y) in the active set, y orthogonal to x and to
-    the potential gradient, y orthogonal to the ceil(frac m_t) heaviest
-    constraints, and y restricted to the active coordinates lies in the
-    span of the lowest eigenvectors of the weighted second-moment matrix
-    (all but the top ceil(frac m_t) are kept).  Intersected with `extra`.
-    """
-    m = state.x.shape[0]
-    active = np.asarray(sorted(state.active), dtype=int)
-    m_t = len(active)
-    if m_t == 0:
-        raise InvalidInput("no active coordinates")
-    rows = []
-    inactive = np.setdiff1d(np.arange(m), active)
-    for i in inactive:
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append(e)
-    if np.linalg.norm(state.x) > _DROP_NORM:
-        rows.append(np.asarray(state.x, dtype=float))
-    ahat = state.unit_rows
-    k = ahat.shape[0]
-    if k:
-        w = state.weights()
-        grad = w @ ahat
-        if np.linalg.norm(grad) > _DROP_NORM:
-            rows.append(grad)
-        heavy = int(np.ceil(heavy_fraction * m_t))
-        order = np.lexsort((np.arange(k), -w))
-        for idx in order[: min(heavy, k)]:
-            rows.append(ahat[idx])
-        cut = int(np.ceil(eigencut_fraction * m_t))
-        if 0 < cut < m_t:
-            a_act = ahat[:, active]
-            scaled = np.sqrt(w / np.sum(w))[:, None] * a_act
-            w_gram = linalg.sym(scaled.T @ scaled)
-            vals, vecs = linalg.eigh(w_gram)
-            for col in range(m_t - cut, m_t):
-                lifted = np.zeros(m)
-                lifted[active] = vecs[:, col]
-                rows.append(lifted)
-    sub = linalg.nullspace(rows, m=m)
-    if extra is not None:
-        sub = linalg.intersect([sub, extra])
-    if sub.dim <= 0:
-        raise SubspaceExhausted("vector-walk subspace is empty")
-    return sub
 
 
 def vector_partial_color(
@@ -159,25 +88,15 @@ def vector_partial_color(
     options = options or MwuOptions()
     unit = prepare_constraints(a, m)
     k = unit.shape[0]
-    lambda0 = options.lambda0 if options.lambda0 is not None else default_lambda0(k, m)
-    base_cap = options.step_cap if options.step_cap is not None else 1.0 / (2.0 * lambda0)
-
-    heavy_frac = options.heavy_fraction
-    cut_frac = options.eigencut_fraction
-    side = matrix_walk._VectorSide(
-        unit,
-        lambda0,
-        heavy_count=lambda mt: int(np.ceil(heavy_frac * mt)),
-        cut_count=lambda mt: int(np.ceil(cut_frac * mt)),
-    )
-    walk_opts = matrix_walk.WalkOptions(
-        adaptive_steps=options.adaptive_steps,
-        freeze_tol=options.freeze_tol,
-        max_iterations=options.max_iterations,
-    )
+    lambda0 = default_lambda0(k, m)
+    # the heaviest tenth of the constraints and the top tenth of the
+    # weighted second-moment eigenspace are cut from the update subspace
+    tenth = lambda mt: int(np.ceil(0.1 * mt))
+    side = matrix_walk._VectorSide(unit, lambda0, heavy_count=tenth, cut_count=tenth)
     extra_rows = extra.complement_rows if extra is not None else np.zeros((0, m))
-    x = matrix_walk._walk_loop(m, [side], extra_rows, base_cap, walk_opts, log)
-    return x
+    return matrix_walk._walk_loop(
+        m, [side], extra_rows, 1.0 / (2.0 * lambda0), options.adaptive_steps, log
+    )
 
 
 def discrepancy_ratios(vectors, x):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import complete_graph, dumbbell_graph
+from walksparse import sparsify
 from walksparse.cli import (
     load_vectors,
     main,
@@ -161,6 +162,30 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(rep.read_text())["pass"] is True
+
+    @pytest.mark.parametrize("command,pipeline,eps,n_big", [
+        ("sparsify", sparsify.spectral_sparsify, 0.45, 14),
+        ("uc", sparsify.uc_sparsify, 0.5, 18),
+    ])
+    def test_disconnected_input_per_component(self, tmp_path, command, pipeline, eps, n_big):
+        # K_big on 0..n_big-1, K_12 on the next 12 vertices, the last isolated
+        big, k12 = complete_graph(n_big), complete_graph(12)
+        n = n_big + 13
+        shifted = tuple((u + n_big, v + n_big, w) for u, v, w in k12.edges)
+        g = Graph(n, big.edges + shifted)
+        path = write_graph(tmp_path, g)
+        out = tmp_path / "out.txt"
+        code = main([command, path, "--epsilon", str(eps), "--c-support", "1",
+                     "--out", str(out), "--report", str(tmp_path / "rep.json")])
+        assert code == 0
+        got = parse_edge_list(out.read_text())
+        opts = sparsify.SparsifyOptions(c_support=1.0)
+        a = pipeline(big, eps, opts).graph
+        b = pipeline(k12, eps, opts).graph
+        expect = a.edges + tuple((u + n_big, v + n_big, w) for u, v, w in b.edges)
+        assert got == Graph(n, expect)
+        assert got.m < g.m
+        assert np.allclose(got.weighted_degrees(), g.weighted_degrees())
 
     def test_vectors_loader_validates(self, tmp_path):
         vec_path = tmp_path / "vecs.txt"

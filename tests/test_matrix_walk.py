@@ -6,16 +6,16 @@ import pytest
 from conftest import diagonal_family, projection_vectors, random_symmetric
 from walksparse import linalg, potential
 from walksparse.errors import InvalidInput
-from walksparse.linalg import Subspace
 from walksparse.matrix_walk import (
-    ColoringState,
     DoubledFamily,
     MatrixFamily,
     WalkLog,
     WalkOptions,
+    _MatrixSide,
+    _VectorSide,
+    _walk_loop,
     partial_color,
     quad_matrix,
-    step_subspace,
 )
 
 
@@ -93,45 +93,45 @@ class TestQuadMatrix:
 
 
 class TestStepSubspace:
+    """The update subspace the walk builds from `_MatrixSide.rows`."""
+
     def test_zero_family_dimension(self):
         m = 9
-        mats = [np.zeros((2, 2))] * m
-        fam = DoubledFamily.from_matrices(mats)
-        state = ColoringState(
-            x=np.zeros(m), active=np.arange(m), t=1, alpha=0.5, eta=1.0
+        side = _MatrixSide(
+            MatrixFamily.from_matrices(np.zeros((m, 2, 2))), 1.0, keep_count=lambda mt: mt // 3
         )
-        ctx = potential.density_optimizer(np.zeros((4, 4)), eta=1.0)
-        n_mat = np.zeros((m, m))
-        sub = step_subspace(state, ctx, fam, n_mat, Subspace.full(m))
-        assert sub.dim == m // 3
+        rows = side.rows(np.zeros(m), np.arange(m))
+        assert linalg.nullspace(np.vstack(rows), m=m).dim == m // 3
 
     def test_constraints_hold(self):
-        m, n = 40, 4
-        vec = projection_vectors(n, m, seed=9)
-        fam = DoubledFamily.from_family(MatrixFamily.from_rank_one(vec))
+        # n(n+1)/2 > 2m/3: the kept third of N leaves the kernel of y -> A(y),
+        # so the linear-term row is not implied by the eigenspace rows
+        m, n = 40, 8
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=9))
         rng = np.random.default_rng(3)
         x = 0.4 * rng.uniform(-1, 1, size=m)
         eta = 0.25 * np.sqrt(m)
-        agg = sum(xi * a for xi, a in zip(x, fam.doubled))
-        ctx = potential.density_optimizer(agg, eta)
-        n_mat = quad_matrix(ctx.density, fam)
         h = linalg.nullspace(rng.normal(size=(m // 5, m)))
-        state = ColoringState(
-            x=x, active=np.arange(m), t=1, alpha=1 / (2 * eta), eta=eta
-        )
-        sub = step_subspace(state, ctx, fam, n_mat, h)
+        side = _MatrixSide(fam, eta, keep_count=lambda mt: mt // 3)
+        # the rows _walk_loop stacks while every coordinate is active
+        rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)), h.complement_rows]
+        sub = linalg.nullspace(np.vstack(rows), m=m)
         assert sub.dim >= m / 4 - 2 - (m - h.dim)
         basis = sub.basis()
-        lin = np.array([np.trace(ctx.density @ a) for a in fam.doubled])
+        # reference linear term and N from the explicit doubling
+        doubled = DoubledFamily.from_family(fam)
+        agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
+        ctx = potential.density_optimizer(agg, eta)
+        n_mat = quad_matrix(ctx.density, doubled)
+        lin = np.array([np.trace(ctx.density @ a) for a in doubled.doubled])
         for y in basis.T:
             assert abs(np.dot(y, x)) <= 1e-9
             assert abs(lin @ y) <= 1e-9
             assert h.contains(y, tol=1e-9)
-        # every member lies in the low eigenspace of N
-        vals, vecs = linalg.eigh(n_mat)
-        keep = m // 3
-        top = vecs[:, keep:]
-        assert np.max(np.abs(top.T @ basis)) <= 1e-9
+        # N restricted to the subspace is bounded by the largest kept
+        # eigenvalue (the basis-free form: N may have repeated eigenvalues)
+        kept_top = linalg.eigvalsh(n_mat)[m // 3 - 1]
+        assert linalg.eigvalsh(basis.T @ n_mat @ basis)[-1] <= kept_top + 1e-12
 
 
 class TestPartialColor:
@@ -229,6 +229,28 @@ class TestPartialColor:
         )
         assert walk_norm >= best - 1e-9
         assert walk_norm <= 16.0 * np.sqrt(2.0 * 4 / 10)
+
+
+class TestCombinedWalk:
+    def test_one_log_entry_per_iteration(self):
+        # both sides bound the step; the log keeps the larger of the two
+        m, n = 48, 4
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=37))
+        rng = np.random.default_rng(37)
+        rows = rng.normal(size=(96, m))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        sixth = lambda mt: int(np.ceil(mt / 6.0))
+        eta = 0.25 * np.sqrt(m)
+        sides = [
+            _MatrixSide(fam, eta, keep_count=lambda mt: mt - int(np.floor(mt / 6.0))),
+            _VectorSide(rows, 1.0, heavy_count=sixth, cut_count=sixth),
+        ]
+        log = WalkLog()
+        x = _walk_loop(m, sides, np.zeros((0, m)), 1.0 / (2.0 * eta), True, log)
+        assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
+        assert log.iterations > 0
+        assert len(log.step_norm) == len(log.m_t) == len(log.phi) == log.iterations
+        assert max(log.step_norm) <= 0.5 + 1e-9
 
 
 def drive_full_coloring(mats):

@@ -5,13 +5,11 @@ import pytest
 
 from walksparse import linalg
 from walksparse.errors import InvalidInput
-from walksparse.matrix_walk import WalkLog
+from walksparse.matrix_walk import WalkLog, _VectorSide
 from walksparse.vector_walk import (
     MwuOptions,
-    MwuState,
     default_lambda0,
     discrepancy_ratios,
-    mwu_subspace,
     prepare_constraints,
     vector_partial_color,
 )
@@ -23,13 +21,29 @@ def gaussian_rows(k, m, seed):
     return a / np.linalg.norm(a, axis=1)[:, None]
 
 
+def tenth_side(rows, lambda0):
+    """The vector side as vector_partial_color builds it (1/10 budgets)."""
+    tenth = lambda mt: int(np.ceil(0.1 * mt))
+    return _VectorSide(rows, lambda0, heavy_count=tenth, cut_count=tenth)
+
+
+def update_subspace(side, x):
+    """Null space of the rows the walk stacks while every coordinate is active."""
+    m = x.shape[0]
+    rows = side.rows(x, np.arange(m))
+    if np.linalg.norm(x) > 1e-12:
+        rows.append(x[None, :] / np.linalg.norm(x))
+    return linalg.nullspace(np.vstack(rows) if rows else np.zeros((0, m)), m=m)
+
+
 class TestState:
     def test_weights_recomputable(self):
         rows = gaussian_rows(30, 12, seed=1)
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, size=12)
-        state = MwuState(x=x, active=np.arange(12), lambda0=1.2, unit_rows=rows)
-        w = state.weights()
+        side = tenth_side(rows, 1.2)
+        side.rows(x, np.arange(12))
+        w = side.weights
         expect = np.exp(1.2 * rows @ x - 1.44)
         assert np.max(np.abs(w / expect - 1.0)) <= 1e-9
 
@@ -42,21 +56,13 @@ class TestState:
 
 class TestSubspace:
     def test_no_constraints(self):
-        state = MwuState(
-            x=np.zeros(10), active=np.arange(10), lambda0=1.0,
-            unit_rows=np.zeros((0, 10)),
-        )
-        sub = mwu_subspace(state)
+        sub = update_subspace(tenth_side(np.zeros((0, 10)), 1.0), np.zeros(10))
         assert sub.dim == 10
 
     def test_orthonormal_basis_constraints(self):
         # all weights equal: the heaviest constraints are the lowest indices
         m = 10
-        rows = np.eye(m)
-        state = MwuState(
-            x=np.zeros(m), active=np.arange(m), lambda0=1.0, unit_rows=rows
-        )
-        sub = mwu_subspace(state)
+        sub = update_subspace(tenth_side(np.eye(m), 1.0), np.zeros(m))
         heavy = int(np.ceil(m / 10.0))
         basis = sub.basis()
         assert np.max(np.abs(basis[:heavy, :])) <= 1e-9
@@ -66,9 +72,8 @@ class TestSubspace:
         rows = gaussian_rows(k, m, seed=5)
         rng = np.random.default_rng(6)
         x = 0.3 * rng.uniform(-1, 1, size=m)
-        state = MwuState(x=x, active=np.arange(m), lambda0=1.3, unit_rows=rows)
-        sub = mwu_subspace(state)
-        w = state.weights()
+        sub = update_subspace(tenth_side(rows, 1.3), x)
+        w = np.exp(1.3 * rows @ x - 1.3**2)
         grad = w @ rows
         order = np.lexsort((np.arange(k), -w))
         heavy = order[: int(np.ceil(m / 10.0))]
