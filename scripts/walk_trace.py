@@ -2,6 +2,9 @@
 """Trace one matrix partial-coloring walk and print per-iteration invariants.
 
 Usage: python scripts/walk_trace.py [m] [n] [seed]
+
+The defaults m=40, n=8 have n(n+1)/2 > 2m/3, so the low third of N that the
+walk keeps leaves the kernel of y -> A(y) and the steps move A(x).
 """
 
 import sys
@@ -20,8 +23,8 @@ def projection_vectors(n, m, seed):
 
 
 def main():
-    m = int(sys.argv[1]) if len(sys.argv) > 1 else 64
-    n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+    m = int(sys.argv[1]) if len(sys.argv) > 1 else 40
+    n = int(sys.argv[2]) if len(sys.argv) > 2 else 8
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
     fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed))
     bound = 16.0 * np.sqrt(2.0 * n / m)

@@ -21,7 +21,7 @@ from .sparsify import (
     sv_sparsify_expander,
     uc_sparsify,
 )
-from .vector_walk import MwuOptions, vector_partial_color
+from .vector_walk import vector_partial_color
 from .verify import (
     ApproxReport,
     brute_force_min_discrepancy,
@@ -37,7 +37,6 @@ __all__ = [
     "Graph",
     "InvalidInput",
     "MatrixFamily",
-    "MwuOptions",
     "NotPSD",
     "ParseError",
     "Reweighting",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +21,6 @@ from . import graph as graph_mod
 from . import sketches, sparsify, verify
 from .errors import ParseError, WalksparseError
 from .matrix_walk import partial_color
-
-
-@dataclass
-class RunConfig:
-    command: str
-    epsilon: float = 0.5
-    c_support: float = 1024.0
-    phi_target: float | None = None
-    input_path: str = ""
-    against_path: str = ""
-    output_path: str = ""
-    report_path: str = ""
-    vectors_path: str = ""
-    check: bool = False
-    kind: str = "spectral"
-    c_sketch: float = 4.0
-    c_resist: float = 4.0
 
 
 def parse_edge_list(text):
@@ -124,28 +106,24 @@ def load_vectors(path, n):
     return np.asarray(rows)
 
 
-def _emit(cfg, out_graph, report):
+def _emit(args, out_graph, report):
     text = serialize_graph(out_graph) if out_graph is not None else None
     if text is not None:
-        if cfg.output_path:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     if report is not None:
         payload = report.to_json() if hasattr(report, "to_json") else json.dumps(report, indent=2)
-        if cfg.report_path:
-            with open(cfg.report_path, "w", encoding="utf-8") as fh:
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
-        elif cfg.check:
+        elif args.check:
             sys.stdout.write(payload + "\n")
 
 
-def _sparsify_options(cfg):
-    return sparsify.SparsifyOptions(c_support=cfg.c_support)
-
-
-def _run_partial_color(cfg, g):
+def _run_partial_color(g):
     family = sparsify.spectral_family(g)
     h = sparsify.degree_subspace(g)
     x = partial_color(family, h)
@@ -165,58 +143,57 @@ def _run_partial_color(cfg, g):
     return out, rep
 
 
-def _run_command(cfg):
-    g = load_graph(cfg.input_path)
-    if cfg.command == "partial-color":
-        out, rep = _run_partial_color(cfg, g)
-    elif cfg.command == "sparsify":
+def _run_command(args):
+    g = load_graph(args.input)
+    options = sparsify.SparsifyOptions(c_support=args.c_support)
+    if args.command == "partial-color":
+        out, rep = _run_partial_color(g)
+    elif args.command == "sparsify":
         out = sparsify.sparsify_components(
-            g, lambda sub: sparsify.spectral_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
+            g, lambda sub: sparsify.spectral_sparsify(sub, args.epsilon, options)
         )
-        rep = verify.check_spectral(g, out, target=cfg.epsilon)
-    elif cfg.command == "uc":
+        rep = verify.check_spectral(g, out, target=args.epsilon)
+    elif args.command == "uc":
         out = sparsify.sparsify_components(
-            g, lambda sub: sparsify.uc_sparsify(sub, cfg.epsilon, _sparsify_options(cfg))
+            g, lambda sub: sparsify.uc_sparsify(sub, args.epsilon, options)
         )
-        rep = verify.check_uc_undirected(g, out, target=cfg.epsilon)
-    elif cfg.command == "sv":
+        rep = verify.check_uc_undirected(g, out, target=args.epsilon)
+    elif args.command == "sv":
         if g.directed:
             out = sparsify.sv_sparsify(
-                g, cfg.epsilon, phi_target=cfg.phi_target, options=_sparsify_options(cfg)
+                g, args.epsilon, phi_target=args.phi_target, options=options
             ).graph
         else:
             lam = graph_mod.lambda2(g)
-            out = sparsify.sv_sparsify_expander(
-                g, lam, cfg.epsilon, _sparsify_options(cfg)
-            ).graph
-        rep = verify.check_sv(g, out, target=cfg.epsilon)
-    elif cfg.command == "sketch":
-        if not cfg.vectors_path:
+            out = sparsify.sv_sparsify_expander(g, lam, args.epsilon, options).graph
+        rep = verify.check_sv(g, out, target=args.epsilon)
+    elif args.command == "sketch":
+        if not args.vectors:
             raise WalksparseError("sketch requires --vectors")
-        kvecs = load_vectors(cfg.vectors_path, g.n)
+        kvecs = load_vectors(args.vectors, g.n)
         res = sketches.sketch(
-            g, kvecs, cfg.epsilon, sketches.SketchOptions(phi_target=cfg.phi_target)
+            g, kvecs, args.epsilon, sketches.SketchOptions(phi_target=args.phi_target)
         )
         out = res.graph
-        rep = verify.check_sketch(g, out, kvecs, target=cfg.c_sketch * cfg.epsilon)
-    elif cfg.command == "resist":
+        rep = verify.check_sketch(g, out, kvecs, target=args.c_sketch * args.epsilon)
+    elif args.command == "resist":
         res = sketches.resistance_sparsify(
             g,
-            cfg.epsilon,
-            sketches.SketchOptions(phi_target=cfg.phi_target, c_resist=cfg.c_resist),
+            args.epsilon,
+            sketches.SketchOptions(phi_target=args.phi_target, c_resist=args.c_resist),
         )
         out = res.graph
-        rep = verify.check_resistance(g, out, target=cfg.c_resist * cfg.epsilon)
-    elif cfg.command == "decompose":
-        phi = cfg.phi_target if cfg.phi_target is not None else graph_mod.default_phi_target(g.n)
+        rep = verify.check_resistance(g, out, target=args.c_resist * args.epsilon)
+    elif args.command == "decompose":
+        phi = args.phi_target if args.phi_target is not None else graph_mod.default_phi_target(g.n)
         pieces = graph_mod.expander_decompose(g, phi)
         mult = np.zeros(g.n, dtype=int)
         for p in pieces:
             for v in p.non_isolated():
                 mult[v] += 1
-        if cfg.output_path:
+        if args.out:
             for i, p in enumerate(pieces):
-                with open(f"{cfg.output_path}.piece{i}", "w", encoding="utf-8") as fh:
+                with open(f"{args.out}.piece{i}", "w", encoding="utf-8") as fh:
                     fh.write(serialize_graph(p))
         payload = {
             "pieces": len(pieces),
@@ -226,30 +203,30 @@ def _run_command(cfg):
             "max_multiplicity": int(mult.max(initial=0)),
             "pass": True,
         }
-        _emit(cfg, None, payload)
+        _emit(args, None, payload)
         return 0
-    elif cfg.command == "verify":
-        other = load_graph(cfg.against_path)
-        if cfg.kind == "spectral":
-            rep = verify.check_spectral(g, other, target=cfg.epsilon)
-        elif cfg.kind == "uc":
-            rep = verify.check_uc_undirected(g, other, target=cfg.epsilon)
-        elif cfg.kind == "sv":
-            rep = verify.check_sv(g, other, target=cfg.epsilon)
-        elif cfg.kind == "sketch":
-            kvecs = load_vectors(cfg.vectors_path, g.n)
-            rep = verify.check_sketch(g, other, kvecs, target=cfg.epsilon)
-        elif cfg.kind == "resistance":
-            rep = verify.check_resistance(g, other, target=cfg.epsilon)
+    elif args.command == "verify":
+        other = load_graph(args.against)
+        if args.kind == "spectral":
+            rep = verify.check_spectral(g, other, target=args.epsilon)
+        elif args.kind == "uc":
+            rep = verify.check_uc_undirected(g, other, target=args.epsilon)
+        elif args.kind == "sv":
+            rep = verify.check_sv(g, other, target=args.epsilon)
+        elif args.kind == "sketch":
+            kvecs = load_vectors(args.vectors, g.n)
+            rep = verify.check_sketch(g, other, kvecs, target=args.epsilon)
+        elif args.kind == "resistance":
+            rep = verify.check_resistance(g, other, target=args.epsilon)
         else:
-            raise WalksparseError(f"unknown verify kind {cfg.kind!r}")
-        _emit(cfg, None, rep)
-        return 0 if (not cfg.check or rep.passed) else 1
+            raise WalksparseError(f"unknown verify kind {args.kind!r}")
+        _emit(args, None, rep)
+        return 0 if (not args.check or rep.passed) else 1
     else:
-        raise WalksparseError(f"unknown command {cfg.command!r}")
+        raise WalksparseError(f"unknown command {args.command!r}")
 
-    _emit(cfg, out, rep)
-    if cfg.check and hasattr(rep, "passed") and not rep.passed:
+    _emit(args, out, rep)
+    if args.check and hasattr(rep, "passed") and not rep.passed:
         return 1
     return 0
 
@@ -284,39 +261,20 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        epsilon=args.epsilon,
-        c_support=args.c_support,
-        phi_target=args.phi_target,
-        input_path=args.input,
-        against_path=getattr(args, "against", ""),
-        output_path=args.out,
-        report_path=args.report,
-        vectors_path=args.vectors,
-        check=args.check,
-        kind=getattr(args, "kind", "spectral"),
-        c_sketch=args.c_sketch,
-        c_resist=args.c_resist,
-    )
-
-
-def run(cfg):
-    """Run one configured command; returns the process exit code."""
-    if not (0.0 < cfg.epsilon < 2.0):
-        print(f"error: epsilon {cfg.epsilon} outside (0, 2)", file=sys.stderr)
+def run(args):
+    """Run one parsed command line; returns the process exit code."""
+    if not (0.0 < args.epsilon < 2.0):
+        print(f"error: epsilon {args.epsilon} outside (0, 2)", file=sys.stderr)
         return 2
     try:
-        return _run_command(cfg)
+        return _run_command(args)
     except (WalksparseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -334,13 +334,13 @@ def _best_sweep_cut(gsub):
     return set(order[: k + 1])
 
 
-def expander_decompose(g, phi_target=None, c_mult=4.0, strict_multiplicity=True):
+def expander_decompose(g, phi_target=None):
     """Partition the edges into expander pieces.
 
     Every returned piece, restricted to its non-isolated vertices, has
     lambda_2 of the normalized Laplacian >= phi_target; the edge sets
     partition E(G) exactly; single-edge pieces are emitted as-is.  The
-    per-vertex piece multiplicity is checked against c_mult*log2(n)+1.
+    per-vertex piece multiplicity is checked against 4 log2(n) + 1.
     """
     if g.directed:
         raise InvalidInput("expander decomposition expects an undirected graph")
@@ -397,16 +397,14 @@ def expander_decompose(g, phi_target=None, c_mult=4.0, strict_multiplicity=True)
     total_edges = sum(p.m for p in out)
     if total_edges != g.m:
         raise InvalidInput("internal error: decomposition does not partition the edges")
-    if strict_multiplicity:
-        mult = np.zeros(g.n, dtype=int)
-        for p in out:
-            for v in p.non_isolated():
-                mult[v] += 1
-        bound = c_mult * np.log2(max(g.n, 2)) + 1
-        worst = int(mult.max()) if g.n else 0
-        if worst > bound:
-            raise InvalidInput(
-                f"vertex multiplicity {worst} exceeds {bound:.1f}; "
-                "lower phi_target or disable strict_multiplicity"
-            )
+    mult = np.zeros(g.n, dtype=int)
+    for p in out:
+        for v in p.non_isolated():
+            mult[v] += 1
+    bound = 4.0 * np.log2(max(g.n, 2)) + 1
+    worst = int(mult.max()) if g.n else 0
+    if worst > bound:
+        raise InvalidInput(
+            f"vertex multiplicity {worst} exceeds {bound:.1f}; lower phi_target"
+        )
     return out

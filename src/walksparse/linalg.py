@@ -194,12 +194,6 @@ class Subspace:
         resid = np.linalg.norm(self.complement_rows @ y)
         return resid <= tol * max(1.0, float(np.linalg.norm(y)))
 
-    def residual(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.complement_rows.shape[0] == 0:
-            return 0.0
-        return float(np.linalg.norm(self.complement_rows @ y))
-
     def project(self, y):
         y = np.asarray(y, dtype=float)
         r = self.complement_rows

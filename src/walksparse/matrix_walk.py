@@ -181,22 +181,6 @@ class MatrixFamily:
         idx = np.asarray(idx, dtype=int)
         return MatrixFamily([b.restricted(idx) for b in self.blocks])
 
-    def psd_relaxation(self):
-        """Append |A_i| blocks so symmetric inputs satisfy the PSD contract."""
-        extra = []
-        for b in self.blocks:
-            if isinstance(b, Rank1Block):
-                extra.append(Rank1Block(b.vectors, b.weights))
-            else:
-                extra.append(
-                    DenseBlock(
-                        np.stack(
-                            [linalg.matrix_function(b.mats[i], "abs") for i in range(b.size)]
-                        )
-                    )
-                )
-        return MatrixFamily(self.blocks + extra)
-
 
 def as_family(family):
     if isinstance(family, MatrixFamily):
@@ -248,7 +232,6 @@ class WalkLog:
     """Per-iteration trace used by invariant tests and diagnostics."""
 
     m: int = 0
-    n_doubled: int = 0
     m_t: list = field(default_factory=list)
     delta: list = field(default_factory=list)
     linear_term: list = field(default_factory=list)
@@ -325,12 +308,24 @@ class _BlockSpectra:
 # constraint-side plumbing for the shared walk loop
 
 
-class _MatrixSide:
-    """Linear-term and low-eigenspace constraints of the potential walk."""
+def default_lambda0(k, m):
+    """max(1, sqrt(log(k/m))), with the log clamped at zero for k <= m."""
+    if k <= 0 or m <= 0:
+        return 1.0
+    return float(max(1.0, np.sqrt(max(0.0, np.log(k / m)))))
 
-    def __init__(self, family, eta, keep_count):
+
+class _MatrixSide:
+    """Linear-term and low-eigenspace constraints of the potential walk.
+
+    eta = sqrt(m)/4 for the family's m members; the fixed step cap is
+    1/(2 eta).
+    """
+
+    def __init__(self, family, keep_count):
         self.family = family
-        self.eta = eta
+        self.eta = 0.25 * np.sqrt(family.m)
+        self.base_cap = 1.0 / (2.0 * self.eta)
         self.keep_count = keep_count
         self.spectra = None
         self._n = None
@@ -383,11 +378,16 @@ class _MatrixSide:
 
 
 class _VectorSide:
-    """Multiplicative-weights constraints (gradient, heavy rows, eigencut)."""
+    """Multiplicative-weights constraints (gradient, heavy rows, eigencut).
 
-    def __init__(self, unit_rows, lambda0, heavy_count, cut_count):
+    lambda0 = default_lambda0(k, m) for k unit rows of length m; the fixed
+    step cap is 1/(2 lambda0).
+    """
+
+    def __init__(self, unit_rows, heavy_count, cut_count):
         self.ahat = np.asarray(unit_rows, dtype=float)
-        self.lambda0 = lambda0
+        self.lambda0 = default_lambda0(*self.ahat.shape)
+        self.base_cap = 1.0 / (2.0 * self.lambda0)
         self.heavy_count = heavy_count
         self.cut_count = cut_count
         self.weights = None
@@ -439,7 +439,7 @@ class _VectorSide:
         return step_norm
 
 
-def _walk_loop(m, sides, extra_rows, base_cap, adaptive_steps, log):
+def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     """Shared walk loop: assemble constraints, pick y, step, freeze.
 
     extra_rows is a (r, m) array of static linear constraints (the caller's
@@ -447,6 +447,7 @@ def _walk_loop(m, sides, extra_rows, base_cap, adaptive_steps, log):
     """
     x = np.zeros(m)
     active = np.arange(m)
+    base_cap = min(side.base_cap for side in sides)
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
         log.m = m
@@ -586,9 +587,5 @@ def partial_color(family, h=None, options=None, log=None):
     if abs_norm > 1.0 + 1e-8:
         raise InvalidInput(f"sum of |A_i| has operator norm {abs_norm:.6f} > 1")
 
-    eta = 0.25 * np.sqrt(m)
-    side = _MatrixSide(family, eta, keep_count=lambda mt: int(np.floor(mt / 3.0)))
-    if log is not None:
-        log.n_doubled = 2 * family.n
-    base_cap = 1.0 / (2.0 * eta)
-    return _walk_loop(m, [side], h.complement_rows, base_cap, options.adaptive_steps, log)
+    side = _MatrixSide(family, keep_count=lambda mt: int(np.floor(mt / 3.0)))
+    return _walk_loop(m, [side], h.complement_rows, options.adaptive_steps, log)

@@ -27,8 +27,16 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg, verify
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
-from .matrix_walk import MatrixFamily, WalkLog, _MatrixSide, _VectorSide, _walk_loop
-from .vector_walk import default_lambda0, prepare_constraints
+from .matrix_walk import (
+    MatrixFamily,
+    WalkLog,
+    _MatrixSide,
+    _VectorSide,
+    _walk_loop,
+    default_lambda0,
+)
+from .sparsify import degree_rows, halve_support
+from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8
@@ -65,14 +73,14 @@ class SketchResult:
 
 
 def shift_center(z, g):
-    """Recenter z so its degree-weighted entries sum to zero."""
+    """Recenter z (a vector or rows of vectors) so the degree-weighted
+    entries of each sum to zero."""
     d = g.weighted_degrees()
     total = float(np.sum(d))
     if total <= 0:
         raise InvalidInput("graph has no edges")
     z = np.asarray(z, dtype=float)
-    c = float(d @ z) / total
-    return z - c
+    return z - (z @ d / total)[..., None]
 
 
 def freeze_sets(g, s):
@@ -113,11 +121,7 @@ def _degree_and_pin_rows(g, s, support, pinned):
     """Static constraint rows for one round, in support coordinates:
     weighted-degree preservation plus pinned (frozen-set) coordinates."""
     m_r = len(support)
-    u, v, w = g.edge_arrays()
-    rows = np.zeros((g.n, m_r))
-    for pos, e in enumerate(support):
-        rows[u[e], pos] = s[e] * w[e]
-        rows[v[e], pos] = s[e] * w[e]
+    rows = degree_rows(g, s)[:, support]
     pin_pos = np.flatnonzero(np.isin(support, pinned))
     pins = np.zeros((len(pin_pos), m_r))
     pins[np.arange(len(pin_pos)), pin_pos] = 1.0
@@ -171,12 +175,6 @@ def _check_identity(g, kvecs, a_rows, x_sub, s, support, tol_scale):
     return worst
 
 
-def _sign_flip(x):
-    if np.count_nonzero(x == 1.0) > np.count_nonzero(x == -1.0):
-        return -x
-    return x
-
-
 def _walk_discrepancy(a_rows, x_sub):
     norms = np.linalg.norm(a_rows, axis=1)
     keep = norms > 1e-12
@@ -196,18 +194,6 @@ def _check_degrees_preserved(g, s, tol=1e-7):
     if dev > tol * max(1.0, float(np.max(d, initial=1.0))):
         raise WalksparseError(f"degree preservation failed: deviation {dev:.3e}")
     return dev
-
-
-def _worst_ratio(g, out, kvecs):
-    lap = g.laplacian()
-    lap_t = out.laplacian()
-    worst = 0.0
-    for z in kvecs:
-        denom = float(z @ lap @ z)
-        if denom <= 1e-12:
-            continue
-        worst = max(worst, abs(float(z @ lap_t @ z) / denom - 1.0))
-    return worst
 
 
 def sketch_expander(g, kvecs, eps, lam):
@@ -232,11 +218,11 @@ def sketch_expander(g, kvecs, eps, lam):
     if m == 0:
         return SketchResult(g, 0, 0.0, 0.0)
     k = kvecs.shape[0]
-    f_factor = max(1.0, np.sqrt(max(0.0, np.log(k / m)))) / lam
+    f_factor = default_lambda0(k, m) / lam
     threshold = n_eff * f_factor / eps
     s, diagnostics, stopped = _halve(g, kvecs, lam2, threshold)
     out = g.reweighted(s)
-    worst = _worst_ratio(g, out, kvecs)
+    worst = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
     return SketchResult(out, len(diagnostics), worst, threshold, diagnostics, stopped)
 
 
@@ -264,7 +250,7 @@ def sketch(g, kvecs, eps, options=None):
         stopped = stopped or res.stopped_early
         edges.extend(res.graph.edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    worst = _worst_ratio(g, out, kvecs)
+    worst = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
     return SketchResult(out, len(diagnostics), worst, 0.0, diagnostics, stopped, len(pieces))
 
 
@@ -308,31 +294,25 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     extra_rows = _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
 
     unit = prepare_constraints(a_rows, m_r)
-    lambda0 = default_lambda0(unit.shape[0], m_r)
-    base_cap = 1.0 / (2.0 * lambda0)
     cut = 0.1 if lph is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
-    sides = [_VectorSide(unit, lambda0, heavy_count=budget, cut_count=budget)]
+    sides = [_VectorSide(unit, heavy_count=budget, cut_count=budget)]
     if lph is not None:
         vectors = lph @ piece.incidence_signed()[:, support]
         family = MatrixFamily.from_rank_one(vectors, 0.5 * s[support])
         top = float(linalg.eigvalsh(family.blocks[0].aggregate(np.ones(m_r)))[-1])
         if top > 1.0 + 1e-6:
             raise WalksparseError(f"loop invariant failed: half-aggregate norm {top:.4f} > 1")
-        eta = 0.25 * np.sqrt(m_r)
         keep = lambda mt: mt - int(np.floor(cut * mt))
-        sides.insert(0, _MatrixSide(family, eta, keep_count=keep))
-        base_cap = min(1.0 / (2.0 * eta), base_cap)
+        sides.insert(0, _MatrixSide(family, keep_count=keep))
     wlog = WalkLog()
-    x_sub = _walk_loop(m_r, sides, extra_rows, base_cap, True, wlog)
+    x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
     diag.walk_iterations = wlog.iterations
     diag.identity_residual = _check_identity(
         piece, kvecs, a_rows, x_sub, s, support, zbar_d
     )
     diag.walk_discrepancy = _walk_discrepancy(a_rows, x_sub)
-    x_sub = _sign_flip(x_sub)
-    s_new = s.copy()
-    s_new[support] = s[support] * (1.0 + x_sub)
+    s_new, _ = halve_support(s, support, x_sub)
     diag.degree_dev = _check_degrees_preserved(piece, s_new)
     return s_new, diag
 
@@ -343,9 +323,8 @@ def _halve(piece, kvecs, lam2, threshold, lph=None):
     Returns (s, per-round diagnostics, stop reason or None).
     """
     n_eff = max(1, len(piece.non_isolated()))
-    d = piece.weighted_degrees()
-    zbar = kvecs - (kvecs @ d / np.sum(d))[:, None]
-    zbar_d = (zbar**2) @ d
+    zbar = shift_center(kvecs, piece)
+    zbar_d = (zbar**2) @ piece.weighted_degrees()
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
     s = np.ones(piece.m)
     diagnostics = []
@@ -391,7 +370,7 @@ def resistance_sparsify(g, eps, options=None):
         edges.extend(piece.reweighted(s).edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
     spectral_eps = verify.check_spectral(g, out, target=np.inf).measured_eps
-    sketch_eps = _worst_ratio(g, out, kvecs)
+    sketch_eps = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
     worst = verify.effective_resistance_report(g, out)
     return ResistanceResult(
         out, len(diagnostics), worst, spectral_eps, sketch_eps, len(pieces), diagnostics,

@@ -47,20 +47,16 @@ class Reweighting:
         return int(np.count_nonzero(self.s))
 
 
+# the halving rounds take the largest admissible walk steps
+_WALK = WalkOptions(adaptive_steps=True)
+
+
 @dataclass
 class SparsifyOptions:
-    """Loop thresholds and walk configuration.
-
-    c_support sets the stopping threshold c_support * n / eps^2 on the
-    support size.  guarantee_mode restricts eps to (0, 1/32] where the
-    halving analysis applies verbatim; the default best-effort mode accepts
-    eps up to 1/2 and reports the measured error.
-    """
+    """c_support sets the stopping threshold c_support * n / eps^2 on the
+    support size."""
 
     c_support: float = 1024.0
-    guarantee_mode: bool = False
-    walk: WalkOptions = field(default_factory=lambda: WalkOptions(adaptive_steps=True))
-    symmetric_inputs: bool = False
 
 
 @dataclass
@@ -98,12 +94,7 @@ def sparsify(family, h, eps, options=None):
     options = options or SparsifyOptions()
     if not (0.0 < eps <= 0.5):
         raise InvalidInput(f"eps={eps} outside (0, 1/2]")
-    if options.guarantee_mode and eps > 1.0 / 32.0:
-        raise InvalidInput("guarantee mode requires eps <= 1/32")
-    if options.symmetric_inputs:
-        family = family.psd_relaxation()
-    else:
-        _validate_psd_family(family)
+    _validate_psd_family(family)
     m, n = family.m, family.n
     if h.ambient_dim != m:
         raise InvalidInput("subspace ambient dimension does not match the family")
@@ -113,7 +104,7 @@ def sparsify(family, h, eps, options=None):
 
     info = SparsifyInfo(threshold=options.c_support * n / eps**2)
     s = np.ones(m)
-    m_min = options.walk.m_min
+    m_min = _WALK.m_min
     while np.count_nonzero(s) > info.threshold:
         support = np.flatnonzero(s)
         m_r = len(support)
@@ -135,13 +126,10 @@ def sparsify(family, h, eps, options=None):
                 f"restricted subspace dim {h_sub.dim} < (4/5) m_t = {0.8 * m_r:.1f}; "
                 "raise c_support"
             )
-        x_sub = partial_color(sub_family, h_sub, options=options.walk)
-        x = np.zeros(m)
-        x[support] = x_sub
-        if np.count_nonzero(x == 1.0) > np.count_nonzero(x == -1.0):
-            x = -x
+        x_sub = partial_color(sub_family, h_sub, options=_WALK)
+        s_new, x = halve_support(s, support, x_sub)
         info.round_norms.append(family.aggregate_norm(x * s))
-        s = s * (1.0 + x)
+        s = s_new
         info.rounds += 1
         info.round_supports.append(int(np.count_nonzero(s)))
         if info.round_supports[-1] > m_r - int(np.ceil(m_r / 8.0)):
@@ -166,6 +154,30 @@ def sparsify(family, h, eps, options=None):
     return rew, info
 
 
+def halve_support(s, support, x_sub):
+    """One halving update from a coloring x_sub of the support.
+
+    Flips x so no more of its frozen coordinates sit at +1 than at -1, then
+    sets s(i) <- s(i)(1 + x(i)).  Returns (s_new, x) with x the flipped
+    coloring in full coordinates.
+    """
+    if np.count_nonzero(x_sub == 1.0) > np.count_nonzero(x_sub == -1.0):
+        x_sub = -x_sub
+    x = np.zeros(len(s))
+    x[support] = x_sub
+    return s * (1.0 + x), x
+
+
+def degree_rows(g, s):
+    """(n, m) rows whose vertex-v row holds s(e) w(e) at the edges e at v."""
+    u, v, w = g.edge_arrays()
+    rows = np.zeros((g.n, g.m))
+    sw = s * w
+    rows[u, np.arange(g.m)] = sw
+    rows[v, np.arange(g.m)] = sw
+    return rows
+
+
 def degree_subspace(g, s=None):
     """Subspace of edge vectors preserving every weighted degree.
 
@@ -174,15 +186,8 @@ def degree_subspace(g, s=None):
     """
     if g.directed:
         raise InvalidInput("degree subspace expects an undirected graph")
-    m = g.m
-    if s is None:
-        s = np.ones(m)
-    s = np.asarray(s, dtype=float)
-    rows = np.zeros((g.n, m))
-    for j, (u, v, w) in enumerate(g.edges):
-        rows[u, j] = s[j] * w
-        rows[v, j] = s[j] * w
-    return linalg.nullspace(rows, m=m)
+    s = np.ones(g.m) if s is None else np.asarray(s, dtype=float)
+    return linalg.nullspace(degree_rows(g, s), m=g.m)
 
 
 @dataclass

@@ -14,21 +14,13 @@ weighted second-moment matrix of the constraint directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matrix_walk
 from .errors import InvalidInput
+from .matrix_walk import default_lambda0  # noqa: F401  (re-exported)
 
 _DROP_NORM = 1e-12
-
-
-def default_lambda0(k, m):
-    """max(1, sqrt(log(k/m))), with the log clamped at zero for k <= m."""
-    if k <= 0 or m <= 0:
-        return 1.0
-    return float(max(1.0, np.sqrt(max(0.0, np.log(k / m)))))
 
 
 def prepare_constraints(vectors, m=None):
@@ -47,33 +39,15 @@ def prepare_constraints(vectors, m=None):
     return a[keep] / norms[keep, None]
 
 
-@dataclass
-class MwuOptions:
-    """Vector-walk switch.
-
-    lambda0 is max(1, sqrt(log(k/m))).  The step is capped by the
-    admissibility condition lambda0 * delta * max_i |<a_i_hat, y>| <= 1/2;
-    with adaptive_steps (default) the cap is met with equality unless the
-    box boundary is closer, otherwise a fixed 1/(2 lambda0) cap is used.
-    """
-
-    adaptive_steps: bool = True
-
-
-def vector_partial_color(
-    vectors,
-    extra=None,
-    options=None,
-    log=None,
-    require_k_ge_m=True,
-):
+def vector_partial_color(vectors, extra=None, log=None):
     """Partial coloring with small discrepancy against all constraint vectors.
 
-    vectors: (k, m) array of constraint vectors (zero rows are dropped).
-    extra: optional Subspace the coloring must lie in.
-    require_k_ge_m: the guarantee is stated for k >= m; pipelines that
-    legitimately run with fewer constraints pass False (the bound's log
-    factor is clamped at 1).
+    vectors: (k, m) array of constraint vectors (zero rows are dropped),
+    k >= m.  extra: optional Subspace the coloring must lie in.
+
+    lambda0 is max(1, sqrt(log(k/m))).  Each step meets the admissibility
+    condition lambda0 * delta * max_i |<a_i_hat, y>| <= 1/2 with equality
+    unless the box boundary is closer.
     """
     a = np.asarray(vectors, dtype=float)
     if a.ndim == 1:
@@ -83,20 +57,15 @@ def vector_partial_color(
     m = a.shape[1] if extra is None else extra.ambient_dim
     if a.shape[0] and extra is not None and a.shape[1] != m:
         raise InvalidInput("constraint length does not match the subspace ambient dim")
-    if require_k_ge_m and a.shape[0] < m:
+    if a.shape[0] < m:
         raise InvalidInput(f"need at least m={m} constraint vectors, got {a.shape[0]}")
-    options = options or MwuOptions()
     unit = prepare_constraints(a, m)
-    k = unit.shape[0]
-    lambda0 = default_lambda0(k, m)
     # the heaviest tenth of the constraints and the top tenth of the
     # weighted second-moment eigenspace are cut from the update subspace
     tenth = lambda mt: int(np.ceil(0.1 * mt))
-    side = matrix_walk._VectorSide(unit, lambda0, heavy_count=tenth, cut_count=tenth)
+    side = matrix_walk._VectorSide(unit, heavy_count=tenth, cut_count=tenth)
     extra_rows = extra.complement_rows if extra is not None else np.zeros((0, m))
-    return matrix_walk._walk_loop(
-        m, [side], extra_rows, 1.0 / (2.0 * lambda0), options.adaptive_steps, log
-    )
+    return matrix_walk._walk_loop(m, [side], extra_rows, True, log)
 
 
 def discrepancy_ratios(vectors, x):

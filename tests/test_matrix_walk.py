@@ -98,7 +98,7 @@ class TestStepSubspace:
     def test_zero_family_dimension(self):
         m = 9
         side = _MatrixSide(
-            MatrixFamily.from_matrices(np.zeros((m, 2, 2))), 1.0, keep_count=lambda mt: mt // 3
+            MatrixFamily.from_matrices(np.zeros((m, 2, 2))), keep_count=lambda mt: mt // 3
         )
         rows = side.rows(np.zeros(m), np.arange(m))
         assert linalg.nullspace(np.vstack(rows), m=m).dim == m // 3
@@ -112,7 +112,7 @@ class TestStepSubspace:
         x = 0.4 * rng.uniform(-1, 1, size=m)
         eta = 0.25 * np.sqrt(m)
         h = linalg.nullspace(rng.normal(size=(m // 5, m)))
-        side = _MatrixSide(fam, eta, keep_count=lambda mt: mt // 3)
+        side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
         # the rows _walk_loop stacks while every coordinate is active
         rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)), h.complement_rows]
         sub = linalg.nullspace(np.vstack(rows), m=m)
@@ -155,11 +155,16 @@ class TestPartialColor:
         assert h.contains(x, tol=1e-8)
         assert log.iterations <= m * m / 4 + m
 
-    def test_log_invariants(self):
-        n, m = 4, 64
+    @pytest.mark.parametrize("n,m", [(4, 64), (8, 40)])
+    def test_log_invariants(self, n, m):
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=23))
         log = WalkLog()
         x = partial_color(fam, log=log)
+        if n * (n + 1) / 2 > 2 * m / 3:
+            # the kept third of N leaves the kernel of y -> A(y), so the
+            # steps move A(x) and the bounds below are checked away from zero
+            assert max(log.step_norm) > 0.0
+            assert max(log.quad_term) > 0.0
         assert max(abs(v) for v in log.linear_term) <= 1e-8
         for quad, m_t in zip(log.quad_term, log.m_t):
             assert quad <= 9.0 * np.sqrt(2.0 * n) / m_t**2 + 1e-8
@@ -240,13 +245,12 @@ class TestCombinedWalk:
         rows = rng.normal(size=(96, m))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         sixth = lambda mt: int(np.ceil(mt / 6.0))
-        eta = 0.25 * np.sqrt(m)
         sides = [
-            _MatrixSide(fam, eta, keep_count=lambda mt: mt - int(np.floor(mt / 6.0))),
-            _VectorSide(rows, 1.0, heavy_count=sixth, cut_count=sixth),
+            _MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0))),
+            _VectorSide(rows, heavy_count=sixth, cut_count=sixth),
         ]
         log = WalkLog()
-        x = _walk_loop(m, sides, np.zeros((0, m)), 1.0 / (2.0 * eta), True, log)
+        x = _walk_loop(m, sides, np.zeros((0, m)), True, log)
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
         assert log.iterations > 0
         assert len(log.step_norm) == len(log.m_t) == len(log.phi) == log.iterations

@@ -75,13 +75,6 @@ class TestCoreLoop:
         fam = spectral_family(complete_graph(8))
         with pytest.raises(InvalidInput):
             sparsify(fam, Subspace.full(fam.m), eps=0.75)
-        with pytest.raises(InvalidInput):
-            sparsify(
-                fam,
-                Subspace.full(fam.m),
-                eps=0.2,
-                options=SparsifyOptions(guarantee_mode=True),
-            )
 
     def test_non_psd_rejected(self):
         mats = np.zeros((40, 2, 2))
@@ -89,24 +82,6 @@ class TestCoreLoop:
         fam = MatrixFamily.from_matrices(mats)
         with pytest.raises(InvalidInput):
             sparsify(fam, Subspace.full(40), eps=0.4)
-
-    def test_psd_relaxation_accepts_symmetric(self):
-        rng = np.random.default_rng(3)
-        mats = []
-        for _ in range(48):
-            a = rng.normal(size=(3, 3))
-            mats.append(0.5 * (a + a.T))
-        total = sum(linalg.matrix_function(a, "abs") for a in mats)
-        scale = linalg.operator_norm(total)
-        mats = np.stack([a / scale for a in mats])
-        fam = MatrixFamily.from_matrices(mats)
-        rew, info = sparsify(
-            fam,
-            Subspace.full(48),
-            eps=0.5,
-            options=SparsifyOptions(symmetric_inputs=True, c_support=1024.0),
-        )
-        assert info.rounds == 0  # desk threshold keeps it identity
 
     def test_subspace_exhausted_when_threshold_too_low(self):
         g = complete_graph(16)

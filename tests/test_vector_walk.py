@@ -7,7 +7,6 @@ from walksparse import linalg
 from walksparse.errors import InvalidInput
 from walksparse.matrix_walk import WalkLog, _VectorSide
 from walksparse.vector_walk import (
-    MwuOptions,
     default_lambda0,
     discrepancy_ratios,
     prepare_constraints,
@@ -21,10 +20,10 @@ def gaussian_rows(k, m, seed):
     return a / np.linalg.norm(a, axis=1)[:, None]
 
 
-def tenth_side(rows, lambda0):
+def tenth_side(rows):
     """The vector side as vector_partial_color builds it (1/10 budgets)."""
     tenth = lambda mt: int(np.ceil(0.1 * mt))
-    return _VectorSide(rows, lambda0, heavy_count=tenth, cut_count=tenth)
+    return _VectorSide(rows, heavy_count=tenth, cut_count=tenth)
 
 
 def update_subspace(side, x):
@@ -38,13 +37,16 @@ def update_subspace(side, x):
 
 class TestState:
     def test_weights_recomputable(self):
-        rows = gaussian_rows(30, 12, seed=1)
+        k, m = 300, 12
+        rows = gaussian_rows(k, m, seed=1)
         rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, size=12)
-        side = tenth_side(rows, 1.2)
-        side.rows(x, np.arange(12))
+        x = rng.uniform(-1, 1, size=m)
+        side = tenth_side(rows)
+        side.rows(x, np.arange(m))
         w = side.weights
-        expect = np.exp(1.2 * rows @ x - 1.44)
+        lam = default_lambda0(k, m)
+        assert lam > 1.0
+        expect = np.exp(lam * rows @ x - lam**2)
         assert np.max(np.abs(w / expect - 1.0)) <= 1e-9
 
     def test_zero_rows_dropped(self):
@@ -56,13 +58,13 @@ class TestState:
 
 class TestSubspace:
     def test_no_constraints(self):
-        sub = update_subspace(tenth_side(np.zeros((0, 10)), 1.0), np.zeros(10))
+        sub = update_subspace(tenth_side(np.zeros((0, 10))), np.zeros(10))
         assert sub.dim == 10
 
     def test_orthonormal_basis_constraints(self):
         # all weights equal: the heaviest constraints are the lowest indices
         m = 10
-        sub = update_subspace(tenth_side(np.eye(m), 1.0), np.zeros(m))
+        sub = update_subspace(tenth_side(np.eye(m)), np.zeros(m))
         heavy = int(np.ceil(m / 10.0))
         basis = sub.basis()
         assert np.max(np.abs(basis[:heavy, :])) <= 1e-9
@@ -72,8 +74,9 @@ class TestSubspace:
         rows = gaussian_rows(k, m, seed=5)
         rng = np.random.default_rng(6)
         x = 0.3 * rng.uniform(-1, 1, size=m)
-        sub = update_subspace(tenth_side(rows, 1.3), x)
-        w = np.exp(1.3 * rows @ x - 1.3**2)
+        sub = update_subspace(tenth_side(rows), x)
+        lam = default_lambda0(k, m)
+        w = np.exp(lam * rows @ x - lam**2)
         grad = w @ rows
         order = np.lexsort((np.arange(k), -w))
         heavy = order[: int(np.ceil(m / 10.0))]
@@ -130,20 +133,10 @@ class TestVectorPartialColor:
         with pytest.raises(InvalidInput):
             vector_partial_color(gaussian_rows(10, 20, seed=1))
 
-    def test_k_less_than_m_allowed_when_requested(self):
-        a = gaussian_rows(10, 20, seed=1)
-        x = vector_partial_color(a, require_k_ge_m=False)
-        assert np.count_nonzero(np.abs(x) == 1.0) >= 5
-
     def test_nonfinite_rejected(self):
         bad = np.full((25, 20), np.nan)
         with pytest.raises(InvalidInput):
             vector_partial_color(bad)
-
-    def test_fixed_cap_also_works(self):
-        a = gaussian_rows(50, 25, seed=21)
-        x = vector_partial_color(a, options=MwuOptions(adaptive_steps=False))
-        assert np.count_nonzero(np.abs(x) == 1.0) >= 25 / 4
 
 
 class TestLambdaDefault:
