@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run the sketch and effective-resistance pipelines at the desk-scale sizes
-and print measured accuracy against the constant-factor budgets."""
+and print measured accuracy against the constant-factor budgets.  Every
+figure is measured by `walksparse.verify` on the output graph."""
 
 import time
 
 import numpy as np
 
+from walksparse import verify
 from walksparse.graph import Graph
-from walksparse.sketches import resistance_sparsify, sketch
+from walksparse.sketches import resistance_pairs, resistance_sparsify, sketch
 
 
 def complete_graph(n):
@@ -25,20 +27,23 @@ def main():
     print(f"sketch K_32, |K|=600, eps={eps}: {time.time() - t0:.1f}s")
     print(f"  edges {g.m} -> {res.graph.m} over {res.rounds} rounds "
           f"({res.pieces} pieces)")
-    print(f"  worst quadratic-form ratio deviation {res.worst_ratio:.4f} "
+    rep = verify.check_sketch(g, res.graph, kvecs, target=4 * eps)
+    print(f"  worst quadratic-form ratio deviation {rep.measured_eps:.4f} "
           f"(budget {4 * eps})")
-    dev = float(np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())))
-    print(f"  degree deviation {dev:.2e}")
+    print(f"  degree deviation {rep.degree_max_dev:.2e}")
 
     g = complete_graph(24)
     t0 = time.time()
     rres = resistance_sparsify(g, eps)
     print(f"resistance K_24, eps={eps}: {time.time() - t0:.1f}s")
     print(f"  edges {g.m} -> {rres.graph.m} over {rres.rounds} rounds")
-    print(f"  worst resistance ratio deviation {rres.worst_resistance_ratio:.4f} "
-          f"(budget {4 * eps})")
-    print(f"  premises: spectral {rres.spectral_eps:.4f} (budget {4 * np.sqrt(eps):.2f}), "
-          f"sketch {rres.sketch_eps:.4f} (budget {4 * eps})")
+    worst = verify.effective_resistance_report(g, rres.graph)
+    spectral_eps = verify.check_spectral(g, rres.graph, target=np.inf).measured_eps
+    kvecs = resistance_pairs(g)
+    sketch_eps = verify.check_sketch(g, rres.graph, kvecs, target=np.inf).measured_eps
+    print(f"  worst resistance ratio deviation {worst:.4f} (budget {4 * eps})")
+    print(f"  premises: spectral {spectral_eps:.4f} (budget {4 * np.sqrt(eps):.2f}), "
+          f"sketch {sketch_eps:.4f} (budget {4 * eps})")
 
 
 if __name__ == "__main__":

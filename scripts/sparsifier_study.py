@@ -2,11 +2,13 @@
 """Sweep the halving-loop threshold on complete graphs and report quality.
 
 Prints, per (eps, c_support) cell: rounds run, final support, measured
-relative spectral error, and the worst weighted-degree deviation.
+relative spectral error, and the worst weighted-degree deviation.  Errors
+and supports are measured by `walksparse.verify` on the output graph.
 """
 
 import numpy as np
 
+from walksparse import verify
 from walksparse.graph import Graph
 from walksparse.sparsify import SparsifyOptions, spectral_sparsify, uc_sparsify
 
@@ -26,16 +28,21 @@ def main():
         except Exception as exc:  # SubspaceExhausted at overly tight thresholds
             print(f"{eps:>6} {c:>6} {'-':>8} stopped: {exc}")
             continue
-        dev = float(np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())))
-        print(f"{eps:>6} {c:>6} {res.info.threshold:>8.1f} {res.info.rounds:>6} "
-              f"{res.info.support_size:>5} {res.info.measured_eps:>9.4f} {dev:>9.2e}")
+        rep = verify.check_spectral(g, res.graph, target=eps)
+        print(f"{eps:>6} {c:>6} {res.diagnostics[0].threshold:>8.1f} {res.rounds:>6} "
+              f"{rep.support_size:>5} {rep.measured_eps:>9.4f} {rep.degree_max_dev:>9.2e}")
 
     print()
     print("unit-circle sparsifier, K_16")
+    uns = g.unsigned_laplacian()
     for eps, c in [(0.5, 1024.0), (0.45, 0.6)]:
         res = uc_sparsify(g, eps, SparsifyOptions(c_support=c))
-        print(f"eps={eps} c={c}: rounds={res.info.rounds} supp={res.info.support_size} "
-              f"L-err={res.measured['laplacian']:.4f} U-err={res.measured['unsigned']:.4f}")
+        l_err = verify.check_spectral(g, res.graph, target=eps).measured_eps
+        u_err = verify.check_matrix_approx(
+            uns, res.graph.unsigned_laplacian(), uns, uns, target=eps
+        ).measured_eps
+        print(f"eps={eps} c={c}: rounds={res.rounds} supp={res.graph.m} "
+              f"L-err={l_err:.4f} U-err={u_err:.4f}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ from .errors import (
     SubspaceExhausted,
     WalksparseError,
 )
-from .graph import Graph, bipartite_lift, expander_decompose, graph_matrices, sv_error_matrices
-from .linalg import Subspace, intersect, nullspace
+from .graph import Graph, bipartite_lift, expander_decompose, sv_error_matrices
+from .linalg import Subspace, nullspace
 from .matrix_walk import DoubledFamily, MatrixFamily, WalkLog, WalkOptions, partial_color
 from .sketches import SketchOptions, resistance_sparsify, sketch, sketch_expander
 from .sparsify import (
+    PipelineResult,
     Reweighting,
     SparsifyOptions,
     degree_subspace,
@@ -39,6 +40,7 @@ __all__ = [
     "MatrixFamily",
     "NotPSD",
     "ParseError",
+    "PipelineResult",
     "Reweighting",
     "SketchOptions",
     "SparsifyOptions",
@@ -56,9 +58,7 @@ __all__ = [
     "degree_subspace",
     "effective_resistance_report",
     "expander_decompose",
-    "graph_matrices",
     "sv_error_matrices",
-    "intersect",
     "nullspace",
     "partial_color",
     "resistance_sparsify",

@@ -123,31 +123,13 @@ def _emit(args, out_graph, report):
             sys.stdout.write(payload + "\n")
 
 
-def _run_partial_color(g):
-    family = sparsify.spectral_family(g)
-    h = sparsify.degree_subspace(g)
-    x = partial_color(family, h)
-    out = g.reweighted(1.0 + x)
-    bound = 16.0 * np.sqrt(2.0 * g.n / g.m)
-    measured = family.aggregate_norm(x)
-    rep = verify.ApproxReport(
-        kind="spectral",
-        target=bound,
-        measured_eps=measured,
-        kernel_ok=True,
-        degree_max_dev=float(
-            np.max(np.abs(out.weighted_degrees() - g.weighted_degrees()), initial=0.0)
-        ),
-        support_size=out.m,
-    )
-    return out, rep
-
-
 def _run_command(args):
     g = load_graph(args.input)
-    options = sparsify.SparsifyOptions(c_support=args.c_support)
+    options = sparsify.SparsifyOptions(args.c_support) if "c_support" in args else None
     if args.command == "partial-color":
-        out, rep = _run_partial_color(g)
+        x = partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
+        out = g.reweighted(1.0 + x)
+        rep = verify.check_spectral(g, out, target=16.0 * np.sqrt(2.0 * g.n / g.m))
     elif args.command == "sparsify":
         out = sparsify.sparsify_components(
             g, lambda sub: sparsify.spectral_sparsify(sub, args.epsilon, options)
@@ -231,6 +213,33 @@ def _run_command(args):
     return 0
 
 
+_FLAGS = {
+    "--epsilon": dict(type=float, default=0.5),
+    "--c-support": dict(type=float, default=1024.0),
+    "--phi-target": dict(type=float, default=None),
+    "--vectors": dict(default=""),
+    "--c-sketch": dict(type=float, default=4.0),
+    "--c-resist": dict(type=float, default=4.0),
+    "--kind": dict(default="spectral",
+                   choices=["spectral", "uc", "sv", "sketch", "resistance"]),
+    "--out": dict(default=""),
+    "--report": dict(default=""),
+    "--check": dict(action="store_true"),
+}
+_OUTPUT = ("--out", "--report", "--check")
+# each command takes only the flags it reads
+_COMMAND_FLAGS = {
+    "partial-color": _OUTPUT,
+    "sparsify": ("--epsilon", "--c-support", *_OUTPUT),
+    "uc": ("--epsilon", "--c-support", *_OUTPUT),
+    "sv": ("--epsilon", "--c-support", "--phi-target", *_OUTPUT),
+    "sketch": ("--epsilon", "--phi-target", "--vectors", "--c-sketch", *_OUTPUT),
+    "resist": ("--epsilon", "--phi-target", "--c-resist", *_OUTPUT),
+    "decompose": ("--phi-target", *_OUTPUT),
+    "verify": ("--kind", "--epsilon", "--vectors", "--report", "--check"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="walksparse",
@@ -238,32 +247,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, against=False):
+    for name, flags in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name)
         p.add_argument("input", help="edge-list file")
-        if against:
+        if name == "verify":
             p.add_argument("against", help="candidate edge-list file")
-        p.add_argument("--epsilon", type=float, default=0.5)
-        p.add_argument("--c-support", type=float, default=1024.0)
-        p.add_argument("--phi-target", type=float, default=None)
-        p.add_argument("--vectors", default="")
-        p.add_argument("--out", default="")
-        p.add_argument("--report", default="")
-        p.add_argument("--check", action="store_true")
-        p.add_argument("--c-sketch", type=float, default=4.0)
-        p.add_argument("--c-resist", type=float, default=4.0)
-
-    for name in ("partial-color", "sparsify", "uc", "sv", "sketch", "resist", "decompose"):
-        common(sub.add_parser(name))
-    pv = sub.add_parser("verify")
-    common(pv, against=True)
-    pv.add_argument("--kind", default="spectral",
-                    choices=["spectral", "uc", "sv", "sketch", "resistance"])
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def run(args):
     """Run one parsed command line; returns the process exit code."""
-    if not (0.0 < args.epsilon < 2.0):
+    if "epsilon" in args and not (0.0 < args.epsilon < 2.0):
         print(f"error: epsilon {args.epsilon} outside (0, 2)", file=sys.stderr)
         return 2
     try:

@@ -110,9 +110,6 @@ class Graph:
                 d[u] += w
         return d
 
-    def degree_matrix(self):
-        return np.diag(self.weighted_degrees())
-
     def laplacian(self):
         return np.diag(self.weighted_degrees()) - self.adjacency()
 
@@ -216,19 +213,6 @@ class Graph:
             if u in index and v in index
         ]
         return Graph(len(vertices), tuple(kept), self.directed), vertices
-
-
-def graph_matrices(g):
-    """adjacency / degree / Laplacian / unsigned / normalized, undirected only."""
-    if g.directed:
-        raise InvalidInput("graph matrices are defined for undirected graphs")
-    return {
-        "adjacency": g.adjacency(),
-        "degree": g.degree_matrix(),
-        "laplacian": g.laplacian(),
-        "unsigned_laplacian": g.unsigned_laplacian(),
-        "normalized_laplacian": g.normalized_laplacian(),
-    }
 
 
 def bipartite_lift(g):

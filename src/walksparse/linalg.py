@@ -5,7 +5,7 @@ Contents:
   - spectral matrix functions: abs, sqrt_psd, pinv, pinv_sqrt
   - operator norms of symmetric matrices and general products
   - subspaces of R^m stored by orthonormal rows of their orthogonal
-    complement, with nullspace construction and intersection
+    complement, with nullspace construction
 
 All routines are pure functions of their inputs.  Determinism matters
 downstream (the discrepancy walks pick basis vectors from these outputs),
@@ -194,13 +194,6 @@ class Subspace:
         resid = np.linalg.norm(self.complement_rows @ y)
         return resid <= tol * max(1.0, float(np.linalg.norm(y)))
 
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        r = self.complement_rows
-        if r.shape[0] == 0:
-            return y.copy()
-        return y - r.T @ (r @ y)
-
     def basis(self):
         """Orthonormal columns spanning the subspace, deterministic order.
 
@@ -240,18 +233,3 @@ def nullspace(rows, m=None):
             m = mat.shape[1]
         return Subspace.full(m)
     return Subspace(mat.shape[1], orthonormalize(mat))
-
-
-def intersect(subspaces):
-    """Intersection of subspaces of a common ambient space."""
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise InvalidInput("need at least one subspace")
-    m = subspaces[0].ambient_dim
-    for s in subspaces:
-        if s.ambient_dim != m:
-            raise InvalidInput("subspaces have mismatched ambient dimensions")
-    stacked = np.vstack([s.complement_rows for s in subspaces])
-    if stacked.shape[0] == 0:
-        return Subspace.full(m)
-    return Subspace(m, orthonormalize(stacked))

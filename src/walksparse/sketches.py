@@ -20,12 +20,12 @@ graphs are handled piece by piece through the expander decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph as graph_mod
-from . import linalg, verify
+from . import linalg
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import (
     MatrixFamily,
@@ -35,7 +35,7 @@ from .matrix_walk import (
     _walk_loop,
     default_lambda0,
 )
-from .sparsify import degree_rows, halve_support
+from .sparsify import PipelineResult, degree_rows, halve_support
 from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
@@ -59,17 +59,6 @@ class RoundDiagnostics:
     walk_iterations: int = 0
     walk_discrepancy: float = 0.0
     degree_dev: float = 0.0
-
-
-@dataclass
-class SketchResult:
-    graph: graph_mod.Graph
-    rounds: int
-    worst_ratio: float
-    threshold: float
-    diagnostics: list = field(default_factory=list)
-    stopped_early: str | None = None
-    pieces: int = 1
 
 
 def shift_center(z, g):
@@ -216,14 +205,12 @@ def sketch_expander(g, kvecs, eps, lam):
         raise InvalidInput(f"claimed expansion {lam} exceeds lambda_2 = {lam2:.6f}")
     m = g.m
     if m == 0:
-        return SketchResult(g, 0, 0.0, 0.0)
+        return PipelineResult(g, 0, None, 1, [])
     k = kvecs.shape[0]
     f_factor = default_lambda0(k, m) / lam
     threshold = n_eff * f_factor / eps
     s, diagnostics, stopped = _halve(g, kvecs, lam2, threshold)
-    out = g.reweighted(s)
-    worst = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
-    return SketchResult(out, len(diagnostics), worst, threshold, diagnostics, stopped)
+    return PipelineResult(g.reweighted(s), len(diagnostics), stopped, 1, diagnostics)
 
 
 def sketch(g, kvecs, eps, options=None):
@@ -250,20 +237,7 @@ def sketch(g, kvecs, eps, options=None):
         stopped = stopped or res.stopped_early
         edges.extend(res.graph.edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    worst = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
-    return SketchResult(out, len(diagnostics), worst, 0.0, diagnostics, stopped, len(pieces))
-
-
-@dataclass
-class ResistanceResult:
-    graph: graph_mod.Graph
-    rounds: int
-    worst_resistance_ratio: float
-    spectral_eps: float
-    sketch_eps: float
-    pieces: int
-    diagnostics: list = field(default_factory=list)
-    stopped_early: str | None = None
+    return PipelineResult(out, len(diagnostics), stopped, len(pieces), diagnostics)
 
 
 def resistance_pairs(g):
@@ -369,10 +343,4 @@ def resistance_sparsify(g, eps, options=None):
         stopped = stopped or piece_stop
         edges.extend(piece.reweighted(s).edges)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    spectral_eps = verify.check_spectral(g, out, target=np.inf).measured_eps
-    sketch_eps = verify.check_sketch(g, out, kvecs, target=np.inf).measured_eps
-    worst = verify.effective_resistance_report(g, out)
-    return ResistanceResult(
-        out, len(diagnostics), worst, spectral_eps, sketch_eps, len(pieces), diagnostics,
-        stopped,
-    )
+    return PipelineResult(out, len(diagnostics), stopped, len(pieces), diagnostics)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as graph_mod
-from . import linalg, verify
+from . import linalg
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import MatrixFamily, Rank1Block, WalkOptions, partial_color
 
@@ -191,11 +191,24 @@ def degree_subspace(g, s=None):
 
 
 @dataclass
-class GraphSparsifyResult:
+class PipelineResult:
+    """Output of a graph pipeline.  Its error is measured by `verify`.
+
+    diagnostics holds the per-round RoundDiagnostics of the sketch
+    pipelines, or one SparsifyInfo per piece for the matrix pipelines.
+    """
+
     graph: graph_mod.Graph
-    reweighting: Reweighting
-    info: SparsifyInfo
-    measured: dict = field(default_factory=dict)
+    rounds: int
+    stopped_early: str | None
+    pieces: int
+    diagnostics: list
+
+
+def _sparsify_graph(g, family, eps, options):
+    """Halving loop in the degree subspace of g, as a one-piece result."""
+    rew, info = sparsify(family, degree_subspace(g), eps, options)
+    return PipelineResult(g.reweighted(rew.s), info.rounds, info.stopped_early, 1, [info])
 
 
 def _require_connected_undirected(g):
@@ -217,12 +230,7 @@ def spectral_family(g):
 def spectral_sparsify(g, eps, options=None):
     """Degree-preserving spectral sparsifier of a connected graph."""
     _require_connected_undirected(g)
-    family = spectral_family(g)
-    h = degree_subspace(g)
-    rew, info = sparsify(family, h, eps, options)
-    out = g.reweighted(rew.s)
-    measured = {"spectral": info.measured_eps}
-    return GraphSparsifyResult(out, rew, info, measured)
+    return _sparsify_graph(g, spectral_family(g), eps, options)
 
 
 def uc_family(g):
@@ -245,16 +253,7 @@ def uc_sparsify(g, eps, options=None):
     """Unit-circle sparsifier: both the Laplacian and the unsigned Laplacian
     are preserved to relative error eps, with exact degrees."""
     _require_connected_undirected(g)
-    family = uc_family(g)
-    h = degree_subspace(g)
-    rew, info = sparsify(family, h, eps, options)
-    out = g.reweighted(rew.s)
-    diff = rew.s - 1.0
-    measured = {
-        "laplacian": linalg.operator_norm(family.blocks[0].aggregate(diff)),
-        "unsigned": linalg.operator_norm(family.blocks[1].aggregate(diff)),
-    }
-    return GraphSparsifyResult(out, rew, info, measured)
+    return _sparsify_graph(g, uc_family(g), eps, options)
 
 
 def sv_expander_family(g, lam):
@@ -285,27 +284,7 @@ def sv_sparsify_expander(g, lam, eps, options=None):
     # raw = 0 means E = 0 (e.g. a permutation digraph's lift): the family is
     # identically zero and the guarantee is vacuous; any scale works
     lam_build = min(lam, 1.0 / raw) if raw > 1e-12 else lam
-    family = base.scaled(np.full(g.m, lam_build))
-    total = family.aggregate_norm(np.ones(g.m))
-    h = degree_subspace(g)
-    rew, info = sparsify(family, h, eps, options)
-    out = g.reweighted(rew.s)
-    measured = {
-        "sv_scaled": info.measured_eps,
-        "sv_error": info.measured_eps / lam_build if lam_build > 0 else 0.0,
-        "family_norm": total,
-        "family_scale": lam_build,
-        "lambda2": lam2,
-    }
-    return GraphSparsifyResult(out, rew, info, measured)
-
-
-@dataclass
-class SvPipelineResult:
-    graph: graph_mod.Graph
-    pieces: int
-    piece_results: list
-    report: object = None
+    return _sparsify_graph(g, base.scaled(np.full(g.m, lam_build)), eps, options)
 
 
 def sv_sparsify(g, eps, phi_target=None, options=None):
@@ -313,8 +292,7 @@ def sv_sparsify(g, eps, phi_target=None, options=None):
 
     Lift to the bipartite double cover, decompose into expander pieces,
     sparsify each piece at eps' = eps * phi_target, and map the union back
-    to arcs.  The measured SV error (error-matrix check against the input)
-    is attached as `report`.
+    to arcs.
     """
     if not g.directed:
         raise InvalidInput("sv_sparsify expects a directed graph")
@@ -323,28 +301,28 @@ def sv_sparsify(g, eps, phi_target=None, options=None):
     lift = graph_mod.bipartite_lift(g)
     if phi_target is None:
         phi_target = graph_mod.default_phi_target(lift.n)
-    if lift.m == 0:
-        return SvPipelineResult(graph_mod.Graph(g.n, (), directed=True), 0, [])
-    pieces = graph_mod.expander_decompose(lift, phi_target)
     eps_piece = eps * phi_target
     if not (0.0 < eps_piece <= 0.5):
         raise InvalidInput(
             f"per-piece accuracy eps*phi_target = {eps_piece} outside (0, 1/2]"
         )
+    if lift.m == 0:
+        return PipelineResult(graph_mod.Graph(g.n, (), directed=True), 0, None, 0, [])
+    pieces = graph_mod.expander_decompose(lift, phi_target)
     arcs = []
-    piece_results = []
+    rounds, stopped, diagnostics = 0, None, []
     for piece in pieces:
         local, ids = piece.induced_on(piece.non_isolated())
         lam = graph_mod.lambda2(local)
         res = sv_sparsify_expander(local, lam, eps_piece, options)
-        piece_results.append(res)
+        rounds += res.rounds
+        stopped = stopped or res.stopped_early
+        diagnostics.extend(res.diagnostics)
         for u, v, w in res.graph.edges:
-            gu, gv = ids[u], ids[v]
-            arc = graph_mod.lift_edge_to_arc((gu, gv), g.n)
+            arc = graph_mod.lift_edge_to_arc((ids[u], ids[v]), g.n)
             arcs.append((arc[0], arc[1], w))
     out = graph_mod.Graph(g.n, tuple(arcs), directed=True)
-    report = verify.check_sv(g, out, target=eps)
-    return SvPipelineResult(out, len(pieces), piece_results, report)
+    return PipelineResult(out, rounds, stopped, len(pieces), diagnostics)
 
 
 def sparsify_components(g, fn):

@@ -51,6 +51,12 @@ def ring_matching_expander(n=32):
     return Graph(n, tuple(edges))
 
 
+def reweighting_of(g, out):
+    """The s with out == g.reweighted(s): weight ratios, 0 for dropped edges."""
+    kept = {(u, v): w for u, v, w in out.edges}
+    return np.array([kept.get((u, v), 0.0) / w for u, v, w in g.edges])
+
+
 def random_graph(n, p, seed):
     rng = np.random.default_rng(seed)
     edges = [

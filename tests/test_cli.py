@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import complete_graph, dumbbell_graph
 from walksparse import sparsify
 from walksparse.cli import (
+    build_parser,
     load_vectors,
     main,
     parse_edge_list,
@@ -192,6 +193,48 @@ class TestCommands:
         vec_path.write_text("1 2 3\n4 5\n")
         with pytest.raises(ParseError):
             load_vectors(str(vec_path), 3)
+
+
+# every flag of the CLI with a sample value, and the flags each command reads
+FLAG_VALUES = {
+    "--epsilon": "0.5", "--c-support": "1", "--phi-target": "0.1", "--vectors": "v.txt",
+    "--c-sketch": "4", "--c-resist": "4", "--out": "o.txt", "--report": "r.json",
+    "--check": None,
+}
+OUTPUT_FLAGS = {"--out", "--report", "--check"}
+READS = {
+    "partial-color": OUTPUT_FLAGS,
+    "sparsify": {"--epsilon", "--c-support"} | OUTPUT_FLAGS,
+    "uc": {"--epsilon", "--c-support"} | OUTPUT_FLAGS,
+    "sv": {"--epsilon", "--c-support", "--phi-target"} | OUTPUT_FLAGS,
+    "sketch": {"--epsilon", "--phi-target", "--vectors", "--c-sketch"} | OUTPUT_FLAGS,
+    "resist": {"--epsilon", "--phi-target", "--c-resist"} | OUTPUT_FLAGS,
+    "decompose": {"--phi-target"} | OUTPUT_FLAGS,
+    "verify": {"--epsilon", "--vectors", "--report", "--check"},
+}
+
+
+def command_line(command, flags):
+    argv = [command, "g.txt"] + (["h.txt"] if command == "verify" else [])
+    for flag in flags:
+        argv += [flag] if FLAG_VALUES[flag] is None else [flag, FLAG_VALUES[flag]]
+    return argv
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_own_flags_accepted(self, command):
+        args = build_parser().parse_args(command_line(command, sorted(READS[command])))
+        assert args.command == command
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(READS) for flag in FLAG_VALUES
+        if flag not in READS[command]
+    ])
+    def test_unread_flag_exits_two(self, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main(command_line(command, [flag]))
+        assert err.value.code == 2
 
 
 class TestDeterminism:

@@ -21,7 +21,6 @@ from walksparse.graph import (
     bipartite_lift,
     default_phi_target,
     expander_decompose,
-    graph_matrices,
     lambda2,
     lift_edge_to_arc,
     sv_error_matrices,
@@ -61,9 +60,8 @@ class TestModel:
 class TestMatrices:
     def test_single_edge(self):
         g = Graph(2, ((0, 1, 1.0),))
-        mats = graph_matrices(g)
-        assert np.allclose(mats["laplacian"], [[1, -1], [-1, 1]])
-        assert np.allclose(mats["unsigned_laplacian"], [[1, 1], [1, 1]])
+        assert np.allclose(g.laplacian(), [[1, -1], [-1, 1]])
+        assert np.allclose(g.unsigned_laplacian(), [[1, 1], [1, 1]])
 
     def test_triangle_normalized_spectrum(self):
         # complete-graph normalized spectrum: 0 and n/(n-1)
@@ -84,10 +82,6 @@ class TestMatrices:
             w = g.weights()
             assert np.max(np.abs((b * w) @ b.T - g.laplacian())) <= 1e-10
             assert np.max(np.abs((bu * w) @ bu.T - g.unsigned_laplacian())) <= 1e-10
-
-    def test_directed_rejected(self):
-        with pytest.raises(InvalidInput):
-            graph_matrices(Graph(2, ((0, 1, 1.0),), directed=True))
 
 
 class TestBipartiteLift:

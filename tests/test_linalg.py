@@ -121,31 +121,6 @@ class TestSubspaces:
         basis = sub.basis()
         assert np.max(np.abs(rows @ basis)) <= 1e-10
 
-    def test_intersect_full(self):
-        full = linalg.Subspace.full(6)
-        assert linalg.intersect([full, full]).dim == 6
-
-    def test_intersect_hyperplanes(self):
-        s1 = linalg.nullspace([np.array([1.0, 0, 0, 0])])
-        s2 = linalg.nullspace([np.array([0.0, 1, 0, 0])])
-        both = linalg.intersect([s1, s2])
-        assert both.dim == 2
-
-    def test_intersect_random_membership(self):
-        # membership oracle: project random vectors, check all constraints
-        rng = np.random.default_rng(1)
-        s1 = linalg.nullspace(rng.normal(size=(5, 20)))
-        s2 = linalg.nullspace(rng.normal(size=(2, 20)))
-        inter = linalg.intersect([s1, s2])
-        assert inter.dim >= 13
-        for _ in range(5):
-            y = inter.project(rng.normal(size=20))
-            assert s1.contains(y, tol=1e-9) and s2.contains(y, tol=1e-9)
-
-    def test_mismatched_ambient(self):
-        with pytest.raises(InvalidInput):
-            linalg.intersect([linalg.Subspace.full(3), linalg.Subspace.full(4)])
-
     def test_complement_rows_orthonormal(self):
         rng = np.random.default_rng(2)
         sub = linalg.nullspace(rng.normal(size=(4, 9)))

@@ -13,7 +13,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
-from walksparse import linalg
+from walksparse import linalg, verify
 from walksparse.errors import InvalidInput
 from walksparse.graph import Graph, lambda2
 from walksparse.sketches import (
@@ -111,7 +111,7 @@ class TestSketchExpander:
         res = sketch_expander(g, kvecs, 0.2, lambda2(g))
         assert res.rounds == 0
         assert res.graph.edges == g.edges
-        assert res.worst_ratio <= 1e-12
+        assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 1e-12
 
     def test_k16_quality(self):
         g = complete_graph(16)
@@ -119,7 +119,7 @@ class TestSketchExpander:
         res = sketch_expander(g, kvecs, 0.25, lambda2(g))
         assert res.rounds >= 1
         assert res.graph.m < g.m
-        assert res.worst_ratio <= 4.0 * 0.25
+        assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.25
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
         for diag in res.diagnostics:
             assert diag.identity_residual <= 1e-8
@@ -151,7 +151,7 @@ class TestSketchPipeline:
         res = sketch(g, kvecs, 0.3, SketchOptions(phi_target=0.1))
         assert res.pieces >= 2
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-        assert res.worst_ratio <= 4.0 * 0.3
+        assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.3
 
     def test_expander_single_piece_matches(self):
         g = complete_graph(12)
@@ -178,7 +178,7 @@ class TestResistance:
         g = path_graph(3)
         res = resistance_sparsify(g, 0.5)
         assert res.graph.edges == g.edges
-        assert res.worst_resistance_ratio <= 1e-12
+        assert verify.effective_resistance_report(g, res.graph) <= 1e-12
         # series resistance oracle
         ldag = linalg.matrix_function(g.laplacian(), "pinv")
         b = np.array([1.0, 0.0, -1.0])
@@ -189,9 +189,11 @@ class TestResistance:
         res = resistance_sparsify(g, 0.3)
         assert res.rounds >= 1
         assert res.graph.m < g.m
-        assert res.worst_resistance_ratio <= 4.0 * 0.3
-        assert res.spectral_eps <= 4.0 * np.sqrt(0.3)
-        assert res.sketch_eps <= 4.0 * 0.3
+        assert verify.effective_resistance_report(g, res.graph) <= 4.0 * 0.3
+        spectral = verify.check_spectral(g, res.graph, np.inf)
+        assert spectral.measured_eps <= 4.0 * np.sqrt(0.3)
+        sketch_rep = verify.check_sketch(g, res.graph, resistance_pairs(g), np.inf)
+        assert sketch_rep.measured_eps <= 4.0 * 0.3
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
     def test_deterministic(self):
@@ -213,8 +215,8 @@ class TestResistance:
         res = resistance_sparsify(g, 1.0)
         assert res.rounds >= 1
         assert res.graph.m < g.m
-        assert res.worst_resistance_ratio <= 4.0 * 1.0
-        assert res.spectral_eps <= 4.0 * 1.0
+        assert verify.effective_resistance_report(g, res.graph) <= 4.0 * 1.0
+        assert verify.check_spectral(g, res.graph, np.inf).measured_eps <= 4.0 * 1.0
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
     def test_resistance_oracle_complete_graph(self):

@@ -11,7 +11,8 @@ from conftest import (
     star_graph,
     tournament_union,
 )
-from walksparse import linalg
+from walksparse import graph as graph_mod
+from walksparse import linalg, verify
 from walksparse.errors import InvalidInput, SubspaceExhausted
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
@@ -138,7 +139,7 @@ class TestSpectralSparsify:
         assert rel <= 0.45
         assert all(w > 0 for _, _, w in res.graph.edges)
         # Loewner-order oracle: (1 - eps) L <= L_hat <= (1 + eps) L
-        eps = res.info.measured_eps + 1e-9
+        eps = rel + 1e-9
         lap_t = res.graph.laplacian()
         upper = linalg.eigvalsh((1.0 + eps) * lap - lap_t)
         lower = linalg.eigvalsh(lap_t - (1.0 - eps) * lap)
@@ -179,15 +180,13 @@ class TestUcSparsify:
         g = complete_graph(8)
         res = uc_sparsify(g, 0.5)
         assert res.graph.edges == g.edges
-        assert res.measured["laplacian"] == 0.0
-        assert res.measured["unsigned"] == 0.0
+        assert verify.check_uc_undirected(g, res.graph, 0.5).measured_eps == 0.0
 
     def test_forced_rounds_both_errors(self):
         g = complete_graph(16)
         res = uc_sparsify(g, 0.45, SparsifyOptions(c_support=0.6))
         assert res.graph.m < g.m
-        assert res.measured["laplacian"] <= 0.45
-        assert res.measured["unsigned"] <= 0.45
+        assert verify.check_uc_undirected(g, res.graph, 0.45).measured_eps <= 0.45
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
     def test_bipartite_kernel_preserved(self):
@@ -229,8 +228,9 @@ class TestSvSparsify:
         g = Graph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)), directed=True)
         res = sv_sparsify(g, eps=0.5)
         assert res.graph.m == g.m  # a cycle admits no degree-preserving removal
-        assert res.report.kernel_ok
-        assert res.report.measured_eps <= 1e-9
+        rep = verify.check_sv(g, res.graph, target=0.5)
+        assert rep.kernel_ok
+        assert rep.measured_eps <= 1e-9
 
     def test_empty_graph(self):
         g = Graph(4, (), directed=True)
@@ -243,15 +243,21 @@ class TestSvSparsify:
             g, eps=2.0, phi_target=0.25, options=SparsifyOptions(c_support=1.25)
         )
         assert res.graph.m < g.m
-        assert res.report.kernel_ok
-        assert res.report.degree_max_dev <= 1e-6
+        rep = verify.check_sv(g, res.graph, target=2.0)
+        assert rep.kernel_ok
+        assert rep.degree_max_dev <= 1e-6
 
     def test_weighted_arcs_rejected(self):
         g = Graph(3, ((0, 1, 2.0),), directed=True)
         with pytest.raises(InvalidInput):
             sv_sparsify(g, eps=0.5)
 
-    def test_piece_eps_out_of_range_rejected(self):
+    def test_piece_eps_out_of_range_rejected(self, monkeypatch):
+        # the accuracy check comes before the expander decomposition
+        def decompose(*args, **kwargs):
+            raise AssertionError("decomposed before checking eps * phi_target")
+
+        monkeypatch.setattr(graph_mod, "expander_decompose", decompose)
         g = tournament_union(16, 1, 2)
         with pytest.raises(InvalidInput):
             sv_sparsify(g, eps=2.0, phi_target=0.3)  # eps * phi = 0.6 > 1/2
@@ -275,5 +281,6 @@ class TestSvSparsify:
         )
         assert res.pieces >= 2
         assert res.graph.m < g.m
-        assert res.report.kernel_ok
-        assert res.report.degree_max_dev <= 1e-6
+        rep = verify.check_sv(g, res.graph, target=2.0)
+        assert rep.kernel_ok
+        assert rep.degree_max_dev <= 1e-6
