@@ -106,6 +106,12 @@ def load_vectors(path, n):
     return np.asarray(rows)
 
 
+def _sketch_vectors(args, n):
+    if not args.vectors:
+        raise WalksparseError("sketch requires --vectors")
+    return load_vectors(args.vectors, n)
+
+
 def _emit(args, out_graph, report):
     text = serialize_graph(out_graph) if out_graph is not None else None
     if text is not None:
@@ -131,14 +137,10 @@ def _run_command(args):
         out = g.reweighted(1.0 + x)
         rep = verify.check_spectral(g, out, target=16.0 * np.sqrt(2.0 * g.n / g.m))
     elif args.command == "sparsify":
-        out = sparsify.sparsify_components(
-            g, lambda sub: sparsify.spectral_sparsify(sub, args.epsilon, options)
-        )
+        out = sparsify.spectral_sparsify(g, args.epsilon, options).graph
         rep = verify.check_spectral(g, out, target=args.epsilon)
     elif args.command == "uc":
-        out = sparsify.sparsify_components(
-            g, lambda sub: sparsify.uc_sparsify(sub, args.epsilon, options)
-        )
+        out = sparsify.uc_sparsify(g, args.epsilon, options).graph
         rep = verify.check_uc_undirected(g, out, target=args.epsilon)
     elif args.command == "sv":
         if g.directed:
@@ -146,13 +148,10 @@ def _run_command(args):
                 g, args.epsilon, phi_target=args.phi_target, options=options
             ).graph
         else:
-            lam = graph_mod.lambda2(g)
-            out = sparsify.sv_sparsify_expander(g, lam, args.epsilon, options).graph
+            out = sparsify.sv_sparsify_expander(g, args.epsilon, options).graph
         rep = verify.check_sv(g, out, target=args.epsilon)
     elif args.command == "sketch":
-        if not args.vectors:
-            raise WalksparseError("sketch requires --vectors")
-        kvecs = load_vectors(args.vectors, g.n)
+        kvecs = _sketch_vectors(args, g.n)
         res = sketches.sketch(
             g, kvecs, args.epsilon, sketches.SketchOptions(phi_target=args.phi_target)
         )
@@ -196,7 +195,7 @@ def _run_command(args):
         elif args.kind == "sv":
             rep = verify.check_sv(g, other, target=args.epsilon)
         elif args.kind == "sketch":
-            kvecs = load_vectors(args.vectors, g.n)
+            kvecs = _sketch_vectors(args, g.n)
             rep = verify.check_sketch(g, other, kvecs, target=args.epsilon)
         elif args.kind == "resistance":
             rep = verify.check_resistance(g, other, target=args.epsilon)

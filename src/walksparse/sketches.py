@@ -35,8 +35,8 @@ from .matrix_walk import (
     _walk_loop,
     default_lambda0,
 )
-from .sparsify import PipelineResult, degree_rows, halve_support
-from .vector_walk import prepare_constraints
+from .sparsify import PipelineResult, _union_pieces, degree_rows, halve_support
+from .vector_walk import discrepancy_ratios, prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8
@@ -164,14 +164,6 @@ def _check_identity(g, kvecs, a_rows, x_sub, s, support, tol_scale):
     return worst
 
 
-def _walk_discrepancy(a_rows, x_sub):
-    norms = np.linalg.norm(a_rows, axis=1)
-    keep = norms > 1e-12
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(np.abs(a_rows[keep] @ x_sub) / norms[keep]))
-
-
 def _check_degrees_preserved(g, s, tol=1e-7):
     """Weighted degrees under the reweighting match the input degrees."""
     u, v, w = g.edge_arrays()
@@ -185,13 +177,14 @@ def _check_degrees_preserved(g, s, tol=1e-7):
     return dev
 
 
-def sketch_expander(g, kvecs, eps, lam):
+def sketch_expander(g, kvecs, eps):
     """Spectral sketch of a connected expander piece.
 
     Runs the halving loop with threshold n f / eps where
-    f = max(1, sqrt(log(|K|/m))) / lam, assembling the recentered constraint
-    vectors each round and walking them with the multiplicative-weights
-    subspace intersected with the degree and freeze subspaces.
+    f = max(1, sqrt(log(|K|/m))) / lambda_2, assembling the recentered
+    constraint vectors each round and walking them with the
+    multiplicative-weights subspace intersected with the degree and freeze
+    subspaces.
     """
     _require_sketchable(g)
     kvecs = np.asarray(kvecs, dtype=float)
@@ -200,44 +193,27 @@ def sketch_expander(g, kvecs, eps, lam):
     n_eff = len(g.non_isolated())
     if kvecs.shape[0] < n_eff:
         raise InvalidInput(f"need at least n={n_eff} constraint vectors")
-    lam2 = graph_mod.lambda2(g)
-    if lam > lam2 + 1e-9:
-        raise InvalidInput(f"claimed expansion {lam} exceeds lambda_2 = {lam2:.6f}")
-    m = g.m
-    if m == 0:
+    if g.m == 0:
         return PipelineResult(g, 0, None, 1, [])
-    k = kvecs.shape[0]
-    f_factor = default_lambda0(k, m) / lam
-    threshold = n_eff * f_factor / eps
-    s, diagnostics, stopped = _halve(g, kvecs, lam2, threshold)
-    return PipelineResult(g.reweighted(s), len(diagnostics), stopped, 1, diagnostics)
+    lam = graph_mod.lambda2(g)
+    f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
+    return _halve(g, kvecs, lam, n_eff * f_factor / eps)
 
 
 def sketch(g, kvecs, eps, options=None):
     """Spectral sketch of an arbitrary unweighted graph.
 
     Decomposes into expander pieces, sketches each piece against the same
-    constraint set with the piece's measured expansion, and unions the
-    reweighted pieces (degree preservation survives the union).
+    constraint set, and unions the reweighted pieces (degree preservation
+    survives the union).
     """
     _require_sketchable(g)
     options = options or SketchOptions()
     kvecs = np.asarray(kvecs, dtype=float)
-    phi = options.phi_target
-    if phi is None:
-        phi = graph_mod.default_phi_target(g.n)
-    pieces = graph_mod.expander_decompose(g, phi)
-    edges = []
-    diagnostics = []
-    stopped = None
-    for piece in pieces:
-        lam = graph_mod.lambda2(piece)
-        res = sketch_expander(piece, kvecs, eps, lam)
-        diagnostics.extend(res.diagnostics)
-        stopped = stopped or res.stopped_early
-        edges.extend(res.graph.edges)
-    out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    return PipelineResult(out, len(diagnostics), stopped, len(pieces), diagnostics)
+    pieces = graph_mod.expander_decompose(g, options.phi_target)
+    return _union_pieces(
+        g, [(p, range(g.n)) for p in pieces], lambda p: sketch_expander(p, kvecs, eps)
+    )
 
 
 def resistance_pairs(g):
@@ -285,30 +261,29 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     diag.identity_residual = _check_identity(
         piece, kvecs, a_rows, x_sub, s, support, zbar_d
     )
-    diag.walk_discrepancy = _walk_discrepancy(a_rows, x_sub)
+    diag.walk_discrepancy = float(np.max(discrepancy_ratios(a_rows, x_sub), initial=0.0))
     s_new, _ = halve_support(s, support, x_sub)
     diag.degree_dev = _check_degrees_preserved(piece, s_new)
     return s_new, diag
 
 
 def _halve(piece, kvecs, lam2, threshold, lph=None):
-    """Halving rounds on one piece until its support is at most threshold.
-
-    Returns (s, per-round diagnostics, stop reason or None).
-    """
+    """Halving rounds on one piece until its support is at most threshold,
+    as a one-piece result."""
     n_eff = max(1, len(piece.non_isolated()))
     zbar = shift_center(kvecs, piece)
     zbar_d = (zbar**2) @ piece.weighted_degrees()
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
     s = np.ones(piece.m)
-    diagnostics = []
+    diagnostics, stopped = [], None
     while np.count_nonzero(s) > threshold:
         try:
             s, diag = _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff)
         except SubspaceExhausted as exc:
-            return s, diagnostics, f"walk stopped: {exc}"
+            stopped = f"walk stopped: {exc}"
+            break
         diagnostics.append(diag)
-    return s, diagnostics, None
+    return PipelineResult(piece.reweighted(s), len(diagnostics), stopped, 1, diagnostics)
 
 
 def resistance_sparsify(g, eps, options=None):
@@ -320,15 +295,9 @@ def resistance_sparsify(g, eps, options=None):
     """
     _require_sketchable(g)
     options = options or SketchOptions()
-    phi = options.phi_target
-    if phi is None:
-        phi = graph_mod.default_phi_target(g.n)
     kvecs = resistance_pairs(g)
-    pieces = graph_mod.expander_decompose(g, phi)
-    edges = []
-    diagnostics = []
-    stopped = None
-    for piece in pieces:
+
+    def run(piece):
         n_eff = max(1, len(piece.non_isolated()))
         lam = graph_mod.lambda2(piece)
         threshold = (
@@ -338,9 +307,7 @@ def resistance_sparsify(g, eps, options=None):
             / (max(lam, 1e-12) * eps)
         )
         lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
-        s, diags, piece_stop = _halve(piece, kvecs, lam, threshold, lph)
-        diagnostics.extend(diags)
-        stopped = stopped or piece_stop
-        edges.extend(piece.reweighted(s).edges)
-    out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    return PipelineResult(out, len(diagnostics), stopped, len(pieces), diagnostics)
+        return _halve(piece, kvecs, lam, threshold, lph)
+
+    pieces = graph_mod.expander_decompose(g, options.phi_target)
+    return _union_pieces(g, [(p, range(g.n)) for p in pieces], run)

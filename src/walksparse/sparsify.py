@@ -64,7 +64,6 @@ class SparsifyInfo:
     rounds: int = 0
     threshold: float = 0.0
     measured_eps: float = 0.0
-    support_size: int = 0
     subspace_residual: float = 0.0
     round_norms: list = field(default_factory=list)
     round_supports: list = field(default_factory=list)
@@ -145,13 +144,10 @@ def sparsify(family, h, eps, options=None):
                     f"reweighting left the constraint subspace: residual {resid:.3e}"
                 )
 
-    rew = Reweighting(s)
-    info.support_size = rew.support_size
     info.measured_eps = family.aggregate_norm(s - 1.0)
-    diff = s - 1.0
     if h.complement_rows.shape[0]:
-        info.subspace_residual = float(np.linalg.norm(h.complement_rows @ diff))
-    return rew, info
+        info.subspace_residual = float(np.linalg.norm(h.complement_rows @ (s - 1.0)))
+    return Reweighting(s), info
 
 
 def halve_support(s, support, x_sub):
@@ -192,10 +188,15 @@ def degree_subspace(g, s=None):
 
 @dataclass
 class PipelineResult:
-    """Output of a graph pipeline.  Its error is measured by `verify`.
+    """Output of a graph pipeline: the union of its reweighted pieces.
 
-    diagnostics holds the per-round RoundDiagnostics of the sketch
-    pipelines, or one SparsifyInfo per piece for the matrix pipelines.
+    The pieces are connected components (spectral, uc), expander pieces of
+    the bipartite lift (sv) or expander pieces of the graph (sketch,
+    resist).  rounds adds up the halving rounds of the pieces,
+    stopped_early holds the first piece's stop reason, and diagnostics
+    holds one SparsifyInfo per piece of the matrix pipelines or the
+    per-round RoundDiagnostics of the sketch pipelines.  The error is
+    measured by `verify`.
     """
 
     graph: graph_mod.Graph
@@ -205,17 +206,31 @@ class PipelineResult:
     diagnostics: list
 
 
+def _union_pieces(g, pieces, run):
+    """Run a one-piece pipeline on each (piece, vertex ids) pair and union
+    the reweighted pieces; vertex i of a piece is vertex ids[i] of g."""
+    edges, rounds, stopped, diagnostics = [], 0, None, []
+    for piece, ids in pieces:
+        res = run(piece)
+        edges.extend((ids[u], ids[v], w) for u, v, w in res.graph.edges)
+        rounds += res.rounds
+        stopped = stopped or res.stopped_early
+        diagnostics.extend(res.diagnostics)
+    out = graph_mod.Graph(g.n, tuple(edges), directed=False)
+    return PipelineResult(out, rounds, stopped, len(pieces), diagnostics)
+
+
 def _sparsify_graph(g, family, eps, options):
     """Halving loop in the degree subspace of g, as a one-piece result."""
     rew, info = sparsify(family, degree_subspace(g), eps, options)
     return PipelineResult(g.reweighted(rew.s), info.rounds, info.stopped_early, 1, [info])
 
 
-def _require_connected_undirected(g):
+def _components(g):
+    """(component, vertex ids) for each component of g with an edge."""
     if g.directed:
         raise InvalidInput("expected an undirected graph")
-    if not g.is_connected():
-        raise InvalidInput("graph is disconnected; sparsify each component")
+    return [g.induced_on(c) for c in g.connected_components() if len(c) > 1]
 
 
 def spectral_family(g):
@@ -228,9 +243,11 @@ def spectral_family(g):
 
 
 def spectral_sparsify(g, eps, options=None):
-    """Degree-preserving spectral sparsifier of a connected graph."""
-    _require_connected_undirected(g)
-    return _sparsify_graph(g, spectral_family(g), eps, options)
+    """Degree-preserving spectral sparsifier of an undirected graph, one
+    halving loop per connected component."""
+    return _union_pieces(
+        g, _components(g), lambda c: _sparsify_graph(c, spectral_family(c), eps, options)
+    )
 
 
 def uc_family(g):
@@ -250,10 +267,12 @@ def uc_family(g):
 
 
 def uc_sparsify(g, eps, options=None):
-    """Unit-circle sparsifier: both the Laplacian and the unsigned Laplacian
-    are preserved to relative error eps, with exact degrees."""
-    _require_connected_undirected(g)
-    return _sparsify_graph(g, uc_family(g), eps, options)
+    """Unit-circle sparsifier of an undirected graph: both the Laplacian and
+    the unsigned Laplacian are preserved to relative error eps, with exact
+    degrees, one halving loop per connected component."""
+    return _union_pieces(
+        g, _components(g), lambda c: _sparsify_graph(c, uc_family(c), eps, options)
+    )
 
 
 def sv_expander_family(g, lam):
@@ -264,21 +283,21 @@ def sv_expander_family(g, lam):
     return MatrixFamily.from_rank_one(vectors, g.weights())
 
 
-def sv_sparsify_expander(g, lam, eps, options=None):
-    """SV sparsifier of a connected bipartite graph with lambda_2 >= lam.
+def sv_sparsify_expander(g, eps, options=None):
+    """SV sparsifier of a connected bipartite graph.
 
-    On regular graphs ||sum_e A_e|| equals lam / lambda_2 exactly; on
-    irregular graphs ||E^{+/2} L E^{+/2}|| can exceed 1/lambda_2 by a small
-    degree-spread factor, so the family scale is capped at its reciprocal to
-    keep sum_e A_e <= I.  The walk then bounds
+    The family is scaled by lam = lambda_2 of g, measured here.  On regular
+    graphs ||sum_e A_e|| then equals 1 exactly; on irregular graphs
+    ||E^{+/2} L E^{+/2}|| can exceed 1/lambda_2 by a small degree-spread
+    factor, so the family scale is capped at its reciprocal to keep
+    sum_e A_e <= I.  The walk then bounds
     scale * ||E^{+/2}(L - L_hat) E^{+/2}|| by the measured eps.
     """
-    _require_connected_undirected(g)
+    if g.directed or not g.is_connected():
+        raise InvalidInput("expected a connected undirected graph")
     if g.bipartition() is None:
         raise InvalidInput("graph is not bipartite")
-    lam2 = graph_mod.lambda2(g)
-    if lam > lam2 + 1e-9:
-        raise InvalidInput(f"claimed expansion {lam} exceeds lambda_2 = {lam2:.6f}")
+    lam = graph_mod.lambda2(g)
     base = sv_expander_family(g, 1.0)
     raw = base.aggregate_norm(np.ones(g.m))
     # raw = 0 means E = 0 (e.g. a permutation digraph's lift): the family is
@@ -306,37 +325,13 @@ def sv_sparsify(g, eps, phi_target=None, options=None):
         raise InvalidInput(
             f"per-piece accuracy eps*phi_target = {eps_piece} outside (0, 1/2]"
         )
-    if lift.m == 0:
-        return PipelineResult(graph_mod.Graph(g.n, (), directed=True), 0, None, 0, [])
-    pieces = graph_mod.expander_decompose(lift, phi_target)
-    arcs = []
-    rounds, stopped, diagnostics = 0, None, []
-    for piece in pieces:
-        local, ids = piece.induced_on(piece.non_isolated())
-        lam = graph_mod.lambda2(local)
-        res = sv_sparsify_expander(local, lam, eps_piece, options)
-        rounds += res.rounds
-        stopped = stopped or res.stopped_early
-        diagnostics.extend(res.diagnostics)
-        for u, v, w in res.graph.edges:
-            arc = graph_mod.lift_edge_to_arc((ids[u], ids[v]), g.n)
-            arcs.append((arc[0], arc[1], w))
-    out = graph_mod.Graph(g.n, tuple(arcs), directed=True)
-    return PipelineResult(out, rounds, stopped, len(pieces), diagnostics)
-
-
-def sparsify_components(g, fn):
-    """Apply a connected-graph sparsifier per component and take the union."""
-    if g.directed:
-        raise InvalidInput("component-wise sparsification expects undirected input")
-    edges = []
-    for comp in g.connected_components():
-        if len(comp) < 2:
-            continue
-        sub, ids = g.induced_on(comp)
-        if sub.m == 0:
-            continue
-        result = fn(sub)
-        for u, v, w in result.graph.edges:
-            edges.append((ids[u], ids[v], w))
-    return graph_mod.Graph(g.n, tuple(edges), directed=False)
+    pieces = [
+        p.induced_on(p.non_isolated())
+        for p in graph_mod.expander_decompose(lift, phi_target)
+    ]
+    res = _union_pieces(lift, pieces, lambda p: sv_sparsify_expander(p, eps_piece, options))
+    arcs = [
+        (*graph_mod.lift_edge_to_arc((u, v), g.n), w) for u, v, w in res.graph.edges
+    ]
+    res.graph = graph_mod.Graph(g.n, tuple(arcs), directed=True)
+    return res

@@ -197,7 +197,7 @@ def test_criterion_07_sv_expander():
     fam = sv_expander_family(g, 1.0)
     norm = fam.aggregate_norm(np.ones(g.m))
     assert abs(norm - 1.0) <= 1e-8  # lam / lambda_2 with lambda_2(K44) = 1
-    res = sv_sparsify_expander(g, 1.0, eps=0.5)
+    res = sv_sparsify_expander(g, eps=0.5)
     rep = verify.check_sv(g, res.graph, target=0.5)
     assert rep.passed
     assert rep.measured_eps <= 0.5

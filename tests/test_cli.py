@@ -147,6 +147,11 @@ class TestCommands:
         path = write_graph(tmp_path, complete_graph(8))
         assert main(["sketch", path]) == 2
 
+    def test_verify_sketch_requires_vectors(self, tmp_path, capsys):
+        path = write_graph(tmp_path, complete_graph(8))
+        assert main(["verify", path, path, "--kind", "sketch"]) == 2
+        assert "requires --vectors" in capsys.readouterr().err
+
     def test_sketch_with_vectors(self, tmp_path):
         g = complete_graph(12)
         path = write_graph(tmp_path, g)

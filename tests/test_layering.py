@@ -1,4 +1,5 @@
-"""Module layering: the construction modules never import the certifier.
+"""Module layering: the construction modules never import the certifier,
+and no module keeps an import it does not read.
 
 `verify` is the one place outputs are measured, so neither the walks nor
 the pipelines built on them may reach it, directly or through another
@@ -50,3 +51,40 @@ def test_construction_does_not_import_verify(module):
 def test_cli_reaches_verify():
     # the check itself: an import of verify is found when there is one
     assert "walksparse.verify" in reachable("walksparse.cli")
+
+
+def unused_imports(source):
+    """Names that the import statements of `source` bind and nothing reads.
+
+    Statements with a `# noqa` comment (re-exports) are skipped.
+    """
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_found():
+    # the check itself: vector_walk's re-export is found once its `# noqa`
+    # comment is gone, and a dotted import counts as read through its root
+    source = (PACKAGE / "vector_walk.py").read_text()
+    assert unused_imports(source.replace("# noqa", "#")) == ["default_lambda0"]
+    assert unused_imports("import os.path\nos.sep\n") == []

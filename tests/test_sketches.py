@@ -15,7 +15,7 @@ from conftest import (
 )
 from walksparse import linalg, verify
 from walksparse.errors import InvalidInput
-from walksparse.graph import Graph, lambda2
+from walksparse.graph import Graph
 from walksparse.sketches import (
     SketchOptions,
     freeze_sets,
@@ -70,7 +70,7 @@ class TestFreezeSets:
     def test_bounds_after_real_rounds(self):
         g = complete_graph(16)
         kvecs = unit_vectors(140, 16, seed=5)
-        res = sketch_expander(g, kvecs, 0.3, lambda2(g))
+        res = sketch_expander(g, kvecs, 0.3)
         s = np.zeros(g.m)
         for u, v, w in res.graph.edges:
             for j, (a, b, _) in enumerate(g.edges):
@@ -108,7 +108,7 @@ class TestSketchExpander:
         # eps small enough that the threshold exceeds m: no rounds run
         g = complete_graph(8)
         kvecs = unit_vectors(30, 8, seed=7)
-        res = sketch_expander(g, kvecs, 0.2, lambda2(g))
+        res = sketch_expander(g, kvecs, 0.2)
         assert res.rounds == 0
         assert res.graph.edges == g.edges
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 1e-12
@@ -116,7 +116,7 @@ class TestSketchExpander:
     def test_k16_quality(self):
         g = complete_graph(16)
         kvecs = unit_vectors(200, 16, seed=8)
-        res = sketch_expander(g, kvecs, 0.25, lambda2(g))
+        res = sketch_expander(g, kvecs, 0.25)
         assert res.rounds >= 1
         assert res.graph.m < g.m
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.25
@@ -131,17 +131,12 @@ class TestSketchExpander:
     def test_too_few_vectors_rejected(self):
         g = complete_graph(8)
         with pytest.raises(InvalidInput):
-            sketch_expander(g, unit_vectors(5, 8, seed=1), 0.5, lambda2(g))
-
-    def test_lambda_overclaim_rejected(self):
-        g = complete_graph(8)
-        with pytest.raises(InvalidInput):
-            sketch_expander(g, unit_vectors(20, 8, seed=1), 0.5, 5.0)
+            sketch_expander(g, unit_vectors(5, 8, seed=1), 0.5)
 
     def test_weighted_input_rejected(self):
         g = Graph(3, ((0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)))
         with pytest.raises(InvalidInput):
-            sketch_expander(g, unit_vectors(5, 3, seed=1), 0.5, 0.1)
+            sketch_expander(g, unit_vectors(5, 3, seed=1), 0.5)
 
 
 class TestSketchPipeline:

@@ -19,10 +19,10 @@ from walksparse.linalg import Subspace, kernel_basis
 from walksparse.matrix_walk import MatrixFamily
 from walksparse.sparsify import (
     Reweighting,
+    SparsifyInfo,
     SparsifyOptions,
     degree_subspace,
     sparsify,
-    sparsify_components,
     spectral_family,
     spectral_sparsify,
     sv_expander_family,
@@ -145,15 +145,41 @@ class TestSpectralSparsify:
         lower = linalg.eigvalsh(lap_t - (1.0 - eps) * lap)
         assert upper[0] >= -1e-8 and lower[0] >= -1e-8
 
-    def test_disconnected_rejected(self):
-        g = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-        with pytest.raises(InvalidInput):
-            spectral_sparsify(g, 0.4)
-
     def test_component_wrapper(self):
         g = Graph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)))
-        out = sparsify_components(g, lambda sub: spectral_sparsify(sub, 0.5))
-        assert out.m == g.m  # both components below threshold
+        res = spectral_sparsify(g, 0.5)
+        assert res.graph == g  # both components below threshold
+        assert res.pieces == 2 and res.rounds == 0
+
+
+class TestComponents:
+    """spectral and uc split undirected input into its connected components."""
+
+    @pytest.mark.parametrize("pipeline,eps,c_support", [
+        (spectral_sparsify, 0.45, 1.0),
+        (uc_sparsify, 0.45, 0.6),
+    ], ids=["spectral", "uc"])
+    def test_components_match_separate_runs(self, pipeline, eps, c_support):
+        # K_14 on 0..13, K_12 on 14..25, vertex 26 isolated
+        big, k12 = complete_graph(14), complete_graph(12)
+        shift = lambda edges: tuple((u + 14, v + 14, w) for u, v, w in edges)
+        g = Graph(27, big.edges + shift(k12.edges))
+        opts = SparsifyOptions(c_support=c_support)
+        res = pipeline(g, eps, opts)
+        a, b = pipeline(big, eps, opts), pipeline(k12, eps, opts)
+        assert res.graph == Graph(27, a.graph.edges + shift(b.graph.edges))
+        assert res.graph.m < g.m
+        assert res.pieces == 2
+        assert res.rounds == a.rounds + b.rounds > 0
+        assert len(res.diagnostics) == 2
+        assert all(isinstance(info, SparsifyInfo) for info in res.diagnostics)
+
+    @pytest.mark.parametrize("pipeline", [spectral_sparsify, uc_sparsify],
+                             ids=["spectral", "uc"])
+    def test_directed_rejected(self, pipeline):
+        g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), directed=True)
+        with pytest.raises(InvalidInput):
+            pipeline(g, 0.45)
 
 
 class TestUcSparsify:
@@ -212,17 +238,12 @@ class TestSvSparsify:
 
     def test_expander_degrees_preserved(self):
         g = complete_bipartite(4, 4)
-        res = sv_sparsify_expander(g, 1.0, 0.5)
+        res = sv_sparsify_expander(g, 0.5)
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-
-    def test_lambda_overclaim_rejected(self):
-        g = complete_bipartite(4, 4)
-        with pytest.raises(InvalidInput):
-            sv_sparsify_expander(g, 1.5, 0.5)
 
     def test_non_bipartite_rejected(self):
         with pytest.raises(InvalidInput):
-            sv_sparsify_expander(complete_graph(5), 0.5, 0.4)
+            sv_sparsify_expander(complete_graph(5), 0.4)
 
     def test_directed_cycle_pipeline(self):
         g = Graph(6, tuple((i, (i + 1) % 6, 1.0) for i in range(6)), directed=True)
@@ -235,7 +256,8 @@ class TestSvSparsify:
     def test_empty_graph(self):
         g = Graph(4, (), directed=True)
         res = sv_sparsify(g, eps=0.5)
-        assert res.graph.m == 0
+        assert res.graph == g
+        assert res.pieces == 0 and res.rounds == 0
 
     def test_tournament_union_sparsifies(self):
         g = tournament_union(16, 101, 202)
