@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Alternating before/after runs of the benchmark, written as one JSON file.
+
+Usage:
+    python3 scripts/bench_pairs.py --out BENCH_6.json \
+        --pairs spectral=10 sketch=5 resist=5 [--base HEAD]
+
+The base revision's committed files are exported with `git archive` into a
+temporary directory; the change is the working tree this script sits in.
+Each pair runs `bench/run.py --trace 0` once on each side with the same seed
+and BENCHMARK.json's `run_seconds`, and the side that goes first alternates
+from pair to pair.  Pair i uses seed SEEDS[i % len(SEEDS)].
+
+The output holds every run's end-to-end metrics, `correct`, `failed` and the
+per-job exit code, measured eps, support and output hashes, and per workload
+and BENCHMARK.json end-to-end metric the median and quartiles of each side,
+the change's median over the base's, and the share of pairs the change won
+in that metric's `better` direction (ties count for neither).
+It also records whether every pair produced the same output hashes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3, 4, 5)
+
+
+def export(rev, dest):
+    """Write the committed files of `rev` under dest; returns the full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = os.path.join(dest, "base.tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, sha], cwd=ROOT, check=True)
+    tree = os.path.join(dest, "base")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    return sha, tree
+
+
+def run_bench(tree, workload, seed, seconds):
+    """One `bench/run.py --trace 0` run; returns its result and job records."""
+    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{workload} seed {seed} in {tree}: exit {proc.returncode}")
+    info, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "jobs": info["jobs"],
+        "environment": info["environment"],
+    }
+
+
+def hashes(run):
+    return {name: (j["out_sha256"], j["report_sha256"]) for name, j in run["jobs"].items()}
+
+
+def summarize(pairs, metrics):
+    """Per metric: quartiles of each side and the change's wins over the base."""
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        base = np.array([p["base"]["metrics"][name] for p in pairs])
+        change = np.array([p["change"]["metrics"][name] for p in pairs])
+        # sign 1 when lower is better, so a win is sign * change < sign * base
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        won, lost = sign * change < sign * base, sign * change > sign * base
+        sides = {}
+        for side, vals in (("base", base), ("change", change)):
+            q1, med, q3 = np.percentile(vals, [25, 50, 75])
+            sides[side] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
+        out[name] = {
+            **sides,
+            "change_over_base": sides["change"]["median"] / sides["base"]["median"]
+            if sides["base"]["median"] else None,
+            "wins": int(np.sum(won)),
+            "losses": int(np.sum(lost)),
+            "win_frac": float(np.mean(won)),
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=COUNT")
+    ap.add_argument("--base", default="HEAD")
+    args = ap.parse_args(argv)
+    plan = [(w, int(c)) for w, c in (p.split("=") for p in args.pairs)]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+
+    doc = {"base": None, "change": "working tree", "seconds": seconds,
+           "command": "bench/run.py --trace 0", "environment": None, "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["base"], base_tree = export(args.base, tmp)
+        for workload, count in plan:
+            pairs = []
+            for i in range(count):
+                seed = SEEDS[i % len(SEEDS)]
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {"pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    run = run_bench(base_tree if side == "base" else ROOT, workload, seed,
+                                    seconds)
+                    env = run.pop("environment")
+                    doc["environment"] = doc["environment"] or env
+                    pair[side] = run
+                pair["same_outputs"] = hashes(pair["base"]) == hashes(pair["change"])
+                pairs.append(pair)
+                print(f"{time.strftime('%H:%M:%S')} {workload} pair {i} seed {seed}: wall_s "
+                      f"base {pair['base']['metrics']['wall_s']:.2f} "
+                      f"change {pair['change']['metrics']['wall_s']:.2f}", flush=True)
+            doc["workloads"][workload] = {
+                "pairs": pairs,
+                "all_correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
+                "same_outputs": all(p["same_outputs"] for p in pairs),
+                "summary": summarize(pairs, bench["end_to_end"]),
+            }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,11 +23,14 @@ pipelines run at desk scale.
 
 Each iteration restricts the update direction to the intersection of
   - the active coordinates (support of not-yet-frozen entries),
+  - the span V of the lowest third of the eigenvectors of N,
   - the orthogonal complement of the current point,
   - the kernel of the linear potential term i -> tr(M A_i),
-  - the span of the lowest third of the eigenvectors of N,
-  - the caller's subspace H,
-and advances with step min(cap, distance to the [-1,1]^m boundary).
+  - the caller's subspace H.
+It steps inside the orthonormal basis V that the eigensolve of N returns:
+the remaining constraint rows R are projected to R V (a few rows by m_t/3
+columns), a null vector z of that small matrix is taken, and y = V z.  It
+advances with step min(cap, distance to the [-1,1]^m boundary).
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import InvalidInput, StepTooLarge, SubspaceExhausted
+from .errors import InvalidInput, StepTooLarge, SubspaceExhausted, WalksparseError
 from .linalg import Subspace
 from .potential import solve_normalizer_from_eigenvalues
 
 _ROW_DROP_TOL = 1e-12
 _FREEZE_TOL = 1e-9
+# |r . y| allowed for a stacked unit constraint row r and the chosen direction y
+_RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +324,10 @@ class _MatrixSide:
     """Linear-term and low-eigenspace constraints of the potential walk.
 
     eta = sqrt(m)/4 for the family's m members; the fixed step cap is
-    1/(2 eta).
+    1/(2 eta).  `rows` solves eigh(N) once and keeps the orthonormal basis
+    V of its lowest keep_count(m_t) eigenvectors as `basis`; the walk steps
+    inside V, taking a null vector of the other constraints projected onto
+    it.  Only the linear-term row is returned.
     """
 
     def __init__(self, family, keep_count):
@@ -328,6 +336,8 @@ class _MatrixSide:
         self.base_cap = 1.0 / (2.0 * self.eta)
         self.keep_count = keep_count
         self.spectra = None
+        self.basis = None
+        self._lam_keep = None
         self._n = None
         self._linear = None
         self._prod = 0.0
@@ -337,24 +347,16 @@ class _MatrixSide:
         n_mat, linear = self.spectra.quad_and_linear(active)
         self._n = n_mat
         self._linear = linear
-        m_t = len(active)
-        keep = self.keep_count(m_t)
+        keep = self.keep_count(len(active))
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
-        rows = []
-        cut = m_t - keep
-        if cut > 0:
-            if cut <= keep:
-                _, top = scipy.linalg.eigh(n_mat, subset_by_index=[keep, m_t - 1])
-                top = linalg.fix_signs(top)
-            else:
-                _, vecs = linalg.eigh(n_mat)
-                top = vecs[:, keep:]
-            rows.append(top.T)
+        w, vecs = linalg.eigh(n_mat)
+        self.basis = vecs[:, :keep]
+        self._lam_keep = float(w[keep - 1])
         lin_norm = float(np.linalg.norm(linear))
         if lin_norm > _ROW_DROP_TOL:
-            rows.append(linear[None, :] / lin_norm)
-        return rows
+            return [linear[None, :] / lin_norm]
+        return []
 
     def step_cap(self, y_full):
         """Admissible step bound; also caches the product norm for observe."""
@@ -364,15 +366,22 @@ class _MatrixSide:
         return 0.5 / (self.eta * self._prod)
 
     def observe(self, y_act, y_full, delta, log):
-        """Check admissibility and log this side's terms; returns the step norm."""
+        """Check admissibility and the quadratic slack y^T N y <= lam_keep ||y||^2,
+        and log this side's terms; returns the step norm."""
         step_norm = self.eta * delta * self._prod
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge(
                 f"inadmissible step: eta*delta*||M^(1/2)A(y)|| = {step_norm:.4f}"
             )
+        quad = float(y_act @ self._n @ y_act)
+        bound = self._lam_keep * float(y_act @ y_act)
+        if quad > bound * (1.0 + 1e-9) + 1e-12:
+            raise WalksparseError(
+                f"walk invariant failed: y^T N y = {quad:.6e} > lam_keep ||y||^2 = {bound:.6e}"
+            )
         if log is not None:
             log.linear_term.append(float(self._linear @ y_act))
-            log.quad_term.append(float(y_act @ self._n @ y_act))
+            log.quad_term.append(quad)
             log.phi.append(self.spectra.potential())
         return step_norm
 
@@ -448,6 +457,10 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     x = np.zeros(m)
     active = np.arange(m)
     base_cap = min(side.base_cap for side in sides)
+    # y = V z for the matrix side's low-eigenspace basis V (V = I without one)
+    basis_sides = [side for side in sides if hasattr(side, "basis")]
+    if len(basis_sides) > 1:
+        raise InvalidInput("the walk takes at most one matrix side")
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
         log.m = m
@@ -472,18 +485,27 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
                 rows.append(restricted[keep] / norms[keep, None])
 
         m_t = len(active)
+        basis = basis_sides[0].basis if basis_sides else None
+        dim = m_t if basis is None else basis.shape[1]
         if rows:
             stacked = np.vstack(rows)
-            _, s, vt = np.linalg.svd(stacked, full_matrices=True)
+            projected = stacked if basis is None else stacked @ basis
+            _, s, vt = np.linalg.svd(projected, full_matrices=True)
             rank = int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
-            if rank >= m_t:
+            if rank >= dim:
                 raise SubspaceExhausted(
-                    f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} constraints"
+                    f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
+                    f"constraints in dimension {dim}"
                 )
-            y_act = linalg.fix_signs(vt[rank:].T[:, :1])[:, 0]
+            z = vt[rank]
         else:
-            y_act = np.zeros(m_t)
-            y_act[0] = 1.0
+            stacked = np.zeros((0, m_t))
+            z = np.zeros(dim)
+            z[0] = 1.0
+        y_act = linalg.fix_signs((z if basis is None else basis @ z)[:, None])[:, 0]
+        resid = float(np.max(np.abs(stacked @ y_act), initial=0.0))
+        if resid > _RESIDUAL_TOL:
+            raise WalksparseError(f"walk invariant failed: constraint residual {resid:.3e}")
 
         y_full = np.zeros(m)
         y_full[active] = y_act

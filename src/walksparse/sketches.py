@@ -178,7 +178,7 @@ def _check_degrees_preserved(g, s, tol=1e-7):
 
 
 def sketch_expander(g, kvecs, eps):
-    """Spectral sketch of a connected expander piece.
+    """Spectral sketch of an expander piece (connected apart from isolated vertices).
 
     Runs the halving loop with threshold n f / eps where
     f = max(1, sqrt(log(|K|/m))) / lambda_2, assembling the recentered
@@ -195,6 +195,8 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput(f"need at least n={n_eff} constraint vectors")
     if g.m == 0:
         return PipelineResult(g, 0, None, 1, [])
+    if sum(len(c) > 1 for c in g.connected_components()) > 1:
+        raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
     return _halve(g, kvecs, lam, n_eff * f_factor / eps)

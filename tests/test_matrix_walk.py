@@ -5,7 +5,7 @@ import pytest
 
 from conftest import diagonal_family, projection_vectors, random_symmetric
 from walksparse import linalg, potential
-from walksparse.errors import InvalidInput
+from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.matrix_walk import (
     DoubledFamily,
     MatrixFamily,
@@ -92,8 +92,14 @@ class TestQuadMatrix:
         assert np.allclose(lin_fast, lin_ref, atol=1e-9)
 
 
+def step_subspace(side, rows, m):
+    """span(side.basis) & null(rows): the subspace the walk takes y from."""
+    outside = linalg.nullspace(side.basis.T).basis().T
+    return linalg.nullspace(np.vstack([*rows, outside]), m=m)
+
+
 class TestStepSubspace:
-    """The update subspace the walk builds from `_MatrixSide.rows`."""
+    """The update subspace the walk builds from `_MatrixSide.rows` and `.basis`."""
 
     def test_zero_family_dimension(self):
         m = 9
@@ -101,7 +107,7 @@ class TestStepSubspace:
             MatrixFamily.from_matrices(np.zeros((m, 2, 2))), keep_count=lambda mt: mt // 3
         )
         rows = side.rows(np.zeros(m), np.arange(m))
-        assert linalg.nullspace(np.vstack(rows), m=m).dim == m // 3
+        assert step_subspace(side, rows, m).dim == m // 3
 
     def test_constraints_hold(self):
         # n(n+1)/2 > 2m/3: the kept third of N leaves the kernel of y -> A(y),
@@ -115,7 +121,7 @@ class TestStepSubspace:
         side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
         # the rows _walk_loop stacks while every coordinate is active
         rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)), h.complement_rows]
-        sub = linalg.nullspace(np.vstack(rows), m=m)
+        sub = step_subspace(side, rows, m)
         assert sub.dim >= m / 4 - 2 - (m - h.dim)
         basis = sub.basis()
         # reference linear term and N from the explicit doubling
@@ -132,6 +138,109 @@ class TestStepSubspace:
         # eigenvalue (the basis-free form: N may have repeated eigenvalues)
         kept_top = linalg.eigvalsh(n_mat)[m // 3 - 1]
         assert linalg.eigvalsh(basis.T @ n_mat @ basis)[-1] <= kept_top + 1e-12
+
+
+class _Recorder:
+    """A walk side that records each iteration's state and chosen direction."""
+
+    def __init__(self, side):
+        self.side = side
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.side, name)
+
+    def rows(self, x, active):
+        rows = self.side.rows(x, active)
+        self.calls.append({"x": x.copy(), "active": active.copy(), "rows": rows})
+        return rows
+
+    def step_cap(self, y_full):
+        call = self.calls[-1]
+        call["y"] = y_full.copy()
+        if isinstance(self.side, _MatrixSide):
+            call["n"] = self.side._n
+            call["linear"] = self.side._linear
+            call["keep"] = self.side.basis.shape[1]
+        return self.side.step_cap(y_full)
+
+
+class TestDirectionInOldSubspace:
+    """y = V z lies in the subspace the stacked top-eigenvector rows cut out."""
+
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_first_iterations(self, combined):
+        # n(n+1) > m: N has full rank, so its spectrum has no zero cluster
+        m, n = 48, 8
+        rng = np.random.default_rng(41)
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41), rng.uniform(0.5, 1, m))
+        extra = rng.normal(size=(m // 10, m))
+        if combined:
+            # resist's side set: keep 5/6 of N, 1/6 vector-side budgets
+            sixth = lambda mt: int(np.ceil(mt / 6.0))
+            matrix = _MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0)))
+            vec_rows = rng.normal(size=(96, m))
+            vec_rows /= np.linalg.norm(vec_rows, axis=1)[:, None]
+            sides = [_Recorder(matrix), _Recorder(_VectorSide(vec_rows, sixth, sixth))]
+        else:
+            matrix = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
+            sides = [_Recorder(matrix)]
+        _walk_loop(m, sides, extra, True, None)
+        for it in range(6):
+            mat = sides[0].calls[it]
+            y, x, active = mat["y"], mat["x"], mat["active"]
+            y_act = y[active]
+            assert abs(np.linalg.norm(y) - 1.0) <= 1e-9
+            assert np.all(y[np.setdiff1d(np.arange(m), active)] == 0.0)
+            w, vecs = np.linalg.eigh(mat["n"])
+            # a strict gap at the cut makes the top eigenspace well defined
+            assert w[mat["keep"]] - w[mat["keep"] - 1] > 1e-9 * w[-1]
+            assert np.max(np.abs(vecs[:, mat["keep"]:].T @ y_act)) <= 1e-9
+            assert abs(x @ y) <= 1e-9
+            assert abs(mat["linear"] @ y_act) <= 1e-9 * max(1.0, np.linalg.norm(mat["linear"]))
+            restricted = extra[:, active]
+            restricted = restricted / np.linalg.norm(restricted, axis=1)[:, None]
+            assert np.max(np.abs(restricted @ y_act)) <= 1e-9
+            if combined:
+                vec = sides[1].calls[it]
+                assert np.array_equal(vec["y"], y)
+                assert vec["rows"]
+                for block in vec["rows"]:
+                    assert np.max(np.abs(block @ y_act)) <= 1e-9
+
+
+class TestWalkInvariantChecks:
+    """The walk raises when the chosen direction breaks a constraint."""
+
+    def test_quadratic_slack(self):
+        m = 40
+        fam = MatrixFamily.from_rank_one(projection_vectors(4, m, seed=43))
+        side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
+        x = np.linspace(-0.3, 0.3, m)
+        side.rows(x, np.arange(m))
+        low = side.basis[:, -1]
+        side.step_cap(low)
+        side.observe(low, low, 0.0, None)
+        top = np.linalg.eigh(side._n)[1][:, -1]
+        side.step_cap(top)
+        with pytest.raises(WalksparseError, match="y\\^T N y"):
+            side.observe(top, top, 0.0, None)
+
+    def test_constraint_residual(self, monkeypatch):
+        m = 40
+        fam = MatrixFamily.from_rank_one(projection_vectors(4, m, seed=47))
+        h = linalg.nullspace(np.random.default_rng(47).normal(size=(m // 5, m)))
+        # a direction off by 1e-6 in every coordinate leaves H
+        monkeypatch.setattr(linalg, "fix_signs", lambda v: np.array(v, dtype=float) + 1e-6)
+        with pytest.raises(WalksparseError, match="constraint residual"):
+            partial_color(fam, h)
+
+    def test_second_matrix_side_rejected(self):
+        m = 24
+        fam = MatrixFamily.from_rank_one(projection_vectors(4, m, seed=53))
+        sides = [_MatrixSide(fam, keep_count=lambda mt: mt // 3) for _ in range(2)]
+        with pytest.raises(InvalidInput, match="at most one matrix side"):
+            _walk_loop(m, sides, np.zeros((0, m)), True, None)
 
 
 class TestPartialColor:

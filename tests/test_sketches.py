@@ -138,6 +138,13 @@ class TestSketchExpander:
         with pytest.raises(InvalidInput):
             sketch_expander(g, unit_vectors(5, 3, seed=1), 0.5)
 
+    def test_disconnected_rejected(self):
+        # lambda_2 of two disjoint triangles is 0 up to rounding
+        edges = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+        g = Graph(6, tuple((u, v, 1.0) for u, v in edges))
+        with pytest.raises(InvalidInput, match="connected"):
+            sketch_expander(g, unit_vectors(8, 6, seed=1), 0.5)
+
 
 class TestSketchPipeline:
     def test_dumbbell_pieces_union_degree_preserving(self):
