@@ -96,6 +96,8 @@ def load_vectors(path, n):
                 vals = [float(t) for t in line.split()]
             except ValueError:
                 raise ParseError("malformed vector line", line=lineno) from None
+            if not np.all(np.isfinite(vals)):
+                raise ParseError("non-finite vector entry", line=lineno)
             if len(vals) != n:
                 raise ParseError(
                     f"vector of length {len(vals)}, expected {n}", line=lineno

@@ -2,6 +2,7 @@
 
 Contents:
   - deterministic symmetric eigendecomposition (fixed eigenvector signs)
+  - block-diagonal assembly
   - spectral matrix functions: abs, sqrt_psd, pinv, pinv_sqrt
   - operator norms of symmetric matrices and general products
   - subspaces of R^m stored by orthonormal rows of their orthogonal
@@ -40,6 +41,16 @@ def sym(a):
     """Exact symmetrization (storage of one triangle, mirrored)."""
     a = np.asarray(a, dtype=float)
     return 0.5 * (a + a.T)
+
+
+def block_diag(*blocks):
+    """Matrix with the square blocks on its diagonal and zeros elsewhere."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
 
 
 def fix_signs(v, tol=SIGN_TOL):

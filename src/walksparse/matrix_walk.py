@@ -31,6 +31,11 @@ It steps inside the orthonormal basis V that the eigensolve of N returns:
 the remaining constraint rows R are projected to R V (a few rows by m_t/3
 columns), a null vector z of that small matrix is taken, and y = V z.  It
 advances with step min(cap, distance to the [-1,1]^m boundary).
+
+The package runs on numpy alone except for one call: the vector side's
+top-eigenspace cut (`_VectorSide.rows`, used by `sketch` and `resist`)
+takes a subset `scipy.linalg.eigh` and imports `scipy.linalg` there, so
+the other pipelines and `verify` never load scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import InvalidInput, StepTooLarge, SubspaceExhausted, WalksparseError
@@ -162,13 +166,13 @@ class MatrixFamily:
         return cls([Rank1Block(vectors, weights)])
 
     def member(self, i):
-        return scipy.linalg.block_diag(*[b.member(i) for b in self.blocks])
+        return linalg.block_diag(*[b.member(i) for b in self.blocks])
 
     def members(self):
         return [self.member(i) for i in range(self.m)]
 
     def aggregate(self, x):
-        return scipy.linalg.block_diag(*[b.aggregate(x) for b in self.blocks])
+        return linalg.block_diag(*[b.aggregate(x) for b in self.blocks])
 
     def abs_aggregate_norm(self):
         return max(linalg.operator_norm(b.abs_aggregate()) for b in self.blocks)
@@ -207,7 +211,7 @@ class DoubledFamily:
     @classmethod
     def from_matrices(cls, mats):
         original = [linalg.sym(np.asarray(a, dtype=float)) for a in mats]
-        doubled = [scipy.linalg.block_diag(a, -a) for a in original]
+        doubled = [linalg.block_diag(a, -a) for a in original]
         return cls(original=original, doubled=doubled)
 
     @classmethod
@@ -426,6 +430,10 @@ class _VectorSide:
             total = float(np.sum(self.weights))
             scaled = np.sqrt(self.weights / total)[:, None] * a_act
             w_gram = linalg.sym(scaled.T @ scaled)
+            # the one scipy call in the package: imported here, so the CLI
+            # and the matrix-only pipelines start without loading scipy
+            import scipy.linalg
+
             _, top = scipy.linalg.eigh(w_gram, subset_by_index=[m_t - cut, m_t - 1])
             rows.append(linalg.fix_signs(top).T)
         return rows

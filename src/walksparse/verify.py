@@ -186,15 +186,23 @@ def check_sv(g, g_tilde, target):
 
 
 def check_sketch(g, g_tilde, vectors, target):
-    """Worst relative quadratic-form deviation over the constraint vectors."""
+    """Worst relative quadratic-form deviation over the constraint vectors.
+
+    A vector is skipped when z^T L z <= 1e-12 ||z||^2 * 2 max weighted
+    degree (2 max degree bounds the top eigenvalue of L), a cut-off that
+    scales with z, so the result does not depend on the vectors' scale.
+    """
     lap = g.laplacian()
     lap_t = g_tilde.laplacian()
     vectors = np.asarray(vectors, dtype=float)
+    if not np.all(np.isfinite(vectors)):
+        raise InvalidInput("sketch vectors have non-finite entries")
+    lap_bound = 2.0 * float(np.max(np.diag(lap), initial=0.0))
     worst = 0.0
     for z in vectors:
         denom = float(z @ lap @ z)
         num = float(z @ lap_t @ z)
-        if denom <= 1e-12:
+        if denom <= 1e-12 * float(z @ z) * lap_bound:
             continue
         worst = max(worst, abs(num / denom - 1.0))
     return ApproxReport(

@@ -199,6 +199,21 @@ class TestCommands:
         with pytest.raises(ParseError):
             load_vectors(str(vec_path), 3)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_verify_sketch_rejects_non_finite_vector(self, tmp_path, capsys, bad):
+        path = write_graph(tmp_path, complete_graph(8))
+        vecs = np.random.default_rng(2).normal(size=(6, 8)).astype(object)
+        vecs[3, 5] = bad
+        vec_path = tmp_path / "vecs.txt"
+        vec_path.write_text("\n".join(" ".join(str(x) for x in row) for row in vecs) + "\n")
+        code = main(["verify", path, path, "--kind", "sketch", "--vectors", str(vec_path),
+                     "--epsilon", "0.5", "--check"])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+        with pytest.raises(ParseError) as err:
+            load_vectors(str(vec_path), 8)
+        assert err.value.line == 4
+
 
 # every flag of the CLI with a sample value, and the flags each command reads
 FLAG_VALUES = {

@@ -1,5 +1,6 @@
 """Module layering: the construction modules never import the certifier,
-and no module keeps an import it does not read.
+no module keeps an import it does not read, and scipy loads only where
+the vector side cuts its top eigenspace.
 
 `verify` is the one place outputs are measured, so neither the walks nor
 the pipelines built on them may reach it, directly or through another
@@ -7,7 +8,10 @@ walksparse module.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,33 @@ def test_unused_import_found():
     source = (PACKAGE / "vector_walk.py").read_text()
     assert unused_imports(source.replace("# noqa", "#")) == ["default_lambda0"]
     assert unused_imports("import os.path\nos.sep\n") == []
+
+
+NO_SCIPY_RUN = """
+import sys
+import walksparse.cli
+assert "scipy.linalg" not in sys.modules, "loaded by import walksparse.cli"
+from walksparse.cli import main, serialize_graph
+from walksparse.graph import Graph
+path, out = sys.argv[1], sys.argv[2]
+n = 16
+edges = tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
+with open(path, "w", encoding="utf-8") as fh:
+    fh.write(serialize_graph(Graph(n, edges)))
+code = main(["sparsify", path, "--epsilon", "0.45", "--c-support", "1", "--out", out])
+assert code == 0, f"sparsify exit {code}"
+assert "scipy.linalg" not in sys.modules, "loaded by sparsify"
+code = main(["verify", path, out])
+assert code == 0, f"verify exit {code}"
+assert "scipy.linalg" not in sys.modules, "loaded by verify"
+"""
+
+
+def test_cli_and_sparsify_run_without_scipy(tmp_path):
+    # a fresh process: the test session itself has scipy loaded
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "k16.txt"), str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

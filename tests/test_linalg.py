@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,15 @@ from conftest import (
 )
 from walksparse import linalg
 from walksparse.errors import InvalidInput, NotPSD
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(4)
+    blocks = [rng.normal(size=(k, k)) for k in (2, 3, 1)]
+    got = linalg.block_diag(*blocks)
+    want = scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape == (6, 6)
+    assert np.array_equal(got, want)
 
 
 class TestEigh:

@@ -100,6 +100,23 @@ class TestGraphChecks:
         rep = check_sketch(g, g, kvecs, target=0.1)
         assert rep.measured_eps == 0.0 and rep.passed
 
+    def test_sketch_check_rejects_non_finite(self):
+        g = complete_graph(8)
+        kvecs = np.random.default_rng(1).normal(size=(10, 8))
+        for bad in (np.nan, np.inf):
+            kvecs[4, 2] = bad
+            with pytest.raises(InvalidInput):
+                check_sketch(g, g, kvecs, target=0.1)
+
+    def test_sketch_check_scale_free(self):
+        # the skip cut-off is relative to ||z||^2, so tiny vectors still count
+        kvecs = np.random.default_rng(0).normal(size=(40, 8))
+        g, h = complete_graph(8), path_graph(8)
+        eps = check_sketch(g, h, kvecs, target=0.5).measured_eps
+        assert eps > 0.5
+        scaled = check_sketch(g, h, kvecs * 1e-8, target=0.5).measured_eps
+        assert abs(scaled - eps) <= 1e-9
+
 
 class TestResistance:
     def test_path_series(self):
