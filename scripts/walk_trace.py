@@ -3,8 +3,10 @@
 
 Usage: python scripts/walk_trace.py [m] [n] [seed]
 
-The defaults m=40, n=8 have n(n+1)/2 > 2m/3, so the low third of N that the
-walk keeps leaves the kernel of y -> A(y) and the steps move A(x).
+The defaults m=40, n=8 have n(n+1)/2 > 2m/3, so N has no large kernel and
+the steps move A(x).  Besides the paper's invariants it prints the Lanczos
+steps each direction took and the worst margin of the quadratic certificate
+y^T N y <= tr N/(m_t - keep + 1) ||y||^2 (||y|| = 1).
 """
 
 import sys
@@ -44,6 +46,11 @@ def main():
             q - 9.0 * np.sqrt(2.0 * n) / mt**2 for q, mt in zip(log.quad_term, log.m_t)
         )
         print(f"  worst quadratic-term slack {worst_quad:.2e} (must be <= 0)")
+        steps = log.lanczos_steps
+        print(f"  Lanczos steps per iteration: mean {np.mean(steps):.1f}, max {max(steps)}")
+        margin = min(b - q for q, b in zip(log.quad_term, log.quad_bound))
+        print(f"  worst certificate margin tr N/(m_t - keep + 1) - y^T N y = {margin:.2e} "
+              f"(must be >= 0)")
 
 
 if __name__ == "__main__":

@@ -21,16 +21,23 @@ through Hadamard products of small Gram matrices, which keeps each walk
 iteration at O(n m^2) instead of O(m^2 n^2) and is what makes the graph
 pipelines run at desk scale.
 
-Each iteration restricts the update direction to the intersection of
+Each iteration takes the update direction y from the intersection of
   - the active coordinates (support of not-yet-frozen entries),
-  - the span V of the lowest third of the eigenvectors of N,
   - the orthogonal complement of the current point,
   - the kernel of the linear potential term i -> tr(M A_i),
-  - the caller's subspace H.
-It steps inside the orthonormal basis V that the eigensolve of N returns:
-the remaining constraint rows R are projected to R V (a few rows by m_t/3
-columns), a null vector z of that small matrix is taken, and y = V z.  It
-advances with step min(cap, distance to the [-1,1]^m boundary).
+  - the caller's subspace H,
+that is, from null(R) for the stacked unit constraint rows R, and makes its
+quadratic term y^T N y small.  One thin SVD of R gives orthonormal rows W
+spanning it; Lanczos on N with full reorthogonalization against W and its
+own Krylov basis, started from a fixed pseudo-random vector and restarted
+from the next one at each breakdown, returns the smallest Ritz vector of N
+on null(R).  It runs LANCZOS_STEPS steps, and then more, until the Ritz
+value certifies
+    y^T N y <= tr N / (m_t - keep + 1) ||y||^2,
+a bound that the keep-th smallest eigenvalue of the PSD matrix N never
+exceeds, so the search meets it wherever the lowest keep eigenvectors of N
+leave a feasible vector.  The walk advances with step min(cap, distance to
+the [-1,1]^m boundary).
 
 The package runs on numpy alone except for one call: the vector side's
 top-eigenspace cut (`_VectorSide.rows`, used by `sketch` and `resist`)
@@ -53,6 +60,11 @@ _ROW_DROP_TOL = 1e-12
 _FREEZE_TOL = 1e-9
 # |r . y| allowed for a stacked unit constraint row r and the chosen direction y
 _RESIDUAL_TOL = 1e-8
+# Lanczos steps before the first Ritz check, and per extension after it
+LANCZOS_STEPS = 20
+# a Krylov vector that keeps less than this share of its norm through
+# reorthogonalization ends its Krylov sequence (breakdown)
+_BREAKDOWN_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +260,8 @@ class WalkLog:
     step_norm: list = field(default_factory=list)
     phi: list = field(default_factory=list)
     norm_sq: list = field(default_factory=list)
+    lanczos_steps: list = field(default_factory=list)
+    quad_bound: list = field(default_factory=list)
     iterations: int = 0
 
 
@@ -324,14 +338,24 @@ def default_lambda0(k, m):
     return float(max(1.0, np.sqrt(max(0.0, np.log(k / m)))))
 
 
+def _start_vector(m, restart):
+    """Fixed pseudo-random Lanczos start over a walk's m coordinates.
+
+    A pure function of (m, restart), so reruns in one process repeat
+    exactly.  It is not a smooth function of the coordinate index: such a
+    start correlates with the edge order of a graph family.
+    """
+    return np.random.default_rng([m, restart]).standard_normal(m)
+
+
 class _MatrixSide:
-    """Linear-term and low-eigenspace constraints of the potential walk.
+    """Linear-term and quadratic-term constraints of the potential walk.
 
     eta = sqrt(m)/4 for the family's m members; the fixed step cap is
-    1/(2 eta).  `rows` solves eigh(N) once and keeps the orthonormal basis
-    V of its lowest keep_count(m_t) eigenvectors as `basis`; the walk steps
-    inside V, taking a null vector of the other constraints projected onto
-    it.  Only the linear-term row is returned.
+    1/(2 eta).  `rows` builds N and the linear term and returns the
+    linear-term row.  `direction` returns the smallest Ritz vector of N on
+    null(R) for the orthonormal rows W of all stacked constraints, certified
+    by y^T N y <= tr N / (m_t - keep + 1) ||y||^2 with keep = keep_count(m_t).
     """
 
     def __init__(self, family, keep_count):
@@ -340,10 +364,11 @@ class _MatrixSide:
         self.base_cap = 1.0 / (2.0 * self.eta)
         self.keep_count = keep_count
         self.spectra = None
-        self.basis = None
-        self._lam_keep = None
         self._n = None
         self._linear = None
+        self._quad_bound = None
+        self._ritz = None
+        self._steps = 0
         self._prod = 0.0
 
     def rows(self, x, active):
@@ -351,16 +376,75 @@ class _MatrixSide:
         n_mat, linear = self.spectra.quad_and_linear(active)
         self._n = n_mat
         self._linear = linear
-        keep = self.keep_count(len(active))
+        m_t = len(active)
+        keep = self.keep_count(m_t)
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
-        w, vecs = linalg.eigh(n_mat)
-        self.basis = vecs[:, :keep]
-        self._lam_keep = float(w[keep - 1])
+        # N is PSD, so (m_t - keep + 1) lam_keep <= tr N
+        self._quad_bound = float(np.trace(n_mat)) / (m_t - keep + 1)
         lin_norm = float(np.linalg.norm(linear))
         if lin_norm > _ROW_DROP_TOL:
             return [linear[None, :] / lin_norm]
         return []
+
+    def direction(self, w, active):
+        """Unit smallest-Ritz vector of N on null(w) that meets the bound.
+
+        w holds orthonormal rows.  Lanczos with full reorthogonalization
+        against w and the Krylov basis runs at least LANCZOS_STEPS steps (or
+        to dim null(w)) and extends LANCZOS_STEPS at a time until the Ritz
+        value certifies; a breakdown restarts from the next fixed start.
+        Raises SubspaceExhausted when null(w) is used up first.
+        """
+        n_mat = self._n
+        m_t, r = n_mat.shape[0], w.shape[0]
+        dim = m_t - r
+        # rows 0..r-1 hold w, rows r..r+k-1 the Krylov basis
+        basis = np.empty((m_t, m_t))
+        basis[:r] = w
+        n_basis = np.empty((dim, m_t))
+        k = 0
+        target = min(dim, LANCZOS_STEPS)
+        restart = failed = 0
+        v = None
+        while True:
+            fresh = v is None
+            if fresh:
+                v = _start_vector(self.family.m, restart)[active]
+                restart += 1
+            before = float(np.linalg.norm(v))
+            done = basis[: r + k]
+            for _ in range(2):
+                v = v - (done @ v) @ done
+            after = float(np.linalg.norm(v))
+            if after <= _BREAKDOWN_TOL * before:
+                # a generic start breaks down only by lying in span(w, Krylov
+                # basis); m_t such starts mean that span is numerically R^m_t
+                failed += fresh
+                if failed >= m_t:
+                    raise SubspaceExhausted(
+                        f"{failed} Lanczos starts lie in the constraint and Krylov span "
+                        f"({r} + {k} of {m_t} dimensions)"
+                    )
+                v = None
+                continue
+            basis[r + k] = v / after
+            n_basis[k] = n_mat @ basis[r + k]
+            k += 1
+            if k == target:
+                krylov = basis[r : r + k]
+                theta, s = np.linalg.eigh(linalg.sym(krylov @ n_basis[:k].T))
+                if theta[0] <= self._quad_bound:
+                    self._ritz = float(theta[0])
+                    self._steps = k
+                    return s[:, 0] @ krylov
+                if k == dim:
+                    raise SubspaceExhausted(
+                        f"min of y^T N y over null(R) is {theta[0]:.6e} > "
+                        f"tr N/(m_t - keep + 1) = {self._quad_bound:.6e} at m_t={m_t}"
+                    )
+                target = min(dim, k + LANCZOS_STEPS)
+            v = n_basis[k - 1]
 
     def step_cap(self, y_full):
         """Admissible step bound; also caches the product norm for observe."""
@@ -370,22 +454,26 @@ class _MatrixSide:
         return 0.5 / (self.eta * self._prod)
 
     def observe(self, y_act, y_full, delta, log):
-        """Check admissibility and the quadratic slack y^T N y <= lam_keep ||y||^2,
-        and log this side's terms; returns the step norm."""
+        """Check admissibility and the quadratic certificate
+        y^T N y <= tr N/(m_t - keep + 1) ||y||^2, and log this side's terms;
+        returns the step norm."""
         step_norm = self.eta * delta * self._prod
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge(
                 f"inadmissible step: eta*delta*||M^(1/2)A(y)|| = {step_norm:.4f}"
             )
         quad = float(y_act @ self._n @ y_act)
-        bound = self._lam_keep * float(y_act @ y_act)
+        bound = self._quad_bound * float(y_act @ y_act)
         if quad > bound * (1.0 + 1e-9) + 1e-12:
             raise WalksparseError(
-                f"walk invariant failed: y^T N y = {quad:.6e} > lam_keep ||y||^2 = {bound:.6e}"
+                f"walk invariant failed: y^T N y = {quad:.6e} > "
+                f"tr N/(m_t - keep + 1) ||y||^2 = {bound:.6e}"
             )
         if log is not None:
             log.linear_term.append(float(self._linear @ y_act))
             log.quad_term.append(quad)
+            log.quad_bound.append(bound)
+            log.lanczos_steps.append(self._steps)
             log.phi.append(self.spectra.potential())
         return step_norm
 
@@ -465,10 +553,11 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     x = np.zeros(m)
     active = np.arange(m)
     base_cap = min(side.base_cap for side in sides)
-    # y = V z for the matrix side's low-eigenspace basis V (V = I without one)
-    basis_sides = [side for side in sides if hasattr(side, "basis")]
-    if len(basis_sides) > 1:
+    # the matrix side picks y on null(R) by Lanczos; without one, y = vt[rank]
+    matrix_sides = [side for side in sides if hasattr(side, "direction")]
+    if len(matrix_sides) > 1:
         raise InvalidInput("the walk takes at most one matrix side")
+    matrix = matrix_sides[0] if matrix_sides else None
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
         log.m = m
@@ -493,24 +582,21 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
                 rows.append(restricted[keep] / norms[keep, None])
 
         m_t = len(active)
-        basis = basis_sides[0].basis if basis_sides else None
-        dim = m_t if basis is None else basis.shape[1]
         if rows:
             stacked = np.vstack(rows)
-            projected = stacked if basis is None else stacked @ basis
-            _, s, vt = np.linalg.svd(projected, full_matrices=True)
+            _, s, vt = np.linalg.svd(stacked, full_matrices=matrix is None)
             rank = int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
-            if rank >= dim:
-                raise SubspaceExhausted(
-                    f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
-                    f"constraints in dimension {dim}"
-                )
-            z = vt[rank]
         else:
             stacked = np.zeros((0, m_t))
-            z = np.zeros(dim)
-            z[0] = 1.0
-        y_act = linalg.fix_signs((z if basis is None else basis @ z)[:, None])[:, 0]
+            vt = np.eye(m_t)
+            rank = 0
+        if rank >= m_t:
+            raise SubspaceExhausted(
+                f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
+                f"constraints in dimension {m_t}"
+            )
+        z = vt[rank] if matrix is None else matrix.direction(vt[:rank], active)
+        y_act = linalg.fix_signs(z[:, None])[:, 0]
         resid = float(np.max(np.abs(stacked @ y_act), initial=0.0))
         if resid > _RESIDUAL_TOL:
             raise WalksparseError(f"walk invariant failed: constraint residual {resid:.3e}")

@@ -44,13 +44,10 @@ def solve_normalizer_from_eigenvalues(eigs, eta):
     scale = max(1.0, abs(top))
     lo = top + 1e-14 * scale
     hi = top + np.sqrt(n)
-
-    def trace_residual(u):
-        return float(np.sum((u - eta * eigs) ** -2))
-
+    scaled = eta * eigs
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if trace_residual(mid) > 1.0:
+        if float(((mid - scaled) ** -2).sum()) > 1.0:
             lo = mid
         else:
             hi = mid

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_family, projection_vectors, random_symmetric
-from walksparse import linalg, potential
-from walksparse.errors import InvalidInput, WalksparseError
+from walksparse import linalg, matrix_walk, potential
+from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.matrix_walk import (
     DoubledFamily,
     MatrixFamily,
@@ -92,26 +92,39 @@ class TestQuadMatrix:
         assert np.allclose(lin_fast, lin_ref, atol=1e-9)
 
 
-def step_subspace(side, rows, m):
-    """span(side.basis) & null(rows): the subspace the walk takes y from."""
-    outside = linalg.nullspace(side.basis.T).basis().T
-    return linalg.nullspace(np.vstack([*rows, outside]), m=m)
+def row_span(rows):
+    """Orthonormal rows W spanning the stacked rows R, as the walk builds them."""
+    _, s, vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    return vt[: int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0])))]
+
+
+def min_on_null(n_mat, rows, m):
+    """Exact minimum of y^T N y over unit y in null(R)."""
+    basis = linalg.nullspace(np.vstack(rows), m=m).basis()
+    return float(linalg.eigvalsh(basis.T @ n_mat @ basis)[0])
 
 
 class TestStepSubspace:
-    """The update subspace the walk builds from `_MatrixSide.rows` and `.basis`."""
+    """null(R) for the rows the walk stacks from `_MatrixSide.rows`, and the
+    direction `_MatrixSide.direction` takes from it."""
 
     def test_zero_family_dimension(self):
+        # N = 0: no linear-term row, so null(R) is all of R^m; every Lanczos
+        # vector breaks down and restarts, and the bound tr N/(m - keep + 1) is 0
         m = 9
         side = _MatrixSide(
             MatrixFamily.from_matrices(np.zeros((m, 2, 2))), keep_count=lambda mt: mt // 3
         )
-        rows = side.rows(np.zeros(m), np.arange(m))
-        assert step_subspace(side, rows, m).dim == m // 3
+        assert side.rows(np.zeros(m), np.arange(m)) == []
+        y = side.direction(np.zeros((0, m)), np.arange(m))
+        assert side._steps == m
+        assert side._quad_bound == 0.0
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert y @ side._n @ y == 0.0
 
     def test_constraints_hold(self):
-        # n(n+1)/2 > 2m/3: the kept third of N leaves the kernel of y -> A(y),
-        # so the linear-term row is not implied by the eigenspace rows
+        # n(n+1)/2 > 2m/3: N has no large kernel, so the certificate is
+        # checked on a positive quadratic term
         m, n = 40, 8
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=9))
         rng = np.random.default_rng(3)
@@ -121,23 +134,68 @@ class TestStepSubspace:
         side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
         # the rows _walk_loop stacks while every coordinate is active
         rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)), h.complement_rows]
-        sub = step_subspace(side, rows, m)
-        assert sub.dim >= m / 4 - 2 - (m - h.dim)
-        basis = sub.basis()
+        w = row_span(rows)
+        assert m - w.shape[0] >= m - 2 - (m - h.dim)
+        y = side.direction(w, np.arange(m))
         # reference linear term and N from the explicit doubling
         doubled = DoubledFamily.from_family(fam)
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
         ctx = potential.density_optimizer(agg, eta)
         n_mat = quad_matrix(ctx.density, doubled)
         lin = np.array([np.trace(ctx.density @ a) for a in doubled.doubled])
-        for y in basis.T:
-            assert abs(np.dot(y, x)) <= 1e-9
-            assert abs(lin @ y) <= 1e-9
-            assert h.contains(y, tol=1e-9)
-        # N restricted to the subspace is bounded by the largest kept
-        # eigenvalue (the basis-free form: N may have repeated eigenvalues)
-        kept_top = linalg.eigvalsh(n_mat)[m // 3 - 1]
-        assert linalg.eigvalsh(basis.T @ n_mat @ basis)[-1] <= kept_top + 1e-12
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-9
+        assert abs(np.dot(y, x)) <= 1e-9
+        assert abs(lin @ y) <= 1e-9
+        assert h.contains(y, tol=1e-9)
+        quad = float(y @ n_mat @ y)
+        assert quad <= np.trace(n_mat) / (m - m // 3 + 1)
+        assert quad >= min_on_null(n_mat, rows, m) - 1e-12
+
+
+class TestLanczosDirection:
+    """`_MatrixSide.direction`: the smallest Ritz vector of N on null(R)."""
+
+    def test_exact_minimum_when_krylov_fills_null_space(self):
+        # dim null(R) = 24 - 8 <= LANCZOS_STEPS: the Krylov basis spans null(R)
+        # before the first Ritz check, so the Ritz value is the exact minimum
+        m, n = 24, 8
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=61))
+        rng = np.random.default_rng(61)
+        x = 0.5 * rng.uniform(-1, 1, size=m)
+        side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
+        rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)),
+                linalg.nullspace(rng.normal(size=(6, m))).complement_rows]
+        w = row_span(rows)
+        assert w.shape[0] == 8
+        y = side.direction(w, np.arange(m))
+        assert side._steps == m - 8 <= matrix_walk.LANCZOS_STEPS
+        exact = min_on_null(side._n, rows, m)
+        assert exact > 1e-6
+        assert abs(float(y @ side._n @ y) - exact) <= 1e-9
+        assert abs(side._ritz - exact) <= 1e-9
+
+    def test_projection_family_needs_restart(self, monkeypatch):
+        # the x row removes the start's component in N's zero eigenspace, so
+        # one Krylov sequence stops at the number of distinct eigenvalues
+        n, m = 4, 64
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=17))
+        h = linalg.nullspace(np.random.default_rng(17).normal(size=(12, m)))
+        x = partial_color(fam, h)
+        assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
+        start = matrix_walk._start_vector
+        monkeypatch.setattr(matrix_walk, "_start_vector", lambda m, restart: start(m, 0))
+        with pytest.raises(SubspaceExhausted, match="Lanczos starts"):
+            partial_color(fam, h)
+
+    def test_reruns_identical_in_one_process(self):
+        n, m = 4, 64
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=17))
+        h = linalg.nullspace(np.random.default_rng(17).normal(size=(12, m)))
+        x1 = partial_color(fam, h)
+        # a walk of another size in between draws other start vectors
+        partial_color(MatrixFamily.from_rank_one(projection_vectors(n, 40, seed=3)))
+        x2 = partial_color(fam, h)
+        assert np.array_equal(x1, x2)
 
 
 class _Recorder:
@@ -161,16 +219,18 @@ class _Recorder:
         if isinstance(self.side, _MatrixSide):
             call["n"] = self.side._n
             call["linear"] = self.side._linear
-            call["keep"] = self.side.basis.shape[1]
+            call["keep"] = self.side.keep_count(len(call["active"]))
+            call["ritz"] = self.side._ritz
         return self.side.step_cap(y_full)
 
 
 class TestDirectionInOldSubspace:
-    """y = V z lies in the subspace the stacked top-eigenvector rows cut out."""
+    """y is a unit vector in null(R) for the stacked rows R, its quadratic
+    term is the smallest Ritz value, and the certificate holds."""
 
     @pytest.mark.parametrize("combined", [False, True])
     def test_first_iterations(self, combined):
-        # n(n+1) > m: N has full rank, so its spectrum has no zero cluster
+        # n(n+1) > m: N has full rank, so the certificate is not met at 0
         m, n = 48, 8
         rng = np.random.default_rng(41)
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41), rng.uniform(0.5, 1, m))
@@ -190,23 +250,24 @@ class TestDirectionInOldSubspace:
             mat = sides[0].calls[it]
             y, x, active = mat["y"], mat["x"], mat["active"]
             y_act = y[active]
+            m_t = len(active)
             assert abs(np.linalg.norm(y) - 1.0) <= 1e-9
             assert np.all(y[np.setdiff1d(np.arange(m), active)] == 0.0)
-            w, vecs = np.linalg.eigh(mat["n"])
-            # a strict gap at the cut makes the top eigenspace well defined
-            assert w[mat["keep"]] - w[mat["keep"] - 1] > 1e-9 * w[-1]
-            assert np.max(np.abs(vecs[:, mat["keep"]:].T @ y_act)) <= 1e-9
-            assert abs(x @ y) <= 1e-9
-            assert abs(mat["linear"] @ y_act) <= 1e-9 * max(1.0, np.linalg.norm(mat["linear"]))
             restricted = extra[:, active]
-            restricted = restricted / np.linalg.norm(restricted, axis=1)[:, None]
-            assert np.max(np.abs(restricted @ y_act)) <= 1e-9
+            rows = [restricted / np.linalg.norm(restricted, axis=1)[:, None], *mat["rows"]]
+            if np.linalg.norm(x[active]) > 0.0:
+                rows.append(x[None, active] / np.linalg.norm(x[active]))
             if combined:
                 vec = sides[1].calls[it]
                 assert np.array_equal(vec["y"], y)
                 assert vec["rows"]
-                for block in vec["rows"]:
-                    assert np.max(np.abs(block @ y_act)) <= 1e-9
+                rows.extend(vec["rows"])
+            stacked = np.vstack(rows)
+            assert np.max(np.abs(stacked @ y_act)) <= 1e-9
+            quad = float(y_act @ mat["n"] @ y_act)
+            assert abs(quad - mat["ritz"]) <= 1e-12 * max(1.0, abs(quad))
+            assert quad <= np.trace(mat["n"]) / (m_t - mat["keep"] + 1)
+            assert quad >= min_on_null(mat["n"], [stacked], m_t) - 1e-12
 
 
 class TestWalkInvariantChecks:
@@ -218,7 +279,7 @@ class TestWalkInvariantChecks:
         side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
         x = np.linspace(-0.3, 0.3, m)
         side.rows(x, np.arange(m))
-        low = side.basis[:, -1]
+        low = side.direction(np.zeros((0, m)), np.arange(m))
         side.step_cap(low)
         side.observe(low, low, 0.0, None)
         top = np.linalg.eigh(side._n)[1][:, -1]

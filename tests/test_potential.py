@@ -44,6 +44,28 @@ class TestNormalizer:
         assert abs(np.sum((u - eta * w) ** -2.0) - 1.0) <= 1e-10
         assert u > eta * w[-1]
 
+    def test_bit_identical_to_reference_bisection(self):
+        # the loop form the solver replaced: eta * eigs and np.sum in every step
+        def reference(eigs, eta):
+            top = eta * float(np.max(eigs))
+            lo = top + 1e-14 * max(1.0, abs(top))
+            hi = top + np.sqrt(eigs.size)
+            for _ in range(potential.BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                if float(np.sum((mid - eta * eigs) ** -2)) > 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(71)
+        for size in (1, 2, 7, 56, 300):
+            for _ in range(5):
+                eigs = rng.normal(scale=rng.uniform(0.01, 10.0), size=size)
+                eta = float(rng.uniform(0.1, 5.0))
+                u = potential.solve_normalizer_from_eigenvalues(eigs, eta)
+                assert u == reference(eigs, eta)
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             potential.solve_normalizer_from_eigenvalues(np.array([]), 1.0)
