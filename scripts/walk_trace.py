@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Trace one matrix partial-coloring walk and print per-iteration invariants.
+"""Trace one matrix partial-coloring walk and one vector walk, and print
+per-iteration invariants.
 
 Usage: python scripts/walk_trace.py [m] [n] [seed]
 
 The defaults m=40, n=8 have n(n+1)/2 > 2m/3, so N has no large kernel and
 the steps move A(x).  Besides the paper's invariants it prints the Lanczos
 steps each direction took and the worst margin of the quadratic certificate
-y^T N y <= tr N/(m_t - keep + 1) ||y||^2 (||y|| = 1).
+y^T N y <= tr N/(m_t - keep + 1) ||y||^2 (||y|| = 1).  The vector walk runs
+`vector_partial_color` on 4m seeded Gaussian rows of length m and prints the
+worst margin of its certificate y^T G y <= tr G/(cut + 1) ||y||^2.
 """
 
 import sys
@@ -16,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from walksparse.matrix_walk import MatrixFamily, WalkLog, WalkOptions, partial_color
+from walksparse.vector_walk import discrepancy_ratios, vector_partial_color
 
 
 def projection_vectors(n, m, seed):
@@ -51,6 +55,20 @@ def main():
         margin = min(b - q for q, b in zip(log.quad_term, log.quad_bound))
         print(f"  worst certificate margin tr N/(m_t - keep + 1) - y^T N y = {margin:.2e} "
               f"(must be >= 0)")
+
+    rows = np.random.default_rng(seed).normal(size=(4 * m, m))
+    log = WalkLog()
+    t0 = time.time()
+    x = vector_partial_color(rows, log=log)
+    dt = time.time() - t0
+    frozen = int(np.count_nonzero(np.abs(x) == 1.0))
+    print(f"vector walk, {4 * m} Gaussian rows: {dt:.2f}s, {log.iterations} iterations")
+    print(f"  frozen {frozen}/{m}, max |<a_i, x>|/||a_i|| = "
+          f"{np.max(discrepancy_ratios(rows, x)):.4f}")
+    steps = log.lanczos_steps
+    print(f"  Lanczos steps per iteration: mean {np.mean(steps):.1f}, max {max(steps)}")
+    margin = min(b - q for q, b in zip(log.gram_term, log.gram_bound))
+    print(f"  worst certificate margin tr G/(cut + 1) - y^T G y = {margin:.2e} (must be >= 0)")
 
 
 if __name__ == "__main__":

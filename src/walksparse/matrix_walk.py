@@ -21,28 +21,19 @@ through Hadamard products of small Gram matrices, which keeps each walk
 iteration at O(n m^2) instead of O(m^2 n^2) and is what makes the graph
 pipelines run at desk scale.
 
-Each iteration takes the update direction y from the intersection of
-  - the active coordinates (support of not-yet-frozen entries),
-  - the orthogonal complement of the current point,
-  - the kernel of the linear potential term i -> tr(M A_i),
-  - the caller's subspace H,
-that is, from null(R) for the stacked unit constraint rows R, and makes its
-quadratic term y^T N y small.  One thin SVD of R gives orthonormal rows W
-spanning it; Lanczos on N with full reorthogonalization against W and its
-own Krylov basis, started from a fixed pseudo-random vector and restarted
-from the next one at each breakdown, returns the smallest Ritz vector of N
-on null(R).  It runs LANCZOS_STEPS steps, and then more, until the Ritz
-value certifies
-    y^T N y <= tr N / (m_t - keep + 1) ||y||^2,
-a bound that the keep-th smallest eigenvalue of the PSD matrix N never
-exceeds, so the search meets it wherever the lowest keep eigenvectors of N
-leave a feasible vector.  The walk advances with step min(cap, distance to
-the [-1,1]^m boundary).
-
-The package runs on numpy alone except for one call: the vector side's
-top-eigenspace cut (`_VectorSide.rows`, used by `sketch` and `resist`)
-takes a subset `scipy.linalg.eigh` and imports `scipy.linalg` there, so
-the other pipelines and `verify` never load scipy.
+Each iteration takes the update direction y from null(R) for the stacked
+unit constraint rows R (the current point, the linear potential term
+i -> tr(M A_i), the caller's subspace H) over the active, not yet frozen,
+coordinates.  Each side also gives a PSD form Q_s with a bound b_s: N with
+tr N/(m_t - keep + 1) on the matrix side, the weighted Gram matrix G of the
+constraint directions with tr G/(cut + 1) on the vector side.  One thin SVD
+of R gives orthonormal rows W; Lanczos on Q = sum_s (b_0/b_s) Q_s with full
+reorthogonalization against W and its Krylov basis, from fixed pseudo-random
+starts (the next one at each breakdown), returns the smallest Ritz vector of
+Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every term is PSD, so
+that meets each side's bound, and fewer than tr Q / b_0 eigenvalues of Q
+exceed b_0.  The walk advances with step min(cap, distance to the [-1,1]^m
+boundary).
 """
 
 from __future__ import annotations
@@ -262,6 +253,8 @@ class WalkLog:
     norm_sq: list = field(default_factory=list)
     lanczos_steps: list = field(default_factory=list)
     quad_bound: list = field(default_factory=list)
+    gram_term: list = field(default_factory=list)
+    gram_bound: list = field(default_factory=list)
     iterations: int = 0
 
 
@@ -348,14 +341,93 @@ def _start_vector(m, restart):
     return np.random.default_rng([m, restart]).standard_normal(m)
 
 
+def _lanczos_direction(quad, bound, w, m, active):
+    """Unit smallest-Ritz vector of quad on null(w) meeting the bound.
+
+    w holds orthonormal rows.  Lanczos with full reorthogonalization against
+    w and the Krylov basis runs at least LANCZOS_STEPS steps (or to
+    dim null(w)) and extends LANCZOS_STEPS at a time until the Ritz value
+    certifies y^T quad y <= bound; a breakdown restarts from the next fixed
+    start over the walk's m coordinates.  Returns (y, Ritz value, steps) and
+    raises SubspaceExhausted when null(w) is used up first.
+    """
+    m_t, r = quad.shape[0], w.shape[0]
+    dim = m_t - r
+    # rows 0..r-1 hold w, rows r..r+k-1 the Krylov basis
+    basis = np.empty((m_t, m_t))
+    basis[:r] = w
+    q_basis = np.empty((dim, m_t))
+    k = 0
+    target = min(dim, LANCZOS_STEPS)
+    restart = failed = 0
+    v = None
+    while True:
+        fresh = v is None
+        if fresh:
+            v = _start_vector(m, restart)[active]
+            restart += 1
+        before = float(np.linalg.norm(v))
+        done = basis[: r + k]
+        for _ in range(2):
+            v = v - (done @ v) @ done
+        after = float(np.linalg.norm(v))
+        if after <= _BREAKDOWN_TOL * before:
+            # a generic start breaks down only by lying in span(w, Krylov
+            # basis); m_t such starts mean that span is numerically R^m_t
+            failed += fresh
+            if failed >= m_t:
+                raise SubspaceExhausted(
+                    f"{failed} Lanczos starts lie in the constraint and Krylov span "
+                    f"({r} + {k} of {m_t} dimensions)"
+                )
+            v = None
+            continue
+        basis[r + k] = v / after
+        q_basis[k] = quad @ basis[r + k]
+        k += 1
+        if k == target:
+            krylov = basis[r : r + k]
+            theta, s = np.linalg.eigh(linalg.sym(krylov @ q_basis[:k].T))
+            if theta[0] <= bound:
+                return s[:, 0] @ krylov, float(theta[0]), k
+            if k == dim:
+                raise SubspaceExhausted(
+                    f"min of y^T Q y over null(R) is {theta[0]:.6e} > "
+                    f"bound {bound:.6e} at m_t={m_t}"
+                )
+            target = min(dim, k + LANCZOS_STEPS)
+        v = q_basis[k - 1]
+
+
+def _combined_form(sides):
+    """Q = Q_0 + sum_s (b_0 / b_s) Q_s and b_0, from the first side with b_0 > 0;
+    a side with bound 0 has Q_s = 0.  With one side, Q is that side's form."""
+    forms = [(side.quad, side.bound) for side in sides if side.bound > 0.0]
+    quad, bound = forms[0] if forms else (sides[0].quad, 0.0)
+    for q_s, b_s in forms[1:]:
+        quad = quad + (bound / b_s) * q_s
+    return quad, bound
+
+
+def _certify(quad_mat, bound, y_act, form, bound_name):
+    """Raise unless y^T Q y <= b ||y||^2; returns (y^T Q y, b ||y||^2)."""
+    quad = float(y_act @ quad_mat @ y_act)
+    limit = bound * float(y_act @ y_act)
+    if quad > limit * (1.0 + 1e-9) + 1e-12:
+        raise WalksparseError(
+            f"walk invariant failed: {form} = {quad:.6e} > {bound_name} ||y||^2 = {limit:.6e}"
+        )
+    return quad, limit
+
+
 class _MatrixSide:
     """Linear-term and quadratic-term constraints of the potential walk.
 
     eta = sqrt(m)/4 for the family's m members; the fixed step cap is
     1/(2 eta).  `rows` builds N and the linear term and returns the
-    linear-term row.  `direction` returns the smallest Ritz vector of N on
-    null(R) for the orthonormal rows W of all stacked constraints, certified
-    by y^T N y <= tr N / (m_t - keep + 1) ||y||^2 with keep = keep_count(m_t).
+    linear-term row; its quadratic form is N with bound
+    tr N / (m_t - keep + 1) for keep = keep_count(m_t), which the keep-th
+    smallest eigenvalue of the PSD matrix N never exceeds.
     """
 
     def __init__(self, family, keep_count):
@@ -364,87 +436,24 @@ class _MatrixSide:
         self.base_cap = 1.0 / (2.0 * self.eta)
         self.keep_count = keep_count
         self.spectra = None
-        self._n = None
+        self.quad = None
+        self.bound = 0.0
         self._linear = None
-        self._quad_bound = None
-        self._ritz = None
-        self._steps = 0
         self._prod = 0.0
 
     def rows(self, x, active):
         self.spectra = _BlockSpectra(self.family, x, self.eta)
-        n_mat, linear = self.spectra.quad_and_linear(active)
-        self._n = n_mat
+        self.quad, linear = self.spectra.quad_and_linear(active)
         self._linear = linear
         m_t = len(active)
         keep = self.keep_count(m_t)
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
-        # N is PSD, so (m_t - keep + 1) lam_keep <= tr N
-        self._quad_bound = float(np.trace(n_mat)) / (m_t - keep + 1)
+        self.bound = float(np.trace(self.quad)) / (m_t - keep + 1)
         lin_norm = float(np.linalg.norm(linear))
         if lin_norm > _ROW_DROP_TOL:
             return [linear[None, :] / lin_norm]
         return []
-
-    def direction(self, w, active):
-        """Unit smallest-Ritz vector of N on null(w) that meets the bound.
-
-        w holds orthonormal rows.  Lanczos with full reorthogonalization
-        against w and the Krylov basis runs at least LANCZOS_STEPS steps (or
-        to dim null(w)) and extends LANCZOS_STEPS at a time until the Ritz
-        value certifies; a breakdown restarts from the next fixed start.
-        Raises SubspaceExhausted when null(w) is used up first.
-        """
-        n_mat = self._n
-        m_t, r = n_mat.shape[0], w.shape[0]
-        dim = m_t - r
-        # rows 0..r-1 hold w, rows r..r+k-1 the Krylov basis
-        basis = np.empty((m_t, m_t))
-        basis[:r] = w
-        n_basis = np.empty((dim, m_t))
-        k = 0
-        target = min(dim, LANCZOS_STEPS)
-        restart = failed = 0
-        v = None
-        while True:
-            fresh = v is None
-            if fresh:
-                v = _start_vector(self.family.m, restart)[active]
-                restart += 1
-            before = float(np.linalg.norm(v))
-            done = basis[: r + k]
-            for _ in range(2):
-                v = v - (done @ v) @ done
-            after = float(np.linalg.norm(v))
-            if after <= _BREAKDOWN_TOL * before:
-                # a generic start breaks down only by lying in span(w, Krylov
-                # basis); m_t such starts mean that span is numerically R^m_t
-                failed += fresh
-                if failed >= m_t:
-                    raise SubspaceExhausted(
-                        f"{failed} Lanczos starts lie in the constraint and Krylov span "
-                        f"({r} + {k} of {m_t} dimensions)"
-                    )
-                v = None
-                continue
-            basis[r + k] = v / after
-            n_basis[k] = n_mat @ basis[r + k]
-            k += 1
-            if k == target:
-                krylov = basis[r : r + k]
-                theta, s = np.linalg.eigh(linalg.sym(krylov @ n_basis[:k].T))
-                if theta[0] <= self._quad_bound:
-                    self._ritz = float(theta[0])
-                    self._steps = k
-                    return s[:, 0] @ krylov
-                if k == dim:
-                    raise SubspaceExhausted(
-                        f"min of y^T N y over null(R) is {theta[0]:.6e} > "
-                        f"tr N/(m_t - keep + 1) = {self._quad_bound:.6e} at m_t={m_t}"
-                    )
-                target = min(dim, k + LANCZOS_STEPS)
-            v = n_basis[k - 1]
 
     def step_cap(self, y_full):
         """Admissible step bound; also caches the product norm for observe."""
@@ -462,27 +471,21 @@ class _MatrixSide:
             raise StepTooLarge(
                 f"inadmissible step: eta*delta*||M^(1/2)A(y)|| = {step_norm:.4f}"
             )
-        quad = float(y_act @ self._n @ y_act)
-        bound = self._quad_bound * float(y_act @ y_act)
-        if quad > bound * (1.0 + 1e-9) + 1e-12:
-            raise WalksparseError(
-                f"walk invariant failed: y^T N y = {quad:.6e} > "
-                f"tr N/(m_t - keep + 1) ||y||^2 = {bound:.6e}"
-            )
+        quad, limit = _certify(self.quad, self.bound, y_act, "y^T N y", "tr N/(m_t - keep + 1)")
         if log is not None:
             log.linear_term.append(float(self._linear @ y_act))
             log.quad_term.append(quad)
-            log.quad_bound.append(bound)
-            log.lanczos_steps.append(self._steps)
+            log.quad_bound.append(limit)
             log.phi.append(self.spectra.potential())
         return step_norm
 
 
 class _VectorSide:
-    """Multiplicative-weights constraints (gradient, heavy rows, eigencut).
-
-    lambda0 = default_lambda0(k, m) for k unit rows of length m; the fixed
-    step cap is 1/(2 lambda0).
+    """Multiplicative-weights constraints: the potential gradient and the
+    heaviest rows, plus the weighted Gram matrix G = sum_i (w_i/sum w) a_i a_i^T
+    as quadratic form with bound tr G/(cut + 1), which fewer than cut + 1
+    eigenvalues of G exceed.  lambda0 = default_lambda0(k, m) for k unit rows
+    of length m; the fixed step cap is 1/(2 lambda0).
     """
 
     def __init__(self, unit_rows, heavy_count, cut_count):
@@ -492,12 +495,16 @@ class _VectorSide:
         self.heavy_count = heavy_count
         self.cut_count = cut_count
         self.weights = None
+        self.quad = None
+        self.bound = 0.0
         self.max_dot = 0.0
         self.max_exponent = -np.inf
 
     def rows(self, x, active):
         k = self.ahat.shape[0]
+        m_t = len(active)
         if k == 0:
+            self.quad, self.bound = np.zeros((m_t, m_t)), 0.0
             return []
         margins = self.lambda0 * (self.ahat @ x) - self.lambda0**2
         self.max_exponent = float(np.max(margins))
@@ -508,22 +515,14 @@ class _VectorSide:
         g_norm = float(np.linalg.norm(grad))
         if g_norm > _ROW_DROP_TOL:
             rows.append(grad[None, :] / g_norm)
-        m_t = len(active)
         heavy = self.heavy_count(m_t)
         if heavy > 0:
             order = np.lexsort((np.arange(k), -self.weights))
             rows.append(a_act[order[: min(heavy, k)]])
-        cut = self.cut_count(m_t)
-        if cut > 0 and cut < m_t:
-            total = float(np.sum(self.weights))
-            scaled = np.sqrt(self.weights / total)[:, None] * a_act
-            w_gram = linalg.sym(scaled.T @ scaled)
-            # the one scipy call in the package: imported here, so the CLI
-            # and the matrix-only pipelines start without loading scipy
-            import scipy.linalg
-
-            _, top = scipy.linalg.eigh(w_gram, subset_by_index=[m_t - cut, m_t - 1])
-            rows.append(linalg.fix_signs(top).T)
+        # a_act is a copy: scaled in place, it is the Gram factor
+        a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
+        self.quad = linalg.sym(a_act.T @ a_act)
+        self.bound = float(np.trace(self.quad)) / (self.cut_count(m_t) + 1)
         return rows
 
     def step_cap(self, y_full):
@@ -535,12 +534,18 @@ class _VectorSide:
         return 0.5 / (self.lambda0 * self.max_dot)
 
     def observe(self, y_act, y_full, delta, log):
-        """Check admissibility; returns the step norm (None without constraints)."""
+        """Check admissibility and the quadratic certificate
+        y^T G y <= tr G/(cut + 1) ||y||^2; returns the step norm (None
+        without constraints)."""
         if self.ahat.shape[0] == 0:
             return None
         step_norm = self.lambda0 * delta * self.max_dot
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge("inadmissible multiplicative-weights step")
+        quad, limit = _certify(self.quad, self.bound, y_act, "y^T G y", "tr G/(cut + 1)")
+        if log is not None:
+            log.gram_term.append(quad)
+            log.gram_bound.append(limit)
         return step_norm
 
 
@@ -553,11 +558,6 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     x = np.zeros(m)
     active = np.arange(m)
     base_cap = min(side.base_cap for side in sides)
-    # the matrix side picks y on null(R) by Lanczos; without one, y = vt[rank]
-    matrix_sides = [side for side in sides if hasattr(side, "direction")]
-    if len(matrix_sides) > 1:
-        raise InvalidInput("the walk takes at most one matrix side")
-    matrix = matrix_sides[0] if matrix_sides else None
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
         log.m = m
@@ -582,20 +582,15 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
                 rows.append(restricted[keep] / norms[keep, None])
 
         m_t = len(active)
-        if rows:
-            stacked = np.vstack(rows)
-            _, s, vt = np.linalg.svd(stacked, full_matrices=matrix is None)
-            rank = int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
-        else:
-            stacked = np.zeros((0, m_t))
-            vt = np.eye(m_t)
-            rank = 0
+        stacked = np.vstack(rows) if rows else np.zeros((0, m_t))
+        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+        rank = int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
         if rank >= m_t:
             raise SubspaceExhausted(
                 f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
                 f"constraints in dimension {m_t}"
             )
-        z = vt[rank] if matrix is None else matrix.direction(vt[:rank], active)
+        z, _, steps = _lanczos_direction(*_combined_form(sides), vt[:rank], m, active)
         y_act = linalg.fix_signs(z[:, None])[:, 0]
         resid = float(np.max(np.abs(stacked @ y_act), initial=0.0))
         if resid > _RESIDUAL_TOL:
@@ -636,6 +631,7 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             if step_norms:
                 log.step_norm.append(max(step_norms))
             log.m_t.append(m_t)
+            log.lanczos_steps.append(steps)
             log.delta.append(delta)
             log.norm_sq.append(float(x @ x))
 

@@ -231,9 +231,9 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
 
     The vector side steers the recentered constraints a_z.  Given lph =
     L^{+/2}, the matrix side also steers {(1/2) s(e) L^{+/2} b_e b_e^T L^{+/2}}
-    with the lowest 5/6 of the eigenspace, and the vector side's heavy and
-    top-eigenspace cuts shrink from 1/10 to 1/6 budgets, so the intersection
-    keeps positive dimension alongside the degree and freeze rows.
+    with keep = 5/6 of m_t, and the vector side's heavy rows and Gram cut
+    shrink from 1/10 to 1/6 budgets, so the feasible set keeps positive
+    dimension alongside the degree and freeze rows.
     """
     support = np.flatnonzero(s)
     m_r = len(support)

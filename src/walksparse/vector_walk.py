@@ -7,9 +7,9 @@ partial coloring x in [-1,1]^m with at least m/4 frozen coordinates and
 
 with C_disc calibrated once against a Gaussian oracle family (the tests use 12).
 The walk tracks the exponential potential sum_i exp(lambda0 <a_i/||a_i||, x>
-- lambda0^2) and keeps the update direction orthogonal to the potential
-gradient void of the heaviest constraints, inside the low eigenspace of the
-weighted second-moment matrix of the constraint directions.
+- lambda0^2), keeps the update direction orthogonal to its gradient and to
+the heaviest constraints, and certifies y^T G y <= tr G/(cut + 1) ||y||^2
+for the weighted second-moment matrix G of the constraint directions.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def vector_partial_color(vectors, extra=None, log=None):
     if a.shape[0] < m:
         raise InvalidInput(f"need at least m={m} constraint vectors, got {a.shape[0]}")
     unit = prepare_constraints(a, m)
-    # the heaviest tenth of the constraints and the top tenth of the
-    # weighted second-moment eigenspace are cut from the update subspace
+    # the heaviest tenth of the constraints are cut from the update subspace,
+    # and y^T G y is held to tr G / (cut + 1) with cut a tenth of m_t
     tenth = lambda mt: int(np.ceil(0.1 * mt))
     side = matrix_walk._VectorSide(unit, heavy_count=tenth, cut_count=tenth)
     extra_rows = extra.complement_rows if extra is not None else np.zeros((0, m))

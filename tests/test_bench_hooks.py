@@ -6,10 +6,9 @@ import importlib.util
 import os
 
 import numpy as np
-import scipy.linalg
 
-from walksparse.matrix_walk import WalkLog
-from walksparse.vector_walk import vector_partial_color
+from conftest import complete_graph
+from walksparse import sketches
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -30,19 +29,27 @@ def test_every_patched_name_resolves():
     assert not missing, f"bench/spans.py patches names that do not exist: {missing}"
 
 
-def test_vector_walk_looks_up_scipy_eigh_per_call(monkeypatch):
-    # bench/spans.py times the eigen-cut by patching scipy.linalg.eigh; a
-    # reference bound before the patch would leave eigsolve_s at zero
-    calls = []
-    original = scipy.linalg.eigh
+def test_sketch_walk_makes_one_svd_per_iteration(monkeypatch):
+    # bench/spans.py counts matrix_walk.iterations as numpy.linalg.svd calls
+    # directly under a walk span, so each iteration must make exactly one
+    calls, walks = [], []
+    svd = np.linalg.svd
 
     def counting(*args, **kwargs):
         calls.append(np.shape(args[0]))
-        return original(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
-    log = WalkLog()
-    vector_partial_color(np.random.default_rng(0).normal(size=(60, 20)), log=log)
-    assert log.iterations > 0
-    assert len(calls) == log.iterations
-    assert calls[0] == (20, 20)
+    walk_loop = sketches._walk_loop
+
+    def walk(m, sides, extra_rows, adaptive_steps, log):
+        before = len(calls)
+        x = walk_loop(m, sides, extra_rows, adaptive_steps, log)
+        walks.append((len(calls) - before, log.iterations))
+        return x
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(sketches, "_walk_loop", walk)
+    kvecs = np.random.default_rng(0).normal(size=(20, 16))
+    sketches.sketch(complete_graph(16), kvecs, 0.5)
+    assert walks and all(iterations > 0 for _, iterations in walks)
+    assert all(made == iterations for made, iterations in walks)

@@ -1,6 +1,6 @@
 """Module layering: the construction modules never import the certifier,
-no module keeps an import it does not read, and scipy loads only where
-the vector side cuts its top eigenspace.
+no module keeps an import it does not read, and no CLI command loads
+scipy.
 
 `verify` is the one place outputs are measured, so neither the walks nor
 the pipelines built on them may reach it, directly or through another
@@ -96,29 +96,37 @@ def test_unused_import_found():
 
 NO_SCIPY_RUN = """
 import sys
+import numpy as np
 import walksparse.cli
 assert "scipy.linalg" not in sys.modules, "loaded by import walksparse.cli"
 from walksparse.cli import main, serialize_graph
 from walksparse.graph import Graph
-path, out = sys.argv[1], sys.argv[2]
+path, out, vec_path = sys.argv[1], sys.argv[2], sys.argv[3]
 n = 16
 edges = tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
 with open(path, "w", encoding="utf-8") as fh:
     fh.write(serialize_graph(Graph(n, edges)))
-code = main(["sparsify", path, "--epsilon", "0.45", "--c-support", "1", "--out", out])
-assert code == 0, f"sparsify exit {code}"
-assert "scipy.linalg" not in sys.modules, "loaded by sparsify"
-code = main(["verify", path, out])
-assert code == 0, f"verify exit {code}"
-assert "scipy.linalg" not in sys.modules, "loaded by verify"
+np.savetxt(vec_path, np.random.default_rng(0).normal(size=(20, n)))
+steps = [
+    ("sparsify", ["sparsify", path, "--epsilon", "0.45", "--c-support", "1", "--out", out]),
+    ("verify", ["verify", path, out]),
+    ("sketch", ["sketch", path, "--vectors", vec_path, "--epsilon", "0.5", "--out", out]),
+    ("resist", ["resist", path, "--epsilon", "0.5", "--c-resist", "1", "--out", out]),
+]
+for name, argv in steps:
+    code = main(argv)
+    assert code == 0, f"{name} exit {code}"
+    assert "scipy.linalg" not in sys.modules, f"loaded by {name}"
 """
 
 
 def test_cli_and_sparsify_run_without_scipy(tmp_path):
-    # a fresh process: the test session itself has scipy loaded
+    # a fresh process: the test session itself has scipy loaded; sparsify,
+    # verify, sketch and resist each run a walk or a check
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    files = [str(tmp_path / name) for name in ("k16.txt", "out.txt", "vecs.txt")]
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "k16.txt"), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", NO_SCIPY_RUN, *files],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from walksparse.matrix_walk import (
     WalkOptions,
     _MatrixSide,
     _VectorSide,
+    _lanczos_direction,
     _walk_loop,
     partial_color,
     quad_matrix,
@@ -104,9 +105,14 @@ def min_on_null(n_mat, rows, m):
     return float(linalg.eigvalsh(basis.T @ n_mat @ basis)[0])
 
 
+def direction(side, w, m):
+    """The walk's direction for a lone side over all m coordinates."""
+    return _lanczos_direction(side.quad, side.bound, w, m, np.arange(m))
+
+
 class TestStepSubspace:
     """null(R) for the rows the walk stacks from `_MatrixSide.rows`, and the
-    direction `_MatrixSide.direction` takes from it."""
+    direction `_lanczos_direction` takes from it on N."""
 
     def test_zero_family_dimension(self):
         # N = 0: no linear-term row, so null(R) is all of R^m; every Lanczos
@@ -116,11 +122,11 @@ class TestStepSubspace:
             MatrixFamily.from_matrices(np.zeros((m, 2, 2))), keep_count=lambda mt: mt // 3
         )
         assert side.rows(np.zeros(m), np.arange(m)) == []
-        y = side.direction(np.zeros((0, m)), np.arange(m))
-        assert side._steps == m
-        assert side._quad_bound == 0.0
+        y, ritz, steps = direction(side, np.zeros((0, m)), m)
+        assert steps == m
+        assert side.bound == 0.0 == ritz
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
-        assert y @ side._n @ y == 0.0
+        assert y @ side.quad @ y == 0.0
 
     def test_constraints_hold(self):
         # n(n+1)/2 > 2m/3: N has no large kernel, so the certificate is
@@ -136,7 +142,7 @@ class TestStepSubspace:
         rows = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m)), h.complement_rows]
         w = row_span(rows)
         assert m - w.shape[0] >= m - 2 - (m - h.dim)
-        y = side.direction(w, np.arange(m))
+        y, _, _ = direction(side, w, m)
         # reference linear term and N from the explicit doubling
         doubled = DoubledFamily.from_family(fam)
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
@@ -153,7 +159,7 @@ class TestStepSubspace:
 
 
 class TestLanczosDirection:
-    """`_MatrixSide.direction`: the smallest Ritz vector of N on null(R)."""
+    """`_lanczos_direction`: the smallest Ritz vector of N on null(R)."""
 
     def test_exact_minimum_when_krylov_fills_null_space(self):
         # dim null(R) = 24 - 8 <= LANCZOS_STEPS: the Krylov basis spans null(R)
@@ -167,12 +173,12 @@ class TestLanczosDirection:
                 linalg.nullspace(rng.normal(size=(6, m))).complement_rows]
         w = row_span(rows)
         assert w.shape[0] == 8
-        y = side.direction(w, np.arange(m))
-        assert side._steps == m - 8 <= matrix_walk.LANCZOS_STEPS
-        exact = min_on_null(side._n, rows, m)
+        y, ritz, steps = direction(side, w, m)
+        assert steps == m - 8 <= matrix_walk.LANCZOS_STEPS
+        exact = min_on_null(side.quad, rows, m)
         assert exact > 1e-6
-        assert abs(float(y @ side._n @ y) - exact) <= 1e-9
-        assert abs(side._ritz - exact) <= 1e-9
+        assert abs(float(y @ side.quad @ y) - exact) <= 1e-9
+        assert abs(ritz - exact) <= 1e-9
 
     def test_projection_family_needs_restart(self, monkeypatch):
         # the x row removes the start's component in N's zero eigenspace, so
@@ -199,7 +205,8 @@ class TestLanczosDirection:
 
 
 class _Recorder:
-    """A walk side that records each iteration's state and chosen direction."""
+    """A walk side that records each iteration's state, quadratic form and
+    chosen direction."""
 
     def __init__(self, side):
         self.side = side
@@ -210,44 +217,68 @@ class _Recorder:
 
     def rows(self, x, active):
         rows = self.side.rows(x, active)
-        self.calls.append({"x": x.copy(), "active": active.copy(), "rows": rows})
+        self.calls.append({"x": x.copy(), "active": active.copy(), "rows": rows,
+                           "weights": getattr(self.side, "weights", None)})
         return rows
 
     def step_cap(self, y_full):
         call = self.calls[-1]
         call["y"] = y_full.copy()
+        call["quad"], call["bound"] = self.side.quad, self.side.bound
         if isinstance(self.side, _MatrixSide):
-            call["n"] = self.side._n
-            call["linear"] = self.side._linear
             call["keep"] = self.side.keep_count(len(call["active"]))
-            call["ritz"] = self.side._ritz
         return self.side.step_cap(y_full)
+
+
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """Each direction search of the walk: its form Q, bound and Ritz value."""
+    calls = []
+
+    def recording(quad, bound, w, m, active):
+        y, ritz, steps = _lanczos_direction(quad, bound, w, m, active)
+        calls.append({"quad": quad, "bound": bound, "ritz": ritz})
+        return y, ritz, steps
+
+    monkeypatch.setattr(matrix_walk, "_lanczos_direction", recording)
+    return calls
+
+
+def weighted_gram(rows, weights, active):
+    """Reference G = sum_i (w_i / sum w) a_i a_i^T over the active coordinates."""
+    a = rows[:, active]
+    return (a.T * (weights / np.sum(weights))) @ a
+
+
+def within(quad, bound):
+    return quad <= bound * (1.0 + 1e-9) + 1e-12
 
 
 class TestDirectionInOldSubspace:
     """y is a unit vector in null(R) for the stacked rows R, its quadratic
-    term is the smallest Ritz value, and the certificate holds."""
+    term on Q = N (+ (b_N / b_G) G) is the smallest Ritz value, and each
+    side's certificate holds."""
 
     @pytest.mark.parametrize("combined", [False, True])
-    def test_first_iterations(self, combined):
+    def test_first_iterations(self, combined, lanczos_calls):
         # n(n+1) > m: N has full rank, so the certificate is not met at 0
         m, n = 48, 8
         rng = np.random.default_rng(41)
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41), rng.uniform(0.5, 1, m))
         extra = rng.normal(size=(m // 10, m))
+        sixth = lambda mt: int(np.ceil(mt / 6.0))
+        vec_rows = rng.normal(size=(96, m))
+        vec_rows /= np.linalg.norm(vec_rows, axis=1)[:, None]
         if combined:
             # resist's side set: keep 5/6 of N, 1/6 vector-side budgets
-            sixth = lambda mt: int(np.ceil(mt / 6.0))
             matrix = _MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0)))
-            vec_rows = rng.normal(size=(96, m))
-            vec_rows /= np.linalg.norm(vec_rows, axis=1)[:, None]
             sides = [_Recorder(matrix), _Recorder(_VectorSide(vec_rows, sixth, sixth))]
         else:
             matrix = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
             sides = [_Recorder(matrix)]
         _walk_loop(m, sides, extra, True, None)
         for it in range(6):
-            mat = sides[0].calls[it]
+            mat, search = sides[0].calls[it], lanczos_calls[it]
             y, x, active = mat["y"], mat["x"], mat["active"]
             y_act = y[active]
             m_t = len(active)
@@ -257,17 +288,28 @@ class TestDirectionInOldSubspace:
             rows = [restricted / np.linalg.norm(restricted, axis=1)[:, None], *mat["rows"]]
             if np.linalg.norm(x[active]) > 0.0:
                 rows.append(x[None, active] / np.linalg.norm(x[active]))
+            n_mat = mat["quad"]
+            n_bound = np.trace(n_mat) / (m_t - mat["keep"] + 1)
+            assert within(float(y_act @ n_mat @ y_act), n_bound)
             if combined:
                 vec = sides[1].calls[it]
                 assert np.array_equal(vec["y"], y)
                 assert vec["rows"]
                 rows.extend(vec["rows"])
+                gram = weighted_gram(vec_rows, vec["weights"], active)
+                g_bound = np.trace(gram) / (sixth(m_t) + 1)
+                assert within(float(y_act @ gram @ y_act), g_bound)
+                assert np.allclose(search["quad"], n_mat + (n_bound / g_bound) * gram,
+                                   rtol=1e-9, atol=1e-12 * np.trace(n_mat))
+            else:
+                # one side: the search runs on N itself
+                assert search["quad"] is n_mat and search["bound"] == mat["bound"]
             stacked = np.vstack(rows)
             assert np.max(np.abs(stacked @ y_act)) <= 1e-9
-            quad = float(y_act @ mat["n"] @ y_act)
-            assert abs(quad - mat["ritz"]) <= 1e-12 * max(1.0, abs(quad))
-            assert quad <= np.trace(mat["n"]) / (m_t - mat["keep"] + 1)
-            assert quad >= min_on_null(mat["n"], [stacked], m_t) - 1e-12
+            quad = float(y_act @ search["quad"] @ y_act)
+            assert abs(quad - search["ritz"]) <= 1e-12 * max(1.0, abs(quad))
+            assert search["ritz"] <= search["bound"]
+            assert quad >= min_on_null(search["quad"], [stacked], m_t) - 1e-12
 
 
 class TestWalkInvariantChecks:
@@ -279,12 +321,32 @@ class TestWalkInvariantChecks:
         side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
         x = np.linspace(-0.3, 0.3, m)
         side.rows(x, np.arange(m))
-        low = side.direction(np.zeros((0, m)), np.arange(m))
+        low, _, _ = direction(side, np.zeros((0, m)), m)
         side.step_cap(low)
         side.observe(low, low, 0.0, None)
-        top = np.linalg.eigh(side._n)[1][:, -1]
+        top = np.linalg.eigh(side.quad)[1][:, -1]
         side.step_cap(top)
         with pytest.raises(WalksparseError, match="y\\^T N y"):
+            side.observe(top, top, 0.0, None)
+
+    def test_vector_quadratic_slack(self):
+        # rows clustered around one direction: G's top eigenvalue is far
+        # above tr G / (cut + 1)
+        m = 40
+        rng = np.random.default_rng(59)
+        rows = rng.normal(size=(120, m)) + 4.0 * rng.normal(size=m)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        tenth = lambda mt: int(np.ceil(mt / 10.0))
+        side = _VectorSide(rows, heavy_count=tenth, cut_count=tenth)
+        x = np.linspace(-0.3, 0.3, m)
+        stacked = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))]
+        low, _, _ = direction(side, row_span(stacked), m)
+        side.step_cap(low)
+        side.observe(low, low, 0.0, None)
+        top = np.linalg.eigh(side.quad)[1][:, -1]
+        assert float(top @ side.quad @ top) > 2.0 * side.bound
+        side.step_cap(top)
+        with pytest.raises(WalksparseError, match="y\\^T G y"):
             side.observe(top, top, 0.0, None)
 
     def test_constraint_residual(self, monkeypatch):
@@ -296,12 +358,26 @@ class TestWalkInvariantChecks:
         with pytest.raises(WalksparseError, match="constraint residual"):
             partial_color(fam, h)
 
-    def test_second_matrix_side_rejected(self):
-        m = 24
-        fam = MatrixFamily.from_rank_one(projection_vectors(4, m, seed=53))
-        sides = [_MatrixSide(fam, keep_count=lambda mt: mt // 3) for _ in range(2)]
-        with pytest.raises(InvalidInput, match="at most one matrix side"):
-            _walk_loop(m, sides, np.zeros((0, m)), True, None)
+    def test_two_matrix_sides_each_certificate_holds(self):
+        # Q = N_1 + (b_1 / b_2) N_2: one Ritz bound meets both sides' bounds,
+        # and each side's observe checks its own
+        # n(n+1) > m: neither N has a large kernel
+        m, n = 48, 8
+        keep = lambda mt: mt - mt // 6
+        sides = [
+            _Recorder(_MatrixSide(MatrixFamily.from_rank_one(projection_vectors(n, m, seed)), keep))
+            for seed in (53, 54)
+        ]
+        x = _walk_loop(m, sides, np.zeros((0, m)), True, None)
+        assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
+        assert len(sides[0].calls) == len(sides[1].calls) > 0
+        for first, second in zip(*(side.calls for side in sides)):
+            y = first["y"][first["active"]]
+            for call in (first, second):
+                m_t = len(call["active"])
+                quad = float(y @ call["quad"] @ y)
+                assert 0.0 < quad
+                assert within(quad, np.trace(call["quad"]) / (m_t - call["keep"] + 1))
 
 
 class TestPartialColor:
@@ -424,7 +500,30 @@ class TestCombinedWalk:
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
         assert log.iterations > 0
         assert len(log.step_norm) == len(log.m_t) == len(log.phi) == log.iterations
+        assert len(log.quad_term) == len(log.gram_term) == log.iterations
         assert max(log.step_norm) <= 0.5 + 1e-9
+
+    def test_every_iteration_meets_both_certificates(self):
+        # y^T N y <= tr N/(m_t - keep + 1) and y^T G y <= tr G/(cut + 1), with G
+        # rebuilt from the recorded weights
+        m, n = 48, 4
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=37))
+        rng = np.random.default_rng(37)
+        rows = rng.normal(size=(96, m))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        sixth = lambda mt: int(np.ceil(mt / 6.0))
+        mat, vec = sides = [
+            _Recorder(_MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0)))),
+            _Recorder(_VectorSide(rows, heavy_count=sixth, cut_count=sixth)),
+        ]
+        _walk_loop(m, sides, np.zeros((0, m)), True, None)
+        assert len(mat.calls) == len(vec.calls) > 0
+        for mc, vc in zip(mat.calls, vec.calls):
+            active = mc["active"]
+            y, m_t = mc["y"][active], len(active)
+            assert within(float(y @ mc["quad"] @ y), np.trace(mc["quad"]) / (m_t - mc["keep"] + 1))
+            gram = weighted_gram(rows, vc["weights"], active)
+            assert within(float(y @ gram @ y), np.trace(gram) / (sixth(m_t) + 1))
 
 
 def drive_full_coloring(mats):

@@ -5,7 +5,7 @@ import pytest
 
 from walksparse import linalg
 from walksparse.errors import InvalidInput
-from walksparse.matrix_walk import WalkLog, _VectorSide
+from walksparse.matrix_walk import WalkLog, _lanczos_direction, _VectorSide
 from walksparse.vector_walk import (
     default_lambda0,
     discrepancy_ratios,
@@ -70,28 +70,32 @@ class TestSubspace:
         assert np.max(np.abs(basis[:heavy, :])) <= 1e-9
 
     def test_random_constraints_orthogonality(self):
+        # the walk's direction for these rows: orthogonal to x, the gradient
+        # and the heavy rows, and certified y^T G y <= tr G/(cut + 1)
         m, k = 50, 200
         rows = gaussian_rows(k, m, seed=5)
         rng = np.random.default_rng(6)
         x = 0.3 * rng.uniform(-1, 1, size=m)
-        sub = update_subspace(tenth_side(rows), x)
+        side = tenth_side(rows)
+        stacked = np.vstack([x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))])
+        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+        w = vt[: int(np.sum(s > linalg.ZERO_RTOL * s[0]))]
+        y, _, _ = _lanczos_direction(side.quad, side.bound, w, m, np.arange(m))
         lam = default_lambda0(k, m)
-        w = np.exp(lam * rows @ x - lam**2)
-        grad = w @ rows
-        order = np.lexsort((np.arange(k), -w))
+        weights = np.exp(lam * rows @ x - lam**2)
+        grad = weights @ rows
+        order = np.lexsort((np.arange(k), -weights))
         heavy = order[: int(np.ceil(m / 10.0))]
-        basis = sub.basis()
-        for y in basis.T:
-            assert abs(np.dot(y, x)) <= 1e-9
-            assert abs(np.dot(grad, y)) <= 1e-9 * max(1.0, np.linalg.norm(grad))
-            assert np.max(np.abs(rows[heavy] @ y)) <= 1e-9
-        # members live in the low eigenspace of the weighted second moment
-        scaled = np.sqrt(w / np.sum(w))[:, None] * rows
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-9
+        assert abs(np.dot(y, x)) <= 1e-9
+        assert abs(np.dot(grad, y)) <= 1e-9 * max(1.0, np.linalg.norm(grad))
+        assert np.max(np.abs(rows[heavy] @ y)) <= 1e-9
+        # reference weighted second moment
+        scaled = np.sqrt(weights / np.sum(weights))[:, None] * rows
         w_gram = scaled.T @ scaled
-        _, vecs = linalg.eigh(w_gram)
         cut = int(np.ceil(m / 10.0))
-        top = vecs[:, m - cut :]
-        assert np.max(np.abs(top.T @ basis)) <= 1e-9
+        assert float(y @ w_gram @ y) <= np.trace(w_gram) / (cut + 1)
+        assert np.allclose(side.quad, w_gram, rtol=0.0, atol=1e-14)
 
 
 class TestVectorPartialColor:
@@ -116,6 +120,9 @@ class TestVectorPartialColor:
         assert float(np.max(ratios)) <= bound
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
         assert max(log.step_norm) <= 0.5 + 1e-9
+        # every iteration's y^T G y <= tr G/(cut + 1) ||y||^2, as observe checked it
+        assert len(log.gram_term) == len(log.gram_bound) == log.iterations
+        assert all(q <= b * (1.0 + 1e-9) for q, b in zip(log.gram_term, log.gram_bound))
 
     def test_membership_in_extra(self):
         m = 40
@@ -128,6 +135,14 @@ class TestVectorPartialColor:
     def test_deterministic(self):
         a = gaussian_rows(60, 30, seed=13)
         assert np.array_equal(vector_partial_color(a), vector_partial_color(a))
+
+    def test_reruns_identical_in_one_process(self):
+        # the Lanczos starts are drawn per call, so a walk of another size in
+        # between changes nothing
+        a = gaussian_rows(120, 40, seed=14)
+        x1 = vector_partial_color(a)
+        vector_partial_color(gaussian_rows(60, 30, seed=13))
+        assert np.array_equal(x1, vector_partial_color(a))
 
     def test_k_less_than_m_rejected(self):
         with pytest.raises(InvalidInput):
