@@ -9,6 +9,7 @@ and supports are measured by `walksparse.verify` on the output graph.
 import numpy as np
 
 from walksparse import verify
+from walksparse.errors import SubspaceExhausted
 from walksparse.graph import Graph
 from walksparse.sparsify import SparsifyOptions, spectral_sparsify, uc_sparsify
 
@@ -25,7 +26,7 @@ def main():
     for eps, c in [(0.5, 1024.0), (0.45, 1.5), (0.45, 1.0), (0.4, 1.0)]:
         try:
             res = spectral_sparsify(g, eps, SparsifyOptions(c_support=c))
-        except Exception as exc:  # SubspaceExhausted at overly tight thresholds
+        except SubspaceExhausted as exc:  # overly tight thresholds
             print(f"{eps:>6} {c:>6} {'-':>8} stopped: {exc}")
             continue
         rep = verify.check_spectral(g, res.graph, target=eps)

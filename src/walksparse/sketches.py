@@ -35,7 +35,7 @@ from .matrix_walk import (
     _walk_loop,
     default_lambda0,
 )
-from .sparsify import PipelineResult, _union_pieces, degree_rows, halve_support
+from .sparsify import PipelineResult, _union_pieces, degree_rows, halve, halve_support
 from .vector_walk import discrepancy_ratios, prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
@@ -199,7 +199,7 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
-    return _halve(g, kvecs, lam, n_eff * f_factor / eps)
+    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps)
 
 
 def sketch(g, kvecs, eps, options=None):
@@ -227,7 +227,9 @@ def resistance_pairs(g):
 
 
 def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
-    """One halving round of the walk on a piece; returns (s_new, diagnostics).
+    """One halving round of the walk on a piece; returns (s_new, diagnostics),
+    or the stop reason when the freeze sets leave too few movable edges or
+    the walk raises SubspaceExhausted.
 
     The vector side steers the recentered constraints a_z.  Given lph =
     L^{+/2}, the matrix side also steers {(1/2) s(e) L^{+/2} b_e b_e^T L^{+/2}}
@@ -239,7 +241,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     m_r = len(support)
     e0, e1, es = freeze_sets(piece, s)
     if len(es) < int(np.ceil(m_r / 4.0)):
-        raise SubspaceExhausted("freeze sets leave too few movable edges")
+        return "walk stopped: freeze sets leave too few movable edges"
     a_rows = _constraint_matrix(zbar, piece, s, support, es)
     diag = RoundDiagnostics(support=m_r, frozen_sets=(len(e0), len(e1), len(es)))
     diag.norm_chain_margin = _check_norm_chain(a_rows, zbar_d, n_eff, m_r)
@@ -258,7 +260,10 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
         keep = lambda mt: mt - int(np.floor(cut * mt))
         sides.insert(0, _MatrixSide(family, keep_count=keep))
     wlog = WalkLog()
-    x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
+    try:
+        x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
+    except SubspaceExhausted as exc:
+        return f"walk stopped: {exc}"
     diag.walk_iterations = wlog.iterations
     diag.identity_residual = _check_identity(
         piece, kvecs, a_rows, x_sub, s, support, zbar_d
@@ -269,22 +274,18 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     return s_new, diag
 
 
-def _halve(piece, kvecs, lam2, threshold, lph=None):
-    """Halving rounds on one piece until its support is at most threshold,
-    as a one-piece result."""
+def _sketch_piece(piece, kvecs, lam2, threshold, lph=None):
+    """`halve` with `_combined_round` on one piece until its support is at
+    most threshold, as a one-piece result."""
     n_eff = max(1, len(piece.non_isolated()))
     zbar = shift_center(kvecs, piece)
     zbar_d = (zbar**2) @ piece.weighted_degrees()
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
-    s = np.ones(piece.m)
-    diagnostics, stopped = [], None
-    while np.count_nonzero(s) > threshold:
-        try:
-            s, diag = _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff)
-        except SubspaceExhausted as exc:
-            stopped = f"walk stopped: {exc}"
-            break
-        diagnostics.append(diag)
+    s, diagnostics, stopped = halve(
+        np.ones(piece.m),
+        threshold,
+        lambda s: _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff),
+    )
     return PipelineResult(piece.reweighted(s), len(diagnostics), stopped, 1, diagnostics)
 
 
@@ -309,7 +310,7 @@ def resistance_sparsify(g, eps, options=None):
             / (max(lam, 1e-12) * eps)
         )
         lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
-        return _halve(piece, kvecs, lam, threshold, lph)
+        return _sketch_piece(piece, kvecs, lam, threshold, lph)
 
     pieces = graph_mod.expander_decompose(g, options.phi_target)
     return _union_pieces(g, [(p, range(g.n)) for p in pieces], run)

@@ -1,4 +1,4 @@
-"""Halving sparsification loop and its graph instantiations.
+"""Halving driver `halve`, the halving loop `sparsify` and its graph instantiations.
 
 `sparsify` turns the partial-coloring walk into a sparse nonnegative
 reweighting: starting from s = 1, each round runs the walk on the scaled
@@ -85,8 +85,9 @@ def sparsify(family, h, eps, options=None):
     """Sparse reweighting s with |supp(s)| <= c_support * n / eps^2.
 
     family members must be PSD with sum A_i <= I; h is a Subspace of the
-    coloring space containing s - 1 on exit.  Returns (Reweighting, info)
-    where info carries the measured operator-norm error ||A(s) - A(1)||.
+    coloring space containing s - 1 on exit.  Runs `halve` with
+    `_matrix_round`.  Returns (Reweighting, info) where info carries the
+    measured operator-norm error ||A(s) - A(1)|| and the stop reason.
     Raises SubspaceExhausted when the per-round restricted subspace drops
     below (4/5) of the support size.
     """
@@ -102,52 +103,62 @@ def sparsify(family, h, eps, options=None):
         raise InvalidInput(f"sum of the family members has norm {top:.6f} > 1")
 
     info = SparsifyInfo(threshold=options.c_support * n / eps**2)
-    s = np.ones(m)
-    m_min = _WALK.m_min
-    while np.count_nonzero(s) > info.threshold:
-        support = np.flatnonzero(s)
-        m_r = len(support)
-        if m_r < m_min:
-            info.stopped_early = f"support {m_r} below walk minimum {m_min}"
-            break
-        agg = max(
-            float(linalg.eigvalsh(b.aggregate(s))[-1]) for b in family.blocks
-        )
-        if agg > 2.0 + 1e-6:
-            raise WalksparseError(
-                f"loop invariant failed: lambda_max(sum s_i A_i) = {agg:.6f} > 2"
-            )
-        sub_family = family.scaled(0.5 * s).restricted(support)
-        scaled_rows = (h.complement_rows * s[None, :])[:, support]
-        h_sub = linalg.nullspace(scaled_rows, m=m_r)
-        if h_sub.dim < 0.8 * m_r - 1e-9:
-            raise SubspaceExhausted(
-                f"restricted subspace dim {h_sub.dim} < (4/5) m_t = {0.8 * m_r:.1f}; "
-                "raise c_support"
-            )
-        x_sub = partial_color(sub_family, h_sub, options=_WALK)
-        s_new, x = halve_support(s, support, x_sub)
-        info.round_norms.append(family.aggregate_norm(x * s))
-        s = s_new
-        info.rounds += 1
-        info.round_supports.append(int(np.count_nonzero(s)))
-        if info.round_supports[-1] > m_r - int(np.ceil(m_r / 8.0)):
-            raise WalksparseError(
-                f"support only dropped {m_r - info.round_supports[-1]} "
-                f"of the required {int(np.ceil(m_r / 8.0))}"
-            )
-        if h.complement_rows.shape[0]:
-            diff = s - 1.0
-            resid = float(np.linalg.norm(h.complement_rows @ diff))
-            if resid > 1e-7 * max(1.0, float(np.linalg.norm(diff))):
-                raise WalksparseError(
-                    f"reweighting left the constraint subspace: residual {resid:.3e}"
-                )
-
+    s, records, info.stopped_early = halve(
+        np.ones(m), info.threshold, lambda s: _matrix_round(family, h, s)
+    )
+    info.rounds = len(records)
+    info.round_norms = [norm for norm, _ in records]
+    info.round_supports = [size for _, size in records]
     info.measured_eps = family.aggregate_norm(s - 1.0)
-    if h.complement_rows.shape[0]:
-        info.subspace_residual = float(np.linalg.norm(h.complement_rows @ (s - 1.0)))
+    info.subspace_residual = float(np.linalg.norm(h.complement_rows @ (s - 1.0)))
     return Reweighting(s), info
+
+
+def _matrix_round(family, h, s):
+    """One walk on {s(i)/2 * A_i} over the support, keeping s - 1 in h;
+    returns (s_new, (round norm, new support size)) or, below the walk
+    minimum, the stop reason.  `partial_color` checks sum_i s(i) A_i <= 2I."""
+    support = np.flatnonzero(s)
+    m_r = len(support)
+    if m_r < _WALK.m_min:
+        return f"support {m_r} below walk minimum {_WALK.m_min}"
+    scaled_rows = (h.complement_rows * s[None, :])[:, support]
+    h_sub = linalg.nullspace(scaled_rows, m=m_r)
+    if h_sub.dim < 0.8 * m_r - 1e-9:
+        raise SubspaceExhausted(
+            f"restricted subspace dim {h_sub.dim} < (4/5) m_t = {0.8 * m_r:.1f}; "
+            "raise c_support"
+        )
+    x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, options=_WALK)
+    s_new, x = halve_support(s, support, x_sub)
+    diff = s_new - 1.0
+    resid = float(np.linalg.norm(h.complement_rows @ diff))
+    if resid > 1e-7 * max(1.0, float(np.linalg.norm(diff))):
+        raise WalksparseError(f"reweighting left the constraint subspace: residual {resid:.3e}")
+    return s_new, (family.aggregate_norm(x * s), int(np.count_nonzero(s_new)))
+
+
+def halve(s, threshold, round_fn):
+    """The halving driver of every pipeline: rounds until at most threshold
+    entries of s are nonzero.
+
+    round_fn(s) returns (s_new, record), or a stop reason (a str) that ends
+    the loop when the round cannot start.  A round that zeroes fewer than
+    ceil(m_r / 8) of its m_r support entries raises WalksparseError.
+    Returns (s, records, stop_reason), stop_reason None at the threshold.
+    """
+    records = []
+    while (m_r := np.count_nonzero(s)) > threshold:
+        out = round_fn(s)
+        if isinstance(out, str):
+            return s, records, out
+        s_new, record = out
+        dropped, need = m_r - np.count_nonzero(s_new), int(np.ceil(m_r / 8.0))
+        if dropped < need:
+            raise WalksparseError(f"support only dropped {dropped} of the required {need}")
+        s = s_new
+        records.append(record)
+    return s, records, None
 
 
 def halve_support(s, support, x_sub):

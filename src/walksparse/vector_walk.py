@@ -52,11 +52,7 @@ def vector_partial_color(vectors, extra=None, log=None):
     a = np.asarray(vectors, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
-    if a.shape[0] and not np.all(np.isfinite(a)):
-        raise InvalidInput("constraint vectors have non-finite entries")
     m = a.shape[1] if extra is None else extra.ambient_dim
-    if a.shape[0] and extra is not None and a.shape[1] != m:
-        raise InvalidInput("constraint length does not match the subspace ambient dim")
     if a.shape[0] < m:
         raise InvalidInput(f"need at least m={m} constraint vectors, got {a.shape[0]}")
     unit = prepare_constraints(a, m)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,17 +111,6 @@ def _degree_deviation(g, g_tilde):
     )
 
 
-def _with_graph_fields(report, g, g_tilde):
-    return ApproxReport(
-        kind=report.kind,
-        target=report.target,
-        measured_eps=report.measured_eps,
-        kernel_ok=report.kernel_ok,
-        degree_max_dev=_degree_deviation(g, g_tilde),
-        support_size=g_tilde.m,
-    )
-
-
 def check_spectral(g, g_tilde, target):
     """Relative spectral error ||L^{+/2}(L - L_hat)L^{+/2}|| of a reweighted
     subgraph, plus degree preservation."""
@@ -129,7 +118,7 @@ def check_spectral(g, g_tilde, target):
     rep = check_matrix_approx(
         lap, g_tilde.laplacian(), lap, lap, target, kind="spectral", support_size=g_tilde.m
     )
-    return _with_graph_fields(rep, g, g_tilde)
+    return replace(rep, degree_max_dev=_degree_deviation(g, g_tilde))
 
 
 def check_uc_undirected(g, g_tilde, target):
@@ -182,7 +171,7 @@ def check_sv(g, g_tilde, target):
         kind="sv",
         support_size=g_tilde.m,
     )
-    return _with_graph_fields(rep, g, g_tilde)
+    return replace(rep, degree_max_dev=_degree_deviation(g, g_tilde))
 
 
 def check_sketch(g, g_tilde, vectors, target):

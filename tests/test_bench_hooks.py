@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from conftest import complete_graph
-from walksparse import sketches
+from walksparse import sketches, sparsify
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -53,3 +53,39 @@ def test_sketch_walk_makes_one_svd_per_iteration(monkeypatch):
     sketches.sketch(complete_graph(16), kvecs, 0.5)
     assert walks and all(iterations > 0 for _, iterations in walks)
     assert all(made == iterations for made, iterations in walks)
+
+
+def counting(monkeypatch, module, attr):
+    """Replace module.attr with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_rounds_call_the_patched_names(monkeypatch):
+    # bench/spans.py counts sparsify.rounds as partial_color calls and
+    # sketches.rounds as _combined_round calls, looked up through these
+    # module globals at call time; a round that returns its stop reason
+    # is one call more than the rounds that ran
+    walks = counting(monkeypatch, sparsify, "partial_color")
+    res = sparsify.spectral_sparsify(
+        complete_graph(16), 0.45, sparsify.SparsifyOptions(c_support=1.0)
+    )
+    assert res.rounds > 0 and len(walks) == res.rounds
+
+    rounds = counting(monkeypatch, sketches, "_combined_round")
+    kvecs = np.random.default_rng(0).normal(size=(30, 12))
+    for run in (
+        lambda: sketches.sketch(complete_graph(12), kvecs, 1.5),
+        lambda: sketches.resistance_sparsify(complete_graph(12), 1.9),
+    ):
+        rounds.clear()
+        res = run()
+        assert res.pieces == 1 and res.rounds > 0
+        assert len(rounds) == res.rounds + (res.stopped_early is not None)

@@ -13,8 +13,8 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
-from walksparse import linalg, verify
-from walksparse.errors import InvalidInput
+from walksparse import linalg, sketches, verify
+from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.sketches import (
     SketchOptions,
@@ -228,3 +228,33 @@ class TestResistance:
         b = np.zeros(8)
         b[0], b[3] = 1.0, -1.0
         assert abs(b @ ldag @ b - 2.0 / 8.0) <= 1e-9
+
+
+class TestHalvingStops:
+    def test_sketch_stops_when_update_subspace_is_empty(self):
+        g = complete_graph(12)
+        kvecs = np.random.default_rng(0).normal(size=(30, 12))
+        res = sketch_expander(g, kvecs, 1.5)
+        assert res.rounds == 7 and res.graph.m == 20
+        assert res.stopped_early.startswith("walk stopped: update subspace is empty")
+        assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
+
+    def test_resistance_stops_when_update_subspace_is_empty(self):
+        res = resistance_sparsify(complete_graph(12), 1.9)
+        assert res.rounds == 4 and res.graph.m == 21
+        assert res.stopped_early.startswith("walk stopped: update subspace is empty")
+
+    def test_round_that_freezes_nothing_raises(self, monkeypatch):
+        # a walk that returns x = 0 leaves s unchanged; `halve` must reject
+        # the round instead of repeating it
+        calls = []
+
+        def frozen_nothing(m, sides, extra_rows, adaptive_steps, log):
+            calls.append(m)
+            assert len(calls) == 1, "the halving loop repeated a round that zeroed nothing"
+            return np.zeros(m)
+
+        monkeypatch.setattr(sketches, "_walk_loop", frozen_nothing)
+        kvecs = np.random.default_rng(0).normal(size=(30, 12))
+        with pytest.raises(WalksparseError, match="support only dropped 0"):
+            sketch_expander(complete_graph(12), kvecs, 1.5)

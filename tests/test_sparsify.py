@@ -306,3 +306,13 @@ class TestSvSparsify:
         rep = verify.check_sv(g, res.graph, target=2.0)
         assert rep.kernel_ok
         assert rep.degree_max_dev <= 1e-6
+
+
+class TestHalvingStops:
+    def test_stops_below_walk_minimum(self):
+        # K_10 has 45 edges; one round leaves 38, below the walk minimum of 40
+        fam = spectral_family(complete_graph(10))
+        rew, info = sparsify(fam, Subspace.full(45), 0.5, SparsifyOptions(c_support=0.05))
+        assert info.rounds == 1 and info.round_supports == [38]
+        assert rew.support_size == 38
+        assert info.stopped_early == "support 38 below walk minimum 40"
