@@ -30,7 +30,7 @@ def main():
             print(f"{eps:>6} {c:>6} {'-':>8} stopped: {exc}")
             continue
         rep = verify.check_spectral(g, res.graph, target=eps)
-        print(f"{eps:>6} {c:>6} {res.diagnostics[0].threshold:>8.1f} {res.rounds:>6} "
+        print(f"{eps:>6} {c:>6} {c * g.n / eps**2:>8.1f} {res.rounds:>6} "
               f"{rep.support_size:>5} {rep.measured_eps:>9.4f} {rep.degree_max_dev:>9.2e}")
 
     print()

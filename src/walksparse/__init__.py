@@ -14,7 +14,6 @@ from .matrix_walk import DoubledFamily, MatrixFamily, WalkLog, WalkOptions, part
 from .sketches import SketchOptions, resistance_sparsify, sketch, sketch_expander
 from .sparsify import (
     PipelineResult,
-    Reweighting,
     SparsifyOptions,
     degree_subspace,
     spectral_sparsify,
@@ -41,7 +40,6 @@ __all__ = [
     "NotPSD",
     "ParseError",
     "PipelineResult",
-    "Reweighting",
     "SketchOptions",
     "SparsifyOptions",
     "StepTooLarge",

@@ -80,29 +80,33 @@ def serialize_graph(g):
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path):
+def _read_text(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def load_graph(path):
+    return parse_edge_list(_read_text(path))
 
 
 def load_vectors(path, n):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                vals = [float(t) for t in line.split()]
-            except ValueError:
-                raise ParseError("malformed vector line", line=lineno) from None
-            if not np.all(np.isfinite(vals)):
-                raise ParseError("non-finite vector entry", line=lineno)
-            if len(vals) != n:
-                raise ParseError(
-                    f"vector of length {len(vals)}, expected {n}", line=lineno
-                )
-            rows.append(vals)
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            vals = [float(t) for t in line.split()]
+        except ValueError:
+            raise ParseError("malformed vector line", line=lineno) from None
+        if not np.all(np.isfinite(vals)):
+            raise ParseError("non-finite vector entry", line=lineno)
+        if len(vals) != n:
+            raise ParseError(f"vector of length {len(vals)}, expected {n}", line=lineno)
+        rows.append(vals)
     if not rows:
         raise ParseError("vector file is empty")
     return np.asarray(rows)

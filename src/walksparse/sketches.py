@@ -80,7 +80,7 @@ def freeze_sets(g, s):
     support-degree at most m/(10 n); Es is everything else.  The three
     index arrays partition supp(s), and |E0| <= m/5, |E1| <= m/10.
     """
-    s = np.asarray(getattr(s, "s", s), dtype=float)
+    s = np.asarray(s, dtype=float)
     if s.shape != (g.m,):
         raise InvalidInput("reweighting length mismatch")
     u, v, _ = g.edge_arrays()
@@ -194,7 +194,7 @@ def sketch_expander(g, kvecs, eps):
     if kvecs.shape[0] < n_eff:
         raise InvalidInput(f"need at least n={n_eff} constraint vectors")
     if g.m == 0:
-        return PipelineResult(g, 0, None, 1, [])
+        return PipelineResult(g, None, 1, [])
     if sum(len(c) > 1 for c in g.connected_components()) > 1:
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
@@ -269,7 +269,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
         piece, kvecs, a_rows, x_sub, s, support, zbar_d
     )
     diag.walk_discrepancy = float(np.max(discrepancy_ratios(a_rows, x_sub), initial=0.0))
-    s_new, _ = halve_support(s, support, x_sub)
+    s_new = halve_support(s, support, x_sub)
     diag.degree_dev = _check_degrees_preserved(piece, s_new)
     return s_new, diag
 
@@ -286,7 +286,7 @@ def _sketch_piece(piece, kvecs, lam2, threshold, lph=None):
         threshold,
         lambda s: _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff),
     )
-    return PipelineResult(piece.reweighted(s), len(diagnostics), stopped, 1, diagnostics)
+    return PipelineResult(piece.reweighted(s), stopped, 1, diagnostics)
 
 
 def resistance_sparsify(g, eps, options=None):

@@ -17,7 +17,7 @@ with the degree subspace forcing exact weighted-degree preservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +25,6 @@ from . import graph as graph_mod
 from . import linalg
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import MatrixFamily, Rank1Block, WalkOptions, partial_color
-
-
-@dataclass
-class Reweighting:
-    """Nonnegative reweighting with explicit support (exact zeros)."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        if np.any(self.s < 0):
-            raise InvalidInput("reweighting must be nonnegative")
-
-    @property
-    def support(self):
-        return np.flatnonzero(self.s)
-
-    @property
-    def support_size(self):
-        return int(np.count_nonzero(self.s))
 
 
 # the halving rounds take the largest admissible walk steps
@@ -57,17 +37,6 @@ class SparsifyOptions:
     support size."""
 
     c_support: float = 1024.0
-
-
-@dataclass
-class SparsifyInfo:
-    rounds: int = 0
-    threshold: float = 0.0
-    measured_eps: float = 0.0
-    subspace_residual: float = 0.0
-    round_norms: list = field(default_factory=list)
-    round_supports: list = field(default_factory=list)
-    stopped_early: str | None = None
 
 
 def _validate_psd_family(family):
@@ -86,10 +55,9 @@ def sparsify(family, h, eps, options=None):
 
     family members must be PSD with sum A_i <= I; h is a Subspace of the
     coloring space containing s - 1 on exit.  Runs `halve` with
-    `_matrix_round`.  Returns (Reweighting, info) where info carries the
-    measured operator-norm error ||A(s) - A(1)|| and the stop reason.
-    Raises SubspaceExhausted when the per-round restricted subspace drops
-    below (4/5) of the support size.
+    `_matrix_round` and returns its (s, records, stop_reason), one record
+    per round: the support size after it.  Raises SubspaceExhausted when
+    the per-round restricted subspace drops below (4/5) of the support size.
     """
     options = options or SparsifyOptions()
     if not (0.0 < eps <= 0.5):
@@ -101,23 +69,14 @@ def sparsify(family, h, eps, options=None):
     top = family.aggregate_norm(np.ones(m))
     if top > 1.0 + 1e-8:
         raise InvalidInput(f"sum of the family members has norm {top:.6f} > 1")
-
-    info = SparsifyInfo(threshold=options.c_support * n / eps**2)
-    s, records, info.stopped_early = halve(
-        np.ones(m), info.threshold, lambda s: _matrix_round(family, h, s)
-    )
-    info.rounds = len(records)
-    info.round_norms = [norm for norm, _ in records]
-    info.round_supports = [size for _, size in records]
-    info.measured_eps = family.aggregate_norm(s - 1.0)
-    info.subspace_residual = float(np.linalg.norm(h.complement_rows @ (s - 1.0)))
-    return Reweighting(s), info
+    threshold = options.c_support * n / eps**2
+    return halve(np.ones(m), threshold, lambda s: _matrix_round(family, h, s))
 
 
 def _matrix_round(family, h, s):
     """One walk on {s(i)/2 * A_i} over the support, keeping s - 1 in h;
-    returns (s_new, (round norm, new support size)) or, below the walk
-    minimum, the stop reason.  `partial_color` checks sum_i s(i) A_i <= 2I."""
+    returns (s_new, new support size) or, below the walk minimum, the stop
+    reason.  `partial_color` checks sum_i s(i) A_i <= 2I."""
     support = np.flatnonzero(s)
     m_r = len(support)
     if m_r < _WALK.m_min:
@@ -130,12 +89,12 @@ def _matrix_round(family, h, s):
             "raise c_support"
         )
     x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, options=_WALK)
-    s_new, x = halve_support(s, support, x_sub)
+    s_new = halve_support(s, support, x_sub)
     diff = s_new - 1.0
     resid = float(np.linalg.norm(h.complement_rows @ diff))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(diff))):
         raise WalksparseError(f"reweighting left the constraint subspace: residual {resid:.3e}")
-    return s_new, (family.aggregate_norm(x * s), int(np.count_nonzero(s_new)))
+    return s_new, int(np.count_nonzero(s_new))
 
 
 def halve(s, threshold, round_fn):
@@ -143,8 +102,9 @@ def halve(s, threshold, round_fn):
     entries of s are nonzero.
 
     round_fn(s) returns (s_new, record), or a stop reason (a str) that ends
-    the loop when the round cannot start.  A round that zeroes fewer than
-    ceil(m_r / 8) of its m_r support entries raises WalksparseError.
+    the loop when the round cannot start.  A round that leaves a negative
+    entry, or zeroes fewer than ceil(m_r / 8) of its m_r support entries,
+    raises WalksparseError.
     Returns (s, records, stop_reason), stop_reason None at the threshold.
     """
     records = []
@@ -153,6 +113,8 @@ def halve(s, threshold, round_fn):
         if isinstance(out, str):
             return s, records, out
         s_new, record = out
+        if np.any(s_new < 0):
+            raise WalksparseError("a round left a negative weight")
         dropped, need = m_r - np.count_nonzero(s_new), int(np.ceil(m_r / 8.0))
         if dropped < need:
             raise WalksparseError(f"support only dropped {dropped} of the required {need}")
@@ -165,14 +127,13 @@ def halve_support(s, support, x_sub):
     """One halving update from a coloring x_sub of the support.
 
     Flips x so no more of its frozen coordinates sit at +1 than at -1, then
-    sets s(i) <- s(i)(1 + x(i)).  Returns (s_new, x) with x the flipped
-    coloring in full coordinates.
+    sets s(i) <- s(i)(1 + x(i)) on the support.
     """
     if np.count_nonzero(x_sub == 1.0) > np.count_nonzero(x_sub == -1.0):
         x_sub = -x_sub
     x = np.zeros(len(s))
     x[support] = x_sub
-    return s * (1.0 + x), x
+    return s * (1.0 + x)
 
 
 def degree_rows(g, s):
@@ -203,38 +164,40 @@ class PipelineResult:
 
     The pieces are connected components (spectral, uc), expander pieces of
     the bipartite lift (sv) or expander pieces of the graph (sketch,
-    resist).  rounds adds up the halving rounds of the pieces,
-    stopped_early holds the first piece's stop reason, and diagnostics
-    holds one SparsifyInfo per piece of the matrix pipelines or the
-    per-round RoundDiagnostics of the sketch pipelines.  The error is
-    measured by `verify`.
+    resist).  stopped_early holds the first piece's stop reason, and
+    diagnostics holds one record per halving round of every piece, in piece
+    order: the support size after the round for the matrix pipelines, a
+    RoundDiagnostics for the sketch pipelines.  The error is measured by
+    `verify`.
     """
 
     graph: graph_mod.Graph
-    rounds: int
     stopped_early: str | None
     pieces: int
     diagnostics: list
+
+    @property
+    def rounds(self):
+        return len(self.diagnostics)
 
 
 def _union_pieces(g, pieces, run):
     """Run a one-piece pipeline on each (piece, vertex ids) pair and union
     the reweighted pieces; vertex i of a piece is vertex ids[i] of g."""
-    edges, rounds, stopped, diagnostics = [], 0, None, []
+    edges, stopped, diagnostics = [], None, []
     for piece, ids in pieces:
         res = run(piece)
         edges.extend((ids[u], ids[v], w) for u, v, w in res.graph.edges)
-        rounds += res.rounds
         stopped = stopped or res.stopped_early
         diagnostics.extend(res.diagnostics)
     out = graph_mod.Graph(g.n, tuple(edges), directed=False)
-    return PipelineResult(out, rounds, stopped, len(pieces), diagnostics)
+    return PipelineResult(out, stopped, len(pieces), diagnostics)
 
 
 def _sparsify_graph(g, family, eps, options):
     """Halving loop in the degree subspace of g, as a one-piece result."""
-    rew, info = sparsify(family, degree_subspace(g), eps, options)
-    return PipelineResult(g.reweighted(rew.s), info.rounds, info.stopped_early, 1, [info])
+    s, records, stopped = sparsify(family, degree_subspace(g), eps, options)
+    return PipelineResult(g.reweighted(s), stopped, 1, records)
 
 
 def _components(g):

@@ -98,6 +98,15 @@ def check_matrix_approx(a, a_tilde, e_mat, f_mat, target, kind="standard", suppo
     )
 
 
+def _require_comparable(g, g_tilde):
+    """A candidate is checked only on the vertex set and orientation of g."""
+    if g.n != g_tilde.n or g.directed != g_tilde.directed:
+        raise InvalidInput(
+            f"graphs differ: n {g.n} against {g_tilde.n}, "
+            f"directed {g.directed} against {g_tilde.directed}"
+        )
+
+
 def _degree_deviation(g, g_tilde):
     if g.directed:
         return float(
@@ -114,6 +123,7 @@ def _degree_deviation(g, g_tilde):
 def check_spectral(g, g_tilde, target):
     """Relative spectral error ||L^{+/2}(L - L_hat)L^{+/2}|| of a reweighted
     subgraph, plus degree preservation."""
+    _require_comparable(g, g_tilde)
     lap = g.laplacian()
     rep = check_matrix_approx(
         lap, g_tilde.laplacian(), lap, lap, target, kind="spectral", support_size=g_tilde.m
@@ -125,7 +135,8 @@ def check_uc_undirected(g, g_tilde, target):
     """Unit-circle check: both the Laplacian and unsigned-Laplacian relative
     errors, the all-ones kernel residual, and for bipartite graphs the
     signed-partition kernel residual."""
-    if g.directed or g_tilde.directed:
+    _require_comparable(g, g_tilde)
+    if g.directed:
         raise InvalidInput("unit-circle check expects undirected graphs")
     lap, uns = g.laplacian(), g.unsigned_laplacian()
     lph = linalg.matrix_function(lap, "pinv_sqrt")
@@ -161,6 +172,7 @@ def check_uc_undirected(g, g_tilde, target):
 def check_sv(g, g_tilde, target):
     """Singular-value approximation check with error matrices
     E = D_out - A D_in^+ A^T and F = D_in - A^T D_out^+ A of the input."""
+    _require_comparable(g, g_tilde)
     e_mat, f_mat = graph_mod.sv_error_matrices(g)
     rep = check_matrix_approx(
         g.adjacency(),
@@ -181,6 +193,7 @@ def check_sketch(g, g_tilde, vectors, target):
     degree (2 max degree bounds the top eigenvalue of L), a cut-off that
     scales with z, so the result does not depend on the vectors' scale.
     """
+    _require_comparable(g, g_tilde)
     lap = g.laplacian()
     lap_t = g_tilde.laplacian()
     vectors = np.asarray(vectors, dtype=float)
@@ -210,6 +223,7 @@ def effective_resistance_report(g, g_tilde):
     Pairs are evaluated per connected component of the input; pairs the
     reweighted graph disconnects give an infinite ratio.
     """
+    _require_comparable(g, g_tilde)
     worst = 0.0
     for comp in g.connected_components():
         if len(comp) < 2:

@@ -137,7 +137,7 @@ def test_criterion_05_spectral_sparsifier():
     for g in (complete_graph(16), ring_matching_expander(32)):
         res = spectral_sparsify(g, eps)
         rep = verify.check_spectral(g, res.graph, target=eps)
-        assert rep.support_size <= res.diagnostics[0].threshold
+        assert rep.support_size <= SparsifyOptions().c_support * g.n / eps**2
         assert rep.measured_eps <= eps
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
         assert all(w >= 0.0 for _, _, w in res.graph.edges)
@@ -146,7 +146,7 @@ def test_criterion_05_spectral_sparsifier():
     res = spectral_sparsify(g, 0.45, SparsifyOptions(c_support=1.0))
     rep = verify.check_spectral(g, res.graph, target=0.45)
     assert res.rounds >= 2
-    assert rep.support_size <= res.diagnostics[0].threshold
+    assert rep.support_size <= 1.0 * g.n / 0.45**2
     assert rep.measured_eps <= 0.45
     assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
     assert all(w >= 0.0 for _, _, w in res.graph.edges)

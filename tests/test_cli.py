@@ -11,6 +11,7 @@ from conftest import complete_graph, dumbbell_graph
 from walksparse import sparsify
 from walksparse.cli import (
     build_parser,
+    load_graph,
     load_vectors,
     main,
     parse_edge_list,
@@ -213,6 +214,33 @@ class TestCommands:
         with pytest.raises(ParseError) as err:
             load_vectors(str(vec_path), 8)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("kind", ["spectral", "uc", "sv", "sketch", "resistance"])
+    def test_verify_mismatched_graphs_exit_two(self, tmp_path, capsys, kind):
+        cycle = tuple((i, (i + 1) % 4, 1.0) for i in range(4))
+        four = write_graph(tmp_path, Graph(4, cycle), "four.txt")
+        five = write_graph(tmp_path, complete_graph(5), "five.txt")
+        arcs = write_graph(tmp_path, Graph(4, cycle, directed=True), "arcs.txt")
+        vec_path = tmp_path / "vecs.txt"
+        vec_path.write_text("1 0 0 -1\n0 1 -1 0\n1 1 -1 -1\n1 -1 1 -1\n")
+        flags = ["--kind", kind, "--vectors", str(vec_path), "--check"]
+        assert main(["verify", four, five, *flags]) == 2
+        assert "n 4 against 5" in capsys.readouterr().err
+        assert main(["verify", arcs, four, *flags]) == 2
+        assert "directed True against False" in capsys.readouterr().err
+
+    def test_non_utf8_files_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "n 4\n0 1\n".encode("utf-16-le"))
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_graph(str(bad))
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_vectors(str(bad), 4)
+        assert main(["sparsify", str(bad)]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        path = write_graph(tmp_path, complete_graph(4))
+        assert main(["verify", path, path, "--kind", "sketch", "--vectors", str(bad)]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
 
 
 # every flag of the CLI with a sample value, and the flags each command reads

@@ -13,15 +13,14 @@ from conftest import (
 )
 from walksparse import graph as graph_mod
 from walksparse import linalg, verify
-from walksparse.errors import InvalidInput, SubspaceExhausted
+from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
 from walksparse.matrix_walk import MatrixFamily
 from walksparse.sparsify import (
-    Reweighting,
-    SparsifyInfo,
     SparsifyOptions,
     degree_subspace,
+    halve,
     sparsify,
     spectral_family,
     spectral_sparsify,
@@ -33,44 +32,33 @@ from walksparse.sparsify import (
 )
 
 
-class TestReweighting:
-    def test_support(self):
-        r = Reweighting(np.array([0.0, 2.0, 0.0, 1.0]))
-        assert list(r.support) == [1, 3]
-        assert r.support_size == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInput):
-            Reweighting(np.array([-0.1, 1.0]))
-
-
 class TestCoreLoop:
     def test_below_threshold_identity(self):
         fam = spectral_family(complete_graph(8))
-        rew, info = sparsify(fam, Subspace.full(fam.m), eps=0.5)
-        assert np.array_equal(rew.s, np.ones(fam.m))
-        assert info.rounds == 0 and info.measured_eps == 0.0
+        s, records, stopped = sparsify(fam, Subspace.full(fam.m), eps=0.5)
+        assert np.array_equal(s, np.ones(fam.m))
+        assert records == [] and stopped is None
+        assert linalg.operator_norm(fam.blocks[0].aggregate(s - 1.0)) == 0.0
 
     def test_forced_rounds_contract(self):
         g = complete_graph(16)
         fam = spectral_family(g)
         h = degree_subspace(g)
         opts = SparsifyOptions(c_support=1.0)
-        rew, info = sparsify(fam, h, eps=0.45, options=opts)
-        assert info.rounds >= 2
-        assert rew.support_size <= info.threshold
-        assert np.all(rew.s >= 0.0)
+        s, records, stopped = sparsify(fam, h, eps=0.45, options=opts)
+        assert len(records) >= 2 and stopped is None
+        assert np.count_nonzero(s) == records[-1] <= 1.0 * g.n / 0.45**2
+        assert np.all(s >= 0.0)
         # support drops by at least an eighth of the round's support
-        before = [fam.m] + info.round_supports[:-1]
-        for prev, cur in zip(before, info.round_supports):
+        before = [fam.m] + records[:-1]
+        for prev, cur in zip(before, records):
             assert cur <= prev - np.ceil(prev / 8.0)
         # s - 1 stays in the subspace
-        assert info.subspace_residual <= 1e-7 * max(1.0, np.linalg.norm(rew.s - 1))
-        # measured error from an independent eigen oracle
-        diff = rew.s - 1.0
-        oracle = linalg.operator_norm(fam.blocks[0].aggregate(diff))
-        assert abs(oracle - info.measured_eps) <= 1e-12
-        assert info.measured_eps <= 0.45
+        diff = s - 1.0
+        resid = np.linalg.norm(h.complement_rows @ diff)
+        assert resid <= 1e-7 * max(1.0, np.linalg.norm(diff))
+        # error from an independent eigen oracle
+        assert linalg.operator_norm(fam.blocks[0].aggregate(diff)) <= 0.45
 
     def test_eps_validation(self):
         fam = spectral_family(complete_graph(8))
@@ -171,8 +159,19 @@ class TestComponents:
         assert res.graph.m < g.m
         assert res.pieces == 2
         assert res.rounds == a.rounds + b.rounds > 0
-        assert len(res.diagnostics) == 2
-        assert all(isinstance(info, SparsifyInfo) for info in res.diagnostics)
+        assert res.diagnostics == a.diagnostics + b.diagnostics
+
+    def test_diagnostics_are_the_rounds_of_both_components(self):
+        # K_14 on 0..13, K_12 on 14..25: one support size per halving round
+        big, k12 = complete_graph(14), complete_graph(12)
+        shift = lambda edges: tuple((u + 14, v + 14, w) for u, v, w in edges)
+        opts = SparsifyOptions(c_support=1.0)
+        res = spectral_sparsify(Graph(26, big.edges + shift(k12.edges)), 0.45, opts)
+        records = []
+        for c in (big, k12):
+            records += sparsify(spectral_family(c), degree_subspace(c), 0.45, opts)[1]
+        assert len(records) > 2
+        assert res.diagnostics == records and res.rounds == len(records)
 
     @pytest.mark.parametrize("pipeline", [spectral_sparsify, uc_sparsify],
                              ids=["spectral", "uc"])
@@ -312,7 +311,13 @@ class TestHalvingStops:
     def test_stops_below_walk_minimum(self):
         # K_10 has 45 edges; one round leaves 38, below the walk minimum of 40
         fam = spectral_family(complete_graph(10))
-        rew, info = sparsify(fam, Subspace.full(45), 0.5, SparsifyOptions(c_support=0.05))
-        assert info.rounds == 1 and info.round_supports == [38]
-        assert rew.support_size == 38
-        assert info.stopped_early == "support 38 below walk minimum 40"
+        opts = SparsifyOptions(c_support=0.05)
+        s, records, stopped = sparsify(fam, Subspace.full(45), 0.5, opts)
+        assert records == [38]
+        assert np.count_nonzero(s) == 38
+        assert stopped == "support 38 below walk minimum 40"
+
+    def test_negative_weight_raises(self):
+        # the round drops three of four entries but leaves -0.5 on the last
+        with pytest.raises(WalksparseError, match="negative weight"):
+            halve(np.ones(4), 1, lambda s: (np.array([-0.5, 0.0, 0.0, 0.0]), None))

@@ -117,6 +117,21 @@ class TestGraphChecks:
         scaled = check_sketch(g, h, kvecs * 1e-8, target=0.5).measured_eps
         assert abs(scaled - eps) <= 1e-9
 
+    @pytest.mark.parametrize("check", [
+        lambda g, h: check_spectral(g, h, 0.5),
+        lambda g, h: check_uc_undirected(g, h, 0.5),
+        lambda g, h: check_sv(g, h, 0.5),
+        lambda g, h: check_sketch(g, h, np.eye(g.n), 0.5),
+        lambda g, h: check_resistance(g, h, 0.5),
+        effective_resistance_report,
+    ], ids=["spectral", "uc", "sv", "sketch", "resistance", "resistance_report"])
+    def test_mismatched_graphs_rejected(self, check):
+        cycle = tuple((i, (i + 1) % 4, 1.0) for i in range(4))
+        with pytest.raises(InvalidInput, match="n 4 against 5"):
+            check(Graph(4, cycle), complete_graph(5))
+        with pytest.raises(InvalidInput, match="directed True against False"):
+            check(Graph(4, cycle, directed=True), Graph(4, cycle))
+
 
 class TestResistance:
     def test_path_series(self):
