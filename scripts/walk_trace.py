@@ -16,8 +16,8 @@ import sys
 import time
 
 import numpy as np
-import scipy.linalg
 
+from walksparse import linalg
 from walksparse.matrix_walk import MatrixFamily, WalkLog, WalkOptions, partial_color
 from walksparse.vector_walk import discrepancy_ratios, vector_partial_color
 
@@ -25,7 +25,7 @@ from walksparse.vector_walk import discrepancy_ratios, vector_partial_color
 def projection_vectors(n, m, seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(n, m))
-    return np.linalg.inv(scipy.linalg.sqrtm(b @ b.T).real) @ b
+    return np.linalg.inv(linalg.matrix_function(b @ b.T, "sqrt_psd")) @ b
 
 
 def main():

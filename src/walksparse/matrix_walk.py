@@ -296,8 +296,9 @@ class _BlockSpectra:
                     p = np.sqrt(d)[:, None] * c
                     q = d[:, None] * c
                     s_gram = p.T @ p
-                    t_gram = q.T @ q
-                    n_mat += ww * (s_gram * t_gram)
+                    s_gram *= q.T @ q
+                    s_gram *= ww
+                    n_mat += s_gram
                 linear += w_act * ((dp**2 - dm**2) @ (c * c))
             else:
                 mats = blk.mats[active]
@@ -307,7 +308,8 @@ class _BlockSpectra:
                     flat = xs.reshape(m_t, -1)
                     n_mat += flat @ flat.T
                 linear += np.einsum("ikk,k->i", tilde, dp**2 - dm**2)
-        return linalg.sym(n_mat), linear
+        # each term is a syrk output times a symmetric factor, so N is exactly symmetric
+        return n_mat, linear
 
     def product_norm(self, y):
         """||M^{1/2} A(y)||_op for the doubled aggregate of direction y."""
@@ -519,9 +521,9 @@ class _VectorSide:
         if heavy > 0:
             order = np.lexsort((np.arange(k), -self.weights))
             rows.append(a_act[order[: min(heavy, k)]])
-        # a_act is a copy: scaled in place, it is the Gram factor
+        # a_act is a copy: scaled in place, it is the Gram factor (syrk: G is symmetric)
         a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
-        self.quad = linalg.sym(a_act.T @ a_act)
+        self.quad = a_act.T @ a_act
         self.bound = float(np.trace(self.quad)) / (self.cut_count(m_t) + 1)
         return rows
 

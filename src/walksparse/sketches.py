@@ -36,7 +36,7 @@ from .matrix_walk import (
     default_lambda0,
 )
 from .sparsify import PipelineResult, _union_pieces, degree_rows, halve, halve_support
-from .vector_walk import discrepancy_ratios, prepare_constraints
+from .vector_walk import _DROP_NORM, prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8
@@ -120,19 +120,18 @@ def _degree_and_pin_rows(g, s, support, pinned):
 def _constraint_matrix(zbar, g, s, support, es):
     """Rows a_z over the support coordinates: s(e) zbar(u) zbar(v) on Es."""
     u, v, _ = g.edge_arrays()
-    mask = np.isin(support, es)
-    a = zbar[:, u[support]] * zbar[:, v[support]] * s[support][None, :]
-    a[:, ~mask] = 0.0
+    a = zbar[:, u[support]]
+    a *= zbar[:, v[support]]
+    a *= s[support]
+    a[:, ~np.isin(support, es)] = 0.0
     return a
 
 
-def _check_norm_chain(a_rows, zbar_d, n_eff, m_r):
+def _check_norm_chain(norms, zbar_d, n_eff, m_r):
     """||a_z|| <= 100 (n/m) zbar^T D zbar, a consequence of the freeze sets."""
-    norms = np.linalg.norm(a_rows, axis=1)
     bound = NORM_CHAIN_CONST * (n_eff / m_r) * zbar_d
     slack = bound - norms
-    bad = slack < -1e-9 * np.maximum(1.0, bound)
-    if np.any(bad):
+    if np.any(slack < -1e-9 * np.maximum(1.0, bound)):
         raise WalksparseError("freeze-set norm bound violated")
     return float(np.min(slack, initial=np.inf))
 
@@ -150,15 +149,15 @@ def _check_courant_fischer(g, zbar, zbar_d, lam2):
         raise WalksparseError("variational lower bound on the quadratic form failed")
 
 
-def _check_identity(g, kvecs, a_rows, x_sub, s, support, tol_scale):
-    """Per-round rewrite check: sum_e x s <b_e, z>^2 == -2 <a_z, x>."""
+def _check_identity(g, kvecs, a_x, x_sub, s, support, tol_scale):
+    """Per-round rewrite check: sum_e x s <b_e, z>^2 == -2 <a_z, x> = -2 a_x."""
     u, v, _ = g.edge_arrays()
-    du = kvecs[:, u[support]] - kvecs[:, v[support]]
-    lhs = (du**2) @ (x_sub * s[support])
-    rhs = -2.0 * (a_rows @ x_sub)
-    resid = np.abs(lhs - rhs)
-    scale = np.maximum(1.0, tol_scale)
-    worst = float(np.max(resid / scale, initial=0.0))
+    du = kvecs[:, u[support]]
+    du -= kvecs[:, v[support]]
+    du *= du
+    lhs = du @ (x_sub * s[support])
+    resid = np.abs(lhs + 2.0 * a_x)
+    worst = float(np.max(resid / np.maximum(1.0, tol_scale), initial=0.0))
     if worst > IDENTITY_RTOL:
         raise WalksparseError(f"degree-preserving rewrite failed: residual {worst:.3e}")
     return worst
@@ -242,12 +241,15 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     e0, e1, es = freeze_sets(piece, s)
     if len(es) < int(np.ceil(m_r / 4.0)):
         return "walk stopped: freeze sets leave too few movable edges"
+    # at most two k x m_r arrays live at once: a_z, unit rows, active columns
     a_rows = _constraint_matrix(zbar, piece, s, support, es)
+    norms = np.linalg.norm(a_rows, axis=1)
     diag = RoundDiagnostics(support=m_r, frozen_sets=(len(e0), len(e1), len(es)))
-    diag.norm_chain_margin = _check_norm_chain(a_rows, zbar_d, n_eff, m_r)
+    diag.norm_chain_margin = _check_norm_chain(norms, zbar_d, n_eff, m_r)
     extra_rows = _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
 
-    unit = prepare_constraints(a_rows, m_r)
+    unit = prepare_constraints(a_rows, m_r, norms)
+    del a_rows
     cut = 0.1 if lph is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
     sides = [_VectorSide(unit, heavy_count=budget, cut_count=budget)]
@@ -264,11 +266,15 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
         x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
     except SubspaceExhausted as exc:
         return f"walk stopped: {exc}"
+    unit_x = unit @ x_sub
+    del sides, unit
+    # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
+    kept = norms > _DROP_NORM
+    a_x = np.zeros(len(norms))
+    a_x[kept] = norms[kept] * unit_x
     diag.walk_iterations = wlog.iterations
-    diag.identity_residual = _check_identity(
-        piece, kvecs, a_rows, x_sub, s, support, zbar_d
-    )
-    diag.walk_discrepancy = float(np.max(discrepancy_ratios(a_rows, x_sub), initial=0.0))
+    diag.identity_residual = _check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d)
+    diag.walk_discrepancy = float(np.max(np.abs(unit_x), initial=0.0))
     s_new = halve_support(s, support, x_sub)
     diag.degree_dev = _check_degrees_preserved(piece, s_new)
     return s_new, diag

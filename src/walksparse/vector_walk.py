@@ -23,8 +23,9 @@ from .matrix_walk import default_lambda0  # noqa: F401  (re-exported)
 _DROP_NORM = 1e-12
 
 
-def prepare_constraints(vectors, m=None):
-    """Drop zero constraint vectors and normalize the rest to unit rows."""
+def prepare_constraints(vectors, m=None, norms=None):
+    """Drop zero constraint vectors (norms: their row norms, if known) and
+    normalize the rest into one new C-ordered array of unit rows."""
     a = np.asarray(vectors, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
@@ -34,9 +35,13 @@ def prepare_constraints(vectors, m=None):
         raise InvalidInput("constraint vector length mismatch")
     if a.shape[0] == 0:
         return a
-    norms = np.linalg.norm(a, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(a, axis=1)
     keep = norms > _DROP_NORM
-    return a[keep] / norms[keep, None]
+    # a[keep] is one new C-ordered copy, also of F-ordered rows: divide in place
+    unit = a[keep]
+    unit /= norms[keep, None]
+    return unit
 
 
 def vector_partial_color(vectors, extra=None, log=None):

@@ -525,6 +525,24 @@ class TestCombinedWalk:
             gram = weighted_gram(rows, vc["weights"], active)
             assert within(float(y @ gram @ y), np.trace(gram) / (sixth(m_t) + 1))
 
+    def test_forms_are_exactly_symmetric_as_assembled(self):
+        # N and G are used without a symmetrizing copy: each is a sum of
+        # Gram products (syrk) times symmetric factors
+        m, n = 48, 4
+        rng = np.random.default_rng(41)
+        x = 0.5 * rng.uniform(-1, 1, size=m)
+        active = np.sort(rng.choice(m, 37, replace=False))
+        rows = rng.normal(size=(96, m))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        third = lambda mt: mt // 3
+        for side in (
+            _MatrixSide(MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41)), third),
+            _MatrixSide(MatrixFamily.from_matrices(small_family(m, 3, seed=41)), third),
+            _VectorSide(rows, heavy_count=third, cut_count=third),
+        ):
+            side.rows(x, active)
+            assert side.quad.shape == (37, 37) and np.array_equal(side.quad, side.quad.T)
+
 
 def drive_full_coloring(mats):
     """Full +-1 coloring by repeated partial colorings on the active set,

@@ -1,5 +1,7 @@
 """Sketch machinery: recentering, freeze sets, sketch and resistance loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -258,3 +260,51 @@ class TestHalvingStops:
         kvecs = np.random.default_rng(0).normal(size=(30, 12))
         with pytest.raises(WalksparseError, match="support only dropped 0"):
             sketch_expander(complete_graph(12), kvecs, 1.5)
+
+
+class TestRoundChecks:
+    def test_rewrite_check_fires_on_a_non_degree_preserving_coloring(self, monkeypatch):
+        # x = 1/2 on every coordinate moves every support degree, so
+        # sum_e x s <b_e, z>^2 + 2 <a_z, x> = (1/2) sum_v d_s(v) zbar(v)^2 != 0
+        def wrong(m, sides, extra_rows, adaptive_steps, log):
+            return np.full(m, 0.5)
+
+        monkeypatch.setattr(sketches, "_walk_loop", wrong)
+        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed"):
+            sketch(complete_graph(12), unit_vectors(40, 12, seed=12), 0.4)
+
+    def test_rewrite_check_covers_dropped_pair_rows(self, monkeypatch):
+        # on K_n, L^+ b_ij is (e_i - e_j)/n, so a pair's row a_z is zero once
+        # the edge ij leaves the support, and the walk drops its unit row;
+        # the check still runs over all k pairs, where lhs = 0 on a dropped
+        # pair is degree preservation at i and j
+        g = complete_graph(14)
+        pairs = resistance_pairs(g).shape[0]
+        real = sketches._walk_loop
+        wrong_rounds = []
+
+        def wrong_once_rows_drop(m, sides, extra_rows, adaptive_steps, log):
+            if sides[-1].ahat.shape[0] == pairs:
+                return real(m, sides, extra_rows, adaptive_steps, log)
+            wrong_rounds.append(sides[-1].ahat.shape[0])
+            return np.full(m, 0.5)
+
+        monkeypatch.setattr(sketches, "_walk_loop", wrong_once_rows_drop)
+        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed"):
+            resistance_sparsify(g, 0.5, SketchOptions(c_resist=1.0))
+        assert len(wrong_rounds) == 1
+
+
+def test_sketch_round_holds_under_three_constraint_copies():
+    # a round holds at most two k x m float64 arrays at once (a_z and its
+    # unit rows, then the unit rows and the vector side's active columns)
+    g = complete_graph(16)
+    kvecs = unit_vectors(600, 16, seed=13)
+    tracemalloc.start()
+    try:
+        res = sketch(g, kvecs, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds >= 1
+    assert peak < 3 * kvecs.shape[0] * g.m * 8

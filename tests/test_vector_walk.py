@@ -55,6 +55,22 @@ class TestState:
         assert unit.shape == (1, 5)
         assert abs(np.linalg.norm(unit[0]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("dropped", [(), (0, 7, 19)])
+    def test_unit_rows_c_ordered_from_f_ordered_input(self, dropped):
+        # a sketch round's a_z rows come from column gathers (F-ordered); the
+        # walk's products with the unit rows depend on their layout
+        a = gaussian_rows(40, 9, seed=3) * np.arange(1.0, 41.0)[:, None]
+        a[list(dropped)] = 0.0
+        a = np.asfortranarray(a)
+        before = a.copy()
+        norms = np.linalg.norm(a, axis=1)
+        keep = norms > 1e-12
+        expect = a[keep] / norms[keep, None]
+        for unit in (prepare_constraints(a, 9), prepare_constraints(a, 9, norms)):
+            assert unit.flags["C_CONTIGUOUS"] and unit.shape == (40 - len(dropped), 9)
+            assert unit.tobytes() == expect.tobytes()
+        assert np.array_equal(a, before)
+
 
 class TestSubspace:
     def test_no_constraints(self):
