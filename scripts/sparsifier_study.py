@@ -11,7 +11,7 @@ import numpy as np
 from walksparse import verify
 from walksparse.errors import SubspaceExhausted
 from walksparse.graph import Graph
-from walksparse.sparsify import SparsifyOptions, spectral_sparsify, uc_sparsify
+from walksparse.sparsify import spectral_sparsify, uc_sparsify
 
 
 def complete_graph(n):
@@ -25,7 +25,7 @@ def main():
     g = complete_graph(16)
     for eps, c in [(0.5, 1024.0), (0.45, 1.5), (0.45, 1.0), (0.4, 1.0)]:
         try:
-            res = spectral_sparsify(g, eps, SparsifyOptions(c_support=c))
+            res = spectral_sparsify(g, eps, c_support=c)
         except SubspaceExhausted as exc:  # overly tight thresholds
             print(f"{eps:>6} {c:>6} {'-':>8} stopped: {exc}")
             continue
@@ -37,7 +37,7 @@ def main():
     print("unit-circle sparsifier, K_16")
     uns = g.unsigned_laplacian()
     for eps, c in [(0.5, 1024.0), (0.45, 0.6)]:
-        res = uc_sparsify(g, eps, SparsifyOptions(c_support=c))
+        res = uc_sparsify(g, eps, c_support=c)
         l_err = verify.check_spectral(g, res.graph, target=eps).measured_eps
         u_err = verify.check_matrix_approx(
             uns, res.graph.unsigned_laplacian(), uns, uns, target=eps

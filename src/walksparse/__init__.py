@@ -11,10 +11,9 @@ from .errors import (
 from .graph import Graph, bipartite_lift, expander_decompose, sv_error_matrices
 from .linalg import Subspace, nullspace
 from .matrix_walk import DoubledFamily, MatrixFamily, WalkLog, WalkOptions, partial_color
-from .sketches import SketchOptions, resistance_sparsify, sketch, sketch_expander
+from .sketches import resistance_sparsify, sketch, sketch_expander
 from .sparsify import (
     PipelineResult,
-    SparsifyOptions,
     degree_subspace,
     spectral_sparsify,
     sv_sparsify,
@@ -40,8 +39,6 @@ __all__ = [
     "NotPSD",
     "ParseError",
     "PipelineResult",
-    "SketchOptions",
-    "SparsifyOptions",
     "StepTooLarge",
     "Subspace",
     "SubspaceExhausted",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import sketches, sparsify, verify
-from .errors import ParseError, WalksparseError
+from .errors import InvalidInput, ParseError, WalksparseError
 from .matrix_walk import partial_color
 
 
@@ -137,39 +137,30 @@ def _emit(args, out_graph, report):
 
 def _run_command(args):
     g = load_graph(args.input)
-    options = sparsify.SparsifyOptions(args.c_support) if "c_support" in args else None
     if args.command == "partial-color":
         x = partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
         out = g.reweighted(1.0 + x)
         rep = verify.check_spectral(g, out, target=16.0 * np.sqrt(2.0 * g.n / g.m))
     elif args.command == "sparsify":
-        out = sparsify.spectral_sparsify(g, args.epsilon, options).graph
+        out = sparsify.spectral_sparsify(g, args.epsilon, args.c_support).graph
         rep = verify.check_spectral(g, out, target=args.epsilon)
     elif args.command == "uc":
-        out = sparsify.uc_sparsify(g, args.epsilon, options).graph
+        out = sparsify.uc_sparsify(g, args.epsilon, args.c_support).graph
         rep = verify.check_uc_undirected(g, out, target=args.epsilon)
     elif args.command == "sv":
         if g.directed:
-            out = sparsify.sv_sparsify(
-                g, args.epsilon, phi_target=args.phi_target, options=options
-            ).graph
+            out = sparsify.sv_sparsify(g, args.epsilon, args.phi_target, args.c_support).graph
+        elif args.phi_target is not None:
+            raise InvalidInput("--phi-target applies only to directed input")
         else:
-            out = sparsify.sv_sparsify_expander(g, args.epsilon, options).graph
+            out = sparsify.sv_sparsify_expander(g, args.epsilon, args.c_support).graph
         rep = verify.check_sv(g, out, target=args.epsilon)
     elif args.command == "sketch":
         kvecs = _sketch_vectors(args, g.n)
-        res = sketches.sketch(
-            g, kvecs, args.epsilon, sketches.SketchOptions(phi_target=args.phi_target)
-        )
-        out = res.graph
+        out = sketches.sketch(g, kvecs, args.epsilon, args.phi_target).graph
         rep = verify.check_sketch(g, out, kvecs, target=args.c_sketch * args.epsilon)
     elif args.command == "resist":
-        res = sketches.resistance_sparsify(
-            g,
-            args.epsilon,
-            sketches.SketchOptions(phi_target=args.phi_target, c_resist=args.c_resist),
-        )
-        out = res.graph
+        out = sketches.resistance_sparsify(g, args.epsilon, args.phi_target, args.c_resist).graph
         rep = verify.check_resistance(g, out, target=args.c_resist * args.epsilon)
     elif args.command == "decompose":
         phi = args.phi_target if args.phi_target is not None else graph_mod.default_phi_target(g.n)
@@ -220,7 +211,7 @@ def _run_command(args):
 
 _FLAGS = {
     "--epsilon": dict(type=float, default=0.5),
-    "--c-support": dict(type=float, default=1024.0),
+    "--c-support": dict(type=float, default=sparsify.C_SUPPORT),
     "--phi-target": dict(type=float, default=None),
     "--vectors": dict(default=""),
     "--c-sketch": dict(type=float, default=4.0),
@@ -266,6 +257,9 @@ def run(args):
     """Run one parsed command line; returns the process exit code."""
     if "epsilon" in args and not (0.0 < args.epsilon < 2.0):
         print(f"error: epsilon {args.epsilon} outside (0, 2)", file=sys.stderr)
+        return 2
+    if "c_sketch" in args and not (np.isfinite(args.c_sketch) and args.c_sketch > 0):
+        print(f"error: c_sketch={args.c_sketch} is not a positive finite number", file=sys.stderr)
         return 2
     try:
         return _run_command(args)

@@ -236,7 +236,6 @@ class WalkOptions:
     """
 
     adaptive_steps: bool = False
-    m_min: int = 40
 
 
 @dataclass
@@ -488,6 +487,10 @@ class _VectorSide:
     as quadratic form with bound tr G/(cut + 1), which fewer than cut + 1
     eigenvalues of G exceed.  lambda0 = default_lambda0(k, m) for k unit rows
     of length m; the fixed step cap is 1/(2 lambda0).
+
+    unit_rows must be C-ordered: the BLAS products over them take their
+    rounding from that layout, so it fixes the walk's path and with it every
+    sketch and resist output (`prepare_constraints` returns such rows).
     """
 
     def __init__(self, unit_rows, heavy_count, cut_count):
@@ -693,8 +696,6 @@ def partial_color(family, h=None, options=None, log=None):
         h = Subspace.full(m)
     if h.ambient_dim != m:
         raise InvalidInput("subspace ambient dimension does not match the family size")
-    if m < options.m_min:
-        raise InvalidInput(f"family size {m} is below the walk minimum {options.m_min}")
     if h.dim < 0.8 * m - 1e-9:
         raise InvalidInput(f"constraint subspace dimension {h.dim} is below (4/5) m")
     abs_norm = family.abs_aggregate_norm()

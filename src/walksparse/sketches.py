@@ -43,14 +43,6 @@ IDENTITY_RTOL = 1e-8
 
 
 @dataclass
-class SketchOptions:
-    """Pipeline knobs shared by sketches and resistance sparsifiers."""
-
-    phi_target: float | None = None
-    c_resist: float = 1.0
-
-
-@dataclass
 class RoundDiagnostics:
     support: int = 0
     frozen_sets: tuple = (0, 0, 0)
@@ -201,17 +193,17 @@ def sketch_expander(g, kvecs, eps):
     return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps)
 
 
-def sketch(g, kvecs, eps, options=None):
+def sketch(g, kvecs, eps, phi_target=None):
     """Spectral sketch of an arbitrary unweighted graph.
 
     Decomposes into expander pieces, sketches each piece against the same
     constraint set, and unions the reweighted pieces (degree preservation
-    survives the union).
+    survives the union).  phi_target sets the decomposition's expansion
+    target (default `graph.default_phi_target`).
     """
     _require_sketchable(g)
-    options = options or SketchOptions()
     kvecs = np.asarray(kvecs, dtype=float)
-    pieces = graph_mod.expander_decompose(g, options.phi_target)
+    pieces = graph_mod.expander_decompose(g, phi_target)
     return _union_pieces(
         g, [(p, range(g.n)) for p in pieces], lambda p: sketch_expander(p, kvecs, eps)
     )
@@ -295,22 +287,24 @@ def _sketch_piece(piece, kvecs, lam2, threshold, lph=None):
     return PipelineResult(piece.reweighted(s), stopped, 1, diagnostics)
 
 
-def resistance_sparsify(g, eps, options=None):
+def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
     """Effective-resistance sparsifier of an unweighted undirected graph.
 
     Per expander piece, a combined walk keeps the reweighting simultaneously
     a spectral sparsifier and a sketch with respect to {L^+ b_ij}; the
-    halving threshold is c n sqrt(log n) / (lambda eps).
+    halving threshold is c_resist n sqrt(log n) / (lambda eps), and
+    phi_target sets the decomposition's expansion target.
     """
     _require_sketchable(g)
-    options = options or SketchOptions()
+    if not (np.isfinite(c_resist) and c_resist > 0):
+        raise InvalidInput(f"c_resist={c_resist} is not a positive finite number")
     kvecs = resistance_pairs(g)
 
     def run(piece):
         n_eff = max(1, len(piece.non_isolated()))
         lam = graph_mod.lambda2(piece)
         threshold = (
-            options.c_resist
+            c_resist
             * n_eff
             * np.sqrt(np.log(max(n_eff, 2)))
             / (max(lam, 1e-12) * eps)
@@ -318,5 +312,5 @@ def resistance_sparsify(g, eps, options=None):
         lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
         return _sketch_piece(piece, kvecs, lam, threshold, lph)
 
-    pieces = graph_mod.expander_decompose(g, options.phi_target)
+    pieces = graph_mod.expander_decompose(g, phi_target)
     return _union_pieces(g, [(p, range(g.n)) for p in pieces], run)

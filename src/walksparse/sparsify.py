@@ -29,14 +29,10 @@ from .matrix_walk import MatrixFamily, Rank1Block, WalkOptions, partial_color
 
 # the halving rounds take the largest admissible walk steps
 _WALK = WalkOptions(adaptive_steps=True)
-
-
-@dataclass
-class SparsifyOptions:
-    """c_support sets the stopping threshold c_support * n / eps^2 on the
-    support size."""
-
-    c_support: float = 1024.0
+# default support constant c of the stopping threshold c * n / eps^2
+C_SUPPORT = 1024.0
+# the halving loop stops once the support is too small to walk on
+WALK_MIN = 40
 
 
 def _validate_psd_family(family):
@@ -50,7 +46,7 @@ def _validate_psd_family(family):
                 raise InvalidInput(f"family member {i} is not PSD")
 
 
-def sparsify(family, h, eps, options=None):
+def sparsify(family, h, eps, c_support=C_SUPPORT):
     """Sparse reweighting s with |supp(s)| <= c_support * n / eps^2.
 
     family members must be PSD with sum A_i <= I; h is a Subspace of the
@@ -59,9 +55,10 @@ def sparsify(family, h, eps, options=None):
     per round: the support size after it.  Raises SubspaceExhausted when
     the per-round restricted subspace drops below (4/5) of the support size.
     """
-    options = options or SparsifyOptions()
     if not (0.0 < eps <= 0.5):
         raise InvalidInput(f"eps={eps} outside (0, 1/2]")
+    if not (np.isfinite(c_support) and c_support > 0):
+        raise InvalidInput(f"c_support={c_support} is not a positive finite number")
     _validate_psd_family(family)
     m, n = family.m, family.n
     if h.ambient_dim != m:
@@ -69,7 +66,7 @@ def sparsify(family, h, eps, options=None):
     top = family.aggregate_norm(np.ones(m))
     if top > 1.0 + 1e-8:
         raise InvalidInput(f"sum of the family members has norm {top:.6f} > 1")
-    threshold = options.c_support * n / eps**2
+    threshold = c_support * n / eps**2
     return halve(np.ones(m), threshold, lambda s: _matrix_round(family, h, s))
 
 
@@ -79,8 +76,8 @@ def _matrix_round(family, h, s):
     reason.  `partial_color` checks sum_i s(i) A_i <= 2I."""
     support = np.flatnonzero(s)
     m_r = len(support)
-    if m_r < _WALK.m_min:
-        return f"support {m_r} below walk minimum {_WALK.m_min}"
+    if m_r < WALK_MIN:
+        return f"support {m_r} below walk minimum {WALK_MIN}"
     scaled_rows = (h.complement_rows * s[None, :])[:, support]
     h_sub = linalg.nullspace(scaled_rows, m=m_r)
     if h_sub.dim < 0.8 * m_r - 1e-9:
@@ -194,9 +191,9 @@ def _union_pieces(g, pieces, run):
     return PipelineResult(out, stopped, len(pieces), diagnostics)
 
 
-def _sparsify_graph(g, family, eps, options):
+def _sparsify_graph(g, family, eps, c_support):
     """Halving loop in the degree subspace of g, as a one-piece result."""
-    s, records, stopped = sparsify(family, degree_subspace(g), eps, options)
+    s, records, stopped = sparsify(family, degree_subspace(g), eps, c_support)
     return PipelineResult(g.reweighted(s), stopped, 1, records)
 
 
@@ -216,11 +213,11 @@ def spectral_family(g):
     return MatrixFamily.from_rank_one(vectors, g.weights())
 
 
-def spectral_sparsify(g, eps, options=None):
+def spectral_sparsify(g, eps, c_support=C_SUPPORT):
     """Degree-preserving spectral sparsifier of an undirected graph, one
     halving loop per connected component."""
     return _union_pieces(
-        g, _components(g), lambda c: _sparsify_graph(c, spectral_family(c), eps, options)
+        g, _components(g), lambda c: _sparsify_graph(c, spectral_family(c), eps, c_support)
     )
 
 
@@ -240,12 +237,12 @@ def uc_family(g):
     )
 
 
-def uc_sparsify(g, eps, options=None):
+def uc_sparsify(g, eps, c_support=C_SUPPORT):
     """Unit-circle sparsifier of an undirected graph: both the Laplacian and
     the unsigned Laplacian are preserved to relative error eps, with exact
     degrees, one halving loop per connected component."""
     return _union_pieces(
-        g, _components(g), lambda c: _sparsify_graph(c, uc_family(c), eps, options)
+        g, _components(g), lambda c: _sparsify_graph(c, uc_family(c), eps, c_support)
     )
 
 
@@ -257,7 +254,7 @@ def sv_expander_family(g, lam):
     return MatrixFamily.from_rank_one(vectors, g.weights())
 
 
-def sv_sparsify_expander(g, eps, options=None):
+def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):
     """SV sparsifier of a connected bipartite graph.
 
     The family is scaled by lam = lambda_2 of g, measured here.  On regular
@@ -277,10 +274,10 @@ def sv_sparsify_expander(g, eps, options=None):
     # raw = 0 means E = 0 (e.g. a permutation digraph's lift): the family is
     # identically zero and the guarantee is vacuous; any scale works
     lam_build = min(lam, 1.0 / raw) if raw > 1e-12 else lam
-    return _sparsify_graph(g, base.scaled(np.full(g.m, lam_build)), eps, options)
+    return _sparsify_graph(g, base.scaled(np.full(g.m, lam_build)), eps, c_support)
 
 
-def sv_sparsify(g, eps, phi_target=None, options=None):
+def sv_sparsify(g, eps, phi_target=None, c_support=C_SUPPORT):
     """SV sparsifier of an unweighted directed graph.
 
     Lift to the bipartite double cover, decompose into expander pieces,
@@ -303,7 +300,7 @@ def sv_sparsify(g, eps, phi_target=None, options=None):
         p.induced_on(p.non_isolated())
         for p in graph_mod.expander_decompose(lift, phi_target)
     ]
-    res = _union_pieces(lift, pieces, lambda p: sv_sparsify_expander(p, eps_piece, options))
+    res = _union_pieces(lift, pieces, lambda p: sv_sparsify_expander(p, eps_piece, c_support))
     arcs = [
         (*graph_mod.lift_edge_to_arc((u, v), g.n), w) for u, v, w in res.graph.edges
     ]

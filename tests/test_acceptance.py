@@ -25,7 +25,7 @@ from walksparse import cli, linalg, potential, sketches, sparsify, verify
 from walksparse.graph import Graph, expander_decompose, lambda2
 from walksparse.matrix_walk import MatrixFamily, WalkLog, partial_color
 from walksparse.sparsify import (
-    SparsifyOptions,
+    C_SUPPORT,
     spectral_sparsify,
     sv_expander_family,
     sv_sparsify,
@@ -137,13 +137,13 @@ def test_criterion_05_spectral_sparsifier():
     for g in (complete_graph(16), ring_matching_expander(32)):
         res = spectral_sparsify(g, eps)
         rep = verify.check_spectral(g, res.graph, target=eps)
-        assert rep.support_size <= SparsifyOptions().c_support * g.n / eps**2
+        assert rep.support_size <= C_SUPPORT * g.n / eps**2
         assert rep.measured_eps <= eps
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
         assert all(w >= 0.0 for _, _, w in res.graph.edges)
     # a forced-rounds run exercising the halving loop on the same contract
     g = complete_graph(16)
-    res = spectral_sparsify(g, 0.45, SparsifyOptions(c_support=1.0))
+    res = spectral_sparsify(g, 0.45, c_support=1.0)
     rep = verify.check_spectral(g, res.graph, target=0.45)
     assert res.rounds >= 2
     assert rep.support_size <= 1.0 * g.n / 0.45**2
@@ -176,7 +176,7 @@ def test_criterion_06_uc_sparsifier():
         assert np.max(np.abs(total - proj)) <= 1e-9
     # forced rounds on a bipartite graph: both norms and the signed kernel
     g = complete_bipartite(10, 10)
-    res = uc_sparsify(g, 0.45, SparsifyOptions(c_support=0.5))
+    res = uc_sparsify(g, 0.45, c_support=0.5)
     assert res.graph.m < g.m
     rep = verify.check_uc_undirected(g, res.graph, target=0.45)
     assert rep.measured_eps <= 0.45
@@ -206,9 +206,7 @@ def test_criterion_07_sv_expander():
 
 def test_criterion_08_sv_general_pipeline():
     g = tournament_union(16, 101, 202)
-    res = sv_sparsify(
-        g, eps=2.0, phi_target=0.25, options=SparsifyOptions(c_support=1.25)
-    )
+    res = sv_sparsify(g, eps=2.0, phi_target=0.25, c_support=1.25)
     assert res.graph.m < g.m
     rep = verify.check_sv(g, res.graph, target=np.inf)
     assert rep.passed

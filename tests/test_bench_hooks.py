@@ -74,9 +74,7 @@ def test_rounds_call_the_patched_names(monkeypatch):
     # module globals at call time; a round that returns its stop reason
     # is one call more than the rounds that ran
     walks = counting(monkeypatch, sparsify, "partial_color")
-    res = sparsify.spectral_sparsify(
-        complete_graph(16), 0.45, sparsify.SparsifyOptions(c_support=1.0)
-    )
+    res = sparsify.spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)
     assert res.rounds > 0 and len(walks) == res.rounds
 
     rounds = counting(monkeypatch, sketches, "_combined_round")

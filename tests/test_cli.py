@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complete_graph, dumbbell_graph
+from conftest import complete_bipartite, complete_graph, dumbbell_graph
 from walksparse import sparsify
 from walksparse.cli import (
     build_parser,
@@ -114,6 +114,26 @@ class TestCommands:
         path = write_graph(tmp_path, complete_graph(6))
         assert main(["sparsify", path, "--epsilon", "3.0"]) == 2
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sparsify", "--c-support", "nan"),
+        ("sparsify", "--c-support", "inf"),
+        ("resist", "--c-resist", "-1"),
+        ("sketch", "--c-sketch", "nan"),
+    ])
+    def test_bad_setting_exit_two(self, tmp_path, capsys, command, flag, value):
+        path = write_graph(tmp_path, complete_graph(16))
+        vec_path = tmp_path / "vecs.txt"
+        np.savetxt(vec_path, np.eye(16))
+        vectors = ["--vectors", str(vec_path)] if command == "sketch" else []
+        code = main([command, path, "--epsilon", "0.45", flag, value, *vectors, "--check"])
+        assert code == 2
+        assert "is not a positive finite number" in capsys.readouterr().err
+
+    def test_sv_undirected_rejects_phi_target(self, tmp_path, capsys):
+        path = write_graph(tmp_path, complete_bipartite(4, 4))
+        assert main(["sv", path, "--phi-target", "0.01"]) == 2
+        assert "--phi-target" in capsys.readouterr().err
+
     def test_partial_color_check(self, tmp_path):
         path = write_graph(tmp_path, complete_graph(12))
         out = tmp_path / "out.txt"
@@ -186,9 +206,8 @@ class TestCommands:
                      "--out", str(out), "--report", str(tmp_path / "rep.json")])
         assert code == 0
         got = parse_edge_list(out.read_text())
-        opts = sparsify.SparsifyOptions(c_support=1.0)
-        a = pipeline(big, eps, opts).graph
-        b = pipeline(k12, eps, opts).graph
+        a = pipeline(big, eps, c_support=1.0).graph
+        b = pipeline(k12, eps, c_support=1.0).graph
         expect = a.edges + tuple((u + n_big, v + n_big, w) for u, v, w in b.edges)
         assert got == Graph(n, expect)
         assert got.m < g.m

@@ -383,7 +383,7 @@ class TestWalkInvariantChecks:
 class TestPartialColor:
     def test_zero_family_small(self):
         fam = MatrixFamily.from_matrices(np.zeros((8, 2, 2)))
-        x = partial_color(fam, options=WalkOptions(m_min=8))
+        x = partial_color(fam)
         assert np.count_nonzero(np.abs(x) == 1.0) >= 2
         assert linalg.operator_norm(fam.aggregate(x)) == 0.0
 
@@ -447,11 +447,6 @@ class TestPartialColor:
         x1 = partial_color(fam)
         x2 = partial_color(fam)
         assert np.array_equal(x1, x2)
-
-    def test_rejects_small_family(self):
-        fam = MatrixFamily.from_matrices(np.zeros((10, 2, 2)))
-        with pytest.raises(InvalidInput):
-            partial_color(fam)
 
     def test_rejects_small_subspace(self):
         m = 40
@@ -554,9 +549,7 @@ def drive_full_coloring(mats):
     while active:
         if len(active) >= 9:
             sub = MatrixFamily.from_matrices(np.stack([mats[i] for i in active]))
-            x_sub = partial_color(
-                sub, options=WalkOptions(m_min=1, adaptive_steps=True)
-            )
+            x_sub = partial_color(sub, options=WalkOptions(adaptive_steps=True))
             for pos, i in enumerate(active):
                 x[i] = x_sub[pos]
             active = [i for i in active if abs(x[i]) < 1.0]

@@ -19,7 +19,6 @@ from walksparse import linalg, sketches, verify
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.sketches import (
-    SketchOptions,
     freeze_sets,
     resistance_pairs,
     resistance_sparsify,
@@ -152,7 +151,7 @@ class TestSketchPipeline:
     def test_dumbbell_pieces_union_degree_preserving(self):
         g = dumbbell_graph(8)
         kvecs = unit_vectors(60, 16, seed=9)
-        res = sketch(g, kvecs, 0.3, SketchOptions(phi_target=0.1))
+        res = sketch(g, kvecs, 0.3, phi_target=0.1)
         assert res.pieces >= 2
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.3
@@ -231,6 +230,11 @@ class TestResistance:
         b[0], b[3] = 1.0, -1.0
         assert abs(b @ ldag @ b - 2.0 / 8.0) <= 1e-9
 
+    @pytest.mark.parametrize("c_resist", [np.nan, np.inf, 0.0, -1.0])
+    def test_c_resist_validation(self, c_resist):
+        with pytest.raises(InvalidInput, match="c_resist"):
+            resistance_sparsify(complete_graph(8), 0.5, c_resist=c_resist)
+
 
 class TestHalvingStops:
     def test_sketch_stops_when_update_subspace_is_empty(self):
@@ -291,7 +295,7 @@ class TestRoundChecks:
 
         monkeypatch.setattr(sketches, "_walk_loop", wrong_once_rows_drop)
         with pytest.raises(WalksparseError, match="degree-preserving rewrite failed"):
-            resistance_sparsify(g, 0.5, SketchOptions(c_resist=1.0))
+            resistance_sparsify(g, 0.5, c_resist=1.0)
         assert len(wrong_rounds) == 1
 
 

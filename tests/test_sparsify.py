@@ -18,7 +18,6 @@ from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
 from walksparse.matrix_walk import MatrixFamily
 from walksparse.sparsify import (
-    SparsifyOptions,
     degree_subspace,
     halve,
     sparsify,
@@ -44,8 +43,7 @@ class TestCoreLoop:
         g = complete_graph(16)
         fam = spectral_family(g)
         h = degree_subspace(g)
-        opts = SparsifyOptions(c_support=1.0)
-        s, records, stopped = sparsify(fam, h, eps=0.45, options=opts)
+        s, records, stopped = sparsify(fam, h, eps=0.45, c_support=1.0)
         assert len(records) >= 2 and stopped is None
         assert np.count_nonzero(s) == records[-1] <= 1.0 * g.n / 0.45**2
         assert np.all(s >= 0.0)
@@ -65,6 +63,12 @@ class TestCoreLoop:
         with pytest.raises(InvalidInput):
             sparsify(fam, Subspace.full(fam.m), eps=0.75)
 
+    @pytest.mark.parametrize("c_support", [np.nan, np.inf, 0.0, -1.0])
+    def test_c_support_validation(self, c_support):
+        fam = spectral_family(complete_graph(8))
+        with pytest.raises(InvalidInput, match="c_support"):
+            sparsify(fam, Subspace.full(fam.m), eps=0.5, c_support=c_support)
+
     def test_non_psd_rejected(self):
         mats = np.zeros((40, 2, 2))
         mats[0] = np.diag([0.5, -0.5])
@@ -77,7 +81,7 @@ class TestCoreLoop:
         fam = spectral_family(g)
         h = degree_subspace(g)
         with pytest.raises(SubspaceExhausted):
-            sparsify(fam, h, eps=0.5, options=SparsifyOptions(c_support=0.25))
+            sparsify(fam, h, eps=0.5, c_support=0.25)
 
 
 class TestDegreeSubspace:
@@ -118,7 +122,7 @@ class TestSpectralSparsify:
 
     def test_forced_rounds_quality(self):
         g = complete_graph(16)
-        res = spectral_sparsify(g, 0.45, SparsifyOptions(c_support=1.0))
+        res = spectral_sparsify(g, 0.45, c_support=1.0)
         assert res.graph.m < g.m
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
         lap = g.laplacian()
@@ -152,9 +156,8 @@ class TestComponents:
         big, k12 = complete_graph(14), complete_graph(12)
         shift = lambda edges: tuple((u + 14, v + 14, w) for u, v, w in edges)
         g = Graph(27, big.edges + shift(k12.edges))
-        opts = SparsifyOptions(c_support=c_support)
-        res = pipeline(g, eps, opts)
-        a, b = pipeline(big, eps, opts), pipeline(k12, eps, opts)
+        res = pipeline(g, eps, c_support=c_support)
+        a, b = pipeline(big, eps, c_support=c_support), pipeline(k12, eps, c_support=c_support)
         assert res.graph == Graph(27, a.graph.edges + shift(b.graph.edges))
         assert res.graph.m < g.m
         assert res.pieces == 2
@@ -165,11 +168,10 @@ class TestComponents:
         # K_14 on 0..13, K_12 on 14..25: one support size per halving round
         big, k12 = complete_graph(14), complete_graph(12)
         shift = lambda edges: tuple((u + 14, v + 14, w) for u, v, w in edges)
-        opts = SparsifyOptions(c_support=1.0)
-        res = spectral_sparsify(Graph(26, big.edges + shift(k12.edges)), 0.45, opts)
+        res = spectral_sparsify(Graph(26, big.edges + shift(k12.edges)), 0.45, c_support=1.0)
         records = []
         for c in (big, k12):
-            records += sparsify(spectral_family(c), degree_subspace(c), 0.45, opts)[1]
+            records += sparsify(spectral_family(c), degree_subspace(c), 0.45, c_support=1.0)[1]
         assert len(records) > 2
         assert res.diagnostics == records and res.rounds == len(records)
 
@@ -209,14 +211,14 @@ class TestUcSparsify:
 
     def test_forced_rounds_both_errors(self):
         g = complete_graph(16)
-        res = uc_sparsify(g, 0.45, SparsifyOptions(c_support=0.6))
+        res = uc_sparsify(g, 0.45, c_support=0.6)
         assert res.graph.m < g.m
         assert verify.check_uc_undirected(g, res.graph, 0.45).measured_eps <= 0.45
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
     def test_bipartite_kernel_preserved(self):
         g = complete_bipartite(10, 10)
-        res = uc_sparsify(g, 0.45, SparsifyOptions(c_support=0.5))
+        res = uc_sparsify(g, 0.45, c_support=0.5)
         assert res.graph.m < g.m
         diff = g.adjacency() - res.graph.adjacency()
         sign = np.concatenate([np.ones(10), -np.ones(10)])
@@ -260,9 +262,7 @@ class TestSvSparsify:
 
     def test_tournament_union_sparsifies(self):
         g = tournament_union(16, 101, 202)
-        res = sv_sparsify(
-            g, eps=2.0, phi_target=0.25, options=SparsifyOptions(c_support=1.25)
-        )
+        res = sv_sparsify(g, eps=2.0, phi_target=0.25, c_support=1.25)
         assert res.graph.m < g.m
         rep = verify.check_sv(g, res.graph, target=2.0)
         assert rep.kernel_ok
@@ -297,9 +297,7 @@ class TestSvSparsify:
                             arcs.add((off + j, off + i))
         arcs |= {(0, 16), (16, 0)}
         g = Graph(32, tuple((u, v, 1.0) for u, v in sorted(arcs)), directed=True)
-        res = sv_sparsify(
-            g, eps=2.0, phi_target=0.25, options=SparsifyOptions(c_support=1.25)
-        )
+        res = sv_sparsify(g, eps=2.0, phi_target=0.25, c_support=1.25)
         assert res.pieces >= 2
         assert res.graph.m < g.m
         rep = verify.check_sv(g, res.graph, target=2.0)
@@ -311,8 +309,7 @@ class TestHalvingStops:
     def test_stops_below_walk_minimum(self):
         # K_10 has 45 edges; one round leaves 38, below the walk minimum of 40
         fam = spectral_family(complete_graph(10))
-        opts = SparsifyOptions(c_support=0.05)
-        s, records, stopped = sparsify(fam, Subspace.full(45), 0.5, opts)
+        s, records, stopped = sparsify(fam, Subspace.full(45), 0.5, c_support=0.05)
         assert records == [38]
         assert np.count_nonzero(s) == 38
         assert stopped == "support 38 below walk minimum 40"
