@@ -6,10 +6,14 @@ Usage:
         --pairs spectral=10 sketch=5 resist=5 [--base HEAD]
 
 The base revision's committed files are exported with `git archive` into a
-temporary directory; the change is the working tree this script sits in.
-Each pair runs `bench/run.py --trace 0` once on each side with the same seed
-and BENCHMARK.json's `run_seconds`, and the side that goes first alternates
-from pair to pair.  Pair i uses seed SEEDS[i % len(SEEDS)].
+temporary directory.  The change is a snapshot of the working tree this
+script sits in (tracked files plus untracked files that are not ignored),
+copied into a second temporary directory, so both sides start clean, with
+no bytecode caches and no `.bench_work` ledger; the output records how the
+change was taken.  Each pair runs `bench/run.py --trace 0` once on each side
+with the same seed and BENCHMARK.json's `run_seconds`, and the side that
+goes first alternates from pair to pair.  Pair i uses seed
+SEEDS[i % len(SEEDS)].
 
 The output holds every run's end-to-end metrics, `correct`, `failed` and the
 per-job exit code, measured eps, support and output hashes, and per workload
@@ -17,6 +21,10 @@ and BENCHMARK.json end-to-end metric the median and quartiles of each side,
 the change's median over the base's, and the share of pairs the change won
 in that metric's `better` direction (ties count for neither).
 It also records whether every pair produced the same output hashes.
+
+After writing the file it prints, per workload and end-to-end metric, the
+change/base median ratio and the change's wins, and exits 1 if any run was
+not `correct` or had `failed` > 0.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -46,6 +55,35 @@ def export(rev, dest):
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
     return sha, tree
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def snapshot(dest):
+    """Copy the working tree's tracked and untracked, non-ignored files under
+    dest; returns how the change was taken and the tree."""
+    tree = os.path.join(dest, "change")
+    files = [f for f in git("ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard").split("\0") if f]
+    copied = 0
+    for rel in files:
+        src = os.path.join(ROOT, rel)
+        if not os.path.isfile(src):
+            # a tracked file deleted in the working tree
+            continue
+        os.makedirs(os.path.dirname(os.path.join(tree, rel)), exist_ok=True)
+        shutil.copy2(src, os.path.join(tree, rel))
+        copied += 1
+    taken = {
+        "source": "working tree snapshot: tracked and untracked, non-ignored files",
+        "head": git("rev-parse", "HEAD").strip(),
+        "files": copied,
+        "status": git("status", "--porcelain").splitlines(),
+    }
+    return taken, tree
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -107,10 +145,11 @@ def main(argv=None):
         bench = json.load(fh)
     seconds = bench["run_seconds"]
 
-    doc = {"base": None, "change": "working tree", "seconds": seconds,
+    doc = {"base": None, "change": None, "seconds": seconds,
            "command": "bench/run.py --trace 0", "environment": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         doc["base"], base_tree = export(args.base, tmp)
+        doc["change"], change_tree = snapshot(tmp)
         for workload, count in plan:
             pairs = []
             for i in range(count):
@@ -118,8 +157,8 @@ def main(argv=None):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    run = run_bench(base_tree if side == "base" else ROOT, workload, seed,
-                                    seconds)
+                    run = run_bench(base_tree if side == "base" else change_tree, workload,
+                                    seed, seconds)
                     env = run.pop("environment")
                     doc["environment"] = doc["environment"] or env
                     pair[side] = run
@@ -137,7 +176,26 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    return report(doc)
+
+
+def report(doc):
+    """Print each workload's median ratio and wins per end-to-end metric;
+    returns 1 if any run was not correct or had failed operations, else 0."""
+    clean = True
+    for workload, entry in doc["workloads"].items():
+        runs = [p[side] for p in entry["pairs"] for side in ("base", "change")]
+        bad = sum(not r["correct"] or r["failed"] > 0 for r in runs)
+        clean = clean and bad == 0
+        print(f"{workload}: {len(entry['pairs'])} pairs, same_outputs "
+              f"{entry['same_outputs']}, {bad} runs not correct or with failures")
+        for name, summ in entry["summary"].items():
+            ratio = summ["change_over_base"]
+            ratio = "n/a" if ratio is None else f"{ratio:.4f}"
+            print(f"  {name}: base {summ['base']['median']:.4g} change "
+                  f"{summ['change']['median']:.4g} ratio {ratio} wins {summ['wins']}/"
+                  f"{len(entry['pairs'])} losses {summ['losses']}")
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ per-iteration invariants.
 Usage: python scripts/walk_trace.py [m] [n] [seed]
 
 The defaults m=40, n=8 have n(n+1)/2 > 2m/3, so N has no large kernel and
-the steps move A(x).  Besides the paper's invariants it prints the Lanczos
+the steps move A(x).  The step figure is the walk's certified bound: the
+Frobenius norm of M^(1/2) A(y) where that already allows the step, the
+operator norm otherwise.  Besides the paper's invariants it prints the Lanczos
 steps each direction took and the worst margin of the quadratic certificate
 y^T N y <= tr N/(m_t - keep + 1) ||y||^2 (||y|| = 1).  The vector walk runs
 `vector_partial_color` on 4m seeded Gaussian rows of length m and prints the
@@ -45,7 +47,8 @@ def main():
         print(f"adaptive={adaptive}: {dt:.2f}s, {log.iterations} iterations")
         print(f"  frozen {frozen}/{m}, ||A(x)|| = {fam.aggregate_norm(x):.6f}")
         print(f"  max linear term {max(abs(v) for v in log.linear_term):.2e}, "
-              f"max step admissibility {max(log.step_norm):.4f} (cap 0.5)")
+              f"max certified step bound eta delta ||M^(1/2) A(y)|| "
+              f"{max(log.step_norm):.4f} (cap 0.5)")
         worst_quad = max(
             q - 9.0 * np.sqrt(2.0 * n) / mt**2 for q, mt in zip(log.quad_term, log.m_t)
         )

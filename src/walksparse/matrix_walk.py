@@ -34,6 +34,14 @@ Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every term is PSD, so
 that meets each side's bound, and fewer than tr Q / b_0 eigenvalues of Q
 exceed b_0.  The walk advances with step min(cap, distance to the [-1,1]^m
 boundary).
+
+The matrix side's cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with the
+Frobenius bound ||.||_F >= ||.||_op: where that cap already clears the
+largest step the walk can take, the walk takes the same step either way and
+no SVD runs; otherwise the exact norm decides.  The admissibility figure
+eta delta ||M^{1/2} A(y)|| that the walk checks (<= 1/2) and logs as
+`WalkLog.step_norm` is taken with the bound the cap came from: the
+Frobenius norm when screened, the exact norm otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ LANCZOS_STEPS = 20
 # a Krylov vector that keeps less than this share of its norm through
 # reorthogonalization ends its Krylov sequence (breakdown)
 _BREAKDOWN_TOL = 1e-8
+# rows of N scaled per pass by the weight products w_i w_j
+_ROW_BLOCK = 64
+# relative margin by which a Frobenius step cap must clear the step limit
+# before it stands in for the exact operator-norm cap
+_SCREEN_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +253,14 @@ class WalkOptions:
 
 @dataclass
 class WalkLog:
-    """Per-iteration trace used by invariant tests and diagnostics."""
+    """Per-iteration trace used by invariant tests and diagnostics.
+
+    step_norm is the largest certified admissibility figure over the sides:
+    eta delta times the matrix side's product bound (the Frobenius norm of
+    M^{1/2} A(y) when the screen passes, its operator norm otherwise), or
+    lambda0 delta max_i |<a_i, y>| on the vector side; it is never below the
+    exact figure and never above 1/2.
+    """
 
     m: int = 0
     m_t: list = field(default_factory=list)
@@ -290,14 +310,17 @@ class _BlockSpectra:
             if isinstance(blk, Rank1Block):
                 w_act = blk.weights[active]
                 c = v.T @ blk.vectors[:, active]
-                ww = np.outer(w_act, w_act)
                 for d in (dp, dm):
                     p = np.sqrt(d)[:, None] * c
                     q = d[:, None] * c
                     s_gram = p.T @ p
                     s_gram *= q.T @ q
-                    s_gram *= ww
+                    # the w_i w_j factor a block of rows at a time: no m_t x m_t outer product
+                    for lo in range(0, m_t, _ROW_BLOCK):
+                        hi = lo + _ROW_BLOCK
+                        s_gram[lo:hi] *= w_act[lo:hi, None] * w_act
                     n_mat += s_gram
+                    del s_gram
                 linear += w_act * ((dp**2 - dm**2) @ (c * c))
             else:
                 mats = blk.mats[active]
@@ -310,15 +333,29 @@ class _BlockSpectra:
         # each term is a syrk output times a symmetric factor, so N is exactly symmetric
         return n_mat, linear
 
-    def product_norm(self, y):
-        """||M^{1/2} A(y)||_op for the doubled aggregate of direction y."""
-        worst = 0.0
+    def product_norm(self, y, step_limit=np.inf):
+        """Certified bound on ||M^{1/2} A(y)||_op for the doubled aggregate of
+        direction y.
+
+        M^{1/2} A(y) is D V^T A(y) V per block and sign, for D = diag(d_+-).
+        The bound is the largest ||D V^T A(y) V||_F when its step cap
+        1/(2 eta ||.||_F) clears step_limit by _SCREEN_MARGIN: the exact cap
+        then clears it too, so a step of at most step_limit is the same
+        under either.  Otherwise it is the exact norm, one SVD per block
+        and sign.
+        """
+        products = []
+        frob = 0.0
         for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
-            py = blk.aggregate(y)
-            b = v.T @ py @ v
+            b = v.T @ blk.aggregate(y) @ v
+            row_sq = np.einsum("ij,ij->i", b, b)
             for d in (dp, dm):
-                worst = max(worst, linalg.spectral_norm(d[:, None] * b))
-        return worst
+                frob = max(frob, float(np.sqrt((d * d) @ row_sq)))
+                products.append((d, b))
+        # the cap 1/(2 eta frob) is at least step_limit (1 + _SCREEN_MARGIN)
+        if 2.0 * self.eta * frob * step_limit * (1.0 + _SCREEN_MARGIN) <= 1.0:
+            return frob
+        return max(linalg.spectral_norm(d[:, None] * b) for d, b in products)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +391,13 @@ def _lanczos_direction(quad, bound, w, m, active):
     """
     m_t, r = quad.shape[0], w.shape[0]
     dim = m_t - r
-    # rows 0..r-1 hold w, rows r..r+k-1 the Krylov basis
-    basis = np.empty((m_t, m_t))
-    basis[:r] = w
-    q_basis = np.empty((dim, m_t))
     k = 0
     target = min(dim, LANCZOS_STEPS)
+    # rows 0..r-1 hold w, rows r..r+k-1 the Krylov basis; both arrays hold
+    # the rows a search fills so far and grow when it extends
+    basis = np.empty((r + target, m_t))
+    basis[:r] = w
+    q_basis = np.empty((target, m_t))
     restart = failed = 0
     v = None
     while True:
@@ -367,11 +405,11 @@ def _lanczos_direction(quad, bound, w, m, active):
         if fresh:
             v = _start_vector(m, restart)[active]
             restart += 1
-        before = float(np.linalg.norm(v))
+        before = float(np.sqrt(v @ v))
         done = basis[: r + k]
         for _ in range(2):
             v = v - (done @ v) @ done
-        after = float(np.linalg.norm(v))
+        after = float(np.sqrt(v @ v))
         if after <= _BREAKDOWN_TOL * before:
             # a generic start breaks down only by lying in span(w, Krylov
             # basis); m_t such starts mean that span is numerically R^m_t
@@ -397,7 +435,16 @@ def _lanczos_direction(quad, bound, w, m, active):
                     f"bound {bound:.6e} at m_t={m_t}"
                 )
             target = min(dim, k + LANCZOS_STEPS)
+            basis = _grown(basis, r + target)
+            q_basis = _grown(q_basis, target)
         v = q_basis[k - 1]
+
+
+def _grown(a, rows):
+    """a's rows in a new array with `rows` rows (the rest uninitialized)."""
+    out = np.empty((rows, a.shape[1]))
+    out[: a.shape[0]] = a
+    return out
 
 
 def _combined_form(sides):
@@ -406,7 +453,9 @@ def _combined_form(sides):
     forms = [(side.quad, side.bound) for side in sides if side.bound > 0.0]
     quad, bound = forms[0] if forms else (sides[0].quad, 0.0)
     for q_s, b_s in forms[1:]:
-        quad = quad + (bound / b_s) * q_s
+        # the sum lands in the scaled term, never in a side's own form
+        term = (bound / b_s) * q_s
+        quad = np.add(quad, term, out=term)
     return quad, bound
 
 
@@ -443,6 +492,8 @@ class _MatrixSide:
         self._prod = 0.0
 
     def rows(self, x, active):
+        # drop the previous iteration's forms before building the next
+        self.spectra = self.quad = None
         self.spectra = _BlockSpectra(self.family, x, self.eta)
         self.quad, linear = self.spectra.quad_and_linear(active)
         self._linear = linear
@@ -451,14 +502,17 @@ class _MatrixSide:
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
         self.bound = float(np.trace(self.quad)) / (m_t - keep + 1)
-        lin_norm = float(np.linalg.norm(linear))
+        lin_norm = float(np.sqrt(linear @ linear))
         if lin_norm > _ROW_DROP_TOL:
             return [linear[None, :] / lin_norm]
         return []
 
-    def step_cap(self, y_full):
-        """Admissible step bound; also caches the product norm for observe."""
-        self._prod = self.spectra.product_norm(y_full)
+    def step_cap(self, y_full, limit=np.inf):
+        """Admissible step bound for direction y_full; `limit` is the largest
+        step the walk can take.  The bound is exact where it binds (below
+        `limit`) and may be smaller than exact elsewhere; caches the product
+        bound for observe."""
+        self._prod = self.spectra.product_norm(y_full, limit)
         if self._prod <= 1e-14:
             return np.inf
         return 0.5 / (self.eta * self._prod)
@@ -466,7 +520,7 @@ class _MatrixSide:
     def observe(self, y_act, y_full, delta, log):
         """Check admissibility and the quadratic certificate
         y^T N y <= tr N/(m_t - keep + 1) ||y||^2, and log this side's terms;
-        returns the step norm."""
+        returns the step norm eta delta times the cached product bound."""
         step_norm = self.eta * delta * self._prod
         if step_norm > 0.5 + 1e-9:
             raise StepTooLarge(
@@ -508,6 +562,7 @@ class _VectorSide:
     def rows(self, x, active):
         k = self.ahat.shape[0]
         m_t = len(active)
+        self.quad = None
         if k == 0:
             self.quad, self.bound = np.zeros((m_t, m_t)), 0.0
             return []
@@ -517,7 +572,7 @@ class _VectorSide:
         a_act = self.ahat[:, active]
         rows = []
         grad = self.weights @ a_act
-        g_norm = float(np.linalg.norm(grad))
+        g_norm = float(np.sqrt(grad @ grad))
         if g_norm > _ROW_DROP_TOL:
             rows.append(grad[None, :] / g_norm)
         heavy = self.heavy_count(m_t)
@@ -530,7 +585,8 @@ class _VectorSide:
         self.bound = float(np.trace(self.quad)) / (self.cut_count(m_t) + 1)
         return rows
 
-    def step_cap(self, y_full):
+    def step_cap(self, y_full, limit=np.inf):
+        # exact at the cost of one product with the rows, so `limit` is unused
         if self.ahat.shape[0] == 0:
             return np.inf
         self.max_dot = float(np.max(np.abs(self.ahat @ y_full)))
@@ -574,7 +630,7 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
 
         rows = []
         x_act = x[active]
-        x_norm = float(np.linalg.norm(x_act))
+        x_norm = float(np.sqrt(x_act @ x_act))
         if x_norm > _ROW_DROP_TOL:
             rows.append(x_act[None, :] / x_norm)
         for side in sides:
@@ -604,16 +660,6 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
         y_full = np.zeros(m)
         y_full[active] = y_act
 
-        # every side computes (and caches) its admissibility cap; in fixed
-        # mode the cap is base_cap, in adaptive mode the tightest
-        # admissible bound (which is never below the fixed cap)
-        admissible = [side.step_cap(y_full) for side in sides]
-        if adaptive_steps:
-            finite = [c for c in admissible if np.isfinite(c)]
-            cap = min(finite) if finite else np.inf
-        else:
-            cap = base_cap
-
         # distance to the boundary of the [-1, 1] box along y
         with np.errstate(divide="ignore"):
             pos = y_act > 1e-14
@@ -622,6 +668,18 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
                 [(1.0 - x_act[pos]) / y_act[pos], (-1.0 - x_act[neg]) / y_act[neg]]
             )
         boundary = float(np.min(dists)) if dists.size else np.inf
+
+        # every side computes (and caches) its admissibility cap, exact
+        # below the largest step the walk can take; in fixed mode the cap
+        # is base_cap, in adaptive mode the tightest admissible bound
+        # (which is never below the fixed cap)
+        limit = boundary if adaptive_steps else min(base_cap, boundary)
+        admissible = [side.step_cap(y_full, limit) for side in sides]
+        if adaptive_steps:
+            finite = [c for c in admissible if np.isfinite(c)]
+            cap = min(finite) if finite else np.inf
+        else:
+            cap = base_cap
         delta = min(cap, boundary)
         if not np.isfinite(delta) or delta <= 0:
             raise SubspaceExhausted("no admissible step length")

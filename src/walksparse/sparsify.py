@@ -46,6 +46,15 @@ def _validate_psd_family(family):
                 raise InvalidInput(f"family member {i} is not PSD")
 
 
+def _check_settings(eps, c_support):
+    """Raise InvalidInput unless 0 < eps <= 1/2 and c_support is finite and
+    positive; the pipelines check on entry, before any graph work."""
+    if not (0.0 < eps <= 0.5):
+        raise InvalidInput(f"eps={eps} outside (0, 1/2]")
+    if not (np.isfinite(c_support) and c_support > 0):
+        raise InvalidInput(f"c_support={c_support} is not a positive finite number")
+
+
 def sparsify(family, h, eps, c_support=C_SUPPORT):
     """Sparse reweighting s with |supp(s)| <= c_support * n / eps^2.
 
@@ -55,10 +64,7 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     per round: the support size after it.  Raises SubspaceExhausted when
     the per-round restricted subspace drops below (4/5) of the support size.
     """
-    if not (0.0 < eps <= 0.5):
-        raise InvalidInput(f"eps={eps} outside (0, 1/2]")
-    if not (np.isfinite(c_support) and c_support > 0):
-        raise InvalidInput(f"c_support={c_support} is not a positive finite number")
+    _check_settings(eps, c_support)
     _validate_psd_family(family)
     m, n = family.m, family.n
     if h.ambient_dim != m:
@@ -216,6 +222,7 @@ def spectral_family(g):
 def spectral_sparsify(g, eps, c_support=C_SUPPORT):
     """Degree-preserving spectral sparsifier of an undirected graph, one
     halving loop per connected component."""
+    _check_settings(eps, c_support)
     return _union_pieces(
         g, _components(g), lambda c: _sparsify_graph(c, spectral_family(c), eps, c_support)
     )
@@ -241,6 +248,7 @@ def uc_sparsify(g, eps, c_support=C_SUPPORT):
     """Unit-circle sparsifier of an undirected graph: both the Laplacian and
     the unsigned Laplacian are preserved to relative error eps, with exact
     degrees, one halving loop per connected component."""
+    _check_settings(eps, c_support)
     return _union_pieces(
         g, _components(g), lambda c: _sparsify_graph(c, uc_family(c), eps, c_support)
     )
@@ -264,6 +272,7 @@ def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):
     sum_e A_e <= I.  The walk then bounds
     scale * ||E^{+/2}(L - L_hat) E^{+/2}|| by the measured eps.
     """
+    _check_settings(eps, c_support)
     if g.directed or not g.is_connected():
         raise InvalidInput("expected a connected undirected graph")
     if g.bipartition() is None:
@@ -296,6 +305,7 @@ def sv_sparsify(g, eps, phi_target=None, c_support=C_SUPPORT):
         raise InvalidInput(
             f"per-piece accuracy eps*phi_target = {eps_piece} outside (0, 1/2]"
         )
+    _check_settings(eps_piece, c_support)
     pieces = [
         p.induced_on(p.non_isolated())
         for p in graph_mod.expander_decompose(lift, phi_target)

@@ -129,6 +129,21 @@ class TestCommands:
         assert code == 2
         assert "is not a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,command,flag,value,message", [
+        ("n 5", "sparsify", "--c-support", "nan", "is not a positive finite number"),
+        ("n 5", "sparsify", "--c-support", "-1", "is not a positive finite number"),
+        ("n 5", "sparsify", "--epsilon", "0.7", "outside (0, 1/2]"),
+        ("n 5", "uc", "--c-support", "nan", "is not a positive finite number"),
+        ("n 4 directed", "sv", "--c-support", "nan", "is not a positive finite number"),
+    ])
+    def test_bad_setting_on_edgeless_graph_exit_two(self, tmp_path, capsys, header, command,
+                                                     flag, value, message):
+        # no component reaches a halving loop, so the pipeline checks on entry
+        path = tmp_path / "empty.txt"
+        path.write_text(header + "\n")
+        assert main([command, str(path), flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_sv_undirected_rejects_phi_target(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_bipartite(4, 4))
         assert main(["sv", path, "--phi-target", "0.01"]) == 2

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import diagonal_family, projection_vectors, random_symmetric
-from walksparse import linalg, matrix_walk, potential
+from conftest import complete_graph, diagonal_family, projection_vectors, random_symmetric
+from walksparse import linalg, matrix_walk, potential, sketches
 from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.matrix_walk import (
     DoubledFamily,
@@ -180,6 +180,23 @@ class TestLanczosDirection:
         assert abs(float(y @ side.quad @ y) - exact) <= 1e-9
         assert abs(ritz - exact) <= 1e-9
 
+    def test_search_extends_until_the_bound_holds(self):
+        # eigenvalues packed in [1, 2]: 20 steps leave the Ritz value 3e-4
+        # above the minimum on null(w), so a bound 1e-4 above it needs the
+        # search to extend, growing its Krylov arrays
+        m = 120
+        rng = np.random.default_rng(71)
+        eigvecs = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        quad = linalg.sym((eigvecs * np.linspace(1.0, 2.0, m)) @ eigvecs.T)
+        w = np.linalg.qr(rng.normal(size=(m, 3)))[0].T
+        exact = min_on_null(quad, [w], m)
+        y, ritz, steps = _lanczos_direction(quad, exact + 1e-4, w, m, np.arange(m))
+        assert steps == 2 * matrix_walk.LANCZOS_STEPS
+        assert exact <= ritz <= exact + 1e-4
+        assert abs(float(y @ quad @ y) - ritz) <= 1e-12
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert np.max(np.abs(w @ y)) <= 1e-12
+
     def test_projection_family_needs_restart(self, monkeypatch):
         # the x row removes the start's component in N's zero eigenspace, so
         # one Krylov sequence stops at the number of distinct eigenvalues
@@ -221,13 +238,13 @@ class _Recorder:
                            "weights": getattr(self.side, "weights", None)})
         return rows
 
-    def step_cap(self, y_full):
+    def step_cap(self, y_full, limit):
         call = self.calls[-1]
         call["y"] = y_full.copy()
         call["quad"], call["bound"] = self.side.quad, self.side.bound
         if isinstance(self.side, _MatrixSide):
             call["keep"] = self.side.keep_count(len(call["active"]))
-        return self.side.step_cap(y_full)
+        return self.side.step_cap(y_full, limit)
 
 
 @pytest.fixture
@@ -537,6 +554,86 @@ class TestCombinedWalk:
         ):
             side.rows(x, active)
             assert side.quad.shape == (37, 37) and np.array_equal(side.quad, side.quad.T)
+
+
+def force_exact_norm(monkeypatch):
+    """Put `_BlockSpectra.product_norm` on its exact path (no screen)."""
+    screened = matrix_walk._BlockSpectra.product_norm
+    monkeypatch.setattr(matrix_walk._BlockSpectra, "product_norm",
+                        lambda self, y, step_limit=np.inf: screened(self, y, np.inf))
+
+
+def exact_step_norm(fam, x, y, eta):
+    """||M^{1/2} A(y)||_op rebuilt from the doubled aggregates, M^{1/2} = (uI - eta A(x))^{-1}."""
+    a_x, a_y = fam.aggregate(x), fam.aggregate(y)
+    doubled_x, doubled_y = linalg.block_diag(a_x, -a_x), linalg.block_diag(a_y, -a_y)
+    u = potential.solve_normalizer_from_eigenvalues(np.linalg.eigvalsh(doubled_x), eta)
+    half = np.linalg.inv(u * np.eye(len(doubled_x)) - eta * doubled_x)
+    return float(np.linalg.norm(half @ doubled_y, 2))
+
+
+class TestStepCapScreen:
+    """The matrix side's step cap comes from a Frobenius bound whenever that
+    cap clears the largest step the walk can take, and from the exact norm
+    otherwise, so the walk takes the same steps as with the exact norm."""
+
+    def fam_and_subspace(self):
+        m, n = 40, 8
+        fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=23))
+        return fam, linalg.nullspace(np.random.default_rng(47).normal(size=(m // 5, m)))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_same_walk_as_exact_norm(self, adaptive, monkeypatch):
+        fam, h = self.fam_and_subspace()
+        options = WalkOptions(adaptive_steps=adaptive)
+        calls = []
+        spectral_norm = linalg.spectral_norm
+        monkeypatch.setattr(linalg, "spectral_norm", lambda a: calls.append(1) or spectral_norm(a))
+        x_screened = partial_color(fam, h, options=options)
+        assert not calls
+        force_exact_norm(monkeypatch)
+        x_exact = partial_color(fam, h, options=options)
+        assert calls
+        assert x_screened.tobytes() == x_exact.tobytes()
+
+    def test_same_resistance_round_as_exact_norm(self, monkeypatch):
+        xs, calls = [], []
+        walk, spectral_norm = sketches._walk_loop, linalg.spectral_norm
+        monkeypatch.setattr(sketches, "_walk_loop", lambda *a: xs.append(walk(*a)) or xs[-1])
+        monkeypatch.setattr(linalg, "spectral_norm", lambda a: calls.append(1) or spectral_norm(a))
+        sketches.resistance_sparsify(complete_graph(14), 0.5, c_resist=1.0)
+        assert not calls
+        force_exact_norm(monkeypatch)
+        sketches.resistance_sparsify(complete_graph(14), 0.5, c_resist=1.0)
+        assert calls
+        assert len(xs) >= 2 and len(xs) % 2 == 0
+        half = len(xs) // 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(xs[:half], xs[half:]))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_logged_step_norm_bounds_the_exact_one(self, adaptive):
+        fam, h = self.fam_and_subspace()
+        side = _Recorder(_MatrixSide(fam, keep_count=lambda mt: mt // 3))
+        log = WalkLog()
+        _walk_loop(fam.m, [side], h.complement_rows, adaptive, log)
+        assert len(side.calls) == len(log.step_norm) == log.iterations > 0
+        for call, step, delta in zip(side.calls, log.step_norm, log.delta):
+            exact = side.eta * delta * exact_step_norm(fam, call["x"], call["y"], side.eta)
+            assert exact * (1.0 - 1e-9) <= step <= 0.5 + 1e-9
+        assert max(log.step_norm) > 0.0
+
+    def test_exact_norm_below_the_limit(self):
+        # the Frobenius bound stands only where its cap clears the limit
+        fam, _ = self.fam_and_subspace()
+        rng = np.random.default_rng(53)
+        x, y = 0.4 * rng.uniform(-1, 1, fam.m), rng.normal(size=fam.m)
+        spectra = matrix_walk._BlockSpectra(fam, x, 0.25 * np.sqrt(fam.m))
+        frob, exact = spectra.product_norm(y, 0.0), spectra.product_norm(y)
+        assert frob > exact
+        cap = 0.5 / (spectra.eta * frob)
+        assert spectra.product_norm(y, 0.5 * cap) == frob
+        assert spectra.product_norm(y, 2.0 * cap) == exact
+        assert abs(exact - exact_step_norm(fam, x, y, spectra.eta)) <= 1e-10
 
 
 def drive_full_coloring(mats):

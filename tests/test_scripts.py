@@ -13,13 +13,47 @@ import pytest
 SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
-def test_script_loads(path):
+def load_script(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_loads(path):
+    assert callable(load_script(path).main)
 
 
 def test_scripts_found():
     assert len(SCRIPTS) >= 4
+
+
+def test_bench_pairs_snapshot_skips_ignored_files(tmp_path):
+    bench_pairs = load_script(SCRIPTS[0].parent / "bench_pairs.py")
+    root = pathlib.Path(bench_pairs.ROOT)
+    cache = root / "src" / "walksparse" / "__pycache__"
+    cache.mkdir(exist_ok=True)
+    taken, tree = bench_pairs.snapshot(str(tmp_path))
+    tree = pathlib.Path(tree)
+    source = (root / "src" / "walksparse" / "matrix_walk.py").read_bytes()
+    assert (tree / "src" / "walksparse" / "matrix_walk.py").read_bytes() == source
+    assert not (tree / "src" / "walksparse" / "__pycache__").exists()
+    assert not (tree / ".bench_work").exists()
+    assert taken["files"] > 0 and len(taken["head"]) == 40
+
+
+def bench_doc(failed):
+    run = {"correct": True, "failed": failed, "metrics": {"wall_s": 1.0}}
+    summary = {"wall_s": {"base": {"median": 1.0}, "change": {"median": 0.9},
+                          "change_over_base": 0.9, "wins": 1, "losses": 0}}
+    pairs = [{"base": dict(run, failed=0), "change": run}]
+    return {"workloads": {"spectral": {"pairs": pairs, "same_outputs": True,
+                                       "summary": summary}}}
+
+
+def test_bench_pairs_report_exit_code(capsys):
+    bench_pairs = load_script(SCRIPTS[0].parent / "bench_pairs.py")
+    assert bench_pairs.report(bench_doc(failed=0)) == 0
+    assert "wall_s: base 1 change 0.9 ratio 0.9000 wins 1/1" in capsys.readouterr().out
+    assert bench_pairs.report(bench_doc(failed=1)) == 1

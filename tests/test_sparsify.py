@@ -1,5 +1,7 @@
 """Halving sparsification loop and the graph pipelines built on it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,29 @@ class TestSpectralSparsify:
         upper = linalg.eigvalsh((1.0 + eps) * lap - lap_t)
         lower = linalg.eigvalsh(lap_t - (1.0 - eps) * lap)
         assert upper[0] >= -1e-8 and lower[0] >= -1e-8
+
+    def test_walks_take_no_svd_for_step_caps(self, monkeypatch):
+        # the Frobenius cap clears the box boundary at every step, so the
+        # exact operator norm is never needed
+        calls = []
+        spectral_norm = linalg.spectral_norm
+        monkeypatch.setattr(linalg, "spectral_norm", lambda a: calls.append(1) or spectral_norm(a))
+        res = spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)
+        assert res.rounds >= 1
+        assert not calls
+
+    def test_walk_holds_under_five_quadratic_forms(self):
+        # an iteration holds N, one Hadamard factor of the next N and its
+        # Gram product at once: no earlier N, no m_t x m_t weight products
+        g = complete_graph(20)
+        tracemalloc.start()
+        try:
+            res = spectral_sparsify(g, 0.45, c_support=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rounds >= 1
+        assert peak < 5 * g.m * g.m * 8
 
     def test_component_wrapper(self):
         g = Graph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)))
