@@ -5,6 +5,7 @@ Contents:
   - block-diagonal assembly
   - spectral matrix functions: abs, sqrt_psd, pinv, pinv_sqrt
   - operator norms of symmetric matrices and general products
+  - QR-based orthonormal rows spanning a row space
   - subspaces of R^m stored by orthonormal rows of their orthogonal
     complement, with nullspace construction
 
@@ -12,6 +13,8 @@ All routines are pure functions of their inputs.  Determinism matters
 downstream (the discrepancy walks pick basis vectors from these outputs),
 so every eigenvector / singular-vector basis gets a fixed sign convention:
 the first entry with absolute value above SIGN_TOL is made positive.
+`orthonormalize` keeps the signs of its Householder QR: its callers use
+only the span of its rows.
 """
 
 from __future__ import annotations
@@ -147,23 +150,29 @@ def kernel_basis(a, rtol=ZERO_RTOL):
 
 
 def orthonormalize(rows, rtol=ZERO_RTOL):
-    """Orthonormal rows spanning the row space of `rows` (SVD based).
+    """Orthonormal rows spanning the row space of `rows` (QR based).
 
-    Rank is decided by singular values > rtol * max(1, s_max); output rows
-    are right singular vectors with deterministic signs.
+    Householder QR rows^T = Q R.  The singular values of the small factor R
+    are those of `rows`, and the rank counts those > rtol * max(1, s_max):
+    one `numpy.linalg.svd` call, without singular vectors, for any input
+    (bench/spans.py counts walk iterations by these calls).  At full rank
+    the output is Q^T; otherwise it is (Q U)^T for the top-rank
+    eigenvectors U of R R^T, which span the range of R.  The rows keep the
+    signs the QR gives them.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
-    if rows.shape[0] == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
     if not np.all(np.isfinite(rows)):
         raise InvalidInput("rows have non-finite entries")
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, rows.shape[1]))
-    rank = int(np.sum(s > rtol * max(1.0, s[0])))
-    return fix_signs(vt[:rank].T).T
+    q, r = np.linalg.qr(rows.T)
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
+    k = q.shape[1]
+    if rank < k:
+        _, u = np.linalg.eigh(r @ r.T)
+        q = q @ u[:, k - rank:]
+    return q.T
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ unit constraint rows R (the current point, the linear potential term
 i -> tr(M A_i), the caller's subspace H) over the active, not yet frozen,
 coordinates.  Each side also gives a PSD form Q_s with a bound b_s: N with
 tr N/(m_t - keep + 1) on the matrix side, the weighted Gram matrix G of the
-constraint directions with tr G/(cut + 1) on the vector side.  One thin SVD
-of R gives orthonormal rows W; Lanczos on Q = sum_s (b_0/b_s) Q_s with full
+constraint directions with tr G/(cut + 1) on the vector side.  One
+Householder QR of R^T (`linalg.orthonormalize`; its rank test takes the
+singular values of the small triangular factor only) gives orthonormal rows
+W spanning the rows of R; Lanczos on Q = sum_s (b_0/b_s) Q_s with full
 reorthogonalization against W and its Krylov basis, from fixed pseudo-random
 starts (the next one at each breakdown), returns the smallest Ritz vector of
 Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every term is PSD, so
@@ -577,8 +579,7 @@ class _VectorSide:
             rows.append(grad[None, :] / g_norm)
         heavy = self.heavy_count(m_t)
         if heavy > 0:
-            order = np.lexsort((np.arange(k), -self.weights))
-            rows.append(a_act[order[: min(heavy, k)]])
+            rows.append(a_act[_heaviest(self.weights, min(heavy, k))])
         # a_act is a copy: scaled in place, it is the Gram factor (syrk: G is symmetric)
         a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
         self.quad = a_act.T @ a_act
@@ -608,6 +609,17 @@ class _VectorSide:
             log.gram_term.append(quad)
             log.gram_bound.append(limit)
         return step_norm
+
+
+def _heaviest(weights, count):
+    """Indices of the `count` largest weights, ordered by (-weight, index):
+    the first `count` entries of a full lexsort, from a partition and a sort
+    of the candidates only (every weight tied with the count-th largest is a
+    candidate)."""
+    neg = -weights
+    cut = np.partition(neg, count - 1)[count - 1]
+    cand = np.flatnonzero(neg <= cut)
+    return cand[np.lexsort((cand, neg[cand]))][:count]
 
 
 def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
@@ -644,14 +656,13 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
 
         m_t = len(active)
         stacked = np.vstack(rows) if rows else np.zeros((0, m_t))
-        _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-        rank = int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
-        if rank >= m_t:
+        w = linalg.orthonormalize(stacked)
+        if w.shape[0] >= m_t:
             raise SubspaceExhausted(
                 f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
                 f"constraints in dimension {m_t}"
             )
-        z, _, steps = _lanczos_direction(*_combined_form(sides), vt[:rank], m, active)
+        z, _, steps = _lanczos_direction(*_combined_form(sides), w, m, active)
         y_act = linalg.fix_signs(z[:, None])[:, 0]
         resid = float(np.max(np.abs(stacked @ y_act), initial=0.0))
         if resid > _RESIDUAL_TOL:

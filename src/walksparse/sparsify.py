@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import linalg
-from .errors import InvalidInput, SubspaceExhausted, WalksparseError
+from .errors import InvalidInput, WalksparseError
 from .matrix_walk import MatrixFamily, Rank1Block, WalkOptions, partial_color
 
 
@@ -61,8 +61,9 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     family members must be PSD with sum A_i <= I; h is a Subspace of the
     coloring space containing s - 1 on exit.  Runs `halve` with
     `_matrix_round` and returns its (s, records, stop_reason), one record
-    per round: the support size after it.  Raises SubspaceExhausted when
-    the per-round restricted subspace drops below (4/5) of the support size.
+    per round: the support size after it.  A round whose restricted
+    subspace is below (4/5) of the support size stops the loop with the
+    support of the last completed round.
     """
     _check_settings(eps, c_support)
     _validate_psd_family(family)
@@ -78,8 +79,9 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
 
 def _matrix_round(family, h, s):
     """One walk on {s(i)/2 * A_i} over the support, keeping s - 1 in h;
-    returns (s_new, new support size) or, below the walk minimum, the stop
-    reason.  `partial_color` checks sum_i s(i) A_i <= 2I."""
+    returns (s_new, new support size) or, below the walk minimum or when the
+    restricted subspace is below (4/5) of the support, the stop reason.
+    `partial_color` checks sum_i s(i) A_i <= 2I."""
     support = np.flatnonzero(s)
     m_r = len(support)
     if m_r < WALK_MIN:
@@ -87,10 +89,7 @@ def _matrix_round(family, h, s):
     scaled_rows = (h.complement_rows * s[None, :])[:, support]
     h_sub = linalg.nullspace(scaled_rows, m=m_r)
     if h_sub.dim < 0.8 * m_r - 1e-9:
-        raise SubspaceExhausted(
-            f"restricted subspace dim {h_sub.dim} < (4/5) m_t = {0.8 * m_r:.1f}; "
-            "raise c_support"
-        )
+        return f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}"
     x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, options=_WALK)
     s_new = halve_support(s, support, x_sub)
     diff = s_new - 1.0

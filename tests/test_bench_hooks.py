@@ -6,9 +6,10 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from conftest import complete_graph
-from walksparse import sketches, sparsify
+from walksparse import matrix_walk, sketches, sparsify
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -29,9 +30,20 @@ def test_every_patched_name_resolves():
     assert not missing, f"bench/spans.py patches names that do not exist: {missing}"
 
 
-def test_sketch_walk_makes_one_svd_per_iteration(monkeypatch):
+@pytest.mark.parametrize(
+    "module,run",
+    [
+        (sketches, lambda: sketches.sketch(
+            complete_graph(16), np.random.default_rng(0).normal(size=(20, 16)), 0.5)),
+        (matrix_walk, lambda: sparsify.spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)),
+        (sketches, lambda: sketches.resistance_sparsify(complete_graph(12), 1.9)),
+    ],
+    ids=["sketch", "spectral", "resist"],
+)
+def test_walk_makes_one_svd_per_iteration(monkeypatch, module, run):
     # bench/spans.py counts matrix_walk.iterations as numpy.linalg.svd calls
-    # directly under a walk span, so each iteration must make exactly one
+    # directly under a walk span, so each iteration must make exactly one;
+    # `module` is where the walk's caller looks up `_walk_loop`
     calls, walks = [], []
     svd = np.linalg.svd
 
@@ -39,18 +51,18 @@ def test_sketch_walk_makes_one_svd_per_iteration(monkeypatch):
         calls.append(np.shape(args[0]))
         return svd(*args, **kwargs)
 
-    walk_loop = sketches._walk_loop
+    walk_loop = module._walk_loop
 
     def walk(m, sides, extra_rows, adaptive_steps, log):
+        log = log or matrix_walk.WalkLog()
         before = len(calls)
         x = walk_loop(m, sides, extra_rows, adaptive_steps, log)
         walks.append((len(calls) - before, log.iterations))
         return x
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(sketches, "_walk_loop", walk)
-    kvecs = np.random.default_rng(0).normal(size=(20, 16))
-    sketches.sketch(complete_graph(16), kvecs, 0.5)
+    monkeypatch.setattr(module, "_walk_loop", walk)
+    run()
     assert walks and all(iterations > 0 for _, iterations in walks)
     assert all(made == iterations for made, iterations in walks)
 

@@ -88,6 +88,19 @@ class TestCommands:
         payload = json.loads(rep.read_text())
         assert payload["pass"] is True
 
+    def test_sparsify_stops_on_a_short_restricted_subspace(self, tmp_path):
+        # K_16 at eps 0.5, c_support 1: the threshold 64 lies below 5n = 80,
+        # where the degree subspace falls under (4/5) of the support; the
+        # run stops at the last completed round instead of exiting 2
+        path = write_graph(tmp_path, complete_graph(16))
+        rep = tmp_path / "rep.json"
+        code = main(["sparsify", path, "--epsilon", "0.5", "--c-support", "1",
+                     "--check", "--report", str(rep)])
+        assert code in (0, 1)
+        payload = json.loads(rep.read_text())
+        assert code == (0 if payload["pass"] else 1)
+        assert 64 < payload["support_size"] < 120
+
     def test_verify_identical(self, tmp_path):
         path = write_graph(tmp_path, complete_graph(8))
         rep = tmp_path / "rep.json"

@@ -146,6 +146,55 @@ class TestSubspaces:
         assert np.max(np.abs(rows @ sub.basis()), initial=0.0) <= 1e-9
 
 
+def _with_singular_values(s, m, seed):
+    """len(s) x m rows with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+    v, _ = np.linalg.qr(rng.normal(size=(m, len(s))))
+    return (u * s) @ v.T
+
+
+def _unit_rows(rows):
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+# crafted constraint stacks and their thin-SVD ranks; the rank cut is
+# ZERO_RTOL * max(1, s_max) = 1e-10 on all of them
+ORTHONORMALIZE_STACKS = {
+    # degree rows of a bipartite graph: the two sides' sums are equal
+    "bipartite_degree_rows": (
+        lambda: _unit_rows(complete_bipartite(4, 5).incidence_unsigned()), 8),
+    "singular_value_2x_cut": (lambda: _with_singular_values([1.0, 0.6, 0.3, 2e-10], 15, 1), 4),
+    "singular_value_half_cut": (lambda: _with_singular_values([1.0, 0.6, 0.3, 5e-11], 15, 2), 3),
+    "zero_row": (lambda: np.vstack([_unit_rows(np.random.default_rng(3).normal(size=(3, 12))),
+                                    np.zeros((1, 12))]), 3),
+    "all_zero": (lambda: np.zeros((3, 8)), 0),
+    "no_rows": (lambda: np.zeros((0, 8)), 0),
+    "more_rows_than_columns": (lambda: np.random.default_rng(4).normal(size=(9, 5)), 5),
+}
+
+
+class TestOrthonormalize:
+    @pytest.mark.parametrize("name", ORTHONORMALIZE_STACKS)
+    def test_matches_thin_svd(self, name):
+        build, rank = ORTHONORMALIZE_STACKS[name]
+        rows = build()
+        out = linalg.orthonormalize(rows)
+        s = np.linalg.svd(rows, compute_uv=False)
+        cut = linalg.ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)
+        assert int(np.sum(s > cut)) == rank
+        assert out.shape == (rank, rows.shape[1])
+        assert np.max(np.abs(out @ out.T - np.eye(rank)), initial=0.0) <= 1e-12
+        # each row lies in the span up to the singular values below the cut
+        dropped = float(np.max(s[s <= cut], initial=0.0))
+        resid = np.linalg.norm(rows - (rows @ out.T) @ out, axis=1)
+        assert np.all(resid <= 1e-12 * np.linalg.norm(rows, axis=1) + dropped)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInput):
+            linalg.orthonormalize(np.array([[1.0, np.nan]]))
+
+
 class TestSpectralProperties:
     """Seed-fixed property suites used by the acceptance gate."""
 

@@ -241,13 +241,13 @@ class TestHalvingStops:
         g = complete_graph(12)
         kvecs = np.random.default_rng(0).normal(size=(30, 12))
         res = sketch_expander(g, kvecs, 1.5)
-        assert res.rounds == 7 and res.graph.m == 20
+        assert res.rounds == 7 and res.graph.m == 19
         assert res.stopped_early.startswith("walk stopped: update subspace is empty")
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
     def test_resistance_stops_when_update_subspace_is_empty(self):
         res = resistance_sparsify(complete_graph(12), 1.9)
-        assert res.rounds == 4 and res.graph.m == 21
+        assert res.rounds == 4 and res.graph.m == 20
         assert res.stopped_early.startswith("walk stopped: update subspace is empty")
 
     def test_round_that_freezes_nothing_raises(self, monkeypatch):

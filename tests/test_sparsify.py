@@ -1,5 +1,6 @@
 """Halving sparsification loop and the graph pipelines built on it."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
 )
 from walksparse import graph as graph_mod
 from walksparse import linalg, verify
-from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
+from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
 from walksparse.matrix_walk import MatrixFamily
@@ -79,11 +80,16 @@ class TestCoreLoop:
             sparsify(fam, Subspace.full(40), eps=0.4)
 
     def test_subspace_exhausted_when_threshold_too_low(self):
+        # a round whose restricted subspace is below (4/5) m_r cannot walk:
+        # the loop stops and returns the last completed round
         g = complete_graph(16)
         fam = spectral_family(g)
         h = degree_subspace(g)
-        with pytest.raises(SubspaceExhausted):
-            sparsify(fam, h, eps=0.5, c_support=0.25)
+        s, records, stopped = sparsify(fam, h, eps=0.5, c_support=0.25)
+        assert re.fullmatch(r"restricted subspace dim \d+ < \(4/5\) m_r = [\d.]+", stopped)
+        assert records and np.count_nonzero(s) == records[-1] > 0.25 * g.n / 0.5**2
+        diff = s - 1.0
+        assert np.linalg.norm(h.complement_rows @ diff) <= 1e-7 * np.linalg.norm(diff)
 
 
 class TestDegreeSubspace:

@@ -5,7 +5,7 @@ import pytest
 
 from walksparse import linalg
 from walksparse.errors import InvalidInput
-from walksparse.matrix_walk import WalkLog, _lanczos_direction, _VectorSide
+from walksparse.matrix_walk import WalkLog, _heaviest, _lanczos_direction, _VectorSide
 from walksparse.vector_walk import (
     default_lambda0,
     discrepancy_ratios,
@@ -112,6 +112,19 @@ class TestSubspace:
         cut = int(np.ceil(m / 10.0))
         assert float(y @ w_gram @ y) <= np.trace(w_gram) / (cut + 1)
         assert np.allclose(side.quad, w_gram, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("weights", [
+    np.random.default_rng(7).lognormal(size=300),
+    # ties at and around the cut, zeros included
+    np.random.default_rng(8).choice([0.0, np.exp(-4.0), 0.5, 1.0, 3.0], size=300),
+    np.ones(300),
+])
+@pytest.mark.parametrize("count", [1, 30, 299, 300])
+def test_heaviest_matches_full_lexsort(weights, count):
+    # the heavy rows are the first `count` of a full (-weight, index) sort
+    want = np.lexsort((np.arange(len(weights)), -weights))[:count]
+    assert np.array_equal(_heaviest(weights, count), want)
 
 
 class TestVectorPartialColor:
