@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import graph as graph_mod
-from . import sketches, sparsify, verify
+from . import linalg, sketches, sparsify, verify
 from .errors import InvalidInput, ParseError, WalksparseError
 from .matrix_walk import partial_color
 
@@ -127,7 +127,11 @@ def _emit(args, out_graph, report):
         else:
             sys.stdout.write(text)
     if report is not None:
-        payload = report.to_json() if hasattr(report, "to_json") else json.dumps(report, indent=2)
+        fields = report.to_dict() if hasattr(report, "to_dict") else dict(report)
+        if getattr(args, "blas_threads", None) is not None:
+            # the BLAS could not be pinned to one thread; say what ran
+            fields["blas_threads"] = args.blas_threads
+        payload = json.dumps(fields, indent=2)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
@@ -269,7 +273,11 @@ def run(args):
 
 
 def main(argv=None):
-    return run(build_parser().parse_args(argv))
+    """Run one command line with numpy's BLAS at one thread (see
+    `linalg.one_blas_thread`), so outputs do not depend on the thread count."""
+    args = build_parser().parse_args(argv)
+    with linalg.one_blas_thread() as args.blas_threads:
+        return run(args)
 
 
 if __name__ == "__main__":

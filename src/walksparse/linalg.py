@@ -8,6 +8,7 @@ Contents:
   - QR-based orthonormal rows spanning a row space
   - subspaces of R^m stored by orthonormal rows of their orthogonal
     complement, with nullspace construction
+  - a context that runs numpy's OpenBLAS at one thread
 
 All routines are pure functions of their inputs.  Determinism matters
 downstream (the discrepancy walks pick basis vectors from these outputs),
@@ -19,6 +20,9 @@ only the span of its rows.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,3 +257,46 @@ def nullspace(rows, m=None):
             m = mat.shape[1]
         return Subspace.full(m)
     return Subspace(mat.shape[1], orthonormalize(mat))
+
+
+@functools.cache
+def _numpy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS that numpy's wheel
+    bundles, through ctypes; None where numpy has no such library."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore it.
+
+    OpenBLAS rounds GEMM and GEMV differently at other thread counts, and the
+    walks' paths follow the rounding.  Yields None when the pin holds.  Where
+    numpy has no such library it yields the thread count OpenBLAS would take
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the core count).
+    """
+    threads = _numpy_openblas()
+    if threads is None:
+        env = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+        yield int(env) if env and env.isdigit() else os.cpu_count()
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield None
+    finally:
+        set_(previous)

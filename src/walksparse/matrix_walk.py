@@ -66,8 +66,6 @@ LANCZOS_STEPS = 20
 # a Krylov vector that keeps less than this share of its norm through
 # reorthogonalization ends its Krylov sequence (breakdown)
 _BREAKDOWN_TOL = 1e-8
-# rows of N scaled per pass by the weight products w_i w_j
-_ROW_BLOCK = 64
 # relative margin by which a Frobenius step cap must clear the step limit
 # before it stands in for the exact operator-norm cap
 _SCREEN_MARGIN = 1e-9
@@ -306,31 +304,30 @@ class _BlockSpectra:
     def quad_and_linear(self, active):
         """N over the active members and the linear-term row tr(M A_i)."""
         m_t = len(active)
-        n_mat = np.zeros((m_t, m_t))
+        n_mat = None
         linear = np.zeros(m_t)
         for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
             if isinstance(blk, Rank1Block):
                 w_act = blk.weights[active]
                 c = v.T @ blk.vectors[:, active]
+                linear += w_act * ((dp**2 - dm**2) @ (c * c))
+                # sqrt(w) folded into the columns: both Gram factors carry it,
+                # so their Hadamard product carries w_i w_j
+                c *= np.sqrt(w_act)
                 for d in (dp, dm):
                     p = np.sqrt(d)[:, None] * c
                     q = d[:, None] * c
                     s_gram = p.T @ p
                     s_gram *= q.T @ q
-                    # the w_i w_j factor a block of rows at a time: no m_t x m_t outer product
-                    for lo in range(0, m_t, _ROW_BLOCK):
-                        hi = lo + _ROW_BLOCK
-                        s_gram[lo:hi] *= w_act[lo:hi, None] * w_act
-                    n_mat += s_gram
-                    del s_gram
-                linear += w_act * ((dp**2 - dm**2) @ (c * c))
+                    n_mat = s_gram if n_mat is None else np.add(n_mat, s_gram, out=n_mat)
             else:
                 mats = blk.mats[active]
                 tilde = np.matmul(v.T[None, :, :], np.matmul(mats, v))
                 for d in (dp, dm):
                     xs = np.sqrt(d)[None, :, None] * tilde * d[None, None, :]
                     flat = xs.reshape(m_t, -1)
-                    n_mat += flat @ flat.T
+                    gram = flat @ flat.T
+                    n_mat = gram if n_mat is None else np.add(n_mat, gram, out=n_mat)
                 linear += np.einsum("ikk,k->i", tilde, dp**2 - dm**2)
         # each term is a syrk output times a symmetric factor, so N is exactly symmetric
         return n_mat, linear

@@ -12,10 +12,11 @@ making tr(M) = 1.  Given u, the closed form
 is exact, and Phi sandwiches the maximum eigenvalue:
 lambda_max(A(x)) <= Phi(x) <= lambda_max(A(x)) + 2 sqrt(n) / eta.
 
-The normalizer is found by 60 bisection steps on the bracket
-(eta lam_max + 1e-14 * scale, eta lam_max + sqrt(n)]: the trace residual is
-monotone decreasing there, blows up at the left end and is <= 1 at the right
-end, so convergence is unconditional and deterministic.
+The normalizer comes from Newton's method on g(u) = f(u)^{-1/2}, where
+f(u) = sum_i (u - eta lam_i)^{-2}.  For u > eta lam_max, g is a power mean
+(exponent -2) of the gaps, so increasing and concave: from u = eta lam_max + 1,
+left of the root since the top gap alone gives f >= 1, the iterates rise
+monotonically to it.  They stop once a step no longer increases u.
 """
 
 from __future__ import annotations
@@ -25,33 +26,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, StepTooLarge
+from .errors import InvalidInput, StepTooLarge, WalksparseError
 
-BISECTION_STEPS = 60
+NEWTON_STEPS = 50
 
 
 def solve_normalizer_from_eigenvalues(eigs, eta):
     """Normalizer u with sum_i (u - eta lam_i)^{-2} = 1 for given eigenvalues."""
     eigs = np.asarray(eigs, dtype=float)
-    n = eigs.size
-    if n == 0:
+    if eigs.size == 0:
         raise InvalidInput("cannot normalize over an empty spectrum")
     if not (eta > 0.0) or not np.isfinite(eta):
         raise InvalidInput("eta must be positive and finite")
     if not np.all(np.isfinite(eigs)):
         raise InvalidInput("non-finite eigenvalues")
-    top = eta * float(np.max(eigs))
-    scale = max(1.0, abs(top))
-    lo = top + 1e-14 * scale
-    hi = top + np.sqrt(n)
     scaled = eta * eigs
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if float(((mid - scaled) ** -2).sum()) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    u = float(scaled.max()) + 1.0
+    for _ in range(NEWTON_STEPS):
+        inv = 1.0 / (u - scaled)
+        f = float(inv @ inv)
+        # g(u) = f^{-1/2}, g'(u) = f^{-3/2} sum_i gap_i^{-3}: u + (1 - g)/g'
+        step = f * (np.sqrt(f) - 1.0) / float((inv * inv) @ inv)
+        if not u + step > u:
+            break
+        u += step
+    else:
+        raise WalksparseError(f"normalizer still moving after {NEWTON_STEPS} Newton steps")
+    if not abs(f - 1.0) <= 1e-10:
+        raise WalksparseError(f"normalizer residual {abs(f - 1.0):.3e} above 1e-10")
+    return u
 
 
 def solve_normalizer(a, eta):

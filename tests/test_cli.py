@@ -365,3 +365,36 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             blobs.append((out.read_bytes(), rep.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # unpinned, OpenBLAS rounds K_20's N differently at two threads and
+        # the walk ends at 94 edges instead of 90 (K_16 happens to agree)
+        import os
+        import subprocess
+        import sys
+
+        path = write_graph(tmp_path, complete_graph(20))
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out_{threads}.txt"
+            rep = tmp_path / f"rep_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "walksparse.cli", "sparsify", path,
+                 "--epsilon", "0.5", "--c-support", "1",
+                 "--out", str(out), "--report", str(rep)],
+                capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            blobs.append((out.read_bytes(), rep.read_bytes()))
+        assert blobs[0] == blobs[1]
+
+    def test_report_states_threads_when_unpinned(self, tmp_path, monkeypatch):
+        from walksparse import linalg
+
+        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        path = write_graph(tmp_path, complete_graph(6))
+        rep = tmp_path / "rep.json"
+        assert main(["sparsify", path, "--epsilon", "0.5", "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["blas_threads"] == 3

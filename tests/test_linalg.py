@@ -1,5 +1,7 @@
 """Linear-algebra substrate: eigendecomposition, spectral functions, subspaces."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -193,6 +195,33 @@ class TestOrthonormalize:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             linalg.orthonormalize(np.array([[1.0, np.nan]]))
+
+
+class TestOneBlasThread:
+    def test_pins_and_restores(self):
+        threads = linalg._numpy_openblas()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        try:
+            with linalg.one_blas_thread() as unpinned:
+                assert unpinned is None
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_unpinned_yields_the_thread_count(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with linalg.one_blas_thread() as threads:
+            assert threads == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with linalg.one_blas_thread() as threads:
+            assert threads == os.cpu_count()
 
 
 class TestSpectralProperties:

@@ -92,6 +92,30 @@ class TestQuadMatrix:
         lin_ref = np.array([np.trace(ctx.density @ a) for a in doubled.doubled])
         assert np.allclose(lin_fast, lin_ref, atol=1e-9)
 
+    def test_weighted_two_blocks_on_an_active_subset(self):
+        # the uc_family shape: two rank-one blocks sharing lognormal weights,
+        # N and the linear row over a subset of the members
+        from walksparse.matrix_walk import Rank1Block, _BlockSpectra
+
+        m, n = 30, 4
+        rng = np.random.default_rng(17)
+        w = rng.lognormal(sigma=1.0, size=m)
+        vecs = [rng.normal(size=(n, m)), rng.normal(size=(n, m))]
+        fam = MatrixFamily([Rank1Block(v, w) for v in vecs])
+        fam = fam.scaled(np.full(m, 1.0 / fam.abs_aggregate_norm()))
+        x = 0.6 * rng.uniform(-1, 1, size=m)
+        eta = 0.25 * np.sqrt(m)
+        active = np.sort(rng.choice(m, 19, replace=False))
+        n_fast, lin_fast = _BlockSpectra(fam, x, eta).quad_and_linear(active)
+
+        doubled = DoubledFamily.from_family(fam)
+        agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
+        ctx = potential.density_optimizer(agg, eta)
+        n_ref = quad_matrix(ctx.density, doubled, active)
+        lin_ref = np.array([np.trace(ctx.density @ doubled.doubled[i]) for i in active])
+        assert np.abs(n_fast - n_ref).max() <= 1e-12 * np.abs(n_ref).max()
+        assert np.abs(lin_fast - lin_ref).max() <= 1e-12 * np.abs(lin_ref).max()
+
 
 def row_span(rows):
     """Orthonormal rows W spanning the stacked rows R, as the walk builds them."""

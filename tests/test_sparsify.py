@@ -338,12 +338,12 @@ class TestSvSparsify:
 
 class TestHalvingStops:
     def test_stops_below_walk_minimum(self):
-        # K_10 has 45 edges; one round leaves 38, below the walk minimum of 40
+        # K_10 has 45 edges; one round leaves 39, below the walk minimum of 40
         fam = spectral_family(complete_graph(10))
         s, records, stopped = sparsify(fam, Subspace.full(45), 0.5, c_support=0.05)
-        assert records == [38]
-        assert np.count_nonzero(s) == 38
-        assert stopped == "support 38 below walk minimum 40"
+        assert records == [39]
+        assert np.count_nonzero(s) == 39
+        assert stopped == "support 39 below walk minimum 40"
 
     def test_negative_weight_raises(self):
         # the round drops three of four entries but leaves -0.5 on the last
