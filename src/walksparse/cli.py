@@ -142,6 +142,9 @@ def _emit(args, out_graph, report):
 def _run_command(args):
     g = load_graph(args.input)
     if args.command == "partial-color":
+        if g.m == 0:
+            # the target 16 sqrt(2n/m) needs an edge
+            raise InvalidInput(f"partial-color needs at least one edge; the graph has {g.m} edges")
         x = partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
         out = g.reweighted(1.0 + x)
         rep = verify.check_spectral(g, out, target=16.0 * np.sqrt(2.0 * g.n / g.m))

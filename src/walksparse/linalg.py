@@ -60,15 +60,15 @@ def block_diag(*blocks):
     return out
 
 
-def fix_signs(v, tol=SIGN_TOL):
-    """Flip column signs so the first entry with |x| > tol is positive.
+def fix_signs(v):
+    """Flip column signs so the first entry with |x| > SIGN_TOL is positive.
 
-    Columns that are entirely below tol are left untouched.
+    Columns that are entirely below SIGN_TOL are left untouched.
     """
     v = np.array(v, dtype=float)
     if v.size == 0:
         return v
-    big = np.abs(v) > tol
+    big = np.abs(v) > SIGN_TOL
     has = big.any(axis=0)
     first = np.argmax(big, axis=0)
     lead = v[first, np.arange(v.shape[1])]
@@ -143,21 +143,21 @@ def matrix_function(a, f):
     return sym((v * fw) @ v.T)
 
 
-def kernel_basis(a, rtol=ZERO_RTOL):
+def kernel_basis(a):
     """Orthonormal columns spanning the numerical kernel of a symmetric matrix."""
     w, v = eigh(a)
     if w.size == 0:
         return np.zeros((0, 0))
     onorm = float(np.max(np.abs(w)))
-    keep = np.abs(w) <= rtol * max(1.0, onorm)
+    keep = np.abs(w) <= ZERO_RTOL * max(1.0, onorm)
     return v[:, keep]
 
 
-def orthonormalize(rows, rtol=ZERO_RTOL):
+def orthonormalize(rows):
     """Orthonormal rows spanning the row space of `rows` (QR based).
 
     Householder QR rows^T = Q R.  The singular values of the small factor R
-    are those of `rows`, and the rank counts those > rtol * max(1, s_max):
+    are those of `rows`, and the rank counts those > ZERO_RTOL * max(1, s_max):
     one `numpy.linalg.svd` call, without singular vectors, for any input
     (bench/spans.py counts walk iterations by these calls).  At full rank
     the output is Q^T; otherwise it is (Q U)^T for the top-rank
@@ -165,13 +165,11 @@ def orthonormalize(rows, rtol=ZERO_RTOL):
     signs the QR gives them.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     if not np.all(np.isfinite(rows)):
         raise InvalidInput("rows have non-finite entries")
     q, r = np.linalg.qr(rows.T)
     s = np.linalg.svd(r, compute_uv=False)
-    rank = int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
     k = q.shape[1]
     if rank < k:
         _, u = np.linalg.eigh(r @ r.T)
@@ -218,44 +216,15 @@ class Subspace:
         resid = np.linalg.norm(self.complement_rows @ y)
         return resid <= tol * max(1.0, float(np.linalg.norm(y)))
 
-    def basis(self):
-        """Orthonormal columns spanning the subspace, deterministic order.
 
-        Computed from the full SVD of the complement rows: the right singular
-        vectors beyond the numerical rank, in SVD order, sign-fixed.
-        """
-        m = self.ambient_dim
-        r = self.complement_rows
-        if r.shape[0] == 0:
-            return np.eye(m)
-        _, s, vt = np.linalg.svd(r, full_matrices=True)
-        rank = int(np.sum(s > ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
-        return fix_signs(vt[rank:].T)
-
-
-def nullspace(rows, m=None):
-    """Subspace {y : <row, y> = 0 for all rows}.
-
-    `rows` may be an empty list, in which case `m` gives the ambient
-    dimension and the full space is returned.
-    """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        mat = np.asarray(rows, dtype=float)
-    else:
-        rows = list(rows)
-        if not rows:
-            if m is None:
-                raise InvalidInput("empty row list needs an explicit ambient dimension")
-            return Subspace.full(m)
-        mat = np.asarray(rows, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-    if m is not None and mat.shape[1] != m:
-        raise InvalidInput(f"rows of length {mat.shape[1]} do not match ambient dim {m}")
+def nullspace(rows):
+    """Subspace {y : <row, y> = 0 for all rows} of R^m, for a 2-D array
+    `rows` of m columns (zero rows give the full space)."""
+    mat = np.asarray(rows, dtype=float)
+    if mat.ndim != 2:
+        raise InvalidInput(f"expected a 2-D array of rows, got shape {mat.shape}")
     if mat.shape[0] == 0:
-        if m is None:
-            m = mat.shape[1]
-        return Subspace.full(m)
+        return Subspace.full(mat.shape[1])
     return Subspace(mat.shape[1], orthonormalize(mat))
 
 

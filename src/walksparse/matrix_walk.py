@@ -230,10 +230,6 @@ class DoubledFamily:
         doubled = [linalg.block_diag(a, -a) for a in original]
         return cls(original=original, doubled=doubled)
 
-    @classmethod
-    def from_family(cls, family):
-        return cls.from_matrices(as_family(family).members())
-
 
 # ---------------------------------------------------------------------------
 # walk state and options
@@ -536,8 +532,9 @@ class _MatrixSide:
 
 class _VectorSide:
     """Multiplicative-weights constraints: the potential gradient and the
-    heaviest rows, plus the weighted Gram matrix G = sum_i (w_i/sum w) a_i a_i^T
-    as quadratic form with bound tr G/(cut + 1), which fewer than cut + 1
+    budget(m_t) heaviest rows, plus the weighted Gram matrix
+    G = sum_i (w_i/sum w) a_i a_i^T as quadratic form with bound
+    tr G/(cut + 1) for cut = budget(m_t), which fewer than cut + 1
     eigenvalues of G exceed.  lambda0 = default_lambda0(k, m) for k unit rows
     of length m; the fixed step cap is 1/(2 lambda0).
 
@@ -546,12 +543,11 @@ class _VectorSide:
     sketch and resist output (`prepare_constraints` returns such rows).
     """
 
-    def __init__(self, unit_rows, heavy_count, cut_count):
+    def __init__(self, unit_rows, budget):
         self.ahat = np.asarray(unit_rows, dtype=float)
         self.lambda0 = default_lambda0(*self.ahat.shape)
         self.base_cap = 1.0 / (2.0 * self.lambda0)
-        self.heavy_count = heavy_count
-        self.cut_count = cut_count
+        self.budget = budget
         self.weights = None
         self.quad = None
         self.bound = 0.0
@@ -574,13 +570,13 @@ class _VectorSide:
         g_norm = float(np.sqrt(grad @ grad))
         if g_norm > _ROW_DROP_TOL:
             rows.append(grad[None, :] / g_norm)
-        heavy = self.heavy_count(m_t)
-        if heavy > 0:
-            rows.append(a_act[_heaviest(self.weights, min(heavy, k))])
+        budget = self.budget(m_t)
+        if budget > 0:
+            rows.append(a_act[_heaviest(self.weights, min(budget, k))])
         # a_act is a copy: scaled in place, it is the Gram factor (syrk: G is symmetric)
         a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
         self.quad = a_act.T @ a_act
-        self.bound = float(np.trace(self.quad)) / (self.cut_count(m_t) + 1)
+        self.bound = float(np.trace(self.quad)) / (budget + 1)
         return rows
 
     def step_cap(self, y_full, limit=np.inf):

@@ -57,14 +57,6 @@ def solve_normalizer_from_eigenvalues(eigs, eta):
     return u
 
 
-def solve_normalizer(a, eta):
-    """Normalizer for the aggregate matrix `a` (symmetric)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise InvalidInput("empty matrix")
-    return solve_normalizer_from_eigenvalues(linalg.eigvalsh(a), eta)
-
-
 @dataclass(frozen=True)
 class PotentialContext:
     """Aggregate A(x) together with eta, the normalizer u and the optimizer M.
@@ -111,18 +103,14 @@ def potential_value(ctx):
     return float((np.sum(ctx.inv_gaps) + ctx.u) / ctx.eta)
 
 
-def potential_of(a, eta):
-    return potential_value(density_optimizer(a, eta))
-
-
-def verify_increase_bound(ctx, a_of_y, tol=1e-8):
+def verify_increase_bound(ctx, a_of_y):
     """Check the second-order potential increase bound for a step.
 
     Requires ||M^{1/2} eta A(y)||_op <= 1/2 (StepTooLarge otherwise).
     Returns (lhs, rhs, ok) with
       lhs = Phi(x + y) - Phi(x)
       rhs = tr(M A(y)) + 2 eta tr(M^{1/2} A(y) M^{1/2} A(y) M^{1/2})
-      ok  = lhs <= rhs + tol.
+      ok  = lhs <= rhs + 1e-8.
     """
     a_of_y = linalg.sym(np.asarray(a_of_y, dtype=float))
     mh = ctx.density_sqrt
@@ -131,10 +119,10 @@ def verify_increase_bound(ctx, a_of_y, tol=1e-8):
         raise StepTooLarge(
             f"||M^(1/2) eta A(y)||_op = {step_norm:.6f} exceeds 1/2"
         )
-    lhs = potential_of(ctx.a_of_x + a_of_y, ctx.eta) - potential_value(ctx)
+    lhs = potential_value(density_optimizer(ctx.a_of_x + a_of_y, ctx.eta)) - potential_value(ctx)
 
     linear = float(np.trace(ctx.density @ a_of_y))
     b = mh @ a_of_y
     quad = float(np.trace(b @ b @ mh))
     rhs = linear + 2.0 * ctx.eta * quad
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + 1e-8

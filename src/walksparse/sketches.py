@@ -36,6 +36,7 @@ from .matrix_walk import (
     default_lambda0,
 )
 from .sparsify import PipelineResult, _union_pieces, degree_rows, halve, halve_support
+from .sparsify import _check_positive
 from .vector_walk import _DROP_NORM, prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
@@ -155,7 +156,7 @@ def _check_identity(g, kvecs, a_x, x_sub, s, support, tol_scale):
     return worst
 
 
-def _check_degrees_preserved(g, s, tol=1e-7):
+def _check_degrees_preserved(g, s):
     """Weighted degrees under the reweighting match the input degrees."""
     u, v, w = g.edge_arrays()
     d = g.weighted_degrees()
@@ -163,7 +164,7 @@ def _check_degrees_preserved(g, s, tol=1e-7):
     np.add.at(ds, u, s * w)
     np.add.at(ds, v, s * w)
     dev = float(np.max(np.abs(ds - d), initial=0.0))
-    if dev > tol * max(1.0, float(np.max(d, initial=1.0))):
+    if dev > 1e-7 * max(1.0, float(np.max(d, initial=1.0))):
         raise WalksparseError(f"degree preservation failed: deviation {dev:.3e}")
     return dev
 
@@ -177,6 +178,7 @@ def sketch_expander(g, kvecs, eps):
     multiplicative-weights subspace intersected with the degree and freeze
     subspaces.
     """
+    _check_positive("eps", eps)
     _require_sketchable(g)
     kvecs = np.asarray(kvecs, dtype=float)
     if kvecs.ndim != 2 or kvecs.shape[1] != g.n:
@@ -201,6 +203,7 @@ def sketch(g, kvecs, eps, phi_target=None):
     survives the union).  phi_target sets the decomposition's expansion
     target (default `graph.default_phi_target`).
     """
+    _check_positive("eps", eps)
     _require_sketchable(g)
     kvecs = np.asarray(kvecs, dtype=float)
     pieces = graph_mod.expander_decompose(g, phi_target)
@@ -244,7 +247,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     del a_rows
     cut = 0.1 if lph is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
-    sides = [_VectorSide(unit, heavy_count=budget, cut_count=budget)]
+    sides = [_VectorSide(unit, budget)]
     if lph is not None:
         vectors = lph @ piece.incidence_signed()[:, support]
         family = MatrixFamily.from_rank_one(vectors, 0.5 * s[support])
@@ -295,9 +298,9 @@ def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
     halving threshold is c_resist n sqrt(log n) / (lambda eps), and
     phi_target sets the decomposition's expansion target.
     """
+    _check_positive("eps", eps)
     _require_sketchable(g)
-    if not (np.isfinite(c_resist) and c_resist > 0):
-        raise InvalidInput(f"c_resist={c_resist} is not a positive finite number")
+    _check_positive("c_resist", c_resist)
     kvecs = resistance_pairs(g)
 
     def run(piece):

@@ -46,13 +46,18 @@ def _validate_psd_family(family):
                 raise InvalidInput(f"family member {i} is not PSD")
 
 
+def _check_positive(name, value):
+    """Raise InvalidInput unless value is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInput(f"{name}={value} is not a positive finite number")
+
+
 def _check_settings(eps, c_support):
     """Raise InvalidInput unless 0 < eps <= 1/2 and c_support is finite and
     positive; the pipelines check on entry, before any graph work."""
     if not (0.0 < eps <= 0.5):
         raise InvalidInput(f"eps={eps} outside (0, 1/2]")
-    if not (np.isfinite(c_support) and c_support > 0):
-        raise InvalidInput(f"c_support={c_support} is not a positive finite number")
+    _check_positive("c_support", c_support)
 
 
 def sparsify(family, h, eps, c_support=C_SUPPORT):
@@ -87,7 +92,7 @@ def _matrix_round(family, h, s):
     if m_r < WALK_MIN:
         return f"support {m_r} below walk minimum {WALK_MIN}"
     scaled_rows = (h.complement_rows * s[None, :])[:, support]
-    h_sub = linalg.nullspace(scaled_rows, m=m_r)
+    h_sub = linalg.nullspace(scaled_rows)
     if h_sub.dim < 0.8 * m_r - 1e-9:
         return f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}"
     x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, options=_WALK)
@@ -148,16 +153,15 @@ def degree_rows(g, s):
     return rows
 
 
-def degree_subspace(g, s=None):
+def degree_subspace(g):
     """Subspace of edge vectors preserving every weighted degree.
 
-    Membership of x means sum over edges at v of s(e) w(e) x(e) = 0 for all
-    vertices v, so the update s(e)(1 + x(e)) leaves weighted degrees fixed.
+    Membership of x means sum over edges at v of w(e) x(e) = 0 for all
+    vertices v, so the update 1 + x(e) leaves weighted degrees fixed.
     """
     if g.directed:
         raise InvalidInput("degree subspace expects an undirected graph")
-    s = np.ones(g.m) if s is None else np.asarray(s, dtype=float)
-    return linalg.nullspace(degree_rows(g, s), m=g.m)
+    return linalg.nullspace(degree_rows(g, np.ones(g.m)))
 
 
 @dataclass

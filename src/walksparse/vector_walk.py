@@ -18,7 +18,6 @@ import numpy as np
 
 from . import matrix_walk
 from .errors import InvalidInput
-from .matrix_walk import default_lambda0  # noqa: F401  (re-exported)
 
 _DROP_NORM = 1e-12
 
@@ -64,7 +63,7 @@ def vector_partial_color(vectors, extra=None, log=None):
     # the heaviest tenth of the constraints are cut from the update subspace,
     # and y^T G y is held to tr G / (cut + 1) with cut a tenth of m_t
     tenth = lambda mt: int(np.ceil(0.1 * mt))
-    side = matrix_walk._VectorSide(unit, heavy_count=tenth, cut_count=tenth)
+    side = matrix_walk._VectorSide(unit, budget=tenth)
     extra_rows = extra.complement_rows if extra is not None else np.zeros((0, m))
     return matrix_walk._walk_loop(m, [side], extra_rows, True, log)
 

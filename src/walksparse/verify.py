@@ -9,7 +9,6 @@ of their inputs and serialize to JSON with a stable key order.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,9 +55,6 @@ class ApproxReport:
             "support_size": self.support_size,
             "pass": self.passed,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _kernel_inclusion(err_mat, diff, transpose):

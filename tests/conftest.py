@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, settings
 
+from walksparse import linalg
 from walksparse.graph import Graph
 
 settings.register_profile(
@@ -113,6 +114,13 @@ def random_psd(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     return scale * (a @ a.T) / n
+
+
+def subspace_basis(sub):
+    """Orthonormal columns spanning a Subspace: the kernel of C^T C for its
+    complement rows C."""
+    c = sub.complement_rows
+    return linalg.kernel_basis(c.T @ c)
 
 
 def diagonal_family(m, n, seed):

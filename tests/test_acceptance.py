@@ -80,7 +80,7 @@ def test_criterion_02_potential_suite():
         b = random_symmetric(nn, seed=seed + 10_000)
         norm = linalg.spectral_norm(ctx.density_sqrt @ (ctx.eta * b))
         y = b * (0.4 / max(norm, 1e-12))
-        lhs, rhs, ok = potential.verify_increase_bound(ctx, y, tol=1e-8)
+        lhs, rhs, ok = potential.verify_increase_bound(ctx, y)
         assert ok, f"seed {seed}: {lhs} > {rhs}"
     # trace-inverse second-order coefficient within [-2, 2]
     for seed in range(100):

@@ -1,6 +1,7 @@
 """The benchmark's tracing hooks (bench/spans.py) name attributes that exist
 and see the calls they time."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -12,6 +13,7 @@ from conftest import complete_graph
 from walksparse import matrix_walk, sketches, sparsify
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+BENCH_TEST = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "test_bench.py")
 
 
 def load_spans():
@@ -28,6 +30,33 @@ def test_every_patched_name_resolves():
         if not hasattr(importlib.import_module(module_name), attr)
     ]
     assert not missing, f"bench/spans.py patches names that do not exist: {missing}"
+
+
+def resolves(module_name, attr):
+    """module_name.attr is an attribute or a submodule."""
+    if hasattr(importlib.import_module(module_name), attr):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{attr}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_the_bench_test_imports_resolves():
+    # bench/test_bench.py is outside the tier-1 suite, so a deleted package
+    # name it imports would otherwise go unnoticed
+    with open(BENCH_TEST, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "walksparse"
+        for alias in node.names
+    ]
+    assert ("walksparse.matrix_walk", "WalkOptions") in imported
+    missing = [f"{m}.{name}" for m, name in imported if not resolves(m, name)]
+    assert not missing, f"bench/test_bench.py imports names that do not exist: {missing}"
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,13 @@ class TestCommands:
         assert main([command, str(path), flag, value]) == 2
         assert message in capsys.readouterr().err
 
+    def test_partial_color_on_edgeless_graph_exit_two(self, tmp_path, capsys):
+        # its target 16 sqrt(2n/m) needs an edge
+        path = tmp_path / "empty.txt"
+        path.write_text("n 3\n")
+        assert main(["partial-color", str(path), "--check"]) == 2
+        assert "the graph has 0 edges" in capsys.readouterr().err
+
     def test_sv_undirected_rejects_phi_target(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_bipartite(4, 4))
         assert main(["sv", path, "--phi-target", "0.01"]) == 2

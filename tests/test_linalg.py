@@ -14,6 +14,7 @@ from conftest import (
     random_connected_graph,
     random_psd,
     random_symmetric,
+    subspace_basis,
 )
 from walksparse import linalg
 from walksparse.errors import InvalidInput, NotPSD
@@ -113,15 +114,20 @@ class TestOperatorNorm:
 
 class TestSubspaces:
     def test_nullspace_of_basis_vector(self):
-        sub = linalg.nullspace([np.array([1.0, 0.0, 0.0])])
+        sub = linalg.nullspace(np.array([[1.0, 0.0, 0.0]]))
         assert sub.dim == 2
-        for col in sub.basis().T:
+        for col in subspace_basis(sub).T:
             assert abs(col[0]) <= 1e-12
 
     def test_empty_rows_full_space(self):
-        sub = linalg.nullspace([], m=7)
+        sub = linalg.nullspace(np.zeros((0, 7)))
         assert sub.dim == 7
         assert sub.contains(np.ones(7))
+
+    def test_rows_must_be_2d(self):
+        # the column count is the ambient dimension, so one row is a 1 x m array
+        with pytest.raises(InvalidInput, match="2-D"):
+            linalg.nullspace(np.array([1.0, 0.0, 0.0]))
 
     def test_random_rows_dimension(self):
         # orthogonalization oracle: 5 generic rows have rank 5
@@ -130,7 +136,8 @@ class TestSubspaces:
         assert np.linalg.matrix_rank(rows) == 5
         sub = linalg.nullspace(rows)
         assert sub.dim == 15
-        basis = sub.basis()
+        basis = subspace_basis(sub)
+        assert basis.shape == (20, 15)
         assert np.max(np.abs(rows @ basis)) <= 1e-10
 
     def test_complement_rows_orthonormal(self):
@@ -143,9 +150,9 @@ class TestSubspaces:
     def test_nullspace_dim_lower_bound(self, k, seed):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(k, 10))
-        sub = linalg.nullspace(rows, m=10)
+        sub = linalg.nullspace(rows)
         assert sub.dim >= 10 - k
-        assert np.max(np.abs(rows @ sub.basis()), initial=0.0) <= 1e-9
+        assert np.max(np.abs(rows @ subspace_basis(sub)), initial=0.0) <= 1e-9
 
 
 def _with_singular_values(s, m, seed):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, diagonal_family, projection_vectors, random_symmetric
+from conftest import (
+    complete_graph,
+    diagonal_family,
+    projection_vectors,
+    random_symmetric,
+    subspace_basis,
+)
 from walksparse import linalg, matrix_walk, potential, sketches
 from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.matrix_walk import (
@@ -84,7 +90,7 @@ class TestQuadMatrix:
         active = np.arange(12)
         n_fast, lin_fast = spectra.quad_and_linear(active)
 
-        doubled = DoubledFamily.from_family(fam)
+        doubled = DoubledFamily.from_matrices(fam.members())
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
         ctx = potential.density_optimizer(agg, eta)
         n_ref = quad_matrix(ctx.density, doubled)
@@ -108,7 +114,7 @@ class TestQuadMatrix:
         active = np.sort(rng.choice(m, 19, replace=False))
         n_fast, lin_fast = _BlockSpectra(fam, x, eta).quad_and_linear(active)
 
-        doubled = DoubledFamily.from_family(fam)
+        doubled = DoubledFamily.from_matrices(fam.members())
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
         ctx = potential.density_optimizer(agg, eta)
         n_ref = quad_matrix(ctx.density, doubled, active)
@@ -123,9 +129,9 @@ def row_span(rows):
     return vt[: int(np.sum(s > linalg.ZERO_RTOL * max(1.0, s[0])))]
 
 
-def min_on_null(n_mat, rows, m):
+def min_on_null(n_mat, rows):
     """Exact minimum of y^T N y over unit y in null(R)."""
-    basis = linalg.nullspace(np.vstack(rows), m=m).basis()
+    basis = subspace_basis(linalg.nullspace(np.vstack(rows)))
     return float(linalg.eigvalsh(basis.T @ n_mat @ basis)[0])
 
 
@@ -168,7 +174,7 @@ class TestStepSubspace:
         assert m - w.shape[0] >= m - 2 - (m - h.dim)
         y, _, _ = direction(side, w, m)
         # reference linear term and N from the explicit doubling
-        doubled = DoubledFamily.from_family(fam)
+        doubled = DoubledFamily.from_matrices(fam.members())
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
         ctx = potential.density_optimizer(agg, eta)
         n_mat = quad_matrix(ctx.density, doubled)
@@ -179,7 +185,7 @@ class TestStepSubspace:
         assert h.contains(y, tol=1e-9)
         quad = float(y @ n_mat @ y)
         assert quad <= np.trace(n_mat) / (m - m // 3 + 1)
-        assert quad >= min_on_null(n_mat, rows, m) - 1e-12
+        assert quad >= min_on_null(n_mat, rows) - 1e-12
 
 
 class TestLanczosDirection:
@@ -199,7 +205,7 @@ class TestLanczosDirection:
         assert w.shape[0] == 8
         y, ritz, steps = direction(side, w, m)
         assert steps == m - 8 <= matrix_walk.LANCZOS_STEPS
-        exact = min_on_null(side.quad, rows, m)
+        exact = min_on_null(side.quad, rows)
         assert exact > 1e-6
         assert abs(float(y @ side.quad @ y) - exact) <= 1e-9
         assert abs(ritz - exact) <= 1e-9
@@ -213,7 +219,7 @@ class TestLanczosDirection:
         eigvecs = np.linalg.qr(rng.normal(size=(m, m)))[0]
         quad = linalg.sym((eigvecs * np.linspace(1.0, 2.0, m)) @ eigvecs.T)
         w = np.linalg.qr(rng.normal(size=(m, 3)))[0].T
-        exact = min_on_null(quad, [w], m)
+        exact = min_on_null(quad, [w])
         y, ritz, steps = _lanczos_direction(quad, exact + 1e-4, w, m, np.arange(m))
         assert steps == 2 * matrix_walk.LANCZOS_STEPS
         assert exact <= ritz <= exact + 1e-4
@@ -313,7 +319,7 @@ class TestDirectionInOldSubspace:
         if combined:
             # resist's side set: keep 5/6 of N, 1/6 vector-side budgets
             matrix = _MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0)))
-            sides = [_Recorder(matrix), _Recorder(_VectorSide(vec_rows, sixth, sixth))]
+            sides = [_Recorder(matrix), _Recorder(_VectorSide(vec_rows, sixth))]
         else:
             matrix = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
             sides = [_Recorder(matrix)]
@@ -350,7 +356,7 @@ class TestDirectionInOldSubspace:
             quad = float(y_act @ search["quad"] @ y_act)
             assert abs(quad - search["ritz"]) <= 1e-12 * max(1.0, abs(quad))
             assert search["ritz"] <= search["bound"]
-            assert quad >= min_on_null(search["quad"], [stacked], m_t) - 1e-12
+            assert quad >= min_on_null(search["quad"], [stacked]) - 1e-12
 
 
 class TestWalkInvariantChecks:
@@ -378,7 +384,7 @@ class TestWalkInvariantChecks:
         rows = rng.normal(size=(120, m)) + 4.0 * rng.normal(size=m)
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         tenth = lambda mt: int(np.ceil(mt / 10.0))
-        side = _VectorSide(rows, heavy_count=tenth, cut_count=tenth)
+        side = _VectorSide(rows, budget=tenth)
         x = np.linspace(-0.3, 0.3, m)
         stacked = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))]
         low, _, _ = direction(side, row_span(stacked), m)
@@ -529,7 +535,7 @@ class TestCombinedWalk:
         sixth = lambda mt: int(np.ceil(mt / 6.0))
         sides = [
             _MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0))),
-            _VectorSide(rows, heavy_count=sixth, cut_count=sixth),
+            _VectorSide(rows, budget=sixth),
         ]
         log = WalkLog()
         x = _walk_loop(m, sides, np.zeros((0, m)), True, log)
@@ -550,7 +556,7 @@ class TestCombinedWalk:
         sixth = lambda mt: int(np.ceil(mt / 6.0))
         mat, vec = sides = [
             _Recorder(_MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0)))),
-            _Recorder(_VectorSide(rows, heavy_count=sixth, cut_count=sixth)),
+            _Recorder(_VectorSide(rows, budget=sixth)),
         ]
         _walk_loop(m, sides, np.zeros((0, m)), True, None)
         assert len(mat.calls) == len(vec.calls) > 0
@@ -574,7 +580,7 @@ class TestCombinedWalk:
         for side in (
             _MatrixSide(MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41)), third),
             _MatrixSide(MatrixFamily.from_matrices(small_family(m, 3, seed=41)), third),
-            _VectorSide(rows, heavy_count=third, cut_count=third),
+            _VectorSide(rows, budget=third),
         ):
             side.rows(x, active)
             assert side.quad.shape == (37, 37) and np.array_equal(side.quad, side.quad.T)

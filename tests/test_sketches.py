@@ -236,6 +236,28 @@ class TestResistance:
             resistance_sparsify(complete_graph(8), 0.5, c_resist=c_resist)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, kvecs, eps: sketch(g, kvecs, eps),
+        lambda g, kvecs, eps: sketch_expander(g, kvecs, eps),
+        lambda g, kvecs, eps: resistance_sparsify(g, eps),
+    ],
+    ids=["sketch", "sketch_expander", "resistance_sparsify"],
+)
+def test_eps_must_be_positive_and_finite(monkeypatch, run, eps):
+    # rejected on entry, before any spectral or decomposition work
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eps was not checked on entry")
+
+    monkeypatch.setattr(sketches.graph_mod, "expander_decompose", unreachable)
+    monkeypatch.setattr(sketches.graph_mod, "lambda2", unreachable)
+    kvecs = np.random.default_rng(0).normal(size=(40, 12))
+    with pytest.raises(InvalidInput, match="not a positive finite number"):
+        run(complete_graph(12), kvecs, eps)
+
+
 class TestHalvingStops:
     def test_sketch_stops_when_update_subspace_is_empty(self):
         g = complete_graph(12)

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from conftest import subspace_basis
 from walksparse import linalg
 from walksparse.errors import InvalidInput
-from walksparse.matrix_walk import WalkLog, _heaviest, _lanczos_direction, _VectorSide
-from walksparse.vector_walk import (
+from walksparse.matrix_walk import (
+    WalkLog,
+    _heaviest,
+    _lanczos_direction,
+    _VectorSide,
     default_lambda0,
+)
+from walksparse.vector_walk import (
     discrepancy_ratios,
     prepare_constraints,
     vector_partial_color,
@@ -23,7 +29,7 @@ def gaussian_rows(k, m, seed):
 def tenth_side(rows):
     """The vector side as vector_partial_color builds it (1/10 budgets)."""
     tenth = lambda mt: int(np.ceil(0.1 * mt))
-    return _VectorSide(rows, heavy_count=tenth, cut_count=tenth)
+    return _VectorSide(rows, budget=tenth)
 
 
 def update_subspace(side, x):
@@ -32,7 +38,7 @@ def update_subspace(side, x):
     rows = side.rows(x, np.arange(m))
     if np.linalg.norm(x) > 1e-12:
         rows.append(x[None, :] / np.linalg.norm(x))
-    return linalg.nullspace(np.vstack(rows) if rows else np.zeros((0, m)), m=m)
+    return linalg.nullspace(np.vstack(rows) if rows else np.zeros((0, m)))
 
 
 class TestState:
@@ -82,7 +88,7 @@ class TestSubspace:
         m = 10
         sub = update_subspace(tenth_side(np.eye(m)), np.zeros(m))
         heavy = int(np.ceil(m / 10.0))
-        basis = sub.basis()
+        basis = subspace_basis(sub)
         assert np.max(np.abs(basis[:heavy, :])) <= 1e-9
 
     def test_random_constraints_orthogonality(self):

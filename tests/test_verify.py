@@ -51,7 +51,7 @@ class TestMatrixApprox:
 
     def test_report_json_order(self):
         rep = ApproxReport("spectral", 0.5, 0.1, True, 0.0, 7)
-        keys = list(json.loads(rep.to_json()).keys())
+        keys = list(json.loads(json.dumps(rep.to_dict())).keys())
         assert keys == [
             "kind",
             "target",
