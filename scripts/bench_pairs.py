@@ -13,18 +13,22 @@ no bytecode caches and no `.bench_work` ledger; the output records how the
 change was taken.  Each pair runs `bench/run.py --trace 0` once on each side
 with the same seed and BENCHMARK.json's `run_seconds`, and the side that
 goes first alternates from pair to pair.  Pair i uses seed
-SEEDS[i % len(SEEDS)].
+SEEDS[i % len(SEEDS)].  After its pairs, each workload gets one traced run
+(`--trace 1`, seed SEEDS[0]) on each side, whose per-layer metrics show
+where the time went.
 
 The output holds every run's end-to-end metrics, `correct`, `failed` and the
 per-job exit code, measured eps, support and output hashes, and per workload
 and BENCHMARK.json end-to-end metric the median and quartiles of each side,
 the change's median over the base's, and the share of pairs the change won
 in that metric's `better` direction (ties count for neither).
-It also records whether every pair produced the same output hashes.
+It also records whether every pair produced the same output hashes, and
+each traced run's per-layer metrics under `traced`.
 
 After writing the file it prints, per workload and end-to-end metric, the
-change/base median ratio and the change's wins, and exits 1 if any run was
-not `correct` or had `failed` > 0.
+change/base median ratio and the change's wins, then the walk's per-layer
+metrics of both traced runs, and exits 1 if any run was not `correct` or
+had `failed` > 0.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3, 4, 5)
+# per-layer metrics of the traced runs that the summary prints
+TRACED = ("matrix_walk.iterations", "matrix_walk.walk_s", "matrix_walk.self_s",
+          "matrix_walk.null_solve_s", "matrix_walk.ms_per_iter")
 
 
 def export(rev, dest):
@@ -86,10 +93,10 @@ def snapshot(dest):
     return taken, tree
 
 
-def run_bench(tree, workload, seed, seconds):
-    """One `bench/run.py --trace 0` run; returns its result and job records."""
+def run_bench(tree, workload, seed, seconds, trace=0):
+    """One `bench/run.py` run; returns its result and job records."""
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -167,8 +174,14 @@ def main(argv=None):
                 print(f"{time.strftime('%H:%M:%S')} {workload} pair {i} seed {seed}: wall_s "
                       f"base {pair['base']['metrics']['wall_s']:.2f} "
                       f"change {pair['change']['metrics']['wall_s']:.2f}", flush=True)
+            traced = {}
+            for side, tree in (("base", base_tree), ("change", change_tree)):
+                run = run_bench(tree, workload, SEEDS[0], seconds, trace=1)
+                del run["environment"], run["jobs"]
+                traced[side] = run
             doc["workloads"][workload] = {
                 "pairs": pairs,
+                "traced": traced,
                 "all_correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
                 "same_outputs": all(p["same_outputs"] for p in pairs),
                 "summary": summarize(pairs, bench["end_to_end"]),
@@ -185,6 +198,8 @@ def report(doc):
     clean = True
     for workload, entry in doc["workloads"].items():
         runs = [p[side] for p in entry["pairs"] for side in ("base", "change")]
+        traced = entry.get("traced", {})
+        runs += traced.values()
         bad = sum(not r["correct"] or r["failed"] > 0 for r in runs)
         clean = clean and bad == 0
         print(f"{workload}: {len(entry['pairs'])} pairs, same_outputs "
@@ -195,6 +210,10 @@ def report(doc):
             print(f"  {name}: base {summ['base']['median']:.4g} change "
                   f"{summ['change']['median']:.4g} ratio {ratio} wins {summ['wins']}/"
                   f"{len(entry['pairs'])} losses {summ['losses']}")
+        if traced:
+            base, change = (traced[side]["metrics"] for side in ("base", "change"))
+            print(f"  traced seed {SEEDS[0]}: " + ", ".join(
+                f"{name} {base[name]:.4g} -> {change[name]:.4g}" for name in TRACED))
     return 0 if clean else 1
 
 

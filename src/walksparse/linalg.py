@@ -5,7 +5,8 @@ Contents:
   - block-diagonal assembly
   - spectral matrix functions: abs, sqrt_psd, pinv, pinv_sqrt
   - operator norms of symmetric matrices and general products
-  - QR-based orthonormal rows spanning a row space
+  - QR-based orthonormal rows spanning a row space, and their downdate
+    when a column drops
   - subspaces of R^m stored by orthonormal rows of their orthogonal
     complement, with nullspace construction
   - a context that runs numpy's OpenBLAS at one thread
@@ -175,6 +176,37 @@ def orthonormalize(rows):
         _, u = np.linalg.eigh(r @ r.T)
         q = q @ u[:, k - rank:]
     return q.T
+
+
+def drop_column(basis, col):
+    """Orthonormal rows spanning the rows of `basis` with column `col` removed.
+
+    basis holds orthonormal rows.  The Householder reflection H that maps
+    column col of basis to a multiple of e_1 leaves rows 2.. of H basis
+    orthonormal and zero in that column, so they stay orthonormal without
+    it.  Row 1 holds the rest of the span: it is kept, normalized and
+    reorthogonalized against the others, unless its norm is at most
+    ZERO_RTOL (the rank test of `orthonormalize`).  O(r m) work for r rows
+    of length m, and no factorization.
+    """
+    b = basis[:, col]
+    beta = float(np.sqrt(b @ b))
+    rest = np.delete(basis, col, axis=1)
+    if beta == 0.0:
+        return rest
+    v = b.copy()
+    v[0] += np.copysign(beta, v[0])
+    # H = I - 2 v v^T / v^T v with v^T v = 2 beta (beta + |b_0|)
+    rest -= np.outer(v, (v @ rest) / (beta * (beta + abs(b[0]))))
+    head, others = rest[0], rest[1:]
+    norm = float(np.sqrt(head @ head))
+    if norm <= ZERO_RTOL:
+        return others
+    head /= norm
+    for _ in range(2):
+        head -= (others @ head) @ others
+    head /= np.sqrt(head @ head)
+    return rest
 
 
 @dataclass(frozen=True)

@@ -19,23 +19,29 @@ path evaluates the step quadratic-form matrix
 
 through Hadamard products of small Gram matrices, which keeps each walk
 iteration at O(n m^2) instead of O(m^2 n^2) and is what makes the graph
-pipelines run at desk scale.
+pipelines run at desk scale.  N is summed in row blocks of N_BLOCK rows, so
+no m x m temporary is made.
 
 Each iteration takes the update direction y from null(R) for the stacked
 unit constraint rows R (the current point, the linear potential term
 i -> tr(M A_i), the caller's subspace H) over the active, not yet frozen,
 coordinates.  Each side also gives a PSD form Q_s with a bound b_s: N with
 tr N/(m_t - keep + 1) on the matrix side, the weighted Gram matrix G of the
-constraint directions with tr G/(cut + 1) on the vector side.  One
-Householder QR of R^T (`linalg.orthonormalize`; its rank test takes the
-singular values of the small triangular factor only) gives orthonormal rows
-W spanning the rows of R; Lanczos on Q = sum_s (b_0/b_s) Q_s with full
-reorthogonalization against W and its Krylov basis, from fixed pseudo-random
-starts (the next one at each breakdown), returns the smallest Ritz vector of
-Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every term is PSD, so
-that meets each side's bound, and fewer than tr Q / b_0 eigenvalues of Q
-exceed b_0.  The walk advances with step min(cap, distance to the [-1,1]^m
-boundary).
+constraint directions with tr G/(cut + 1) on the vector side.  The caller's
+static rows come orthonormal, and the walk keeps their restriction to the
+active coordinates orthonormal: one Householder reflection per frozen
+coordinate (`linalg.drop_column`), no factorization.  Only the rows that
+change every iteration (the point, the linear term, the vector side's
+gradient and heavy rows) are projected off them and factored, by one
+Householder QR (`linalg.orthonormalize`; its rank test takes the singular
+values of the small triangular factor only).  Together they give
+orthonormal rows W spanning the rows of R; Lanczos on Q = sum_s (b_0/b_s) Q_s
+with full reorthogonalization against W and its Krylov basis, from fixed
+pseudo-random starts (the next one at each breakdown), returns the smallest
+Ritz vector of Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every
+term is PSD, so that meets each side's bound, and fewer than tr Q / b_0
+eigenvalues of Q exceed b_0.  The walk advances with step min(cap, distance
+to the [-1,1]^m boundary).
 
 The matrix side's cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with the
 Frobenius bound ||.||_F >= ||.||_op: where that cap already clears the
@@ -69,6 +75,12 @@ _BREAKDOWN_TOL = 1e-8
 # relative margin by which a Frobenius step cap must clear the step limit
 # before it stands in for the exact operator-norm cap
 _SCREEN_MARGIN = 1e-9
+# rows of N per block in `_hadamard_grams`: two block x m_t Gram buffers
+# stay in cache at the bench sizes (48 to 64 rows measured alike)
+N_BLOCK = 64
+# read-only mask of a block's strict upper triangle, mirrored below it
+_STRICT_UPPER = np.triu(np.ones((N_BLOCK, N_BLOCK), dtype=bool), 1)
+_STRICT_UPPER.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ class _BlockSpectra:
     def quad_and_linear(self, active):
         """N over the active members and the linear-term row tr(M A_i)."""
         m_t = len(active)
-        n_mat = None
+        factors, grams = [], []
         linear = np.zeros(m_t)
         for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
             if isinstance(blk, Rank1Block):
@@ -310,22 +322,19 @@ class _BlockSpectra:
                 # sqrt(w) folded into the columns: both Gram factors carry it,
                 # so their Hadamard product carries w_i w_j
                 c *= np.sqrt(w_act)
-                for d in (dp, dm):
-                    p = np.sqrt(d)[:, None] * c
-                    q = d[:, None] * c
-                    s_gram = p.T @ p
-                    s_gram *= q.T @ q
-                    n_mat = s_gram if n_mat is None else np.add(n_mat, s_gram, out=n_mat)
+                factors.extend((np.sqrt(d)[:, None] * c, d[:, None] * c) for d in (dp, dm))
             else:
                 mats = blk.mats[active]
                 tilde = np.matmul(v.T[None, :, :], np.matmul(mats, v))
                 for d in (dp, dm):
                     xs = np.sqrt(d)[None, :, None] * tilde * d[None, None, :]
                     flat = xs.reshape(m_t, -1)
-                    gram = flat @ flat.T
-                    n_mat = gram if n_mat is None else np.add(n_mat, gram, out=n_mat)
+                    # a syrk output: exactly symmetric
+                    grams.append(flat @ flat.T)
                 linear += np.einsum("ikk,k->i", tilde, dp**2 - dm**2)
-        # each term is a syrk output times a symmetric factor, so N is exactly symmetric
+        n_mat = _hadamard_grams(factors, m_t) if factors else np.zeros((m_t, m_t))
+        for gram in grams:
+            n_mat += gram
         return n_mat, linear
 
     def product_norm(self, y, step_limit=np.inf):
@@ -353,6 +362,37 @@ class _BlockSpectra:
         return max(linalg.spectral_norm(d[:, None] * b) for d, b in products)
 
 
+def _hadamard_grams(factors, m_t):
+    """The m_t x m_t sum over (p, q) in factors of (p^T p) o (q^T q),
+    exactly symmetric.
+
+    The sum runs over row blocks of N_BLOCK rows.  A block's part on and
+    right of the diagonal comes from two GEMMs per pair into two reused
+    buffers, so no other m_t x m_t array is made; its part below the
+    diagonal is then mirrored from the part above.
+    """
+    out = np.empty((m_t, m_t))
+    gram_p = np.empty(min(N_BLOCK, m_t) * m_t)
+    gram_q = np.empty_like(gram_p)
+    for lo in range(0, m_t, N_BLOCK):
+        hi = min(lo + N_BLOCK, m_t)
+        shape = (hi - lo, m_t - lo)
+        bp = gram_p[: shape[0] * shape[1]].reshape(shape)
+        bq = gram_q[: shape[0] * shape[1]].reshape(shape)
+        for j, (p, q) in enumerate(factors):
+            np.matmul(p[:, lo:hi].T, p[:, lo:], out=bp)
+            np.matmul(q[:, lo:hi].T, q[:, lo:], out=bq)
+            if j == 0:
+                np.multiply(bp, bq, out=out[lo:hi, lo:])
+            else:
+                bp *= bq
+                out[lo:hi, lo:] += bp
+        corner = out[lo:hi, lo:hi]
+        np.copyto(corner.T, corner, where=_STRICT_UPPER[: hi - lo, : hi - lo])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
+    return out
+
+
 # ---------------------------------------------------------------------------
 # constraint-side plumbing for the shared walk loop
 
@@ -374,15 +414,16 @@ def _start_vector(m, restart):
     return np.random.default_rng([m, restart]).standard_normal(m)
 
 
-def _lanczos_direction(quad, bound, w, m, active):
+def _lanczos_direction(quad, bound, w, start, active):
     """Unit smallest-Ritz vector of quad on null(w) meeting the bound.
 
     w holds orthonormal rows.  Lanczos with full reorthogonalization against
     w and the Krylov basis runs at least LANCZOS_STEPS steps (or to
     dim null(w)) and extends LANCZOS_STEPS at a time until the Ritz value
-    certifies y^T quad y <= bound; a breakdown restarts from the next fixed
-    start over the walk's m coordinates.  Returns (y, Ritz value, steps) and
-    raises SubspaceExhausted when null(w) is used up first.
+    certifies y^T quad y <= bound.  It starts from start[active], the walk's
+    first fixed start over its m coordinates; a breakdown restarts from the
+    next one.  Returns (y, Ritz value, steps) and raises SubspaceExhausted
+    when null(w) is used up first.
     """
     m_t, r = quad.shape[0], w.shape[0]
     dim = m_t - r
@@ -398,13 +439,16 @@ def _lanczos_direction(quad, bound, w, m, active):
     while True:
         fresh = v is None
         if fresh:
-            v = _start_vector(m, restart)[active]
+            v = (start if restart == 0 else _start_vector(len(start), restart))[active]
             restart += 1
-        before = float(np.sqrt(v @ v))
+        # the next Krylov row is reorthogonalized in place
+        row = basis[r + k]
+        row[:] = v
+        before = float(np.sqrt(row @ row))
         done = basis[: r + k]
         for _ in range(2):
-            v = v - (done @ v) @ done
-        after = float(np.sqrt(v @ v))
+            row -= (done @ row) @ done
+        after = float(np.sqrt(row @ row))
         if after <= _BREAKDOWN_TOL * before:
             # a generic start breaks down only by lying in span(w, Krylov
             # basis); m_t such starts mean that span is numerically R^m_t
@@ -416,8 +460,8 @@ def _lanczos_direction(quad, bound, w, m, active):
                 )
             v = None
             continue
-        basis[r + k] = v / after
-        q_basis[k] = quad @ basis[r + k]
+        row /= after
+        np.matmul(quad, row, out=q_basis[k])
         k += 1
         if k == target:
             krylov = basis[r : r + k]
@@ -552,7 +596,6 @@ class _VectorSide:
         self.quad = None
         self.bound = 0.0
         self.max_dot = 0.0
-        self.max_exponent = -np.inf
 
     def rows(self, x, active):
         k = self.ahat.shape[0]
@@ -561,9 +604,7 @@ class _VectorSide:
         if k == 0:
             self.quad, self.bound = np.zeros((m_t, m_t)), 0.0
             return []
-        margins = self.lambda0 * (self.ahat @ x) - self.lambda0**2
-        self.max_exponent = float(np.max(margins))
-        self.weights = np.exp(margins)
+        self.weights = np.exp(self.lambda0 * (self.ahat @ x) - self.lambda0**2)
         a_act = self.ahat[:, active]
         rows = []
         grad = self.weights @ a_act
@@ -618,11 +659,18 @@ def _heaviest(weights, count):
 def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     """Shared walk loop: assemble constraints, pick y, step, freeze.
 
-    extra_rows is a (r, m) array of static linear constraints (the caller's
-    subspace H plus any pinned coordinates).  Returns the final x.
+    extra_rows is an (r, m) array of orthonormal static linear constraints
+    (the caller's subspace H plus any pinned coordinates).  The walk keeps
+    their restriction to the active coordinates as orthonormal rows, which
+    `linalg.drop_column` downdates as coordinates freeze; each iteration
+    projects its own rows (the point, the sides' rows) off them twice and
+    factors only those with `linalg.orthonormalize`.  Returns the final x.
     """
+    # Subspace rejects rows that are not orthonormal
+    static = Subspace(m, extra_rows).complement_rows
     x = np.zeros(m)
     active = np.arange(m)
+    start = _start_vector(m, 0)
     base_cap = min(side.base_cap for side in sides)
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     if log is not None:
@@ -640,24 +688,25 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             rows.append(x_act[None, :] / x_norm)
         for side in sides:
             rows.extend(side.rows(x, active))
-        if extra_rows.shape[0]:
-            restricted = extra_rows[:, active]
-            norms = np.linalg.norm(restricted, axis=1)
-            keep = norms > _ROW_DROP_TOL
-            if np.any(keep):
-                rows.append(restricted[keep] / norms[keep, None])
-
         m_t = len(active)
-        stacked = np.vstack(rows) if rows else np.zeros((0, m_t))
-        w = linalg.orthonormalize(stacked)
+        fresh = np.vstack(rows) if rows else np.zeros((0, m_t))
+        projected = fresh.copy()
+        for _ in range(2):
+            projected -= (projected @ static.T) @ static
+        w = np.vstack([static, linalg.orthonormalize(projected)])
+        # the unit restrictions of the caller's rows, for the residual check
+        restricted = extra_rows[:, active]
+        norms = np.linalg.norm(restricted, axis=1)
+        keep = norms > _ROW_DROP_TOL
+        checked = np.vstack([fresh, restricted[keep] / norms[keep, None]])
         if w.shape[0] >= m_t:
             raise SubspaceExhausted(
-                f"update subspace is empty at m_t={m_t} with {stacked.shape[0]} "
+                f"update subspace is empty at m_t={m_t} with {checked.shape[0]} "
                 f"constraints in dimension {m_t}"
             )
-        z, _, steps = _lanczos_direction(*_combined_form(sides), w, m, active)
+        z, _, steps = _lanczos_direction(*_combined_form(sides), w, start, active)
         y_act = linalg.fix_signs(z[:, None])[:, 0]
-        resid = float(np.max(np.abs(stacked @ y_act), initial=0.0))
+        resid = float(np.max(np.abs(checked @ y_act), initial=0.0))
         if resid > _RESIDUAL_TOL:
             raise WalksparseError(f"walk invariant failed: constraint residual {resid:.3e}")
 
@@ -665,12 +714,11 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
         y_full[active] = y_act
 
         # distance to the boundary of the [-1, 1] box along y
-        with np.errstate(divide="ignore"):
-            pos = y_act > 1e-14
-            neg = y_act < -1e-14
-            dists = np.concatenate(
-                [(1.0 - x_act[pos]) / y_act[pos], (-1.0 - x_act[neg]) / y_act[neg]]
-            )
+        pos = y_act > 1e-14
+        neg = y_act < -1e-14
+        dists = np.concatenate(
+            [(1.0 - x_act[pos]) / y_act[pos], (-1.0 - x_act[neg]) / y_act[neg]]
+        )
         boundary = float(np.min(dists)) if dists.size else np.inf
 
         # every side computes (and caches) its admissibility cap, exact
@@ -707,6 +755,9 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             hit = active[frozen]
             x[hit] = np.sign(x[hit])
             active = active[~frozen]
+            # last position first, so the earlier positions stay valid
+            for col in np.flatnonzero(frozen)[::-1]:
+                static = linalg.drop_column(static, col)
     if log is not None:
         log.iterations = iterations
     return x
@@ -754,6 +805,8 @@ def partial_color(family, h=None, options=None, log=None):
     family = as_family(family)
     options = options or WalkOptions()
     m = family.m
+    if m == 0:
+        raise InvalidInput("family has no members")
     if h is None:
         h = Subspace.full(m)
     if h.ambient_dim != m:

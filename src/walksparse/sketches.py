@@ -241,7 +241,10 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     norms = np.linalg.norm(a_rows, axis=1)
     diag = RoundDiagnostics(support=m_r, frozen_sets=(len(e0), len(e1), len(es)))
     diag.norm_chain_margin = _check_norm_chain(norms, zbar_d, n_eff, m_r)
-    extra_rows = _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
+    # the walk takes orthonormal static rows
+    extra_rows = linalg.orthonormalize(
+        _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
+    )
 
     unit = prepare_constraints(a_rows, m_r, norms)
     del a_rows

@@ -204,6 +204,28 @@ class TestOrthonormalize:
             linalg.orthonormalize(np.array([[1.0, np.nan]]))
 
 
+class TestDropColumn:
+    @pytest.mark.parametrize("r,m,seed", [(40, 120, 0), (12, 30, 1), (1, 10, 2)])
+    def test_matches_a_fresh_factorization(self, r, m, seed):
+        # one row lives on columns 0..4 only: the rank falls once they are
+        # all dropped, and again once fewer columns than rows remain
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(r, m))
+        raw[-1, 5:] = 0.0
+        rows = linalg.orthonormalize(raw)
+        assert rows.shape == (r, m)
+        order = [*rng.permutation(5), *(5 + rng.permutation(m - 5))]
+        basis, kept = rows, list(range(m))
+        for col in order[: m - 2]:
+            basis = linalg.drop_column(basis, kept.index(col))
+            kept.remove(col)
+            fresh = linalg.orthonormalize(rows[:, kept])
+            rank = min(len(kept), r - (len(kept) <= m - 5))
+            assert basis.shape == fresh.shape == (rank, len(kept))
+            assert np.max(np.abs(basis @ basis.T - np.eye(rank)), initial=0.0) <= 1e-12
+            assert np.max(np.abs(basis.T @ basis - fresh.T @ fresh)) <= 1e-12
+
+
 class TestOneBlasThread:
     def test_pins_and_restores(self):
         threads = linalg._numpy_openblas()

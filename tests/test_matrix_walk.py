@@ -10,7 +10,7 @@ from conftest import (
     random_symmetric,
     subspace_basis,
 )
-from walksparse import linalg, matrix_walk, potential, sketches
+from walksparse import linalg, matrix_walk, potential, sketches, sparsify
 from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.matrix_walk import (
     DoubledFamily,
@@ -137,7 +137,8 @@ def min_on_null(n_mat, rows):
 
 def direction(side, w, m):
     """The walk's direction for a lone side over all m coordinates."""
-    return _lanczos_direction(side.quad, side.bound, w, m, np.arange(m))
+    return _lanczos_direction(side.quad, side.bound, w, matrix_walk._start_vector(m, 0),
+                              np.arange(m))
 
 
 class TestStepSubspace:
@@ -220,7 +221,8 @@ class TestLanczosDirection:
         quad = linalg.sym((eigvecs * np.linspace(1.0, 2.0, m)) @ eigvecs.T)
         w = np.linalg.qr(rng.normal(size=(m, 3)))[0].T
         exact = min_on_null(quad, [w])
-        y, ritz, steps = _lanczos_direction(quad, exact + 1e-4, w, m, np.arange(m))
+        start = matrix_walk._start_vector(m, 0)
+        y, ritz, steps = _lanczos_direction(quad, exact + 1e-4, w, start, np.arange(m))
         assert steps == 2 * matrix_walk.LANCZOS_STEPS
         assert exact <= ritz <= exact + 1e-4
         assert abs(float(y @ quad @ y) - ritz) <= 1e-12
@@ -282,8 +284,8 @@ def lanczos_calls(monkeypatch):
     """Each direction search of the walk: its form Q, bound and Ritz value."""
     calls = []
 
-    def recording(quad, bound, w, m, active):
-        y, ritz, steps = _lanczos_direction(quad, bound, w, m, active)
+    def recording(quad, bound, w, start, active):
+        y, ritz, steps = _lanczos_direction(quad, bound, w, start, active)
         calls.append({"quad": quad, "bound": bound, "ritz": ritz})
         return y, ritz, steps
 
@@ -312,7 +314,8 @@ class TestDirectionInOldSubspace:
         m, n = 48, 8
         rng = np.random.default_rng(41)
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=41), rng.uniform(0.5, 1, m))
-        extra = rng.normal(size=(m // 10, m))
+        # the walk takes orthonormal static rows
+        extra = linalg.orthonormalize(rng.normal(size=(m // 10, m)))
         sixth = lambda mt: int(np.ceil(mt / 6.0))
         vec_rows = rng.normal(size=(96, m))
         vec_rows /= np.linalg.norm(vec_rows, axis=1)[:, None]
@@ -503,6 +506,11 @@ class TestPartialColor:
         with pytest.raises(InvalidInput):
             partial_color(fam, h)
 
+    def test_rejects_empty_family(self):
+        # eta = sqrt(m)/4 is 0 without members, and the walk has nothing to color
+        with pytest.raises(InvalidInput, match="no members"):
+            partial_color(MatrixFamily.from_rank_one(np.zeros((3, 0))))
+
     def test_rejects_oversized_family_norm(self):
         vec = 2.0 * projection_vectors(4, 40, seed=3)
         fam = MatrixFamily.from_rank_one(vec)
@@ -568,8 +576,9 @@ class TestCombinedWalk:
             assert within(float(y @ gram @ y), np.trace(gram) / (sixth(m_t) + 1))
 
     def test_forms_are_exactly_symmetric_as_assembled(self):
-        # N and G are used without a symmetrizing copy: each is a sum of
-        # Gram products (syrk) times symmetric factors
+        # N and G are used without a symmetrizing copy: G and a dense
+        # block's N are Gram products (syrk) times symmetric factors, and a
+        # rank-one N is built in row blocks of N_BLOCK rows by GEMMs
         m, n = 48, 4
         rng = np.random.default_rng(41)
         x = 0.5 * rng.uniform(-1, 1, size=m)
@@ -584,6 +593,33 @@ class TestCombinedWalk:
         ):
             side.rows(x, active)
             assert side.quad.shape == (37, 37) and np.array_equal(side.quad, side.quad.T)
+        # around the block edges, on one-block and two-block (uc_family)
+        # families, blocked N matches the unblocked Hadamard product of Grams
+        block = matrix_walk.N_BLOCK
+        # a complete graph with at least 3 block + 5 edges
+        g = complete_graph(int(np.ceil(np.sqrt(2 * (3 * block + 5)))) + 1)
+        for fam in (sparsify.spectral_family(g), sparsify.uc_family(g)):
+            x = 0.5 * rng.uniform(-1, 1, size=fam.m)
+            spectra = matrix_walk._BlockSpectra(fam, x, 0.25 * np.sqrt(fam.m))
+            for m_t in (1, block - 1, block, block + 1, 3 * block + 5):
+                active = np.sort(rng.choice(fam.m, m_t, replace=False))
+                n_mat, _ = spectra.quad_and_linear(active)
+                ref = unblocked_quad(spectra, active)
+                assert n_mat.shape == (m_t, m_t) and np.array_equal(n_mat, n_mat.T)
+                assert np.abs(n_mat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def unblocked_quad(spectra, active):
+    """N = sum over rank-one blocks and signs of (P^T P) o (Q^T Q), with
+    P = D^{1/2} C and Q = D C for C = V^T G W^{1/2}, as whole m_t x m_t Grams."""
+    n_mat = 0.0
+    for blk, dp, dm, v in zip(spectra.family.blocks, spectra.d_plus, spectra.d_minus,
+                              spectra.vecs):
+        c = (v.T @ blk.vectors[:, active]) * np.sqrt(blk.weights[active])
+        for d in (dp, dm):
+            p, q = np.sqrt(d)[:, None] * c, d[:, None] * c
+            n_mat = n_mat + (p.T @ p) * (q.T @ q)
+    return n_mat
 
 
 def force_exact_norm(monkeypatch):

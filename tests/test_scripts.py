@@ -43,17 +43,25 @@ def test_bench_pairs_snapshot_skips_ignored_files(tmp_path):
     assert taken["files"] > 0 and len(taken["head"]) == 40
 
 
-def bench_doc(failed):
+def bench_doc(failed, traced_failed=0):
     run = {"correct": True, "failed": failed, "metrics": {"wall_s": 1.0}}
     summary = {"wall_s": {"base": {"median": 1.0}, "change": {"median": 0.9},
                           "change_over_base": 0.9, "wins": 1, "losses": 0}}
     pairs = [{"base": dict(run, failed=0), "change": run}]
+    layers = {"matrix_walk.iterations": 10, "matrix_walk.walk_s": 1.0,
+              "matrix_walk.self_s": 0.25, "matrix_walk.null_solve_s": 0.1,
+              "matrix_walk.ms_per_iter": 100.0}
+    traced = {side: {"correct": True, "failed": 0, "metrics": layers} for side in ("base", "change")}
+    traced["change"]["failed"] = traced_failed
     return {"workloads": {"spectral": {"pairs": pairs, "same_outputs": True,
-                                       "summary": summary}}}
+                                       "summary": summary, "traced": traced}}}
 
 
 def test_bench_pairs_report_exit_code(capsys):
     bench_pairs = load_script(SCRIPTS[0].parent / "bench_pairs.py")
     assert bench_pairs.report(bench_doc(failed=0)) == 0
-    assert "wall_s: base 1 change 0.9 ratio 0.9000 wins 1/1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "wall_s: base 1 change 0.9 ratio 0.9000 wins 1/1" in out
+    assert "traced seed 1: matrix_walk.iterations 10 -> 10" in out
     assert bench_pairs.report(bench_doc(failed=1)) == 1
+    assert bench_pairs.report(bench_doc(failed=0, traced_failed=1)) == 1

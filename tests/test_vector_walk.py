@@ -10,6 +10,7 @@ from walksparse.matrix_walk import (
     WalkLog,
     _heaviest,
     _lanczos_direction,
+    _start_vector,
     _VectorSide,
     default_lambda0,
 )
@@ -102,7 +103,8 @@ class TestSubspace:
         stacked = np.vstack([x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))])
         _, s, vt = np.linalg.svd(stacked, full_matrices=False)
         w = vt[: int(np.sum(s > linalg.ZERO_RTOL * s[0]))]
-        y, _, _ = _lanczos_direction(side.quad, side.bound, w, m, np.arange(m))
+        start = _start_vector(m, 0)
+        y, _, _ = _lanczos_direction(side.quad, side.bound, w, start, np.arange(m))
         lam = default_lambda0(k, m)
         weights = np.exp(lam * rows @ x - lam**2)
         grad = weights @ rows
