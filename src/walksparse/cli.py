@@ -139,81 +139,78 @@ def _emit(args, out_graph, report):
             sys.stdout.write(payload + "\n")
 
 
-def _run_command(args):
-    g = load_graph(args.input)
+# verify kind -> name of its check in `verify`, looked up at call time so a
+# wrapper put on the module attribute sees every call
+_CHECKS = {
+    "spectral": "check_spectral",
+    "uc": "check_uc_undirected",
+    "sv": "check_sv",
+    "sketch": "check_sketch",
+    "resistance": "check_resistance",
+}
+# construction command -> the verify kind of its report
+_KIND = {"partial-color": "spectral", "sparsify": "spectral", "uc": "uc", "sv": "sv",
+         "sketch": "sketch", "resist": "resistance"}
+
+
+def _decompose(args, g):
+    phi = args.phi_target if args.phi_target is not None else graph_mod.default_phi_target(g.n)
+    pieces = graph_mod.expander_decompose(g, phi)
+    if args.out:
+        for i, p in enumerate(pieces):
+            with open(f"{args.out}.piece{i}", "w", encoding="utf-8") as fh:
+                fh.write(serialize_graph(p))
+    payload = {
+        "pieces": len(pieces),
+        "phi_target": phi,
+        "edge_counts": [p.m for p in pieces],
+        "lambda2": [graph_mod.lambda2(p) for p in pieces],
+        "max_multiplicity": int(graph_mod.piece_multiplicity(pieces, g.n).max(initial=0)),
+        "pass": True,
+    }
+    _emit(args, None, payload)
+    return 0
+
+
+def _construct(args, g, kvecs):
+    """(output graph, check target) of a construction command."""
     if args.command == "partial-color":
         if g.m == 0:
             # the target 16 sqrt(2n/m) needs an edge
             raise InvalidInput(f"partial-color needs at least one edge; the graph has {g.m} edges")
         x = partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
-        out = g.reweighted(1.0 + x)
-        rep = verify.check_spectral(g, out, target=16.0 * np.sqrt(2.0 * g.n / g.m))
-    elif args.command == "sparsify":
-        out = sparsify.spectral_sparsify(g, args.epsilon, args.c_support).graph
-        rep = verify.check_spectral(g, out, target=args.epsilon)
-    elif args.command == "uc":
-        out = sparsify.uc_sparsify(g, args.epsilon, args.c_support).graph
-        rep = verify.check_uc_undirected(g, out, target=args.epsilon)
-    elif args.command == "sv":
+        return g.reweighted(1.0 + x), 16.0 * np.sqrt(2.0 * g.n / g.m)
+    if args.command == "sparsify":
+        return sparsify.spectral_sparsify(g, args.epsilon, args.c_support).graph, args.epsilon
+    if args.command == "uc":
+        return sparsify.uc_sparsify(g, args.epsilon, args.c_support).graph, args.epsilon
+    if args.command == "sv":
         if g.directed:
-            out = sparsify.sv_sparsify(g, args.epsilon, args.phi_target, args.c_support).graph
+            out = sparsify.sv_sparsify(g, args.epsilon, args.phi_target, args.c_support)
         elif args.phi_target is not None:
             raise InvalidInput("--phi-target applies only to directed input")
         else:
-            out = sparsify.sv_sparsify_expander(g, args.epsilon, args.c_support).graph
-        rep = verify.check_sv(g, out, target=args.epsilon)
-    elif args.command == "sketch":
-        kvecs = _sketch_vectors(args, g.n)
-        out = sketches.sketch(g, kvecs, args.epsilon, args.phi_target).graph
-        rep = verify.check_sketch(g, out, kvecs, target=args.c_sketch * args.epsilon)
-    elif args.command == "resist":
-        out = sketches.resistance_sparsify(g, args.epsilon, args.phi_target, args.c_resist).graph
-        rep = verify.check_resistance(g, out, target=args.c_resist * args.epsilon)
-    elif args.command == "decompose":
-        phi = args.phi_target if args.phi_target is not None else graph_mod.default_phi_target(g.n)
-        pieces = graph_mod.expander_decompose(g, phi)
-        mult = np.zeros(g.n, dtype=int)
-        for p in pieces:
-            for v in p.non_isolated():
-                mult[v] += 1
-        if args.out:
-            for i, p in enumerate(pieces):
-                with open(f"{args.out}.piece{i}", "w", encoding="utf-8") as fh:
-                    fh.write(serialize_graph(p))
-        payload = {
-            "pieces": len(pieces),
-            "phi_target": phi,
-            "edge_counts": [p.m for p in pieces],
-            "lambda2": [graph_mod.lambda2(p) for p in pieces],
-            "max_multiplicity": int(mult.max(initial=0)),
-            "pass": True,
-        }
-        _emit(args, None, payload)
-        return 0
-    elif args.command == "verify":
-        other = load_graph(args.against)
-        if args.kind == "spectral":
-            rep = verify.check_spectral(g, other, target=args.epsilon)
-        elif args.kind == "uc":
-            rep = verify.check_uc_undirected(g, other, target=args.epsilon)
-        elif args.kind == "sv":
-            rep = verify.check_sv(g, other, target=args.epsilon)
-        elif args.kind == "sketch":
-            kvecs = _sketch_vectors(args, g.n)
-            rep = verify.check_sketch(g, other, kvecs, target=args.epsilon)
-        elif args.kind == "resistance":
-            rep = verify.check_resistance(g, other, target=args.epsilon)
-        else:
-            raise WalksparseError(f"unknown verify kind {args.kind!r}")
-        _emit(args, None, rep)
-        return 0 if (not args.check or rep.passed) else 1
-    else:
-        raise WalksparseError(f"unknown command {args.command!r}")
+            out = sparsify.sv_sparsify_expander(g, args.epsilon, args.c_support)
+        return out.graph, args.epsilon
+    if args.command == "sketch":
+        out = sketches.sketch(g, kvecs[0], args.epsilon, args.phi_target).graph
+        return out, args.c_sketch * args.epsilon
+    out = sketches.resistance_sparsify(g, args.epsilon, args.phi_target, args.c_resist).graph
+    return out, args.c_resist * args.epsilon
 
-    _emit(args, out, rep)
-    if args.check and hasattr(rep, "passed") and not rep.passed:
-        return 1
-    return 0
+
+def _run_command(args):
+    g = load_graph(args.input)
+    if args.command == "decompose":
+        return _decompose(args, g)
+    verifying = args.command == "verify"
+    kind = args.kind if verifying else _KIND[args.command]
+    against = load_graph(args.against) if verifying else None
+    kvecs = (_sketch_vectors(args, g.n),) if kind == "sketch" else ()
+    out, target = (against, args.epsilon) if verifying else _construct(args, g, kvecs)
+    rep = getattr(verify, _CHECKS[kind])(g, out, *kvecs, target=target)
+    _emit(args, None if verifying else out, rep)
+    return 1 if args.check and not rep.passed else 0
 
 
 _FLAGS = {
@@ -223,8 +220,7 @@ _FLAGS = {
     "--vectors": dict(default=""),
     "--c-sketch": dict(type=float, default=4.0),
     "--c-resist": dict(type=float, default=4.0),
-    "--kind": dict(default="spectral",
-                   choices=["spectral", "uc", "sv", "sketch", "resistance"]),
+    "--kind": dict(default="spectral", choices=list(_CHECKS)),
     "--out": dict(default=""),
     "--report": dict(default=""),
     "--check": dict(action="store_true"),
@@ -265,10 +261,9 @@ def run(args):
     if "epsilon" in args and not (0.0 < args.epsilon < 2.0):
         print(f"error: epsilon {args.epsilon} outside (0, 2)", file=sys.stderr)
         return 2
-    if "c_sketch" in args and not (np.isfinite(args.c_sketch) and args.c_sketch > 0):
-        print(f"error: c_sketch={args.c_sketch} is not a positive finite number", file=sys.stderr)
-        return 2
     try:
+        if "c_sketch" in args:
+            sparsify._check_positive("c_sketch", args.c_sketch)
         return _run_command(args)
     except (WalksparseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,13 @@
 
 A Graph stores a vertex count, a canonical weighted edge list (undirected
 edges with u < v, sorted, duplicates merged by weight sum) and a directed
-flag.  Matrices are built on demand as dense arrays; everything is desk
-scale.  The expander decomposition is a deterministic recursive sweep cut:
-pieces with second normalized-Laplacian eigenvalue above the target are
-emitted, otherwise the best Cheeger sweep cut splits the piece and the two
-sides and the cut edges are decomposed recursively.
+flag.  Matrices and degrees are built on demand as dense arrays from
+`edge_arrays()`, summed in edge order so they equal a per-edge loop bit for
+bit; everything is desk scale.  The expander decomposition is a
+deterministic recursive sweep cut: pieces with second normalized-Laplacian
+eigenvalue above the target are emitted, otherwise the best Cheeger sweep
+cut splits the piece and the two sides and the cut edges are decomposed
+recursively.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput
+
+
+def _sums(index, w, n):
+    """Length-n sums of w by index, added in array order (bincount of an
+    empty index is an int array, hence the cast)."""
+    return np.bincount(index, w, n).astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,8 @@ class Graph:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.m,):
             raise InvalidInput("reweighting length mismatch")
+        if not np.all(np.isfinite(s)):
+            raise InvalidInput("non-finite reweighting")
         if np.any(s < -1e-12):
             raise InvalidInput("negative reweighting")
         kept = [
@@ -76,39 +86,32 @@ class Graph:
     # -- matrices ----------------------------------------------------------
 
     def adjacency(self):
+        u, v, w = self.edge_arrays()
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            if self.directed:
-                a[u, v] += w
-            else:
-                a[u, v] += w
-                a[v, u] += w
+        a[u, v] = w
+        if not self.directed:
+            a[v, u] = w
         return a
 
     def weighted_degrees(self):
         if self.directed:
             raise InvalidInput("directed graphs have in/out degrees")
-        d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return d
+        u, v, w = self.edge_arrays()
+        # edges are sorted with u < v, so a vertex's edges as v all precede
+        # its edges as u: this adds in edge order, as a per-edge loop does
+        return _sums(np.concatenate([v, u]), np.concatenate([w, w]), self.n)
 
     def out_degrees(self):
-        d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[u] += w
-            if not self.directed:
-                d[v] += w
-        return d
+        if not self.directed:
+            return self.weighted_degrees()
+        u, _, w = self.edge_arrays()
+        return _sums(u, w, self.n)
 
     def in_degrees(self):
-        d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[v] += w
-            if not self.directed:
-                d[u] += w
-        return d
+        if not self.directed:
+            return self.weighted_degrees()
+        _, v, w = self.edge_arrays()
+        return _sums(v, w, self.n)
 
     def laplacian(self):
         return np.diag(self.weighted_degrees()) - self.adjacency()
@@ -125,18 +128,14 @@ class Graph:
 
     def incidence_signed(self):
         """Columns b_e = 1_u - 1_v (tail minus head for directed edges)."""
+        u, v, _ = self.edge_arrays()
         b = np.zeros((self.n, self.m))
-        for j, (u, v, _) in enumerate(self.edges):
-            b[u, j] = 1.0
-            b[v, j] = -1.0
+        b[u, np.arange(self.m)] = 1.0
+        b[v, np.arange(self.m)] = -1.0
         return b
 
     def incidence_unsigned(self):
-        b = np.zeros((self.n, self.m))
-        for j, (u, v, _) in enumerate(self.edges):
-            b[u, j] = 1.0
-            b[v, j] = 1.0
-        return b
+        return np.abs(self.incidence_signed())
 
     # -- structure ---------------------------------------------------------
 
@@ -169,11 +168,8 @@ class Graph:
         return comps
 
     def non_isolated(self):
-        used = set()
-        for u, v, _ in self.edges:
-            used.add(u)
-            used.add(v)
-        return sorted(used)
+        u, v, _ = self.edge_arrays()
+        return np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=self.n)).tolist()
 
     def is_connected(self):
         return len(self.connected_components()) <= 1
@@ -259,6 +255,14 @@ def sv_error_matrices(g):
     e = np.diag(d) - a @ np.diag(d_p) @ a
     e = linalg.sym(e)
     return e, e.copy()
+
+
+def piece_multiplicity(pieces, n):
+    """Per vertex of an n-vertex graph, the number of pieces it has an edge in."""
+    mult = np.zeros(n, dtype=int)
+    for p in pieces:
+        mult[p.non_isolated()] += 1
+    return mult
 
 
 def lambda2(g):
@@ -381,12 +385,8 @@ def expander_decompose(g, phi_target=None):
     total_edges = sum(p.m for p in out)
     if total_edges != g.m:
         raise InvalidInput("internal error: decomposition does not partition the edges")
-    mult = np.zeros(g.n, dtype=int)
-    for p in out:
-        for v in p.non_isolated():
-            mult[v] += 1
     bound = 4.0 * np.log2(max(g.n, 2)) + 1
-    worst = int(mult.max()) if g.n else 0
+    worst = int(piece_multiplicity(out, g.n).max(initial=0))
     if worst > bound:
         raise InvalidInput(
             f"vertex multiplicity {worst} exceeds {bound:.1f}; lower phi_target"

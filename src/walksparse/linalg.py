@@ -241,13 +241,6 @@ class Subspace:
     def dim(self):
         return self.ambient_dim - self.complement_rows.shape[0]
 
-    def contains(self, y, tol=1e-8):
-        y = np.asarray(y, dtype=float)
-        if self.complement_rows.shape[0] == 0:
-            return True
-        resid = np.linalg.norm(self.complement_rows @ y)
-        return resid <= tol * max(1.0, float(np.linalg.norm(y)))
-
 
 def nullspace(rows):
     """Subspace {y : <row, y> = 0 for all rows} of R^m, for a 2-D array

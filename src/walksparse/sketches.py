@@ -30,6 +30,7 @@ from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import (
     MatrixFamily,
     WalkLog,
+    _ROW_DROP_TOL,
     _MatrixSide,
     _VectorSide,
     _walk_loop,
@@ -37,7 +38,7 @@ from .matrix_walk import (
 )
 from .sparsify import PipelineResult, _union_pieces, degree_rows, halve, halve_support
 from .sparsify import _check_positive
-from .vector_walk import _DROP_NORM, prepare_constraints
+from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8
@@ -158,12 +159,8 @@ def _check_identity(g, kvecs, a_x, x_sub, s, support, tol_scale):
 
 def _check_degrees_preserved(g, s):
     """Weighted degrees under the reweighting match the input degrees."""
-    u, v, w = g.edge_arrays()
     d = g.weighted_degrees()
-    ds = np.zeros(g.n)
-    np.add.at(ds, u, s * w)
-    np.add.at(ds, v, s * w)
-    dev = float(np.max(np.abs(ds - d), initial=0.0))
+    dev = float(np.max(np.abs(g.reweighted(s).weighted_degrees() - d), initial=0.0))
     if dev > 1e-7 * max(1.0, float(np.max(d, initial=1.0))):
         raise WalksparseError(f"degree preservation failed: deviation {dev:.3e}")
     return dev
@@ -246,7 +243,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
         _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
     )
 
-    unit = prepare_constraints(a_rows, m_r, norms)
+    unit = prepare_constraints(a_rows, norms)
     del a_rows
     cut = 0.1 if lph is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
@@ -267,7 +264,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     unit_x = unit @ x_sub
     del sides, unit
     # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
-    kept = norms > _DROP_NORM
+    kept = norms > _ROW_DROP_TOL
     a_x = np.zeros(len(norms))
     a_x[kept] = norms[kept] * unit_x
     diag.walk_iterations = wlog.iterations

@@ -19,24 +19,18 @@ import numpy as np
 from . import matrix_walk
 from .errors import InvalidInput
 
-_DROP_NORM = 1e-12
-
-
-def prepare_constraints(vectors, m=None, norms=None):
-    """Drop zero constraint vectors (norms: their row norms, if known) and
-    normalize the rest into one new C-ordered array of unit rows."""
+def prepare_constraints(vectors, norms=None):
+    """Drop zero rows of a 2-D array of constraint vectors (norms: their row
+    norms, if known) and normalize the rest into one new C-ordered array of
+    unit rows."""
     a = np.asarray(vectors, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInput("constraint vectors have non-finite entries")
-    if m is not None and a.shape[0] and a.shape[1] != m:
-        raise InvalidInput("constraint vector length mismatch")
     if a.shape[0] == 0:
         return a
     if norms is None:
         norms = np.linalg.norm(a, axis=1)
-    keep = norms > _DROP_NORM
+    keep = norms > matrix_walk._ROW_DROP_TOL
     # a[keep] is one new C-ordered copy, also of F-ordered rows: divide in place
     unit = a[keep]
     unit /= norms[keep, None]
@@ -59,7 +53,9 @@ def vector_partial_color(vectors, extra=None, log=None):
     m = a.shape[1] if extra is None else extra.ambient_dim
     if a.shape[0] < m:
         raise InvalidInput(f"need at least m={m} constraint vectors, got {a.shape[0]}")
-    unit = prepare_constraints(a, m)
+    if a.shape[0] and a.shape[1] != m:
+        raise InvalidInput("constraint vector length mismatch")
+    unit = prepare_constraints(a)
     # the heaviest tenth of the constraints are cut from the update subspace,
     # and y^T G y is held to tr G / (cut + 1) with cut a tenth of m_t
     tenth = lambda mt: int(np.ceil(0.1 * mt))
@@ -74,7 +70,7 @@ def discrepancy_ratios(vectors, x):
     if a.ndim == 1:
         a = a[None, :]
     norms = np.linalg.norm(a, axis=1)
-    keep = norms > _DROP_NORM
+    keep = norms > matrix_walk._ROW_DROP_TOL
     if not np.any(keep):
         return np.zeros(0)
     return np.abs(a[keep] @ x) / norms[keep]

@@ -3,13 +3,15 @@
 Every check recomputes its quantities from scratch (pseudoinverse square
 roots, kernel bases, quadratic forms) so a report never trusts anything the
 construction pipeline produced along the way.  Reports are pure functions
-of their inputs and serialize to JSON with a stable key order.
+of their inputs and serialize to JSON with a stable key order.  The five
+graph checks measure their error and take the rest of the report (degree
+deviation, support size) from one builder, `_graph_report`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def _kernel_inclusion(err_mat, diff, transpose):
     return bool(np.all(resid <= KERNEL_RTOL * scale))
 
 
-def check_matrix_approx(a, a_tilde, e_mat, f_mat, target, kind="standard", support_size=0):
+def check_matrix_approx(a, a_tilde, e_mat, f_mat, target):
     """Matrix-approximation check: ||E^{+/2}(A - At)F^{+/2}|| and kernels.
 
     e_mat and f_mat must be PSD error matrices; the kernel conditions are
@@ -84,14 +86,7 @@ def check_matrix_approx(a, a_tilde, e_mat, f_mat, target, kind="standard", suppo
     kernel_ok = _kernel_inclusion(e_mat, diff, transpose=True) and _kernel_inclusion(
         f_mat, diff, transpose=False
     )
-    return ApproxReport(
-        kind=kind,
-        target=float(target),
-        measured_eps=measured,
-        kernel_ok=kernel_ok,
-        degree_max_dev=0.0,
-        support_size=int(support_size),
-    )
+    return ApproxReport("standard", float(target), measured, kernel_ok, 0.0, 0)
 
 
 def _require_comparable(g, g_tilde):
@@ -103,17 +98,15 @@ def _require_comparable(g, g_tilde):
         )
 
 
-def _degree_deviation(g, g_tilde):
-    if g.directed:
-        return float(
-            max(
-                np.max(np.abs(g.out_degrees() - g_tilde.out_degrees()), initial=0.0),
-                np.max(np.abs(g.in_degrees() - g_tilde.in_degrees()), initial=0.0),
-            )
-        )
-    return float(
-        np.max(np.abs(g.weighted_degrees() - g_tilde.weighted_degrees()), initial=0.0)
+def _graph_report(kind, g, g_tilde, target, measured, kernel_ok=True):
+    """Report of a check of g_tilde against g: the measured error, the
+    largest change of an out- or in-degree (both are the weighted degrees
+    of an undirected graph) and the edge count of g_tilde."""
+    dev = max(
+        float(np.max(np.abs(g.out_degrees() - g_tilde.out_degrees()), initial=0.0)),
+        float(np.max(np.abs(g.in_degrees() - g_tilde.in_degrees()), initial=0.0)),
     )
+    return ApproxReport(kind, float(target), measured, kernel_ok, dev, g_tilde.m)
 
 
 def check_spectral(g, g_tilde, target):
@@ -121,10 +114,8 @@ def check_spectral(g, g_tilde, target):
     subgraph, plus degree preservation."""
     _require_comparable(g, g_tilde)
     lap = g.laplacian()
-    rep = check_matrix_approx(
-        lap, g_tilde.laplacian(), lap, lap, target, kind="spectral", support_size=g_tilde.m
-    )
-    return replace(rep, degree_max_dev=_degree_deviation(g, g_tilde))
+    rep = check_matrix_approx(lap, g_tilde.laplacian(), lap, lap, target)
+    return _graph_report("spectral", g, g_tilde, target, rep.measured_eps, rep.kernel_ok)
 
 
 def check_uc_undirected(g, g_tilde, target):
@@ -155,14 +146,7 @@ def check_uc_undirected(g, g_tilde, target):
         kernel_ok = kernel_ok and bool(
             np.linalg.norm(diff_adj @ sign) <= KERNEL_RTOL * scale * np.sqrt(g.n)
         )
-    return ApproxReport(
-        kind="uc",
-        target=float(target),
-        measured_eps=measured,
-        kernel_ok=kernel_ok,
-        degree_max_dev=_degree_deviation(g, g_tilde),
-        support_size=g_tilde.m,
-    )
+    return _graph_report("uc", g, g_tilde, target, measured, kernel_ok)
 
 
 def check_sv(g, g_tilde, target):
@@ -170,16 +154,8 @@ def check_sv(g, g_tilde, target):
     E = D_out - A D_in^+ A^T and F = D_in - A^T D_out^+ A of the input."""
     _require_comparable(g, g_tilde)
     e_mat, f_mat = graph_mod.sv_error_matrices(g)
-    rep = check_matrix_approx(
-        g.adjacency(),
-        g_tilde.adjacency(),
-        e_mat,
-        f_mat,
-        target,
-        kind="sv",
-        support_size=g_tilde.m,
-    )
-    return replace(rep, degree_max_dev=_degree_deviation(g, g_tilde))
+    rep = check_matrix_approx(g.adjacency(), g_tilde.adjacency(), e_mat, f_mat, target)
+    return _graph_report("sv", g, g_tilde, target, rep.measured_eps, rep.kernel_ok)
 
 
 def check_sketch(g, g_tilde, vectors, target):
@@ -203,14 +179,7 @@ def check_sketch(g, g_tilde, vectors, target):
         if denom <= 1e-12 * float(z @ z) * lap_bound:
             continue
         worst = max(worst, abs(num / denom - 1.0))
-    return ApproxReport(
-        kind="sketch",
-        target=float(target),
-        measured_eps=worst,
-        kernel_ok=True,
-        degree_max_dev=_degree_deviation(g, g_tilde),
-        support_size=g_tilde.m,
-    )
+    return _graph_report("sketch", g, g_tilde, target, worst)
 
 
 def effective_resistance_report(g, g_tilde):
@@ -241,15 +210,7 @@ def effective_resistance_report(g, g_tilde):
 
 
 def check_resistance(g, g_tilde, target):
-    worst = effective_resistance_report(g, g_tilde)
-    return ApproxReport(
-        kind="resistance",
-        target=float(target),
-        measured_eps=worst,
-        kernel_ok=True,
-        degree_max_dev=_degree_deviation(g, g_tilde),
-        support_size=g_tilde.m,
-    )
+    return _graph_report("resistance", g, g_tilde, target, effective_resistance_report(g, g_tilde))
 
 
 def brute_force_min_discrepancy(mats):

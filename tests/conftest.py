@@ -123,6 +123,14 @@ def subspace_basis(sub):
     return linalg.kernel_basis(c.T @ c)
 
 
+def in_subspace(sub, y, tol=1e-8):
+    """y lies in the Subspace: its complement rows C give
+    ||C y|| <= tol * max(1, ||y||)."""
+    y = np.asarray(y, dtype=float)
+    resid = np.linalg.norm(sub.complement_rows @ y)
+    return resid <= tol * max(1.0, float(np.linalg.norm(y)))
+
+
 def diagonal_family(m, n, seed):
     """Diagonal symmetric matrices with sum |A_i| = I exactly."""
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from conftest import (
     complete_graph,
     diagonal_family,
     dumbbell_graph,
+    in_subspace,
     projection_vectors,
     random_symmetric,
     reweighting_of,
@@ -54,7 +55,7 @@ def test_criterion_01_partial_coloring_families():
         worst_norm = max(worst_norm, norm)
         assert norm <= bound
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
-        assert h.contains(x, tol=1e-8)
+        assert in_subspace(h, x, tol=1e-8)
         assert np.max(np.abs(x)) <= 1.0
         assert elapsed <= 120.0
     report(1, f"20 instances, worst norm {worst_norm:.4f} <= {bound:.4f}")

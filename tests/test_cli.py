@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import complete_bipartite, complete_graph, dumbbell_graph
-from walksparse import sparsify
+from walksparse import sparsify, verify
 from walksparse.cli import (
     build_parser,
     load_graph,
@@ -295,6 +295,58 @@ class TestCommands:
         path = write_graph(tmp_path, complete_graph(4))
         assert main(["verify", path, path, "--kind", "sketch", "--vectors", str(bad)]) == 2
         assert "not UTF-8 text" in capsys.readouterr().err
+
+
+# the check of each verify kind, as `verify` names it
+CHECK_OF_KIND = {
+    "spectral": "check_spectral",
+    "uc": "check_uc_undirected",
+    "sv": "check_sv",
+    "sketch": "check_sketch",
+    "resistance": "check_resistance",
+}
+
+
+class TestCheckTable:
+    """A construction command's report is the report that `verify --kind`
+    gives on its output, from the same `verify.check_*` attribute."""
+
+    @pytest.mark.parametrize("command,kind,flags,factor", [
+        ("sparsify", "spectral", ["--epsilon", "0.5", "--c-support", "1"], 1.0),
+        ("uc", "uc", ["--epsilon", "0.5", "--c-support", "0.5"], 1.0),
+        ("sv", "sv", ["--epsilon", "0.5", "--c-support", "1"], 1.0),
+        ("sketch", "sketch", ["--epsilon", "0.25"], 4.0),  # the --c-sketch default
+        ("resist", "resistance", ["--epsilon", "0.25", "--c-resist", "1"], 1.0),
+    ])
+    def test_report_is_the_verify_report(self, tmp_path, monkeypatch, command, kind, flags,
+                                         factor):
+        if command == "sv":
+            # K_12,12 less a perfect matching: a connected bipartite expander
+            g = Graph(24, tuple((i, 12 + (i + k) % 12, 1.0) for i in range(12) for k in range(11)))
+        else:
+            g = complete_graph(16 if command in ("sparsify", "resist") else 12)
+        path = write_graph(tmp_path, g)
+        vectors = []
+        if command == "sketch":
+            rows = np.random.default_rng(3).normal(size=(14, 12))
+            (tmp_path / "v.txt").write_text(
+                "".join(" ".join(repr(float(x)) for x in r) + "\n" for r in rows))
+            vectors = ["--vectors", str(tmp_path / "v.txt")]
+        calls = []
+        for name in CHECK_OF_KIND.values():
+            def counting(*args, _name=name, _check=getattr(verify, name), **kwargs):
+                calls.append(_name)
+                return _check(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counting)
+        out, built, checked = (str(tmp_path / f) for f in ("out.txt", "built.json", "v.json"))
+        assert main([command, path, *flags, *vectors, "--out", out, "--report", built]) == 0
+        assert json.loads(open(built).read())["support_size"] < g.m
+        target = factor * float(flags[1])
+        assert main(["verify", path, out, "--kind", kind, "--epsilon", repr(target),
+                     *vectors, "--report", checked]) == 0
+        assert calls == [CHECK_OF_KIND[kind]] * 2
+        with open(built, "rb") as a, open(checked, "rb") as b:
+            assert a.read() == b.read()
 
 
 # every flag of the CLI with a sample value, and the flags each command reads

@@ -23,8 +23,10 @@ from walksparse.graph import (
     expander_decompose,
     lambda2,
     lift_edge_to_arc,
+    piece_multiplicity,
     sv_error_matrices,
 )
+from walksparse.cli import parse_edge_list
 
 
 class TestModel:
@@ -49,6 +51,12 @@ class TestModel:
         out = g.reweighted(np.array([1.0, 0.0, 2.0, 1.0]))
         assert out.m == 3
         assert out.edges[1][2] == 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reweighted_rejects_non_finite(self, bad):
+        g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            g.reweighted([1.0, bad])
 
     @given(st.integers(0, 10_000))
     def test_components_cover_vertices(self, seed):
@@ -82,6 +90,88 @@ class TestMatrices:
             w = g.weights()
             assert np.max(np.abs((b * w) @ b.T - g.laplacian())) <= 1e-10
             assert np.max(np.abs((bu * w) @ bu.T - g.unsigned_laplacian())) <= 1e-10
+
+
+def lognormal_edge_lines(n, m, seed):
+    """Edge lines of a connected graph with m lognormal-weighted edges, each
+    pair in a random orientation and the lines in a random order."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    chosen = {tuple(sorted((int(perm[k]), int(perm[rng.integers(0, k)])))) for k in range(1, n)}
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in chosen]
+    chosen.update(rest[k] for k in rng.choice(len(rest), m - len(chosen), replace=False))
+    lines = [
+        f"{v} {u} {float(w)!r}" if flip else f"{u} {v} {float(w)!r}"
+        for (u, v), w, flip in zip(
+            sorted(chosen), rng.lognormal(0.0, 1.0, m), rng.random(m) < 0.5
+        )
+    ]
+    return [lines[k] for k in rng.permutation(m)]
+
+
+def reference_matrices(g):
+    """The graph matrices from one loop over the edges in order, adding
+    each edge's weight to its entries one at a time."""
+    a, d_out, d_in = np.zeros((g.n, g.n)), np.zeros(g.n), np.zeros(g.n)
+    b, b_abs, used = np.zeros((g.n, g.m)), np.zeros((g.n, g.m)), set()
+    for j, (u, v, w) in enumerate(g.edges):
+        a[u, v] += w
+        d_out[u] += w
+        d_in[v] += w
+        if not g.directed:
+            a[v, u] += w
+            d_out[v] += w
+            d_in[u] += w
+        b[u, j], b[v, j] = 1.0, -1.0
+        b_abs[u, j], b_abs[v, j] = 1.0, 1.0
+        used |= {u, v}
+    return {
+        "adjacency": a,
+        "out_degrees": d_out,
+        "in_degrees": d_in,
+        "incidence_signed": b,
+        "incidence_unsigned": b_abs,
+        "non_isolated": sorted(used),
+    }
+
+
+class TestMatricesBitExact:
+    """Each derived array has the bytes of the per-edge reference loop."""
+
+    def assert_matches_loop(self, g):
+        ref = reference_matrices(g)
+        for name, want in ref.items():
+            got = getattr(g, name)()
+            if name == "non_isolated":
+                assert got == want and all(type(v) is int for v in got)
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        if not g.directed:
+            d = g.weighted_degrees()
+            assert d.tobytes() == ref["out_degrees"].tobytes()
+            lap = np.diag(ref["out_degrees"]) - ref["adjacency"]
+            assert g.laplacian().tobytes() == lap.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lognormal_graph_from_shuffled_lines(self, seed):
+        lines = lognormal_edge_lines(44, 317, seed)
+        self.assert_matches_loop(parse_edge_list("\n".join(["n 44", *lines])))
+
+    def test_directed_graph_with_antiparallel_arcs(self):
+        rng = np.random.default_rng(5)
+        arcs = [(0, 1, 0.3), (1, 0, 1.7), (2, 1, 0.1), (1, 2, 2.9), (3, 0, 1.1)]
+        arcs += [(u, v, float(w)) for u, v, w in zip([4, 2, 4], [2, 4, 3], rng.lognormal(size=3))]
+        g = Graph(6, tuple(arcs), directed=True)
+        assert g.m == 8
+        self.assert_matches_loop(g)
+        with pytest.raises(InvalidInput):
+            g.weighted_degrees()
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edgeless_graph(self, directed):
+        self.assert_matches_loop(Graph(4, (), directed))
+        self.assert_matches_loop(Graph(0, (), directed))
 
 
 class TestBipartiteLift:
@@ -170,6 +260,7 @@ class TestExpanderDecompose:
             for v in p.non_isolated():
                 mult[v] += 1
         assert mult.max() <= 4 * np.log2(g.n) + 1
+        assert np.array_equal(piece_multiplicity(pieces, g.n), mult)
 
     def test_cycle_decomposes(self):
         g = cycle_graph(24)

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     complete_graph,
     diagonal_family,
+    in_subspace,
     projection_vectors,
     random_symmetric,
     subspace_basis,
@@ -183,7 +184,7 @@ class TestStepSubspace:
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-9
         assert abs(np.dot(y, x)) <= 1e-9
         assert abs(lin @ y) <= 1e-9
-        assert h.contains(y, tol=1e-9)
+        assert in_subspace(h, y, tol=1e-9)
         quad = float(y @ n_mat @ y)
         assert quad <= np.trace(n_mat) / (m - m // 3 + 1)
         assert quad >= min_on_null(n_mat, rows) - 1e-12
@@ -448,7 +449,7 @@ class TestPartialColor:
         assert np.max(np.abs(x)) <= 1.0
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
         assert fam.aggregate_norm(x) <= bound
-        assert h.contains(x, tol=1e-8)
+        assert in_subspace(h, x, tol=1e-8)
         assert log.iterations <= m * m / 4 + m
 
     @pytest.mark.parametrize("n,m", [(4, 64), (8, 40)])

@@ -10,6 +10,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    in_subspace,
     random_connected_graph,
     star_graph,
     subspace_basis,
@@ -113,7 +114,7 @@ class TestDegreeSubspace:
         # edges sorted: (0,1),(0,3),(1,2),(2,3); alternate so each vertex
         # sees one +1 and one -1
         y = np.array([1.0, -1.0, -1.0, 1.0])
-        assert sub.contains(y / 2.0, tol=1e-10)
+        assert in_subspace(sub, y / 2.0, tol=1e-10)
 
     def test_random_graph_dimension(self):
         g = random_connected_graph(10, 0.6, seed=2)
