@@ -5,10 +5,10 @@ edges with u < v, sorted, duplicates merged by weight sum) and a directed
 flag.  Matrices and degrees are built on demand as dense arrays from
 `edge_arrays()`, summed in edge order so they equal a per-edge loop bit for
 bit; everything is desk scale.  The expander decomposition is a
-deterministic recursive sweep cut: pieces with second normalized-Laplacian
-eigenvalue above the target are emitted, otherwise the best Cheeger sweep
-cut splits the piece and the two sides and the cut edges are decomposed
-recursively.
+deterministic sweep cut over one depth-first work list: pieces with second
+normalized-Laplacian eigenvalue above the target are emitted, otherwise the
+best Cheeger sweep cut (prefix sums along the Fiedler order) splits the
+piece and the two sides and the cut edges are decomposed in turn.
 """
 
 from __future__ import annotations
@@ -139,33 +139,39 @@ class Graph:
 
     # -- structure ---------------------------------------------------------
 
-    def neighbors(self):
-        adj = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [sorted(set(a)) for a in adj]
+    def _traverse(self):
+        """(components, coloring) of the underlying undirected graph.
 
-    def connected_components(self):
-        """Vertex components of the underlying undirected graph, each sorted."""
-        adj = self.neighbors()
-        seen = [False] * self.n
-        comps = []
+        A stack DFS from each smallest unseen root, pushing neighbours in
+        increasing order: components come out sorted and in root order,
+        and the 0/1 coloring (roots 0) is None if an odd cycle exists.
+        """
+        adj = [set() for _ in range(self.n)]
+        for u, v, _ in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        color = [-1] * self.n
+        comps, odd = [], False
         for root in range(self.n):
-            if seen[root]:
+            if color[root] != -1:
                 continue
-            stack = [root]
-            seen[root] = True
-            comp = []
+            color[root] = 0
+            stack, comp = [root], []
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                for w in sorted(adj[v]):
+                    if color[w] == -1:
+                        color[w] = 1 - color[v]
                         stack.append(w)
+                    elif color[w] == color[v]:
+                        odd = True
             comps.append(sorted(comp))
-        return comps
+        return comps, None if odd else color
+
+    def connected_components(self):
+        """Vertex components of the underlying undirected graph, each sorted."""
+        return self._traverse()[0]
 
     def non_isolated(self):
         u, v, _ = self.edge_arrays()
@@ -180,24 +186,10 @@ class Graph:
         Per component the smallest vertex is assigned to X; isolated
         vertices land in X.  Returns None if any odd cycle exists.
         """
-        adj = self.neighbors()
-        color = [-1] * self.n
-        for root in range(self.n):
-            if color[root] != -1:
-                continue
-            color[root] = 0
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        x = [v for v in range(self.n) if color[v] == 0]
-        y = [v for v in range(self.n) if color[v] == 1]
-        return x, y
+        color = self._traverse()[1]
+        if color is None:
+            return None
+        return tuple([v for v, c in enumerate(color) if c == k] for k in (0, 1))
 
     def induced_on(self, vertices):
         """(subgraph on the listed vertices with relabeled ids, id list)."""
@@ -285,41 +277,20 @@ def _best_sweep_cut(gsub):
     """Best-conductance prefix cut along the Fiedler embedding.
 
     Returns the vertex set S (local ids).  gsub is connected with >= 2
-    vertices and every vertex non-isolated.
+    vertices, every vertex non-isolated and every weight 1, so each
+    prefix's volume and cut are exact integers and distinct conductances
+    differ by at least 1/(2m)^2: the first minimum is the best cut.
     """
-    lap = gsub.normalized_laplacian()
-    _, vecs = linalg.eigh(lap)
+    _, vecs = linalg.eigh(gsub.normalized_laplacian())
     d = gsub.weighted_degrees()
     embed = vecs[:, 1] / np.sqrt(d)
-    order = sorted(range(gsub.n), key=lambda v: (embed[v], v))
-    rank = np.empty(gsub.n, dtype=int)
-    for pos, v in enumerate(order):
-        rank[v] = pos
-
-    total = float(np.sum(d))
-    vol = 0.0
-    cut = 0.0
-    # incremental sweep: moving vertex `order[k]` across the cut toggles
-    # its incident edges
-    incident = [[] for _ in range(gsub.n)]
-    for u, v, w in gsub.edges:
-        incident[u].append((v, w))
-        incident[v].append((u, w))
-    best = (np.inf, None)
-    for k in range(gsub.n - 1):
-        v = order[k]
-        vol += d[v]
-        for u, w in incident[v]:
-            if rank[u] <= k:
-                cut -= w
-            else:
-                cut += w
-        denom = min(vol, total - vol)
-        phi = cut / denom if denom > 0 else np.inf
-        if phi < best[0] - 1e-15:
-            best = (phi, k)
-    k = best[1]
-    return set(order[: k + 1])
+    order = np.lexsort((np.arange(gsub.n), embed))
+    vol = np.cumsum(d[order])
+    # the diagonal of the double prefix sum of the permuted adjacency is
+    # twice each prefix's internal weight
+    inner = np.diagonal(gsub.adjacency()[np.ix_(order, order)].cumsum(0).cumsum(1))
+    phi = (vol - inner)[:-1] / np.minimum(vol, vol[-1] - vol)[:-1]
+    return set(order[: int(np.argmin(phi)) + 1].tolist())
 
 
 def expander_decompose(g, phi_target=None):
@@ -328,7 +299,9 @@ def expander_decompose(g, phi_target=None):
     Every returned piece, restricted to its non-isolated vertices, has
     lambda_2 of the normalized Laplacian >= phi_target; the edge sets
     partition E(G) exactly; single-edge pieces are emitted as-is.  The
-    per-vertex piece multiplicity is checked against 4 log2(n) + 1.
+    per-vertex piece multiplicity is checked against 4 log2(n) + 1.  Work
+    items are taken depth first: components in order, then a cut piece's
+    two sides and its cut edges.
     """
     if g.directed:
         raise InvalidInput("expander decomposition expects an undirected graph")
@@ -338,52 +311,34 @@ def expander_decompose(g, phi_target=None):
         phi_target = default_phi_target(g.n)
     if not (0.0 < phi_target <= 2.0):
         raise InvalidInput(f"phi_target {phi_target} is not achievable")
-    if g.m == 0:
-        return []
 
-    pieces = []
-
-    def decompose_edges(edges):
+    out = []
+    work = [list(g.edges)]
+    while work:
+        edges = work.pop()
         if not edges:
-            return
-        sub = Graph(g.n, tuple(edges), directed=False)
-        comps = sub.connected_components()
-        nontrivial = [c for c in comps if len(c) > 1]
-        for comp in nontrivial:
-            comp_set = set(comp)
-            comp_edges = [e for e in edges if e[0] in comp_set]
-            decompose_connected(comp_edges)
-
-    def decompose_connected(edges):
-        if len(edges) <= 1:
-            pieces.append(edges)
-            return
-        sub = Graph(g.n, tuple(edges), directed=False)
+            continue
+        sub = Graph(g.n, tuple(edges))
+        comps = [set(c) for c in sub.connected_components() if len(c) > 1]
+        if len(comps) > 1:
+            work += [[e for e in edges if e[0] in c] for c in reversed(comps)]
+            continue
+        if len(edges) <= 1 or lambda2(sub) >= phi_target - 1e-12:
+            out.append(sub)
+            continue
         gsub, ids = sub.induced_on(sub.non_isolated())
-        lam = float(linalg.eigvalsh(gsub.normalized_laplacian())[1])
-        if lam >= phi_target - 1e-12:
-            pieces.append(edges)
-            return
-        local_s = _best_sweep_cut(gsub)
-        s = {ids[v] for v in local_s}
+        s = {ids[v] for v in _best_sweep_cut(gsub)}
         e_s = [e for e in edges if e[0] in s and e[1] in s]
         e_t = [e for e in edges if e[0] not in s and e[1] not in s]
         e_cut = [e for e in edges if (e[0] in s) != (e[1] in s)]
         if not e_s and not e_t:
             # the sweep cut across a bipartition-like split leaves no
             # internal edges; single edges are expanders on their endpoints
-            for e in e_cut:
-                pieces.append([e])
-            return
-        decompose_edges(e_s)
-        decompose_edges(e_t)
-        decompose_edges(e_cut)
+            out += [Graph(g.n, (e,)) for e in e_cut]
+        else:
+            work += [e_cut, e_t, e_s]
 
-    decompose_edges(list(g.edges))
-    out = [Graph(g.n, tuple(p), directed=False) for p in pieces]
-
-    total_edges = sum(p.m for p in out)
-    if total_edges != g.m:
+    if sum(p.m for p in out) != g.m:
         raise InvalidInput("internal error: decomposition does not partition the edges")
     bound = 4.0 * np.log2(max(g.n, 2)) + 1
     worst = int(piece_multiplicity(out, g.n).max(initial=0))

@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import InvalidInput, NotPSD
 
-# |lambda| <= ZERO_RTOL * max(1, ||A||_op) is treated as a zero eigenvalue
-# (rank / kernel decisions, pseudoinverses).
+# |lambda| <= ZERO_RTOL * ||A||_op is treated as a zero eigenvalue (rank /
+# kernel decisions, pseudoinverses): relative, so a scaled input gets the
+# same decisions.
 ZERO_RTOL = 1e-10
 SIGN_TOL = 1e-12
 
@@ -116,7 +117,7 @@ def matrix_function(a, f):
     """Apply a spectral function to a symmetric matrix.
 
     f is one of 'abs', 'sqrt_psd', 'pinv', 'pinv_sqrt'.  Eigenvalues with
-    |lambda| <= ZERO_RTOL * max(1, ||A||_op) are treated as zero for the
+    |lambda| <= ZERO_RTOL * ||A||_op are treated as zero for the
     pseudoinverse variants; eigenvalues in [-psd_tol, 0) are clamped to zero
     for the square-root variants, and anything below -psd_tol raises NotPSD
     with psd_tol = 1e-8 * ||A||_op.
@@ -125,7 +126,7 @@ def matrix_function(a, f):
     if w.size == 0:
         return np.asarray(a, dtype=float).copy()
     onorm = float(np.max(np.abs(w)))
-    zero = np.abs(w) <= ZERO_RTOL * max(1.0, onorm)
+    zero = np.abs(w) <= ZERO_RTOL * onorm
     if f == "abs":
         fw = np.abs(w)
     elif f == "sqrt_psd":
@@ -150,7 +151,7 @@ def kernel_basis(a):
     if w.size == 0:
         return np.zeros((0, 0))
     onorm = float(np.max(np.abs(w)))
-    keep = np.abs(w) <= ZERO_RTOL * max(1.0, onorm)
+    keep = np.abs(w) <= ZERO_RTOL * onorm
     return v[:, keep]
 
 
@@ -158,7 +159,7 @@ def orthonormalize(rows):
     """Orthonormal rows spanning the row space of `rows` (QR based).
 
     Householder QR rows^T = Q R.  The singular values of the small factor R
-    are those of `rows`, and the rank counts those > ZERO_RTOL * max(1, s_max):
+    are those of `rows`, and the rank counts those > ZERO_RTOL * s_max:
     one `numpy.linalg.svd` call, without singular vectors, for any input
     (bench/spans.py counts walk iterations by these calls).  At full rank
     the output is Q^T; otherwise it is (Q U)^T for the top-rank
@@ -170,7 +171,7 @@ def orthonormalize(rows):
         raise InvalidInput("rows have non-finite entries")
     q, r = np.linalg.qr(rows.T)
     s = np.linalg.svd(r, compute_uv=False)
-    rank = int(np.sum(s > ZERO_RTOL * max(1.0, s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > ZERO_RTOL * (s[0] if s.size else 0.0)))
     k = q.shape[1]
     if rank < k:
         _, u = np.linalg.eigh(r @ r.T)

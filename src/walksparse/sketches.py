@@ -80,9 +80,7 @@ def freeze_sets(g, s):
     u, v, _ = g.edge_arrays()
     supp = s > 0
     d = g.weighted_degrees()
-    d_s = np.zeros(g.n)
-    np.add.at(d_s, u[supp], 1.0)
-    np.add.at(d_s, v[supp], 1.0)
+    d_s = np.bincount(np.concatenate([u[supp], v[supp]]), minlength=g.n).astype(float)
     safe = np.where(d_s > 0, d_s, 1.0)
     cap = 10.0 * d / safe
     e0 = supp & ((s > cap[u]) | (s > cap[v]))

@@ -5,22 +5,30 @@ import ast
 import importlib
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import complete_graph
-from walksparse import matrix_walk, sketches, sparsify
+from walksparse import cli, matrix_walk, sketches, sparsify
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 BENCH_TEST = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "test_bench.py")
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is built
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("bench_spans", SPANS)
 
 
 def test_every_patched_name_resolves():
@@ -128,3 +136,19 @@ def test_rounds_call_the_patched_names(monkeypatch):
         res = run()
         assert res.pieces == 1 and res.rounds > 0
         assert len(rounds) == res.rounds + (res.stopped_early is not None)
+
+
+def test_the_cli_parses_every_bench_command_line(tmp_path):
+    # a renamed or deleted flag would otherwise show only as bench runs
+    # that exit 2; each job's own command and its `verify` re-check
+    workloads = load_module("bench_workloads", WORKLOADS)
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        for job in workloads.make_jobs(workload, 1, str(tmp_path / workload)):
+            out, report = str(tmp_path / "out.txt"), str(tmp_path / "report.json")
+            recheck = ["verify", job.graph, out, "--kind", job.verify_kind,
+                       "--epsilon", "0.25", "--report", report]
+            if job.vectors:
+                recheck += ["--vectors", job.vectors]
+            for argv in (job.argv(out, report), recheck):
+                assert parser.parse_args(argv).command == argv[0]

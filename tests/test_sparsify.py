@@ -170,6 +170,31 @@ class TestSpectralSparsify:
         assert res.rounds >= 1
         assert peak < 5 * g.m * g.m * 8
 
+    @pytest.mark.parametrize(
+        "name,powers",
+        [("k24", (-40, 0, 40)), ("lognormal", range(-60, 61, 12))],
+    )
+    def test_output_does_not_depend_on_the_weight_scale(self, name, powers):
+        # scaling every weight by an even power of two scales L^{+/2} by an
+        # exact power of two, so the walk takes the same path at every
+        # scale once its zero tests are relative
+        if name == "k24":
+            g = complete_graph(24)
+        else:
+            rng = np.random.default_rng(3)
+            pairs = [(i, j) for i in range(20) for j in range(i + 2, 20)]
+            chosen = [(i, i + 1) for i in range(19)]
+            chosen += [pairs[k] for k in rng.choice(len(pairs), 101, replace=False)]
+            g = Graph(20, tuple((u, v, w) for (u, v), w in zip(chosen, rng.lognormal(0, 1, 120))))
+        runs = set()
+        for k in powers:
+            gk = g.reweighted(np.full(g.m, 2.0**k))
+            out = spectral_sparsify(gk, 0.45, c_support=1.0).graph
+            eps = verify.check_spectral(gk, out, 0.45).measured_eps
+            runs.add((tuple((u, v, w / 2.0**k) for u, v, w in out.edges), eps))
+        assert len(runs) == 1
+        assert next(iter(runs))[0] != g.edges
+
     def test_component_wrapper(self):
         g = Graph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)))
         res = spectral_sparsify(g, 0.5)

@@ -70,6 +70,15 @@ class TestGraphChecks:
         rep = check_spectral(g, g, target=0.5)
         assert rep.measured_eps == 0.0 and rep.passed
 
+    @pytest.mark.parametrize("weight", [1.0, 1e-12])
+    def test_spectral_error_does_not_vanish_on_light_graphs(self, weight):
+        # dropping every other edge of K_12 and tripling the rest is far from
+        # a spectral approximation at any weight; the zero-eigenvalue test
+        # of the whitening must be relative for the light graph to fail too
+        g = complete_graph(12).reweighted(np.full(66, weight))
+        rep = check_spectral(g, g.reweighted(np.where(np.arange(g.m) % 2, 0.0, 3.0)), 0.5)
+        assert rep.measured_eps == pytest.approx(1.457, abs=1e-3) and not rep.passed
+
     def test_uc_identity_and_scaling(self):
         g = complete_graph(6)
         assert check_uc_undirected(g, g, 0.3).passed
