@@ -43,13 +43,14 @@ term is PSD, so that meets each side's bound, and fewer than tr Q / b_0
 eigenvalues of Q exceed b_0.  The walk advances with step min(cap, distance
 to the [-1,1]^m boundary).
 
-The matrix side's cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with the
+Each side gives its step cap and its admissibility figure per unit step
+(0 for a side without rows); the loop checks delta times the largest figure
+against 1/2 once per iteration and logs it as `WalkLog.step_norm`.  The
+matrix side's cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with the
 Frobenius bound ||.||_F >= ||.||_op: where that cap already clears the
 largest step the walk can take, the walk takes the same step either way and
-no SVD runs; otherwise the exact norm decides.  The admissibility figure
-eta delta ||M^{1/2} A(y)|| that the walk checks (<= 1/2) and logs as
-`WalkLog.step_norm` is taken with the bound the cap came from: the
-Frobenius norm when screened, the exact norm otherwise.
+no SVD runs; otherwise the exact norm decides.  Its figure eta ||.|| is
+taken with the bound the cap came from.
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ class DenseBlock:
         return linalg.sym(np.einsum("i,ijk->jk", np.asarray(coeffs, dtype=float), self.mats))
 
     def abs_aggregate(self):
-        total = np.zeros((self.dim, self.dim))
-        for i in range(self.size):
-            total += linalg.matrix_function(self.mats[i], "abs")
-        return linalg.sym(total)
+        start = np.zeros((self.dim, self.dim))
+        return linalg.sym(sum((linalg.matrix_function(a, "abs") for a in self.mats), start))
 
     def scaled(self, coeffs):
         return DenseBlock(self.mats * np.asarray(coeffs, dtype=float)[:, None, None])
@@ -219,12 +218,6 @@ class MatrixFamily:
         return MatrixFamily([b.restricted(idx) for b in self.blocks])
 
 
-def as_family(family):
-    if isinstance(family, MatrixFamily):
-        return family
-    return MatrixFamily.from_matrices(np.asarray(family, dtype=float))
-
-
 @dataclass
 class DoubledFamily:
     """Explicit diag(A_i, -A_i) doubling of a family (reference form).
@@ -263,11 +256,10 @@ class WalkOptions:
 class WalkLog:
     """Per-iteration trace used by invariant tests and diagnostics.
 
-    step_norm is the largest certified admissibility figure over the sides:
-    eta delta times the matrix side's product bound (the Frobenius norm of
-    M^{1/2} A(y) when the screen passes, its operator norm otherwise), or
-    lambda0 delta max_i |<a_i, y>| on the vector side; it is never below the
-    exact figure and never above 1/2.
+    step_norm holds one figure per iteration: delta times the sides' largest
+    figure per unit step (eta times the matrix side's bound on
+    ||M^{1/2} A(y)||, lambda0 max_i |<a_i, y>|, or 0 for a side without
+    rows), never below the exact figure and never above 1/2.
     """
 
     m: int = 0
@@ -286,80 +278,7 @@ class WalkLog:
 
 
 # ---------------------------------------------------------------------------
-# per-iteration spectral state of the (implicitly doubled) aggregate
-
-
-class _BlockSpectra:
-    def __init__(self, family, x, eta):
-        self.family = family
-        self.eta = eta
-        self.lams = []
-        self.vecs = []
-        for b in family.blocks:
-            w, v = linalg.eigh(b.aggregate(x))
-            self.lams.append(w)
-            self.vecs.append(v)
-        doubled = np.concatenate([np.concatenate([w, -w]) for w in self.lams])
-        self.u = solve_normalizer_from_eigenvalues(doubled, eta)
-        # (u -+ eta lam)^{-1}: eigenvalues of the two half-blocks of M^{1/2}
-        self.d_plus = [1.0 / (self.u - eta * w) for w in self.lams]
-        self.d_minus = [1.0 / (self.u + eta * w) for w in self.lams]
-
-    def potential(self):
-        tr_inv = sum(np.sum(dp) + np.sum(dm) for dp, dm in zip(self.d_plus, self.d_minus))
-        return float((tr_inv + self.u) / self.eta)
-
-    def quad_and_linear(self, active):
-        """N over the active members and the linear-term row tr(M A_i)."""
-        m_t = len(active)
-        factors, grams = [], []
-        linear = np.zeros(m_t)
-        for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
-            if isinstance(blk, Rank1Block):
-                w_act = blk.weights[active]
-                c = v.T @ blk.vectors[:, active]
-                linear += w_act * ((dp**2 - dm**2) @ (c * c))
-                # sqrt(w) folded into the columns: both Gram factors carry it,
-                # so their Hadamard product carries w_i w_j
-                c *= np.sqrt(w_act)
-                factors.extend((np.sqrt(d)[:, None] * c, d[:, None] * c) for d in (dp, dm))
-            else:
-                mats = blk.mats[active]
-                tilde = np.matmul(v.T[None, :, :], np.matmul(mats, v))
-                for d in (dp, dm):
-                    xs = np.sqrt(d)[None, :, None] * tilde * d[None, None, :]
-                    flat = xs.reshape(m_t, -1)
-                    # a syrk output: exactly symmetric
-                    grams.append(flat @ flat.T)
-                linear += np.einsum("ikk,k->i", tilde, dp**2 - dm**2)
-        n_mat = _hadamard_grams(factors, m_t) if factors else np.zeros((m_t, m_t))
-        for gram in grams:
-            n_mat += gram
-        return n_mat, linear
-
-    def product_norm(self, y, step_limit=np.inf):
-        """Certified bound on ||M^{1/2} A(y)||_op for the doubled aggregate of
-        direction y.
-
-        M^{1/2} A(y) is D V^T A(y) V per block and sign, for D = diag(d_+-).
-        The bound is the largest ||D V^T A(y) V||_F when its step cap
-        1/(2 eta ||.||_F) clears step_limit by _SCREEN_MARGIN: the exact cap
-        then clears it too, so a step of at most step_limit is the same
-        under either.  Otherwise it is the exact norm, one SVD per block
-        and sign.
-        """
-        products = []
-        frob = 0.0
-        for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
-            b = v.T @ blk.aggregate(y) @ v
-            row_sq = np.einsum("ij,ij->i", b, b)
-            for d in (dp, dm):
-                frob = max(frob, float(np.sqrt((d * d) @ row_sq)))
-                products.append((d, b))
-        # the cap 1/(2 eta frob) is at least step_limit (1 + _SCREEN_MARGIN)
-        if 2.0 * self.eta * frob * step_limit * (1.0 + _SCREEN_MARGIN) <= 1.0:
-            return frob
-        return max(linalg.spectral_norm(d[:, None] * b) for d, b in products)
+# N as a sum of Hadamard products of Gram matrices
 
 
 def _hadamard_grams(factors, m_t):
@@ -513,10 +432,12 @@ class _MatrixSide:
     """Linear-term and quadratic-term constraints of the potential walk.
 
     eta = sqrt(m)/4 for the family's m members; the fixed step cap is
-    1/(2 eta).  `rows` builds N and the linear term and returns the
-    linear-term row; its quadratic form is N with bound
-    tr N / (m_t - keep + 1) for keep = keep_count(m_t), which the keep-th
-    smallest eigenvalue of the PSD matrix N never exceeds.
+    1/(2 eta).  `rows` takes the +- spectra of the aggregate at x (one
+    `linalg.eigh` per block, the normalizer u and the eigenvalues d+- of
+    M^{1/2}), builds N and the linear term and returns the linear-term row;
+    its quadratic form is N with bound tr N / (m_t - keep + 1) for
+    keep = keep_count(m_t), which the keep-th smallest eigenvalue of the PSD
+    matrix N never exceeds.
     """
 
     def __init__(self, family, keep_count):
@@ -524,54 +445,102 @@ class _MatrixSide:
         self.eta = 0.25 * np.sqrt(family.m)
         self.base_cap = 1.0 / (2.0 * self.eta)
         self.keep_count = keep_count
-        self.spectra = None
         self.quad = None
         self.bound = 0.0
-        self._linear = None
-        self._prod = 0.0
 
     def rows(self, x, active):
-        # drop the previous iteration's forms before building the next
-        self.spectra = self.quad = None
-        self.spectra = _BlockSpectra(self.family, x, self.eta)
-        self.quad, linear = self.spectra.quad_and_linear(active)
-        self._linear = linear
+        # drop the previous iteration's form before building the next
+        self.quad = None
+        lams, self.vecs = zip(*(linalg.eigh(b.aggregate(x)) for b in self.family.blocks))
+        doubled = np.concatenate([np.concatenate([w, -w]) for w in lams])
+        self.u = solve_normalizer_from_eigenvalues(doubled, self.eta)
+        # (u -+ eta lam)^{-1}: eigenvalues of the two half-blocks of M^{1/2}
+        self.d_plus = [1.0 / (self.u - self.eta * w) for w in lams]
+        self.d_minus = [1.0 / (self.u + self.eta * w) for w in lams]
+        self.quad, self.linear = self.quad_and_linear(active)
         m_t = len(active)
         keep = self.keep_count(m_t)
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
         self.bound = float(np.trace(self.quad)) / (m_t - keep + 1)
-        lin_norm = float(np.sqrt(linear @ linear))
+        lin_norm = float(np.sqrt(self.linear @ self.linear))
         if lin_norm > _ROW_DROP_TOL:
-            return [linear[None, :] / lin_norm]
+            return [self.linear[None, :] / lin_norm]
         return []
 
-    def step_cap(self, y_full, limit=np.inf):
-        """Admissible step bound for direction y_full; `limit` is the largest
-        step the walk can take.  The bound is exact where it binds (below
-        `limit`) and may be smaller than exact elsewhere; caches the product
-        bound for observe."""
-        self._prod = self.spectra.product_norm(y_full, limit)
-        if self._prod <= 1e-14:
-            return np.inf
-        return 0.5 / (self.eta * self._prod)
+    def potential(self):
+        tr_inv = sum(np.sum(dp) + np.sum(dm) for dp, dm in zip(self.d_plus, self.d_minus))
+        return float((tr_inv + self.u) / self.eta)
 
-    def observe(self, y_act, y_full, delta, log):
-        """Check admissibility and the quadratic certificate
-        y^T N y <= tr N/(m_t - keep + 1) ||y||^2, and log this side's terms;
-        returns the step norm eta delta times the cached product bound."""
-        step_norm = self.eta * delta * self._prod
-        if step_norm > 0.5 + 1e-9:
-            raise StepTooLarge(
-                f"inadmissible step: eta*delta*||M^(1/2)A(y)|| = {step_norm:.4f}"
-            )
+    def quad_and_linear(self, active):
+        """N over the active members and the linear-term row tr(M A_i)."""
+        m_t = len(active)
+        factors, grams = [], []
+        linear = np.zeros(m_t)
+        for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
+            if isinstance(blk, Rank1Block):
+                w_act = blk.weights[active]
+                c = v.T @ blk.vectors[:, active]
+                linear += w_act * ((dp**2 - dm**2) @ (c * c))
+                # sqrt(w) folded into the columns: both Gram factors carry it,
+                # so their Hadamard product carries w_i w_j
+                c *= np.sqrt(w_act)
+                factors.extend((np.sqrt(d)[:, None] * c, d[:, None] * c) for d in (dp, dm))
+            else:
+                mats = blk.mats[active]
+                tilde = np.matmul(v.T[None, :, :], np.matmul(mats, v))
+                for d in (dp, dm):
+                    xs = np.sqrt(d)[None, :, None] * tilde * d[None, None, :]
+                    flat = xs.reshape(m_t, -1)
+                    # a syrk output: exactly symmetric
+                    grams.append(flat @ flat.T)
+                linear += np.einsum("ikk,k->i", tilde, dp**2 - dm**2)
+        n_mat = _hadamard_grams(factors, m_t) if factors else np.zeros((m_t, m_t))
+        for gram in grams:
+            n_mat += gram
+        return n_mat, linear
+
+    def product_norm(self, y, step_limit=np.inf):
+        """Certified bound on ||M^{1/2} A(y)||_op for the doubled aggregate of
+        direction y.
+
+        M^{1/2} A(y) is D V^T A(y) V per block and sign, for D = diag(d_+-).
+        The bound is the largest ||D V^T A(y) V||_F when its step cap
+        1/(2 eta ||.||_F) clears step_limit by _SCREEN_MARGIN: the exact cap
+        then clears it too, so a step of at most step_limit is the same
+        under either.  Otherwise it is the exact norm, one SVD per block
+        and sign.
+        """
+        products = []
+        frob = 0.0
+        for blk, dp, dm, v in zip(self.family.blocks, self.d_plus, self.d_minus, self.vecs):
+            b = v.T @ blk.aggregate(y) @ v
+            row_sq = np.einsum("ij,ij->i", b, b)
+            for d in (dp, dm):
+                frob = max(frob, float(np.sqrt((d * d) @ row_sq)))
+                products.append((d, b))
+        # the cap 1/(2 eta frob) is at least step_limit (1 + _SCREEN_MARGIN)
+        if 2.0 * self.eta * frob * step_limit * (1.0 + _SCREEN_MARGIN) <= 1.0:
+            return frob
+        return max(linalg.spectral_norm(d[:, None] * b) for d, b in products)
+
+    def step_cap(self, y_full, limit=np.inf):
+        """(admissible step, admissibility figure per unit step) for direction
+        y_full, the figure eta times the product bound; `limit` is the largest
+        step the walk can take.  The step is exact where it binds (below
+        `limit`) and may be smaller than exact elsewhere."""
+        prod = self.product_norm(y_full, limit)
+        figure = self.eta * prod
+        return (np.inf if prod <= 1e-14 else 0.5 / figure), figure
+
+    def observe(self, y_act, log):
+        """Check the quadratic certificate y^T N y <= tr N/(m_t - keep + 1) ||y||^2
+        and log this side's terms."""
         quad, limit = _certify(self.quad, self.bound, y_act, "y^T N y", "tr N/(m_t - keep + 1)")
-        if log is not None:
-            log.linear_term.append(float(self._linear @ y_act))
-            log.quad_term.append(quad)
-            log.quad_bound.append(limit)
-            log.phi.append(self.spectra.potential())
-        return step_norm
+        log.linear_term.append(float(self.linear @ y_act))
+        log.quad_term.append(quad)
+        log.quad_bound.append(limit)
+        log.phi.append(self.potential())
 
 
 class _VectorSide:
@@ -580,7 +549,8 @@ class _VectorSide:
     G = sum_i (w_i/sum w) a_i a_i^T as quadratic form with bound
     tr G/(cut + 1) for cut = budget(m_t), which fewer than cut + 1
     eigenvalues of G exceed.  lambda0 = default_lambda0(k, m) for k unit rows
-    of length m; the fixed step cap is 1/(2 lambda0).
+    of length m; the fixed step cap is 1/(2 lambda0).  Without rows (k = 0)
+    it adds no constraint row, G = 0, and its step cap is unbounded.
 
     unit_rows must be C-ordered: the BLAS products over them take their
     rounding from that layout, so it fixes the walk's path and with it every
@@ -595,15 +565,9 @@ class _VectorSide:
         self.weights = None
         self.quad = None
         self.bound = 0.0
-        self.max_dot = 0.0
 
     def rows(self, x, active):
-        k = self.ahat.shape[0]
-        m_t = len(active)
         self.quad = None
-        if k == 0:
-            self.quad, self.bound = np.zeros((m_t, m_t)), 0.0
-            return []
         self.weights = np.exp(self.lambda0 * (self.ahat @ x) - self.lambda0**2)
         a_act = self.ahat[:, active]
         rows = []
@@ -611,9 +575,10 @@ class _VectorSide:
         g_norm = float(np.sqrt(grad @ grad))
         if g_norm > _ROW_DROP_TOL:
             rows.append(grad[None, :] / g_norm)
-        budget = self.budget(m_t)
-        if budget > 0:
-            rows.append(a_act[_heaviest(self.weights, min(budget, k))])
+        budget = self.budget(len(active))
+        heavy = min(budget, len(self.weights))
+        if heavy > 0:
+            rows.append(a_act[_heaviest(self.weights, heavy)])
         # a_act is a copy: scaled in place, it is the Gram factor (syrk: G is symmetric)
         a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
         self.quad = a_act.T @ a_act
@@ -621,28 +586,18 @@ class _VectorSide:
         return rows
 
     def step_cap(self, y_full, limit=np.inf):
-        # exact at the cost of one product with the rows, so `limit` is unused
-        if self.ahat.shape[0] == 0:
-            return np.inf
-        self.max_dot = float(np.max(np.abs(self.ahat @ y_full)))
-        if self.max_dot <= 1e-14:
-            return np.inf
-        return 0.5 / (self.lambda0 * self.max_dot)
+        """(admissible step, lambda0 max_i |<a_i, y>|); exact at the cost of
+        one product with the rows, so `limit` is unused."""
+        dot = float(np.max(np.abs(self.ahat @ y_full), initial=0.0))
+        figure = self.lambda0 * dot
+        return (np.inf if dot <= 1e-14 else 0.5 / figure), figure
 
-    def observe(self, y_act, y_full, delta, log):
-        """Check admissibility and the quadratic certificate
-        y^T G y <= tr G/(cut + 1) ||y||^2; returns the step norm (None
-        without constraints)."""
-        if self.ahat.shape[0] == 0:
-            return None
-        step_norm = self.lambda0 * delta * self.max_dot
-        if step_norm > 0.5 + 1e-9:
-            raise StepTooLarge("inadmissible multiplicative-weights step")
+    def observe(self, y_act, log):
+        """Check the quadratic certificate y^T G y <= tr G/(cut + 1) ||y||^2
+        and log this side's terms."""
         quad, limit = _certify(self.quad, self.bound, y_act, "y^T G y", "tr G/(cut + 1)")
-        if log is not None:
-            log.gram_term.append(quad)
-            log.gram_bound.append(limit)
-        return step_norm
+        log.gram_term.append(quad)
+        log.gram_bound.append(limit)
 
 
 def _heaviest(weights, count):
@@ -664,8 +619,10 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     their restriction to the active coordinates as orthonormal rows, which
     `linalg.drop_column` downdates as coordinates freeze; each iteration
     projects its own rows (the point, the sides' rows) off them twice and
-    factors only those with `linalg.orthonormalize`.  Returns the final x.
+    factors only those with `linalg.orthonormalize`.  Each step keeps delta
+    times the sides' largest admissibility figure <= 1/2.  Returns x.
     """
+    log = WalkLog() if log is None else log
     # Subspace rejects rows that are not orthonormal
     static = Subspace(m, extra_rows).complement_rows
     x = np.zeros(m)
@@ -673,8 +630,7 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     start = _start_vector(m, 0)
     base_cap = min(side.base_cap for side in sides)
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
-    if log is not None:
-        log.m = m
+    log.m = m
     iterations = 0
     while 4 * len(active) > 3 * m:
         if iterations >= max_iter:
@@ -721,34 +677,27 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
         )
         boundary = float(np.min(dists)) if dists.size else np.inf
 
-        # every side computes (and caches) its admissibility cap, exact
-        # below the largest step the walk can take; in fixed mode the cap
-        # is base_cap, in adaptive mode the tightest admissible bound
-        # (which is never below the fixed cap)
+        # every side's admissible step is exact below the largest step the
+        # walk can take; in fixed mode the cap is base_cap, in adaptive mode
+        # the tightest admissible step (which is never below the fixed cap)
         limit = boundary if adaptive_steps else min(base_cap, boundary)
-        admissible = [side.step_cap(y_full, limit) for side in sides]
-        if adaptive_steps:
-            finite = [c for c in admissible if np.isfinite(c)]
-            cap = min(finite) if finite else np.inf
-        else:
-            cap = base_cap
-        delta = min(cap, boundary)
+        caps, figures = zip(*(side.step_cap(y_full, limit) for side in sides))
+        delta = min(min(caps) if adaptive_steps else base_cap, boundary)
         if not np.isfinite(delta) or delta <= 0:
             raise SubspaceExhausted("no admissible step length")
-
-        # one admissibility figure per iteration: the largest over the sides
-        step_norms = [side.observe(y_act, y_full, delta, log) for side in sides]
-        step_norms = [v for v in step_norms if v is not None]
+        step_norm = delta * max(figures)
+        if step_norm > 0.5 + 1e-9:
+            raise StepTooLarge(f"inadmissible step: delta * admissibility figure = {step_norm:.4f}")
+        for side in sides:
+            side.observe(y_act, log)
 
         x[active] = x_act + delta * y_act
 
-        if log is not None:
-            if step_norms:
-                log.step_norm.append(max(step_norms))
-            log.m_t.append(m_t)
-            log.lanczos_steps.append(steps)
-            log.delta.append(delta)
-            log.norm_sq.append(float(x @ x))
+        log.step_norm.append(step_norm)
+        log.m_t.append(m_t)
+        log.lanczos_steps.append(steps)
+        log.delta.append(delta)
+        log.norm_sq.append(float(x @ x))
 
         frozen = np.abs(x[active]) >= 1.0 - _FREEZE_TOL
         if np.any(frozen):
@@ -758,8 +707,7 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             # last position first, so the earlier positions stay valid
             for col in np.flatnonzero(frozen)[::-1]:
                 static = linalg.drop_column(static, col)
-    if log is not None:
-        log.iterations = iterations
+    log.iterations = iterations
     return x
 
 
@@ -771,22 +719,18 @@ def quad_matrix(m_density, family, active=None):
     """N(i,j) = tr(M^{1/2} A_i M^{1/2} A_j M^{1/2}) over the active members.
 
     Reference construction as a Gram matrix X^T X with columns
-    vec(M^{1/4} A_i M^{1/2}), which keeps N numerically PSD.  `family` may be
-    a DoubledFamily (its doubled members are used), a MatrixFamily, or a
-    plain list of symmetric matrices.
+    vec(M^{1/4} A_i M^{1/2}), which keeps N numerically PSD.  `family` is a
+    DoubledFamily (its doubled members are used) or a list of symmetric
+    matrices.
     """
     m_density = linalg.sym(np.asarray(m_density, dtype=float))
     if abs(float(np.trace(m_density)) - 1.0) > 1e-6:
         raise InvalidInput("quad_matrix expects a density matrix (unit trace)")
     if isinstance(family, DoubledFamily):
         mats = family.doubled
-    elif isinstance(family, MatrixFamily):
-        mats = family.members()
     else:
         mats = [np.asarray(a, dtype=float) for a in family]
-    if active is None:
-        active = np.arange(len(mats))
-    active = np.asarray(active, dtype=int)
+    active = np.arange(len(mats)) if active is None else np.asarray(active, dtype=int)
     half = linalg.matrix_function(m_density, "sqrt_psd")
     quarter = linalg.matrix_function(half, "sqrt_psd")
     cols = [(quarter @ mats[i] @ half).ravel() for i in active]
@@ -802,7 +746,8 @@ def partial_color(family, h=None, options=None, log=None):
     Returns x in [-1,1]^m with >= m/4 frozen coordinates, x in H, and
     ||sum x(i) A_i||_op <= 16 sqrt(2 n / m).
     """
-    family = as_family(family)
+    if not isinstance(family, MatrixFamily):
+        family = MatrixFamily.from_matrices(family)
     options = options or WalkOptions()
     m = family.m
     if m == 0:

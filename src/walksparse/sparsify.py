@@ -36,13 +36,15 @@ WALK_MIN = 40
 
 
 def _validate_psd_family(family):
+    """Raise InvalidInput unless every dense member's smallest eigenvalue is
+    at least -1e-8 times its largest |eigenvalue| (the NotPSD test of
+    `linalg.matrix_function`), so the verdict does not depend on the scale."""
     for block in family.blocks:
         if isinstance(block, Rank1Block):
             continue
         for i in range(block.size):
             w = linalg.eigvalsh(block.mats[i])
-            scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-            if w.size and float(w[0]) < -1e-8 * scale:
+            if w.size and float(w[0]) < -1e-8 * float(np.max(np.abs(w))):
                 raise InvalidInput(f"family member {i} is not PSD")
 
 
@@ -145,12 +147,7 @@ def halve_support(s, support, x_sub):
 
 def degree_rows(g, s):
     """(n, m) rows whose vertex-v row holds s(e) w(e) at the edges e at v."""
-    u, v, w = g.edge_arrays()
-    rows = np.zeros((g.n, g.m))
-    sw = s * w
-    rows[u, np.arange(g.m)] = sw
-    rows[v, np.arange(g.m)] = sw
-    return rows
+    return g.incidence_unsigned() * (s * g.weights())
 
 
 def degree_subspace(g):

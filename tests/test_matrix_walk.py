@@ -12,7 +12,7 @@ from conftest import (
     subspace_basis,
 )
 from walksparse import linalg, matrix_walk, potential, sketches, sparsify
-from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
+from walksparse.errors import InvalidInput, StepTooLarge, SubspaceExhausted, WalksparseError
 from walksparse.matrix_walk import (
     DoubledFamily,
     MatrixFamily,
@@ -32,6 +32,13 @@ def small_family(m=6, n=3, seed=0):
     total = sum(linalg.matrix_function(a, "abs") for a in mats)
     scale = linalg.operator_norm(total)
     return [a / scale for a in mats]
+
+
+def spectra_at(fam, x):
+    """A matrix side holding the +- spectra of fam's aggregate at x."""
+    side = _MatrixSide(fam, keep_count=lambda mt: mt // 3)
+    side.rows(x, np.arange(fam.m))
+    return side
 
 
 class TestDoubledFamily:
@@ -81,13 +88,11 @@ class TestQuadMatrix:
 
     def test_matches_walk_fast_path(self):
         # the Hadamard-Gram fast path agrees with the reference Gram build
-        from walksparse.matrix_walk import _BlockSpectra
-
         vec = projection_vectors(3, 12, seed=5)
         fam = MatrixFamily.from_rank_one(vec)
         x = np.linspace(-0.5, 0.5, 12)
         eta = 0.25 * np.sqrt(12)
-        spectra = _BlockSpectra(fam, x, eta)
+        spectra = spectra_at(fam, x)
         active = np.arange(12)
         n_fast, lin_fast = spectra.quad_and_linear(active)
 
@@ -102,7 +107,7 @@ class TestQuadMatrix:
     def test_weighted_two_blocks_on_an_active_subset(self):
         # the uc_family shape: two rank-one blocks sharing lognormal weights,
         # N and the linear row over a subset of the members
-        from walksparse.matrix_walk import Rank1Block, _BlockSpectra
+        from walksparse.matrix_walk import Rank1Block
 
         m, n = 30, 4
         rng = np.random.default_rng(17)
@@ -113,7 +118,7 @@ class TestQuadMatrix:
         x = 0.6 * rng.uniform(-1, 1, size=m)
         eta = 0.25 * np.sqrt(m)
         active = np.sort(rng.choice(m, 19, replace=False))
-        n_fast, lin_fast = _BlockSpectra(fam, x, eta).quad_and_linear(active)
+        n_fast, lin_fast = spectra_at(fam, x).quad_and_linear(active)
 
         doubled = DoubledFamily.from_matrices(fam.members())
         agg = sum(xi * a for xi, a in zip(x, doubled.doubled))
@@ -374,11 +379,11 @@ class TestWalkInvariantChecks:
         side.rows(x, np.arange(m))
         low, _, _ = direction(side, np.zeros((0, m)), m)
         side.step_cap(low)
-        side.observe(low, low, 0.0, None)
+        side.observe(low, WalkLog())
         top = np.linalg.eigh(side.quad)[1][:, -1]
         side.step_cap(top)
         with pytest.raises(WalksparseError, match="y\\^T N y"):
-            side.observe(top, top, 0.0, None)
+            side.observe(top, WalkLog())
 
     def test_vector_quadratic_slack(self):
         # rows clustered around one direction: G's top eigenvalue is far
@@ -393,12 +398,12 @@ class TestWalkInvariantChecks:
         stacked = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))]
         low, _, _ = direction(side, row_span(stacked), m)
         side.step_cap(low)
-        side.observe(low, low, 0.0, None)
+        side.observe(low, WalkLog())
         top = np.linalg.eigh(side.quad)[1][:, -1]
         assert float(top @ side.quad @ top) > 2.0 * side.bound
         side.step_cap(top)
         with pytest.raises(WalksparseError, match="y\\^T G y"):
-            side.observe(top, top, 0.0, None)
+            side.observe(top, WalkLog())
 
     def test_constraint_residual(self, monkeypatch):
         m = 40
@@ -473,10 +478,8 @@ class TestPartialColor:
             prev = nsq
         # potential telescoping: the final potential is controlled by the
         # initial one plus the summed second-order contributions
-        from walksparse.matrix_walk import _BlockSpectra
-
         eta = 0.25 * np.sqrt(m)
-        phi_final = _BlockSpectra(fam, x, eta).potential()
+        phi_final = spectra_at(fam, x).potential()
         budget = 2.0 * np.sqrt(2.0 * n) / eta + sum(
             2.0 * eta * d**2 * (9.0 * np.sqrt(2.0 * n) / m_t**2)
             for d, m_t in zip(log.delta, log.m_t)
@@ -601,7 +604,7 @@ class TestCombinedWalk:
         g = complete_graph(int(np.ceil(np.sqrt(2 * (3 * block + 5)))) + 1)
         for fam in (sparsify.spectral_family(g), sparsify.uc_family(g)):
             x = 0.5 * rng.uniform(-1, 1, size=fam.m)
-            spectra = matrix_walk._BlockSpectra(fam, x, 0.25 * np.sqrt(fam.m))
+            spectra = spectra_at(fam, x)
             for m_t in (1, block - 1, block, block + 1, 3 * block + 5):
                 active = np.sort(rng.choice(fam.m, m_t, replace=False))
                 n_mat, _ = spectra.quad_and_linear(active)
@@ -624,9 +627,9 @@ def unblocked_quad(spectra, active):
 
 
 def force_exact_norm(monkeypatch):
-    """Put `_BlockSpectra.product_norm` on its exact path (no screen)."""
-    screened = matrix_walk._BlockSpectra.product_norm
-    monkeypatch.setattr(matrix_walk._BlockSpectra, "product_norm",
+    """Put `_MatrixSide.product_norm` on its exact path (no screen)."""
+    screened = matrix_walk._MatrixSide.product_norm
+    monkeypatch.setattr(matrix_walk._MatrixSide, "product_norm",
                         lambda self, y, step_limit=np.inf: screened(self, y, np.inf))
 
 
@@ -694,13 +697,43 @@ class TestStepCapScreen:
         fam, _ = self.fam_and_subspace()
         rng = np.random.default_rng(53)
         x, y = 0.4 * rng.uniform(-1, 1, fam.m), rng.normal(size=fam.m)
-        spectra = matrix_walk._BlockSpectra(fam, x, 0.25 * np.sqrt(fam.m))
+        spectra = spectra_at(fam, x)
         frob, exact = spectra.product_norm(y, 0.0), spectra.product_norm(y)
         assert frob > exact
         cap = 0.5 / (spectra.eta * frob)
         assert spectra.product_norm(y, 0.5 * cap) == frob
         assert spectra.product_norm(y, 2.0 * cap) == exact
         assert abs(exact - exact_step_norm(fam, x, y, spectra.eta)) <= 1e-10
+
+
+class TestAdmissibilityCheck:
+    """The loop checks delta times the largest admissibility figure against
+    1/2 once per iteration, and logs that figure every iteration."""
+
+    def test_inflated_product_bound(self, monkeypatch):
+        # a product bound 200 times too large: the fixed cap 1/(2 eta) is no
+        # longer admissible, while adaptive steps take the smaller cap
+        fam = MatrixFamily.from_rank_one(projection_vectors(8, 40, seed=23))
+        bound = _MatrixSide.product_norm
+        monkeypatch.setattr(_MatrixSide, "product_norm",
+                            lambda self, y, step_limit=np.inf: 200.0 * bound(self, y, step_limit))
+        with pytest.raises(StepTooLarge, match="inadmissible step"):
+            partial_color(fam)
+        log = WalkLog()
+        x = partial_color(fam, options=WalkOptions(adaptive_steps=True), log=log)
+        assert np.count_nonzero(np.abs(x) == 1.0) >= fam.m / 4
+        assert len(log.step_norm) == log.iterations > 0
+        assert max(log.step_norm) <= 0.5 + 1e-9
+
+    def test_side_without_rows_logs_zero(self):
+        # all-zero constraint rows are dropped: cap unbounded, figure 0
+        from walksparse.vector_walk import vector_partial_color
+
+        log = WalkLog()
+        x = vector_partial_color(np.zeros((25, 20)), log=log)
+        assert np.count_nonzero(np.abs(x) == 1.0) >= 5
+        assert len(log.step_norm) == len(log.delta) == log.iterations > 0
+        assert log.step_norm == [0.0] * log.iterations
 
 
 def drive_full_coloring(mats):

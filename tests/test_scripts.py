@@ -2,11 +2,16 @@
 
 Loading runs a script's imports and top-level definitions but not `main`,
 so a renamed or removed package name fails here rather than when the
-script is next run by hand.
+script is next run by hand.  `walk_trace.py` also runs end to end, at a
+small size, since it reads the walk log's fields.
 """
 
 import importlib.util
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +28,21 @@ def load_script(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
 def test_script_loads(path):
     assert callable(load_script(path).main)
+
+
+def test_walk_trace_runs_and_its_certificates_hold():
+    # the script reads the WalkLog fields the walks fill, so run it end to end
+    # (a small size: one fixed-step, one adaptive and one vector walk)
+    script = SCRIPTS[0].parent / "walk_trace.py"
+    src = str(script.parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, str(script), "24", "4", "0"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    margins = [float(v) for v in re.findall(r"certificate margin [^=]*= (\S+)", proc.stdout)]
+    assert len(margins) == 3
+    assert min(margins) >= 0.0
 
 
 def test_scripts_found():

@@ -81,6 +81,16 @@ class TestCoreLoop:
         with pytest.raises(InvalidInput):
             sparsify(fam, Subspace.full(40), eps=0.4)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_non_psd_rejected_at_any_scale(self, scale):
+        # the member's smallest eigenvalue is minus its largest |eigenvalue|:
+        # the verdict is relative to the member, so a light copy fails too
+        mats = np.zeros((60, 3, 3))
+        mats[0] = np.diag([0.0, 0.01, -0.01])
+        fam = MatrixFamily.from_matrices(scale * mats)
+        with pytest.raises(InvalidInput, match="member 0 is not PSD"):
+            sparsify(fam, Subspace.full(60), 0.5, c_support=1.0)
+
     def test_subspace_exhausted_when_threshold_too_low(self):
         # a round whose restricted subspace is below (4/5) m_r cannot walk:
         # the loop stops and returns the last completed round
