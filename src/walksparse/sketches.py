@@ -9,7 +9,9 @@ a degree-preserving update x as a plain vector-discrepancy constraint
 where zbar is z recentered so its degree-weighted mean vanishes, freezes
 the high-weight edges and the edges at low support-degree vertices (the
 freeze sets keep ||a_z|| <= 100 (n/m) zbar^T D zbar), and runs the
-multiplicative-weights walk on the remaining coordinates.
+multiplicative-weights walk on the remaining coordinates.  Zero rows a_z
+and the certificates are judged relative to each row's zbar^T D zbar, so a
+sketch does not change with the scale of the vectors.
 
 The effective-resistance sparsifier runs the same loop with the constraint
 set {L^+ b_ij} while simultaneously steering the matrix-discrepancy side of
@@ -27,17 +29,10 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
-from .matrix_walk import (
-    MatrixFamily,
-    WalkLog,
-    _ROW_DROP_TOL,
-    _MatrixSide,
-    _VectorSide,
-    _walk_loop,
-    default_lambda0,
-)
-from .sparsify import PipelineResult, _union_pieces, degree_rows, halve, halve_support
-from .sparsify import _check_positive
+from .matrix_walk import MatrixFamily, WalkLog, _MatrixSide, _VectorSide, _walk_loop
+from .matrix_walk import default_lambda0
+from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_rows, halve
+from .sparsify import halve_support
 from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
@@ -46,13 +41,13 @@ IDENTITY_RTOL = 1e-8
 
 @dataclass
 class RoundDiagnostics:
-    support: int = 0
-    frozen_sets: tuple = (0, 0, 0)
-    norm_chain_margin: float = 0.0
-    identity_residual: float = 0.0
-    walk_iterations: int = 0
-    walk_discrepancy: float = 0.0
-    degree_dev: float = 0.0
+    support: int
+    frozen_sets: tuple
+    norm_chain_margin: float
+    identity_residual: float
+    walk_iterations: int
+    walk_discrepancy: float
+    degree_dev: float
 
 
 def shift_center(z, g):
@@ -98,32 +93,42 @@ def _require_sketchable(g):
         raise InvalidInput("sketches expect unweighted input graphs")
 
 
-def _degree_and_pin_rows(g, s, support, pinned):
+def _check_vectors(kvecs, n):
+    """kvecs as a float array; raise InvalidInput unless it holds finite rows
+    of length n."""
+    kvecs = np.asarray(kvecs, dtype=float)
+    if kvecs.ndim != 2 or kvecs.shape[1] != n:
+        raise InvalidInput("constraint vectors must be rows of length n")
+    if not np.all(np.isfinite(kvecs)):
+        raise InvalidInput("constraint vectors have non-finite entries")
+    return kvecs
+
+
+def _degree_and_pin_rows(g, s, support, movable):
     """Static constraint rows for one round, in support coordinates:
-    weighted-degree preservation plus pinned (frozen-set) coordinates."""
-    m_r = len(support)
-    rows = degree_rows(g, s)[:, support]
-    pin_pos = np.flatnonzero(np.isin(support, pinned))
-    pins = np.zeros((len(pin_pos), m_r))
+    weighted-degree preservation plus the identity rows where not movable."""
+    pin_pos = np.flatnonzero(~movable)
+    pins = np.zeros((len(pin_pos), len(support)))
     pins[np.arange(len(pin_pos)), pin_pos] = 1.0
-    return np.vstack([rows, pins])
+    return np.vstack([degree_rows(g, s)[:, support], pins])
 
 
-def _constraint_matrix(zbar, g, s, support, es):
-    """Rows a_z over the support coordinates: s(e) zbar(u) zbar(v) on Es."""
+def _constraint_matrix(zbar, g, s, support, movable):
+    """Rows a_z over the support coordinates: s(e) zbar(u) zbar(v) where movable (Es)."""
     u, v, _ = g.edge_arrays()
     a = zbar[:, u[support]]
     a *= zbar[:, v[support]]
     a *= s[support]
-    a[:, ~np.isin(support, es)] = 0.0
+    a[:, ~movable] = 0.0
     return a
 
 
 def _check_norm_chain(norms, zbar_d, n_eff, m_r):
-    """||a_z|| <= 100 (n/m) zbar^T D zbar, a consequence of the freeze sets."""
+    """||a_z|| <= 100 (n/m) zbar^T D zbar, a consequence of the freeze sets,
+    up to a rounding slack relative to the bound (0 for a constant z)."""
     bound = NORM_CHAIN_CONST * (n_eff / m_r) * zbar_d
     slack = bound - norms
-    if np.any(slack < -1e-9 * np.maximum(1.0, bound)):
+    if np.any(slack < -1e-9 * bound):
         raise WalksparseError("freeze-set norm bound violated")
     return float(np.min(slack, initial=np.inf))
 
@@ -137,19 +142,20 @@ def _check_courant_fischer(g, zbar, zbar_d, lam2):
     """
     lap = g.laplacian()
     z_lz = np.einsum("kn,nm,km->k", zbar, lap, zbar)
-    if np.any(z_lz < lam2 * zbar_d - 1e-8):
+    if np.any(z_lz < (lam2 - 1e-8) * zbar_d):
         raise WalksparseError("variational lower bound on the quadratic form failed")
 
 
-def _check_identity(g, kvecs, a_x, x_sub, s, support, tol_scale):
-    """Per-round rewrite check: sum_e x s <b_e, z>^2 == -2 <a_z, x> = -2 a_x."""
+def _check_identity(g, kvecs, a_x, x_sub, s, support, zbar_d):
+    """Per-round rewrite check: sum_e x s <b_e, z>^2 == -2 <a_z, x> = -2 a_x, with
+    residuals over each row's zbar_d, or unscaled at zbar_d = 0 (a constant z)."""
     u, v, _ = g.edge_arrays()
     du = kvecs[:, u[support]]
     du -= kvecs[:, v[support]]
     du *= du
     lhs = du @ (x_sub * s[support])
     resid = np.abs(lhs + 2.0 * a_x)
-    worst = float(np.max(resid / np.maximum(1.0, tol_scale), initial=0.0))
+    worst = float(np.max(resid / np.where(zbar_d > 0, zbar_d, 1.0), initial=0.0))
     if worst > IDENTITY_RTOL:
         raise WalksparseError(f"degree-preserving rewrite failed: residual {worst:.3e}")
     return worst
@@ -175,9 +181,7 @@ def sketch_expander(g, kvecs, eps):
     """
     _check_positive("eps", eps)
     _require_sketchable(g)
-    kvecs = np.asarray(kvecs, dtype=float)
-    if kvecs.ndim != 2 or kvecs.shape[1] != g.n:
-        raise InvalidInput("constraint vectors must be rows of length n")
+    kvecs = _check_vectors(kvecs, g.n)
     n_eff = len(g.non_isolated())
     if kvecs.shape[0] < n_eff:
         raise InvalidInput(f"need at least n={n_eff} constraint vectors")
@@ -187,7 +191,18 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
-    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps)
+    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff)
+
+
+def _expander_pieces(g, eps, phi_target, vectors, run):
+    """The piece driver of `sketch` and `resistance_sparsify`: check eps and
+    g, then union run(piece, vectors(g)) over the expander pieces of g, each
+    on the vertex ids of g."""
+    _check_positive("eps", eps)
+    _require_sketchable(g)
+    kvecs = vectors(g)
+    pieces = graph_mod.expander_decompose(g, phi_target)
+    return _union_pieces(g, [(p, range(g.n)) for p in pieces], lambda p: run(p, kvecs))
 
 
 def sketch(g, kvecs, eps, phi_target=None):
@@ -198,12 +213,9 @@ def sketch(g, kvecs, eps, phi_target=None):
     survives the union).  phi_target sets the decomposition's expansion
     target (default `graph.default_phi_target`).
     """
-    _check_positive("eps", eps)
-    _require_sketchable(g)
-    kvecs = np.asarray(kvecs, dtype=float)
-    pieces = graph_mod.expander_decompose(g, phi_target)
-    return _union_pieces(
-        g, [(p, range(g.n)) for p in pieces], lambda p: sketch_expander(p, kvecs, eps)
+    return _expander_pieces(
+        g, eps, phi_target, lambda _: _check_vectors(kvecs, g.n),
+        lambda p, checked: sketch_expander(p, checked, eps),
     )
 
 
@@ -231,18 +243,16 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     e0, e1, es = freeze_sets(piece, s)
     if len(es) < int(np.ceil(m_r / 4.0)):
         return "walk stopped: freeze sets leave too few movable edges"
-    # at most two k x m_r arrays live at once: a_z, unit rows, active columns
-    a_rows = _constraint_matrix(zbar, piece, s, support, es)
-    norms = np.linalg.norm(a_rows, axis=1)
-    diag = RoundDiagnostics(support=m_r, frozen_sets=(len(e0), len(e1), len(es)))
-    diag.norm_chain_margin = _check_norm_chain(norms, zbar_d, n_eff, m_r)
-    # the walk takes orthonormal static rows
-    extra_rows = linalg.orthonormalize(
-        _degree_and_pin_rows(piece, s, support, np.concatenate([e0, e1]))
-    )
-
-    unit = prepare_constraints(a_rows, norms)
+    movable = np.isin(support, es)
+    # at most two k x m_r arrays live at once: a_z, unit rows, active columns;
+    # a row a_z is zero at ||a_z|| <= _ROW_DROP_TOL zbar^T D zbar
+    a_rows = _constraint_matrix(zbar, piece, s, support, movable)
+    unit, norms, kept = prepare_constraints(a_rows, zbar_d)
     del a_rows
+    margin = _check_norm_chain(norms, zbar_d, n_eff, m_r)
+    # the walk takes orthonormal static rows
+    extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, support, movable))
+
     cut = 0.1 if lph is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
     sides = [_VectorSide(unit, budget)]
@@ -262,21 +272,23 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     unit_x = unit @ x_sub
     del sides, unit
     # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
-    kept = norms > _ROW_DROP_TOL
     a_x = np.zeros(len(norms))
     a_x[kept] = norms[kept] * unit_x
-    diag.walk_iterations = wlog.iterations
-    diag.identity_residual = _check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d)
-    diag.walk_discrepancy = float(np.max(np.abs(unit_x), initial=0.0))
     s_new = halve_support(s, support, x_sub)
-    diag.degree_dev = _check_degrees_preserved(piece, s_new)
-    return s_new, diag
+    return s_new, RoundDiagnostics(
+        support=m_r,
+        frozen_sets=(len(e0), len(e1), len(es)),
+        norm_chain_margin=margin,
+        identity_residual=_check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d),
+        walk_iterations=wlog.iterations,
+        walk_discrepancy=float(np.max(np.abs(unit_x), initial=0.0)),
+        degree_dev=_check_degrees_preserved(piece, s_new),
+    )
 
 
-def _sketch_piece(piece, kvecs, lam2, threshold, lph=None):
-    """`halve` with `_combined_round` on one piece until its support is at
-    most threshold, as a one-piece result."""
-    n_eff = max(1, len(piece.non_isolated()))
+def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, lph=None):
+    """`halve` with `_combined_round` on one piece with n_eff non-isolated
+    vertices until its support is at most threshold, as a one-piece result."""
     zbar = shift_center(kvecs, piece)
     zbar_d = (zbar**2) @ piece.weighted_degrees()
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
@@ -296,22 +308,14 @@ def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
     halving threshold is c_resist n sqrt(log n) / (lambda eps), and
     phi_target sets the decomposition's expansion target.
     """
-    _check_positive("eps", eps)
-    _require_sketchable(g)
     _check_positive("c_resist", c_resist)
-    kvecs = resistance_pairs(g)
 
-    def run(piece):
-        n_eff = max(1, len(piece.non_isolated()))
+    def run(piece, kvecs):
+        # a piece has an edge, so n_eff >= 2
+        n_eff = len(piece.non_isolated())
         lam = graph_mod.lambda2(piece)
-        threshold = (
-            c_resist
-            * n_eff
-            * np.sqrt(np.log(max(n_eff, 2)))
-            / (max(lam, 1e-12) * eps)
-        )
+        threshold = c_resist * n_eff * np.sqrt(np.log(n_eff)) / (max(lam, 1e-12) * eps)
         lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
-        return _sketch_piece(piece, kvecs, lam, threshold, lph)
+        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, lph)
 
-    pieces = graph_mod.expander_decompose(g, phi_target)
-    return _union_pieces(g, [(p, range(g.n)) for p in pieces], run)
+    return _expander_pieces(g, eps, phi_target, resistance_pairs, run)

@@ -54,11 +54,12 @@ def _check_positive(name, value):
         raise InvalidInput(f"{name}={value} is not a positive finite number")
 
 
-def _check_settings(eps, c_support):
+def _check_settings(eps, c_support, name="eps"):
     """Raise InvalidInput unless 0 < eps <= 1/2 and c_support is finite and
-    positive; the pipelines check on entry, before any graph work."""
+    positive; the pipelines check on entry, before any graph work.  name is
+    what the message calls eps."""
     if not (0.0 < eps <= 0.5):
-        raise InvalidInput(f"eps={eps} outside (0, 1/2]")
+        raise InvalidInput(f"{name}={eps} outside (0, 1/2]")
     _check_positive("c_support", c_support)
 
 
@@ -203,11 +204,17 @@ def _sparsify_graph(g, family, eps, c_support):
     return PipelineResult(g.reweighted(s), stopped, 1, records)
 
 
-def _components(g):
-    """(component, vertex ids) for each component of g with an edge."""
+def _sparsify_components(g, eps, c_support, family_of):
+    """The component driver of `spectral_sparsify` and `uc_sparsify`: check
+    the settings, run the halving loop on family_of(component) for each
+    connected component of the undirected g with an edge, union the results."""
+    _check_settings(eps, c_support)
     if g.directed:
         raise InvalidInput("expected an undirected graph")
-    return [g.induced_on(c) for c in g.connected_components() if len(c) > 1]
+    components = [g.induced_on(c) for c in g.connected_components() if len(c) > 1]
+    return _union_pieces(
+        g, components, lambda c: _sparsify_graph(c, family_of(c), eps, c_support)
+    )
 
 
 def spectral_family(g):
@@ -222,10 +229,7 @@ def spectral_family(g):
 def spectral_sparsify(g, eps, c_support=C_SUPPORT):
     """Degree-preserving spectral sparsifier of an undirected graph, one
     halving loop per connected component."""
-    _check_settings(eps, c_support)
-    return _union_pieces(
-        g, _components(g), lambda c: _sparsify_graph(c, spectral_family(c), eps, c_support)
-    )
+    return _sparsify_components(g, eps, c_support, spectral_family)
 
 
 def uc_family(g):
@@ -248,10 +252,7 @@ def uc_sparsify(g, eps, c_support=C_SUPPORT):
     """Unit-circle sparsifier of an undirected graph: both the Laplacian and
     the unsigned Laplacian are preserved to relative error eps, with exact
     degrees, one halving loop per connected component."""
-    _check_settings(eps, c_support)
-    return _union_pieces(
-        g, _components(g), lambda c: _sparsify_graph(c, uc_family(c), eps, c_support)
-    )
+    return _sparsify_components(g, eps, c_support, uc_family)
 
 
 def sv_expander_family(g, lam):
@@ -301,11 +302,7 @@ def sv_sparsify(g, eps, phi_target=None, c_support=C_SUPPORT):
     if phi_target is None:
         phi_target = graph_mod.default_phi_target(lift.n)
     eps_piece = eps * phi_target
-    if not (0.0 < eps_piece <= 0.5):
-        raise InvalidInput(
-            f"per-piece accuracy eps*phi_target = {eps_piece} outside (0, 1/2]"
-        )
-    _check_settings(eps_piece, c_support)
+    _check_settings(eps_piece, c_support, "per-piece accuracy eps*phi_target")
     pieces = [
         p.induced_on(p.non_isolated())
         for p in graph_mod.expander_decompose(lift, phi_target)

@@ -10,6 +10,7 @@ The walk tracks the exponential potential sum_i exp(lambda0 <a_i/||a_i||, x>
 - lambda0^2), keeps the update direction orthogonal to its gradient and to
 the heaviest constraints, and certifies y^T G y <= tr G/(cut + 1) ||y||^2
 for the weighted second-moment matrix G of the constraint directions.
+`prepare_constraints` decides which rows are zero, relative to their scale.
 """
 
 from __future__ import annotations
@@ -19,43 +20,42 @@ import numpy as np
 from . import matrix_walk
 from .errors import InvalidInput
 
-def prepare_constraints(vectors, norms=None):
-    """Drop zero rows of a 2-D array of constraint vectors (norms: their row
-    norms, if known) and normalize the rest into one new C-ordered array of
-    unit rows."""
-    a = np.asarray(vectors, dtype=float)
-    if a.size and not np.all(np.isfinite(a)):
+def prepare_constraints(vectors, scale=None):
+    """(unit rows, row norms, kept mask) of the rows of vectors (1-D: one row).
+
+    The one zero-row rule: a row is dropped when its norm is at most
+    _ROW_DROP_TOL times its scale (a number or one per row; default the
+    largest row norm).  The unit rows are one new C-ordered array.
+    """
+    a = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if not np.all(np.isfinite(a)):
         raise InvalidInput("constraint vectors have non-finite entries")
-    if a.shape[0] == 0:
-        return a
-    if norms is None:
-        norms = np.linalg.norm(a, axis=1)
-    keep = norms > matrix_walk._ROW_DROP_TOL
-    # a[keep] is one new C-ordered copy, also of F-ordered rows: divide in place
-    unit = a[keep]
-    unit /= norms[keep, None]
-    return unit
+    norms = np.linalg.norm(a, axis=1)
+    if scale is None:
+        scale = np.max(norms, initial=0.0)
+    kept = norms > matrix_walk._ROW_DROP_TOL * scale
+    # a[kept] is one new C-ordered copy, also of F-ordered rows: divide in place
+    unit = a[kept]
+    unit /= norms[kept, None]
+    return unit, norms, kept
 
 
 def vector_partial_color(vectors, extra=None, log=None):
     """Partial coloring with small discrepancy against all constraint vectors.
 
-    vectors: (k, m) array of constraint vectors (zero rows are dropped),
-    k >= m.  extra: optional Subspace the coloring must lie in.
+    vectors: (k, m) array of constraint vectors (zero rows, relative to the
+    largest, are dropped), k >= m.  extra: optional Subspace the coloring must lie in.
 
     lambda0 is max(1, sqrt(log(k/m))).  Each step meets the admissibility
     condition lambda0 * delta * max_i |<a_i_hat, y>| <= 1/2 with equality
     unless the box boundary is closer.
     """
-    a = np.asarray(vectors, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    m = a.shape[1] if extra is None else extra.ambient_dim
-    if a.shape[0] < m:
-        raise InvalidInput(f"need at least m={m} constraint vectors, got {a.shape[0]}")
-    if a.shape[0] and a.shape[1] != m:
+    unit, norms, _ = prepare_constraints(vectors)
+    m = unit.shape[1] if extra is None else extra.ambient_dim
+    if len(norms) < m:
+        raise InvalidInput(f"need at least m={m} constraint vectors, got {len(norms)}")
+    if len(norms) and unit.shape[1] != m:
         raise InvalidInput("constraint vector length mismatch")
-    unit = prepare_constraints(a)
     # the heaviest tenth of the constraints are cut from the update subspace,
     # and y^T G y is held to tr G / (cut + 1) with cut a tenth of m_t
     tenth = lambda mt: int(np.ceil(0.1 * mt))
@@ -65,12 +65,7 @@ def vector_partial_color(vectors, extra=None, log=None):
 
 
 def discrepancy_ratios(vectors, x):
-    """|<a_i, x>| / ||a_i|| for each nonzero constraint vector."""
-    a = np.asarray(vectors, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    norms = np.linalg.norm(a, axis=1)
-    keep = norms > matrix_walk._ROW_DROP_TOL
-    if not np.any(keep):
-        return np.zeros(0)
-    return np.abs(a[keep] @ x) / norms[keep]
+    """|<a_i, x>| / ||a_i|| for each constraint vector that
+    `vector_partial_color` keeps (the nonzero rows)."""
+    unit, _, _ = prepare_constraints(vectors)
+    return np.abs(unit @ x)

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import complete_graph
+from conftest import complete_graph, dumbbell_graph
 from walksparse import cli, matrix_walk, sketches, sparsify
+from walksparse.graph import Graph
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 BENCH_TEST = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "test_bench.py")
@@ -121,21 +122,39 @@ def test_rounds_call_the_patched_names(monkeypatch):
     # bench/spans.py counts sparsify.rounds as partial_color calls and
     # sketches.rounds as _combined_round calls, looked up through these
     # module globals at call time; a round that returns its stop reason
-    # is one call more than the rounds that ran
+    # is one call more than the rounds that ran.  Its family, piece and
+    # prepare spans time the other names counted here, which the pipeline
+    # drivers must look up at call time too
     walks = counting(monkeypatch, sparsify, "partial_color")
-    res = sparsify.spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)
-    assert res.rounds > 0 and len(walks) == res.rounds
+    families = counting(monkeypatch, sparsify, "spectral_family")
+    subspaces = counting(monkeypatch, sparsify, "degree_subspace")
+    # two components: K_16 and K_12 on vertices 16..27
+    k12 = [(16 + u, 16 + v, w) for u, v, w in complete_graph(12).edges]
+    g = Graph(28, complete_graph(16).edges + tuple(k12))
+    res = sparsify.spectral_sparsify(g, 0.45, c_support=1.0)
+    assert res.pieces == 2 and res.rounds > 0 and len(walks) == res.rounds
+    assert len(families) == len(subspaces) == res.pieces
 
     rounds = counting(monkeypatch, sketches, "_combined_round")
+    expanders = counting(monkeypatch, sketches, "sketch_expander")
+    prepares = counting(monkeypatch, sketches, "prepare_constraints")
+    loops = counting(monkeypatch, sketches, "_walk_loop")
     kvecs = np.random.default_rng(0).normal(size=(30, 12))
     for run in (
         lambda: sketches.sketch(complete_graph(12), kvecs, 1.5),
         lambda: sketches.resistance_sparsify(complete_graph(12), 1.9),
     ):
-        rounds.clear()
+        for calls in (rounds, prepares, loops):
+            calls.clear()
         res = run()
         assert res.pieces == 1 and res.rounds > 0
         assert len(rounds) == res.rounds + (res.stopped_early is not None)
+        # one prepare per round that walks
+        assert len(prepares) == len(loops) >= res.rounds
+    expanders.clear()
+    kvecs = np.random.default_rng(1).normal(size=(60, 16))
+    res = sketches.sketch(dumbbell_graph(8), kvecs, 0.3, phi_target=0.1)
+    assert res.pieces >= 2 and len(expanders) == res.pieces
 
 
 def test_the_cli_parses_every_bench_command_line(tmp_path):

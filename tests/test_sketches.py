@@ -1,6 +1,7 @@
 """Sketch machinery: recentering, freeze sets, sketch and resistance loops."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,24 @@ class TestSketchPipeline:
         r2 = sketch(g, kvecs, 0.4)
         assert r1.graph.edges == r2.graph.edges
 
+    def test_constant_vectors_divide_by_no_zero_scale(self):
+        # a constant z has zbar = 0 up to rounding, so zbar^T D zbar is 0 or
+        # tiny; the zero-row rule and the round checks make no 0/0 of it
+        kvecs = np.vstack([unit_vectors(40, 12, seed=12), np.full((2, 12), 0.3), np.zeros(12)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sketch(complete_graph(12), kvecs, 0.4)
+        assert res.rounds > 0
+
+    @pytest.mark.parametrize("k", [-40, -24, 24, 40])
+    def test_same_sketch_at_any_scale(self, k):
+        # a_z scales by 4^k and every zero-row test and round check is relative
+        # to zbar^T D zbar, so no row is dropped and the output is the same
+        g = complete_graph(16)
+        kvecs = np.random.default_rng(0).normal(size=(60, 16))
+        res = sketch(g, kvecs, 0.5)
+        assert sketch(g, kvecs * 2.0**k, 0.5).graph.edges == res.graph.edges
+
 
 class TestResistance:
     def test_pairs_shape(self):
@@ -258,6 +277,25 @@ def test_eps_must_be_positive_and_finite(monkeypatch, run, eps):
         run(complete_graph(12), kvecs, eps)
 
 
+@pytest.mark.parametrize(
+    "kvecs",
+    [np.ones(12), np.ones((40, 11)), np.full((40, 12), np.nan), np.full((40, 12), np.inf)],
+    ids=["one-dimensional", "wrong-length", "nan", "inf"],
+)
+@pytest.mark.parametrize("run", [sketch, sketch_expander])
+def test_constraint_vectors_checked_on_entry(monkeypatch, run, kvecs):
+    # rejected before any spectral or decomposition work, without a warning
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the constraint vectors were not checked on entry")
+
+    monkeypatch.setattr(sketches.graph_mod, "expander_decompose", unreachable)
+    monkeypatch.setattr(sketches.graph_mod, "lambda2", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="constraint vectors"):
+            run(complete_graph(12), kvecs, 0.5)
+
+
 class TestHalvingStops:
     def test_sketch_stops_when_update_subspace_is_empty(self):
         g = complete_graph(12)
@@ -289,15 +327,17 @@ class TestHalvingStops:
 
 
 class TestRoundChecks:
-    def test_rewrite_check_fires_on_a_non_degree_preserving_coloring(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-30], ids=["1", "2^-30"])
+    def test_rewrite_check_fires_on_a_non_degree_preserving_coloring(self, monkeypatch, scale):
         # x = 1/2 on every coordinate moves every support degree, so
-        # sum_e x s <b_e, z>^2 + 2 <a_z, x> = (1/2) sum_v d_s(v) zbar(v)^2 != 0
+        # sum_e x s <b_e, z>^2 + 2 <a_z, x> = (1/2) sum_v d_s(v) zbar(v)^2 != 0,
+        # at any scale of the vectors
         def wrong(m, sides, extra_rows, adaptive_steps, log):
             return np.full(m, 0.5)
 
         monkeypatch.setattr(sketches, "_walk_loop", wrong)
-        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed"):
-            sketch(complete_graph(12), unit_vectors(40, 12, seed=12), 0.4)
+        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed: residual 5"):
+            sketch(complete_graph(12), scale * unit_vectors(40, 12, seed=12), 0.4)
 
     def test_rewrite_check_covers_dropped_pair_rows(self, monkeypatch):
         # on K_n, L^+ b_ij is (e_i - e_j)/n, so a pair's row a_z is zero once

@@ -58,7 +58,8 @@ class TestState:
 
     def test_zero_rows_dropped(self):
         a = np.vstack([np.zeros(5), np.ones(5)])
-        unit = prepare_constraints(a)
+        unit, norms, kept = prepare_constraints(a)
+        assert kept.tolist() == [False, True] and norms.tolist() == [0.0, np.sqrt(5.0)]
         assert unit.shape == (1, 5)
         assert abs(np.linalg.norm(unit[0]) - 1.0) <= 1e-12
 
@@ -73,9 +74,11 @@ class TestState:
         norms = np.linalg.norm(a, axis=1)
         keep = norms > 1e-12
         expect = a[keep] / norms[keep, None]
-        for unit in (prepare_constraints(a), prepare_constraints(a, norms)):
+        for scale in (None, np.ones(40)):
+            unit, got_norms, kept = prepare_constraints(a, scale)
             assert unit.flags["C_CONTIGUOUS"] and unit.shape == (40 - len(dropped), 9)
             assert unit.tobytes() == expect.tobytes()
+            assert np.array_equal(kept, keep) and got_norms.tobytes() == norms.tobytes()
         assert np.array_equal(a, before)
 
 
@@ -180,6 +183,16 @@ class TestVectorPartialColor:
         x1 = vector_partial_color(a)
         vector_partial_color(gaussian_rows(60, 30, seed=13))
         assert np.array_equal(x1, vector_partial_color(a))
+
+    @pytest.mark.parametrize("k", [-60, -45, 45, 60])
+    def test_same_coloring_at_any_scale(self, k):
+        # zero rows are measured against the largest row: scaling every row by
+        # 2^k (exact) drops no row and leaves the walk and its ratios as they are
+        a = np.random.default_rng(3).normal(size=(60, 30))
+        x = vector_partial_color(a)
+        scaled = a * 2.0**k
+        assert np.array_equal(vector_partial_color(scaled), x)
+        assert np.array_equal(discrepancy_ratios(scaled, x), discrepancy_ratios(a, x))
 
     def test_k_less_than_m_rejected(self):
         with pytest.raises(InvalidInput):
