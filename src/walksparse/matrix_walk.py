@@ -262,7 +262,6 @@ class WalkLog:
     rows), never below the exact figure and never above 1/2.
     """
 
-    m: int = 0
     m_t: list = field(default_factory=list)
     delta: list = field(default_factory=list)
     linear_term: list = field(default_factory=list)
@@ -630,7 +629,6 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     start = _start_vector(m, 0)
     base_cap = min(side.base_cap for side in sides)
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
-    log.m = m
     iterations = 0
     while 4 * len(active) > 3 * m:
         if iterations >= max_iter:

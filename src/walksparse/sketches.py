@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graph_mod
-from . import linalg
+from . import linalg, sparsify
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
-from .matrix_walk import MatrixFamily, WalkLog, _MatrixSide, _VectorSide, _walk_loop
+from .matrix_walk import WalkLog, _MatrixSide, _VectorSide, _walk_loop
 from .matrix_walk import default_lambda0
 from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_rows, halve
 from .sparsify import halve_support
@@ -227,16 +227,17 @@ def resistance_pairs(g):
     return vecs.T
 
 
-def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
+def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     """One halving round of the walk on a piece; returns (s_new, diagnostics),
     or the stop reason when the freeze sets leave too few movable edges or
     the walk raises SubspaceExhausted.
 
-    The vector side steers the recentered constraints a_z.  Given lph =
-    L^{+/2}, the matrix side also steers {(1/2) s(e) L^{+/2} b_e b_e^T L^{+/2}}
-    with keep = 5/6 of m_t, and the vector side's heavy rows and Gram cut
-    shrink from 1/10 to 1/6 budgets, so the feasible set keeps positive
-    dimension alongside the degree and freeze rows.
+    The vector side steers the recentered constraints a_z.  Given the
+    piece's spectral family {A_e}, the matrix side also steers
+    {(1/2) s(e) A_e} over the support, as a `sparsify` round does, with
+    keep = 5/6 of m_t, and the vector side's heavy rows and Gram cut shrink
+    from 1/10 to 1/6 budgets, so the feasible set keeps positive dimension
+    alongside the degree and freeze rows.
     """
     support = np.flatnonzero(s)
     m_r = len(support)
@@ -253,17 +254,16 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     # the walk takes orthonormal static rows
     extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, support, movable))
 
-    cut = 0.1 if lph is None else 1.0 / 6.0
+    cut = 0.1 if family is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
     sides = [_VectorSide(unit, budget)]
-    if lph is not None:
-        vectors = lph @ piece.incidence_signed()[:, support]
-        family = MatrixFamily.from_rank_one(vectors, 0.5 * s[support])
-        top = float(linalg.eigvalsh(family.blocks[0].aggregate(np.ones(m_r)))[-1])
+    if family is not None:
+        half = family.scaled(0.5 * s).restricted(support)
+        top = half.aggregate_norm(np.ones(m_r))
         if top > 1.0 + 1e-6:
             raise WalksparseError(f"loop invariant failed: half-aggregate norm {top:.4f} > 1")
         keep = lambda mt: mt - int(np.floor(cut * mt))
-        sides.insert(0, _MatrixSide(family, keep_count=keep))
+        sides.insert(0, _MatrixSide(half, keep_count=keep))
     wlog = WalkLog()
     try:
         x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
@@ -286,7 +286,7 @@ def _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff):
     )
 
 
-def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, lph=None):
+def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, family=None):
     """`halve` with `_combined_round` on one piece with n_eff non-isolated
     vertices until its support is at most threshold, as a one-piece result."""
     zbar = shift_center(kvecs, piece)
@@ -295,7 +295,7 @@ def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, lph=None):
     s, diagnostics, stopped = halve(
         np.ones(piece.m),
         threshold,
-        lambda s: _combined_round(piece, lph, kvecs, zbar, zbar_d, s, n_eff),
+        lambda s: _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff),
     )
     return PipelineResult(piece.reweighted(s), stopped, 1, diagnostics)
 
@@ -315,7 +315,7 @@ def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
         n_eff = len(piece.non_isolated())
         lam = graph_mod.lambda2(piece)
         threshold = c_resist * n_eff * np.sqrt(np.log(n_eff)) / (max(lam, 1e-12) * eps)
-        lph = linalg.matrix_function(piece.laplacian(), "pinv_sqrt")
-        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, lph)
+        family = sparsify.spectral_family(piece)
+        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, family)
 
     return _expander_pieces(g, eps, phi_target, resistance_pairs, run)

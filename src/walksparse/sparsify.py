@@ -217,13 +217,17 @@ def _sparsify_components(g, eps, c_support, family_of):
     )
 
 
+def _whitened_family(g, pairs, scale=1.0):
+    """One Rank1Block per (X, C) in pairs, with the edge weights of g: members
+    w_e scale^2 X^{+/2} c_e c_e^T X^{+/2} over the columns c_e of C."""
+    factors = [scale * (linalg.matrix_function(x, "pinv_sqrt") @ c) for x, c in pairs]
+    return MatrixFamily([Rank1Block(f, g.weights()) for f in factors])
+
+
 def spectral_family(g):
     """Rank-one family A_e = w_e L^{+/2} b_e b_e^T L^{+/2} summing to the
     projection off the all-ones vector."""
-    lap = g.laplacian()
-    lph = linalg.matrix_function(lap, "pinv_sqrt")
-    vectors = lph @ g.incidence_signed()
-    return MatrixFamily.from_rank_one(vectors, g.weights())
+    return _whitened_family(g, [(g.laplacian(), g.incidence_signed())])
 
 
 def spectral_sparsify(g, eps, c_support=C_SUPPORT):
@@ -235,17 +239,8 @@ def spectral_sparsify(g, eps, c_support=C_SUPPORT):
 def uc_family(g):
     """Block family diag(L-part, U-part); its members sum to
     diag(proj off ker L, proj off ker U) inside I_{2n}."""
-    lap = g.laplacian()
-    uns = g.unsigned_laplacian()
-    lph = linalg.matrix_function(lap, "pinv_sqrt")
-    uph = linalg.matrix_function(uns, "pinv_sqrt")
-    w = g.weights()
-    return MatrixFamily(
-        [
-            Rank1Block(lph @ g.incidence_signed(), w),
-            Rank1Block(uph @ g.incidence_unsigned(), w),
-        ]
-    )
+    signed = (g.laplacian(), g.incidence_signed())
+    return _whitened_family(g, [signed, (g.unsigned_laplacian(), g.incidence_unsigned())])
 
 
 def uc_sparsify(g, eps, c_support=C_SUPPORT):
@@ -258,9 +253,7 @@ def uc_sparsify(g, eps, c_support=C_SUPPORT):
 def sv_expander_family(g, lam):
     """Rank-one family lam * w_e E^{+/2} b_e b_e^T E^{+/2} for bipartite g."""
     e_mat, _ = graph_mod.sv_error_matrices(g)
-    eph = linalg.matrix_function(e_mat, "pinv_sqrt")
-    vectors = np.sqrt(lam) * (eph @ g.incidence_signed())
-    return MatrixFamily.from_rank_one(vectors, g.weights())
+    return _whitened_family(g, [(e_mat, g.incidence_signed())], np.sqrt(lam))
 
 
 def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):

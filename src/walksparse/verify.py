@@ -29,7 +29,9 @@ class ApproxReport:
 
     passed requires the measured error to meet the target, the kernel
     inclusions of the matrix-approximation definition to hold, and the
-    weighted degrees to agree within 1e-6.
+    weighted degrees to agree within DEGREE_TOL times degree_scale, the
+    input's largest weighted out- or in-degree, so the verdict does not
+    change with the scale of the weights.  degree_scale is not reported.
     """
 
     kind: str
@@ -38,13 +40,14 @@ class ApproxReport:
     kernel_ok: bool
     degree_max_dev: float
     support_size: int
+    degree_scale: float = 1.0
 
     @property
     def passed(self):
         return (
             self.measured_eps <= self.target
             and self.kernel_ok
-            and self.degree_max_dev <= DEGREE_TOL
+            and self.degree_max_dev <= DEGREE_TOL * self.degree_scale
         )
 
     def to_dict(self):
@@ -101,12 +104,29 @@ def _require_comparable(g, g_tilde):
 def _graph_report(kind, g, g_tilde, target, measured, kernel_ok=True):
     """Report of a check of g_tilde against g: the measured error, the
     largest change of an out- or in-degree (both are the weighted degrees
-    of an undirected graph) and the edge count of g_tilde."""
+    of an undirected graph), the edge count of g_tilde, and the largest
+    out- or in-degree of g as the degree scale."""
+    out_d, in_d = g.out_degrees(), g.in_degrees()
     dev = max(
-        float(np.max(np.abs(g.out_degrees() - g_tilde.out_degrees()), initial=0.0)),
-        float(np.max(np.abs(g.in_degrees() - g_tilde.in_degrees()), initial=0.0)),
+        float(np.max(np.abs(out_d - g_tilde.out_degrees()), initial=0.0)),
+        float(np.max(np.abs(in_d - g_tilde.in_degrees()), initial=0.0)),
     )
-    return ApproxReport(kind, float(target), measured, kernel_ok, dev, g_tilde.m)
+    scale = float(max(np.max(out_d, initial=0.0), np.max(in_d, initial=0.0)))
+    return ApproxReport(kind, float(target), measured, kernel_ok, dev, g_tilde.m, scale)
+
+
+def _require_numerically_connected(g, lap):
+    """Raise InvalidInput when L has more numerically zero eigenvalues
+    (<= ZERO_RTOL * lambda_max) than g has connected components c: the
+    pseudoinverse would drop the light cut's direction and certify an
+    output that loses it."""
+    c = len(g.connected_components())
+    w = linalg.eigvalsh(lap)
+    if w.size > c and w[c] <= linalg.ZERO_RTOL * w[-1]:
+        raise InvalidInput(
+            f"Laplacian is numerically disconnected: lambda_{c + 1}/lambda_max = "
+            f"{w[c] / w[-1]:.3e} <= {linalg.ZERO_RTOL:g}"
+        )
 
 
 def check_spectral(g, g_tilde, target):
@@ -114,6 +134,7 @@ def check_spectral(g, g_tilde, target):
     subgraph, plus degree preservation."""
     _require_comparable(g, g_tilde)
     lap = g.laplacian()
+    _require_numerically_connected(g, lap)
     rep = check_matrix_approx(lap, g_tilde.laplacian(), lap, lap, target)
     return _graph_report("spectral", g, g_tilde, target, rep.measured_eps, rep.kernel_ok)
 
@@ -126,6 +147,7 @@ def check_uc_undirected(g, g_tilde, target):
     if g.directed:
         raise InvalidInput("unit-circle check expects undirected graphs")
     lap, uns = g.laplacian(), g.unsigned_laplacian()
+    _require_numerically_connected(g, lap)
     lph = linalg.matrix_function(lap, "pinv_sqrt")
     uph = linalg.matrix_function(uns, "pinv_sqrt")
     dl = lap - g_tilde.laplacian()

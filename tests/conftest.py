@@ -45,6 +45,13 @@ def dumbbell_graph(side=8):
     return Graph(2 * side, tuple(edges))
 
 
+def bridged_cliques(side, weight):
+    """Two K_side on 0..side-1 and side..2 side-1 joined by (0, side, weight)."""
+    k = complete_graph(side).edges
+    shifted = tuple((side + u, side + v, w) for u, v, w in k)
+    return Graph(2 * side, k + shifted + ((0, side, weight),))
+
+
 def ring_matching_expander(n=32):
     """Cycle plus the antipodal perfect matching: 3-regular, connected."""
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)]

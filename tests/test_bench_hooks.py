@@ -140,17 +140,19 @@ def test_rounds_call_the_patched_names(monkeypatch):
     prepares = counting(monkeypatch, sketches, "prepare_constraints")
     loops = counting(monkeypatch, sketches, "_walk_loop")
     kvecs = np.random.default_rng(0).normal(size=(30, 12))
-    for run in (
-        lambda: sketches.sketch(complete_graph(12), kvecs, 1.5),
-        lambda: sketches.resistance_sparsify(complete_graph(12), 1.9),
+    for run, walks_a_family in (
+        (lambda: sketches.sketch(complete_graph(12), kvecs, 1.5), False),
+        (lambda: sketches.resistance_sparsify(complete_graph(12), 1.9), True),
     ):
-        for calls in (rounds, prepares, loops):
+        for calls in (rounds, prepares, loops, families):
             calls.clear()
         res = run()
         assert res.pieces == 1 and res.rounds > 0
         assert len(rounds) == res.rounds + (res.stopped_early is not None)
         # one prepare per round that walks
         assert len(prepares) == len(loops) >= res.rounds
+        # the resist rounds walk their piece's spectral family, built once
+        assert len(families) == (res.pieces if walks_a_family else 0)
     expanders.clear()
     kvecs = np.random.default_rng(1).normal(size=(60, 16))
     res = sketches.sketch(dumbbell_graph(8), kvecs, 0.3, phi_target=0.1)

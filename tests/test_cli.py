@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complete_bipartite, complete_graph, dumbbell_graph
+from conftest import bridged_cliques, complete_bipartite, complete_graph, dumbbell_graph
 from walksparse import sparsify, verify
 from walksparse.cli import (
     build_parser,
@@ -247,6 +247,26 @@ class TestCommands:
         assert got == Graph(n, expect)
         assert got.m < g.m
         assert np.allclose(got.weighted_degrees(), g.weighted_degrees())
+
+    @pytest.mark.parametrize("command,side,bridge,ratio", [
+        ("sparsify", 16, 1e-8, "7.812e-11"),
+        ("uc", 16, 1e-8, "7.812e-11"),
+        # two K_12 are the smallest pair whose degree subspace a walk takes;
+        # on two K_16 the partial-color walk runs for seconds before the check
+        ("partial-color", 12, 1e-10, "1.389e-12"),
+    ])
+    def test_numerically_disconnected_input_exit_two(self, tmp_path, capsys, command, side,
+                                                     bridge, ratio):
+        # two K_side joined by a light bridge: lambda_2/lambda_max is below
+        # the kernel cut-off, and the check refuses before any output
+        path = write_graph(tmp_path, bridged_cliques(side, bridge))
+        out, rep = tmp_path / "out.txt", tmp_path / "rep.json"
+        flags = [] if command == "partial-color" else ["--epsilon", "0.45", "--c-support", "1"]
+        assert main([command, path, *flags, "--check", "--out", str(out),
+                     "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert f"numerically disconnected: lambda_2/lambda_max = {ratio}" in err
+        assert not out.exists() and not rep.exists()
 
     def test_vectors_loader_validates(self, tmp_path):
         vec_path = tmp_path / "vecs.txt"

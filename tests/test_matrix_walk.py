@@ -443,6 +443,12 @@ class TestPartialColor:
         assert np.count_nonzero(np.abs(x) == 1.0) >= 2
         assert linalg.operator_norm(fam.aggregate(x)) == 0.0
 
+    def test_a_list_is_walked_as_its_dense_family(self):
+        mats = [random_symmetric(3, seed) / 40.0 for seed in range(16)]
+        x = partial_color(mats)
+        assert x.tobytes() == partial_color(MatrixFamily.from_matrices(mats)).tobytes()
+        assert np.count_nonzero(np.abs(x) == 1.0) >= 4
+
     def test_projection_instance(self):
         n, m = 4, 64
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=17))

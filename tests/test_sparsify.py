@@ -63,6 +63,25 @@ class TestCoreLoop:
         # error from an independent eigen oracle
         assert linalg.operator_norm(fam.blocks[0].aggregate(diff)) <= 0.45
 
+    def test_dense_family_halves(self):
+        # 48 random PSD 6 x 6 members whose sum has norm 1: each round walks
+        # DenseBlock.scaled and .restricted, and the oracle sums the members
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(48, 6, 3))
+        mats = a @ np.swapaxes(a, 1, 2)
+        mats /= linalg.operator_norm(mats.sum(axis=0))
+        fam = MatrixFamily.from_matrices(mats)
+        s, records, stopped = sparsify(fam, Subspace.full(48), eps=0.5, c_support=1.0)
+        assert records and np.all(s >= 0.0) and np.count_nonzero(s) == records[-1]
+        assert stopped is None or stopped.startswith("support")
+        for prev, cur in zip([48] + records[:-1], records):
+            assert cur <= prev - np.ceil(prev / 8.0)
+        members = fam.members()
+        assert all(np.array_equal(b, mats[i]) for i, b in enumerate(members))
+        agg = sum(si * b for si, b in zip(s, members))
+        assert linalg.operator_norm(agg) <= 2.0 + 1e-9
+        assert linalg.operator_norm(agg - mats.sum(axis=0)) <= 0.5
+
     def test_eps_validation(self):
         fam = spectral_family(complete_graph(8))
         with pytest.raises(InvalidInput):

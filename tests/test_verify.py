@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bridged_cliques,
     complete_bipartite,
     complete_graph,
     diagonal_family,
@@ -15,6 +16,7 @@ from conftest import (
 from walksparse import linalg
 from walksparse.errors import InvalidInput
 from walksparse.graph import Graph
+from walksparse.sparsify import spectral_sparsify
 from walksparse.verify import (
     ApproxReport,
     brute_force_min_discrepancy,
@@ -26,6 +28,15 @@ from walksparse.verify import (
     check_uc_undirected,
     effective_resistance_report,
 )
+
+
+def lognormal_graph(n, m, seed):
+    """Connected graph: a path plus m - n + 1 seeded pairs, lognormal weights."""
+    rng = np.random.default_rng(seed)
+    path = [(i, i + 1) for i in range(n - 1)]
+    rest = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    pairs = path + [rest[k] for k in rng.choice(len(rest), m - n + 1, replace=False)]
+    return Graph(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, rng.lognormal(size=m))))
 
 
 class TestMatrixApprox:
@@ -78,6 +89,29 @@ class TestGraphChecks:
         g = complete_graph(12).reweighted(np.full(66, weight))
         rep = check_spectral(g, g.reweighted(np.where(np.arange(g.m) % 2, 0.0, 3.0)), 0.5)
         assert rep.measured_eps == pytest.approx(1.457, abs=1e-3) and not rep.passed
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_degree_verdict_does_not_change_with_the_weight_scale(self, k):
+        # degrees are checked against DEGREE_TOL times the input's largest
+        # degree: at 2^40 rounding alone moves a degree by more than 1e-6,
+        # at 2^-40 a 1.001 scaling moves one by less
+        g = lognormal_graph(20, 120, seed=0).reweighted(np.full(120, 2.0**k))
+        out = spectral_sparsify(g, 0.45, c_support=1.0).graph
+        assert check_spectral(g, out, 0.45).passed
+        assert not check_spectral(g, out.reweighted(np.full(out.m, 1.001)), 0.45).passed
+
+    @pytest.mark.parametrize("bridge,ratio", [(1e-8, "7.812e-11"), (1e-10, "7.816e-13")])
+    @pytest.mark.parametrize("check", [check_spectral, check_uc_undirected])
+    def test_numerically_disconnected_laplacian_is_refused(self, check, bridge, ratio):
+        # lambda_2 of two K_16 joined by a light bridge is below ZERO_RTOL
+        # lambda_max, so the whitening would drop the bridge direction
+        g = bridged_cliques(16, bridge)
+        with pytest.raises(InvalidInput, match=f"lambda_2/lambda_max = {ratio}"):
+            check(g, g, 0.45)
+
+    def test_a_light_bridge_above_the_kernel_cut_off_is_checked(self):
+        g = bridged_cliques(16, 1e-6)
+        assert check_spectral(g, g, 0.45).passed and check_uc_undirected(g, g, 0.45).passed
 
     def test_uc_identity_and_scaling(self):
         g = complete_graph(6)
