@@ -11,7 +11,10 @@ operator norm otherwise.  Besides the paper's invariants it prints the Lanczos
 steps each direction took and the worst margin of the quadratic certificate
 y^T N y <= tr N/(m_t - keep + 1) ||y||^2 (||y|| = 1).  The vector walk runs
 `vector_partial_color` on 4m seeded Gaussian rows of length m and prints the
-worst margin of its certificate y^T G y <= tr G/(cut + 1) ||y||^2.
+worst margin of its certificate y^T G y <= tr G/(cut + 1) ||y||^2, how many
+steps the box boundary and how many the potential search set, and the worst
+margin of the step rule sum_i w_i (e^t_i - 1 - t_i) <= lambda0^2 delta^2 W
+tr G/(cut + 1) ||y||^2.
 """
 
 import sys
@@ -72,6 +75,13 @@ def main():
     print(f"  Lanczos steps per iteration: mean {np.mean(steps):.1f}, max {max(steps)}")
     margin = min(b - q for q, b in zip(log.gram_term, log.gram_bound))
     print(f"  worst certificate margin tr G/(cut + 1) - y^T G y = {margin:.2e} (must be >= 0)")
+    searched = sum(d < b for d, b in zip(log.delta, log.boundary))
+    print(f"  steps set by the box boundary {log.iterations - searched}, "
+          f"by the potential search {searched}")
+    margin = min(b - v for v, b in zip(log.increase, log.increase_bound))
+    worst = max(v / b for v, b in zip(log.increase, log.increase_bound) if b > 0)
+    print(f"  worst step-rule margin increase bound - exact increase = {margin:.2e} "
+          f"(must be >= 0; increase at most {worst:.3f} of its bound)")
 
 
 if __name__ == "__main__":

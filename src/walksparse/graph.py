@@ -268,6 +268,20 @@ def lambda2(g):
     return float(w[1])
 
 
+def require_numerically_connected(g, lap):
+    """Raise InvalidInput when g's Laplacian lap has more numerically zero
+    eigenvalues (<= ZERO_RTOL * lambda_max) than g has connected components
+    c: its pseudoinverse would drop the light cut's direction, so a family
+    whitened by it, or an error measured with it, would lose that cut."""
+    c = len(g.connected_components())
+    w = linalg.eigvalsh(lap)
+    if w.size > c and w[c] <= linalg.ZERO_RTOL * w[-1]:
+        raise InvalidInput(
+            f"Laplacian is numerically disconnected: lambda_{c + 1}/lambda_max = "
+            f"{w[c] / w[-1]:.3e} <= {linalg.ZERO_RTOL:g}"
+        )
+
+
 def default_phi_target(n):
     """1 / (4 log2(n)^2), the decomposition's default expansion target."""
     return 1.0 / (4.0 * max(1.0, np.log2(max(n, 2))) ** 2)

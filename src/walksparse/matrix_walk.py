@@ -43,14 +43,18 @@ term is PSD, so that meets each side's bound, and fewer than tr Q / b_0
 eigenvalues of Q exceed b_0.  The walk advances with step min(cap, distance
 to the [-1,1]^m boundary).
 
-Each side gives its step cap and its admissibility figure per unit step
-(0 for a side without rows); the loop checks delta times the largest figure
-against 1/2 once per iteration and logs it as `WalkLog.step_norm`.  The
-matrix side's cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with the
-Frobenius bound ||.||_F >= ||.||_op: where that cap already clears the
+Each side gives its step cap, and at the step delta the walk takes, its
+admissibility term and that term's bound; the loop checks every side's pair
+once per iteration and raises `StepTooLarge` from one site.  The matrix side's
+term is delta eta ||M^{1/2} A(y)||_op with bound 1/2, logged as
+`WalkLog.step_norm`.  Its cap 1/(2 eta ||M^{1/2} A(y)||_op) is screened with
+the Frobenius bound ||.||_F >= ||.||_op: where that cap already clears the
 largest step the walk can take, the walk takes the same step either way and
-no SVD runs; otherwise the exact norm decides.  Its figure eta ||.|| is
-taken with the bound the cap came from.
+no SVD runs; otherwise the exact norm decides.  Its term is taken with the
+bound the cap came from.  The vector side's term is the exact increase of
+its potential, with the second-order bound the potential argument adds up
+as bound (`_VectorSide`); both are logged as `WalkLog.increase` and
+`WalkLog.increase_bound`, and its cap is the largest step that meets it.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ _BREAKDOWN_TOL = 1e-8
 # relative margin by which a Frobenius step cap must clear the step limit
 # before it stands in for the exact operator-norm cap
 _SCREEN_MARGIN = 1e-9
+# bisection halvings of the vector side's step search: the step it returns
+# is below the crossing by at most 2^-_STEP_SEARCH of its starting bracket
+_STEP_SEARCH = 30
 # rows of N per block in `_hadamard_grams`: two block x m_t Gram buffers
 # stay in cache at the bench sizes (48 to 64 rows measured alike)
 N_BLOCK = 64
@@ -256,10 +263,13 @@ class WalkOptions:
 class WalkLog:
     """Per-iteration trace used by invariant tests and diagnostics.
 
-    step_norm holds one figure per iteration: delta times the sides' largest
-    figure per unit step (eta times the matrix side's bound on
-    ||M^{1/2} A(y)||, lambda0 max_i |<a_i, y>|, or 0 for a side without
-    rows), never below the exact figure and never above 1/2.
+    step_norm holds one figure per iteration and matrix side: delta eta times
+    the side's bound on ||M^{1/2} A(y)||, never below the exact figure and
+    never above 1/2.  increase and increase_bound hold one pair per iteration
+    and vector side: the exact potential increase sum_i w_i (e^{t_i} - 1 - t_i)
+    of the step and its bound lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2
+    (both 0 for a side without rows).  boundary holds the distance to the box
+    boundary along each direction, the largest step the walk could take.
     """
 
     m_t: list = field(default_factory=list)
@@ -267,6 +277,9 @@ class WalkLog:
     linear_term: list = field(default_factory=list)
     quad_term: list = field(default_factory=list)
     step_norm: list = field(default_factory=list)
+    increase: list = field(default_factory=list)
+    increase_bound: list = field(default_factory=list)
+    boundary: list = field(default_factory=list)
     phi: list = field(default_factory=list)
     norm_sq: list = field(default_factory=list)
     lanczos_steps: list = field(default_factory=list)
@@ -524,18 +537,24 @@ class _MatrixSide:
         return max(linalg.spectral_norm(d[:, None] * b) for d, b in products)
 
     def step_cap(self, y_full, limit=np.inf):
-        """(admissible step, admissibility figure per unit step) for direction
-        y_full, the figure eta times the product bound; `limit` is the largest
-        step the walk can take.  The step is exact where it binds (below
-        `limit`) and may be smaller than exact elsewhere."""
+        """Admissible step for direction y_full: 1/(2 eta) over the product
+        bound; `limit` is the largest step the walk can take.  The step is
+        exact where it binds (below `limit`) and may be smaller than exact
+        elsewhere."""
         prod = self.product_norm(y_full, limit)
-        figure = self.eta * prod
-        return (np.inf if prod <= 1e-14 else 0.5 / figure), figure
+        self.figure = self.eta * prod
+        return np.inf if prod <= 1e-14 else 0.5 / self.figure
 
-    def observe(self, y_act, log):
+    def admissibility(self, delta):
+        """(delta eta ||M^{1/2} A(y)||, 1/2) for the last direction, with the
+        product bound its step cap took."""
+        return delta * self.figure, 0.5
+
+    def observe(self, y_act, step, log):
         """Check the quadratic certificate y^T N y <= tr N/(m_t - keep + 1) ||y||^2
-        and log this side's terms."""
+        and log this side's terms and its admissibility term step[0]."""
         quad, limit = _certify(self.quad, self.bound, y_act, "y^T N y", "tr N/(m_t - keep + 1)")
+        log.step_norm.append(step[0])
         log.linear_term.append(float(self.linear @ y_act))
         log.quad_term.append(quad)
         log.quad_bound.append(limit)
@@ -545,11 +564,16 @@ class _MatrixSide:
 class _VectorSide:
     """Multiplicative-weights constraints: the potential gradient and the
     budget(m_t) heaviest rows, plus the weighted Gram matrix
-    G = sum_i (w_i/sum w) a_i a_i^T as quadratic form with bound
+    G = sum_i (w_i/W) a_i a_i^T, W = sum_i w_i, as quadratic form with bound
     tr G/(cut + 1) for cut = budget(m_t), which fewer than cut + 1
     eigenvalues of G exceed.  lambda0 = default_lambda0(k, m) for k unit rows
-    of length m; the fixed step cap is 1/(2 lambda0).  Without rows (k = 0)
-    it adds no constraint row, G = 0, and its step cap is unbounded.
+    of length m.  A step delta along y is admissible when the potential's
+    exact increase sum_i w_i (e^{t_i} - 1 - t_i), t_i = lambda0 delta
+    <a_i, y>, is at most lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2; the
+    step cap is the largest such delta up to the step limit.  No step short
+    of the boundary is below base_cap = 1/(2 lambda0), from which the walk
+    counts its iteration budget.  Without rows (k = 0) it adds no constraint
+    row, G = 0, and its step cap is unbounded.
 
     unit_rows must be C-ordered: the BLAS products over them take their
     rounding from that layout, so it fixes the walk's path and with it every
@@ -585,18 +609,49 @@ class _VectorSide:
         return rows
 
     def step_cap(self, y_full, limit=np.inf):
-        """(admissible step, lambda0 max_i |<a_i, y>|); exact at the cost of
-        one product with the rows, so `limit` is unused."""
-        dot = float(np.max(np.abs(self.ahat @ y_full), initial=0.0))
-        figure = self.lambda0 * dot
-        return (np.inf if dot <= 1e-14 else 0.5 / figure), figure
+        """Largest admissible step up to `limit` for direction y_full: `limit`
+        when admissible there, else the lower end of a bisection of the
+        crossing up from the cap 1/(2 lambda0 max_i |<a_i, y>|)."""
+        dots = self.ahat @ y_full
+        self.t_unit = self.lambda0 * dots
+        self.unit_bound = (
+            self.lambda0**2 * float(np.sum(self.weights)) * self.bound * float(y_full @ y_full)
+        )
+        dot = float(np.max(np.abs(dots), initial=0.0))
+        if dot <= 1e-14:
+            return np.inf
 
-    def observe(self, y_act, log):
+        def admissible(delta):
+            increase, bound = self.admissibility(delta)
+            return increase <= bound
+
+        # e^t overflows to inf only where the step is far past the crossing
+        with np.errstate(over="ignore"):
+            if admissible(limit):
+                return limit
+            # the admissible steps are [0, crossing]: the increase over
+            # delta^2 is convex in delta and starts below the bound over
+            # delta^2; steps up to the 1/2 cap have e^t - 1 - t <= t^2
+            lo, hi = min(0.5 / (self.lambda0 * dot), limit), limit
+            for _ in range(_STEP_SEARCH):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if admissible(mid) else (lo, mid)
+        return lo
+
+    def admissibility(self, delta):
+        """(sum_i w_i (e^{t_i} - 1 - t_i), lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2)
+        at t = delta lambda0 <a_i, y> for the last direction."""
+        t = delta * self.t_unit
+        return float(self.weights @ (np.expm1(t) - t)), delta * delta * self.unit_bound
+
+    def observe(self, y_act, step, log):
         """Check the quadratic certificate y^T G y <= tr G/(cut + 1) ||y||^2
-        and log this side's terms."""
+        and log this side's terms and its admissibility pair `step`."""
         quad, limit = _certify(self.quad, self.bound, y_act, "y^T G y", "tr G/(cut + 1)")
         log.gram_term.append(quad)
         log.gram_bound.append(limit)
+        log.increase.append(step[0])
+        log.increase_bound.append(step[1])
 
 
 def _heaviest(weights, count):
@@ -618,8 +673,8 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     their restriction to the active coordinates as orthonormal rows, which
     `linalg.drop_column` downdates as coordinates freeze; each iteration
     projects its own rows (the point, the sides' rows) off them twice and
-    factors only those with `linalg.orthonormalize`.  Each step keeps delta
-    times the sides' largest admissibility figure <= 1/2.  Returns x.
+    factors only those with `linalg.orthonormalize`.  Each step keeps every
+    side's admissibility term within its bound.  Returns x.
     """
     log = WalkLog() if log is None else log
     # Subspace rejects rows that are not orthonormal
@@ -679,19 +734,22 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
         # walk can take; in fixed mode the cap is base_cap, in adaptive mode
         # the tightest admissible step (which is never below the fixed cap)
         limit = boundary if adaptive_steps else min(base_cap, boundary)
-        caps, figures = zip(*(side.step_cap(y_full, limit) for side in sides))
+        caps = [side.step_cap(y_full, limit) for side in sides]
         delta = min(min(caps) if adaptive_steps else base_cap, boundary)
         if not np.isfinite(delta) or delta <= 0:
             raise SubspaceExhausted("no admissible step length")
-        step_norm = delta * max(figures)
-        if step_norm > 0.5 + 1e-9:
-            raise StepTooLarge(f"inadmissible step: delta * admissibility figure = {step_norm:.4f}")
-        for side in sides:
-            side.observe(y_act, log)
+        terms = [side.admissibility(delta) for side in sides]
+        for term, bound in terms:
+            if term > bound * (1.0 + 2e-9):
+                raise StepTooLarge(
+                    f"inadmissible step: admissibility term {term:.6e} > bound {bound:.6e}"
+                )
+        for side, step in zip(sides, terms):
+            side.observe(y_act, step, log)
 
         x[active] = x_act + delta * y_act
 
-        log.step_norm.append(step_norm)
+        log.boundary.append(boundary)
         log.m_t.append(m_t)
         log.lanczos_steps.append(steps)
         log.delta.append(delta)

@@ -224,10 +224,18 @@ def _whitened_family(g, pairs, scale=1.0):
     return MatrixFamily([Rank1Block(f, g.weights()) for f in factors])
 
 
+def _signed_pair(g):
+    """(L, B) of g; InvalidInput when L is numerically disconnected, before
+    its pseudoinverse whitens the light cut away."""
+    lap = g.laplacian()
+    graph_mod.require_numerically_connected(g, lap)
+    return lap, g.incidence_signed()
+
+
 def spectral_family(g):
     """Rank-one family A_e = w_e L^{+/2} b_e b_e^T L^{+/2} summing to the
     projection off the all-ones vector."""
-    return _whitened_family(g, [(g.laplacian(), g.incidence_signed())])
+    return _whitened_family(g, [_signed_pair(g)])
 
 
 def spectral_sparsify(g, eps, c_support=C_SUPPORT):
@@ -239,8 +247,8 @@ def spectral_sparsify(g, eps, c_support=C_SUPPORT):
 def uc_family(g):
     """Block family diag(L-part, U-part); its members sum to
     diag(proj off ker L, proj off ker U) inside I_{2n}."""
-    signed = (g.laplacian(), g.incidence_signed())
-    return _whitened_family(g, [signed, (g.unsigned_laplacian(), g.incidence_unsigned())])
+    unsigned = (g.unsigned_laplacian(), g.incidence_unsigned())
+    return _whitened_family(g, [_signed_pair(g), unsigned])
 
 
 def uc_sparsify(g, eps, c_support=C_SUPPORT):

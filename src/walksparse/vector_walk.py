@@ -46,9 +46,10 @@ def vector_partial_color(vectors, extra=None, log=None):
     vectors: (k, m) array of constraint vectors (zero rows, relative to the
     largest, are dropped), k >= m.  extra: optional Subspace the coloring must lie in.
 
-    lambda0 is max(1, sqrt(log(k/m))).  Each step meets the admissibility
-    condition lambda0 * delta * max_i |<a_i_hat, y>| <= 1/2 with equality
-    unless the box boundary is closer.
+    lambda0 is max(1, sqrt(log(k/m))).  Each step is the largest up to the
+    box boundary whose exact potential increase
+    sum_i w_i (e^{t_i} - 1 - t_i), t_i = lambda0 delta <a_i_hat, y>, meets its
+    bound lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2 (the walk's vector side).
     """
     unit, norms, _ = prepare_constraints(vectors)
     m = unit.shape[1] if extra is None else extra.ambient_dim

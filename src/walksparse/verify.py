@@ -115,26 +115,12 @@ def _graph_report(kind, g, g_tilde, target, measured, kernel_ok=True):
     return ApproxReport(kind, float(target), measured, kernel_ok, dev, g_tilde.m, scale)
 
 
-def _require_numerically_connected(g, lap):
-    """Raise InvalidInput when L has more numerically zero eigenvalues
-    (<= ZERO_RTOL * lambda_max) than g has connected components c: the
-    pseudoinverse would drop the light cut's direction and certify an
-    output that loses it."""
-    c = len(g.connected_components())
-    w = linalg.eigvalsh(lap)
-    if w.size > c and w[c] <= linalg.ZERO_RTOL * w[-1]:
-        raise InvalidInput(
-            f"Laplacian is numerically disconnected: lambda_{c + 1}/lambda_max = "
-            f"{w[c] / w[-1]:.3e} <= {linalg.ZERO_RTOL:g}"
-        )
-
-
 def check_spectral(g, g_tilde, target):
     """Relative spectral error ||L^{+/2}(L - L_hat)L^{+/2}|| of a reweighted
     subgraph, plus degree preservation."""
     _require_comparable(g, g_tilde)
     lap = g.laplacian()
-    _require_numerically_connected(g, lap)
+    graph_mod.require_numerically_connected(g, lap)
     rep = check_matrix_approx(lap, g_tilde.laplacian(), lap, lap, target)
     return _graph_report("spectral", g, g_tilde, target, rep.measured_eps, rep.kernel_ok)
 
@@ -147,7 +133,7 @@ def check_uc_undirected(g, g_tilde, target):
     if g.directed:
         raise InvalidInput("unit-circle check expects undirected graphs")
     lap, uns = g.laplacian(), g.unsigned_laplacian()
-    _require_numerically_connected(g, lap)
+    graph_mod.require_numerically_connected(g, lap)
     lph = linalg.matrix_function(lap, "pinv_sqrt")
     uph = linalg.matrix_function(uns, "pinv_sqrt")
     dl = lap - g_tilde.laplacian()

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bridged_cliques, complete_bipartite, complete_graph, dumbbell_graph
-from walksparse import sparsify, verify
+from walksparse import cli, sparsify, verify
 from walksparse.cli import (
     build_parser,
     load_graph,
@@ -268,6 +268,18 @@ class TestCommands:
         assert f"numerically disconnected: lambda_2/lambda_max = {ratio}" in err
         assert not out.exists() and not rep.exists()
 
+    def test_numerically_disconnected_input_is_refused_before_the_walk(
+            self, tmp_path, capsys, monkeypatch):
+        # the family builder refuses the input, so no walk runs before exit 2
+        walks = []
+        monkeypatch.setattr(cli, "partial_color", lambda *args: walks.append(args))
+        path = write_graph(tmp_path, bridged_cliques(16, 1e-8))
+        out = tmp_path / "out.txt"
+        assert main(["partial-color", path, "--check", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerically disconnected: lambda_2/lambda_max = 7.812e-11" in err
+        assert not walks and not out.exists()
+
     def test_vectors_loader_validates(self, tmp_path):
         vec_path = tmp_path / "vecs.txt"
         vec_path.write_text("1 2 3\n4 5\n")
@@ -424,6 +436,30 @@ class TestDeterminism:
             assert code == 0
             outputs.append((out.read_bytes(), rep.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sketch", ["--epsilon", "0.4"]),
+        ("resist", ["--epsilon", "0.4", "--c-resist", "1"]),
+    ])
+    def test_vector_side_reruns_byte_identical(self, tmp_path, command, flags):
+        # the vector side's step search is a fixed number of halvings, so a
+        # sketch or resist rerun repeats every step
+        path = write_graph(tmp_path, complete_graph(14))
+        if command == "sketch":
+            vec_path = tmp_path / "vecs.txt"
+            vecs = np.random.default_rng(5).normal(size=(40, 14))
+            vec_path.write_text(
+                "\n".join(" ".join(f"{x:.17g}" for x in row) for row in vecs) + "\n"
+            )
+            flags = [*flags, "--vectors", str(vec_path)]
+        outputs = []
+        for tag in ("a", "b"):
+            out, rep = tmp_path / f"out_{tag}.txt", tmp_path / f"rep_{tag}.json"
+            assert main([command, path, *flags, "--check", "--out", str(out),
+                         "--report", str(rep)]) == 0
+            outputs.append((out.read_bytes(), rep.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert parse_edge_list(outputs[0][0].decode()).m < complete_graph(14).m
 
     def test_byte_identical_across_processes(self, tmp_path):
         # fresh interpreters rule out in-process state leaking into outputs

@@ -282,7 +282,8 @@ class _Recorder:
         call["quad"], call["bound"] = self.side.quad, self.side.bound
         if isinstance(self.side, _MatrixSide):
             call["keep"] = self.side.keep_count(len(call["active"]))
-        return self.side.step_cap(y_full, limit)
+        call["cap"] = self.side.step_cap(y_full, limit)
+        return call["cap"]
 
 
 @pytest.fixture
@@ -378,12 +379,12 @@ class TestWalkInvariantChecks:
         x = np.linspace(-0.3, 0.3, m)
         side.rows(x, np.arange(m))
         low, _, _ = direction(side, np.zeros((0, m)), m)
-        side.step_cap(low)
-        side.observe(low, WalkLog())
+        step = side.admissibility(side.step_cap(low, 1.0))
+        side.observe(low, step, WalkLog())
         top = np.linalg.eigh(side.quad)[1][:, -1]
-        side.step_cap(top)
+        step = side.admissibility(side.step_cap(top, 1.0))
         with pytest.raises(WalksparseError, match="y\\^T N y"):
-            side.observe(top, WalkLog())
+            side.observe(top, step, WalkLog())
 
     def test_vector_quadratic_slack(self):
         # rows clustered around one direction: G's top eigenvalue is far
@@ -397,13 +398,13 @@ class TestWalkInvariantChecks:
         x = np.linspace(-0.3, 0.3, m)
         stacked = [x[None, :] / np.linalg.norm(x), *side.rows(x, np.arange(m))]
         low, _, _ = direction(side, row_span(stacked), m)
-        side.step_cap(low)
-        side.observe(low, WalkLog())
+        step = side.admissibility(side.step_cap(low, 1.0))
+        side.observe(low, step, WalkLog())
         top = np.linalg.eigh(side.quad)[1][:, -1]
         assert float(top @ side.quad @ top) > 2.0 * side.bound
-        side.step_cap(top)
+        step = side.admissibility(side.step_cap(top, 1.0))
         with pytest.raises(WalksparseError, match="y\\^T G y"):
-            side.observe(top, WalkLog())
+            side.observe(top, step, WalkLog())
 
     def test_constraint_residual(self, monkeypatch):
         m = 40
@@ -542,9 +543,23 @@ class TestPartialColor:
         assert walk_norm <= 16.0 * np.sqrt(2.0 * 4 / 10)
 
 
+def steep_combined_walk():
+    """(m, unit rows, resist's side set) for a combined walk whose vector
+    side sets some steps below the boundary and the matrix cap: lambda0 = 20
+    on 1000 Gaussian rows (the step rule holds for any lambda0)."""
+    m, n = 48, 4
+    fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=37))
+    rows = np.random.default_rng(37).normal(size=(1000, m))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    vec = _VectorSide(rows, budget=lambda mt: int(np.ceil(mt / 6.0)))
+    vec.lambda0, vec.base_cap = 20.0, 1.0 / 40.0
+    return m, rows, [_MatrixSide(fam, keep_count=lambda mt: mt - int(np.floor(mt / 6.0))), vec]
+
+
 class TestCombinedWalk:
     def test_one_log_entry_per_iteration(self):
-        # both sides bound the step; the log keeps the larger of the two
+        # the matrix side logs its step figure, the vector side its exact
+        # potential increase and that increase's bound
         m, n = 48, 4
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=37))
         rng = np.random.default_rng(37)
@@ -561,7 +576,42 @@ class TestCombinedWalk:
         assert log.iterations > 0
         assert len(log.step_norm) == len(log.m_t) == len(log.phi) == log.iterations
         assert len(log.quad_term) == len(log.gram_term) == log.iterations
+        assert len(log.increase) == len(log.increase_bound) == log.iterations
+        assert len(log.lanczos_steps) == log.iterations
+        assert all(isinstance(k, int) and k >= 1 for k in log.lanczos_steps)
         assert max(log.step_norm) <= 0.5 + 1e-9
+        assert all(v <= b * (1.0 + 2e-9) for v, b in zip(log.increase, log.increase_bound))
+
+    def test_steps_never_below_the_old_rule(self):
+        # delta >= min(matrix cap, 1/(2 lambda0 max_i |<a_i, y>|), boundary):
+        # the vector side's search starts at the old cap, and the matrix
+        # side's cap is unchanged
+        m, rows, sides = steep_combined_walk()
+        mat, vec = sides = [_Recorder(side) for side in sides]
+        log = WalkLog()
+        _walk_loop(m, sides, np.zeros((0, m)), True, log)
+        searched = 0
+        for mc, vc, delta, boundary in zip(mat.calls, vec.calls, log.delta, log.boundary):
+            half_cap = 0.5 / (vec.lambda0 * np.max(np.abs(rows @ vc["y"])))
+            old = min(mc["cap"], half_cap, boundary)
+            assert vc["cap"] >= min(half_cap, boundary)
+            assert delta == min(mc["cap"], vc["cap"], boundary) >= old
+            searched += vc["cap"] < min(mc["cap"], boundary)
+        assert searched > 0
+        assert all(v <= b * (1.0 + 2e-9) for v, b in zip(log.increase, log.increase_bound))
+
+    def test_vector_step_past_the_crossing_is_refused(self, monkeypatch):
+        m, _, sides = steep_combined_walk()
+        step_cap = _VectorSide.step_cap
+
+        def overshoot(self, y_full, limit):
+            # a search that returns 1.5 times the crossing it found
+            cap = step_cap(self, y_full, limit)
+            return 1.5 * cap if cap < limit else cap
+
+        monkeypatch.setattr(_VectorSide, "step_cap", overshoot)
+        with pytest.raises(StepTooLarge, match="inadmissible step"):
+            _walk_loop(m, sides, np.zeros((0, m)), True, WalkLog())
 
     def test_every_iteration_meets_both_certificates(self):
         # y^T N y <= tr N/(m_t - keep + 1) and y^T G y <= tr G/(cut + 1), with G
@@ -713,8 +763,8 @@ class TestStepCapScreen:
 
 
 class TestAdmissibilityCheck:
-    """The loop checks delta times the largest admissibility figure against
-    1/2 once per iteration, and logs that figure every iteration."""
+    """The loop checks every side's admissibility term against its bound once
+    per iteration, and each side logs its term every iteration."""
 
     def test_inflated_product_bound(self, monkeypatch):
         # a product bound 200 times too large: the fixed cap 1/(2 eta) is no
@@ -732,14 +782,16 @@ class TestAdmissibilityCheck:
         assert max(log.step_norm) <= 0.5 + 1e-9
 
     def test_side_without_rows_logs_zero(self):
-        # all-zero constraint rows are dropped: cap unbounded, figure 0
+        # all-zero constraint rows are dropped: cap unbounded, increase and
+        # bound 0
         from walksparse.vector_walk import vector_partial_color
 
         log = WalkLog()
         x = vector_partial_color(np.zeros((25, 20)), log=log)
         assert np.count_nonzero(np.abs(x) == 1.0) >= 5
-        assert len(log.step_norm) == len(log.delta) == log.iterations > 0
-        assert log.step_norm == [0.0] * log.iterations
+        assert len(log.increase) == len(log.delta) == log.iterations > 0
+        assert log.increase == log.increase_bound == [0.0] * log.iterations
+        assert not log.step_norm
 
 
 def drive_full_coloring(mats):

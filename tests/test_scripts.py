@@ -43,6 +43,10 @@ def test_walk_trace_runs_and_its_certificates_hold():
     margins = [float(v) for v in re.findall(r"certificate margin [^=]*= (\S+)", proc.stdout)]
     assert len(margins) == 3
     assert min(margins) >= 0.0
+    steps = re.findall(r"box boundary (\d+), by the potential search (\d+)", proc.stdout)
+    assert len(steps) == 1 and sum(map(int, steps[0])) > 0
+    increase = [float(v) for v in re.findall(r"step-rule margin [^=]*= (\S+)", proc.stdout)]
+    assert len(increase) == 1 and increase[0] >= 0.0
 
 
 def test_scripts_found():

@@ -307,7 +307,7 @@ class TestHalvingStops:
 
     def test_resistance_stops_when_update_subspace_is_empty(self):
         res = resistance_sparsify(complete_graph(12), 1.9)
-        assert res.rounds == 4 and res.graph.m == 20
+        assert res.rounds == 5 and res.graph.m == 20
         assert res.stopped_early.startswith("walk stopped: update subspace is empty")
 
     def test_round_that_freezes_nothing_raises(self, monkeypatch):

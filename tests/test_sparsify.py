@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bridged_cliques,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -17,7 +18,7 @@ from conftest import (
     tournament_union,
 )
 from walksparse import graph as graph_mod
-from walksparse import linalg, verify
+from walksparse import linalg, sparsify as sparsify_mod, verify
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
@@ -268,6 +269,20 @@ class TestComponents:
         g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), directed=True)
         with pytest.raises(InvalidInput):
             pipeline(g, 0.45)
+
+    @pytest.mark.parametrize("pipeline", [spectral_sparsify, uc_sparsify],
+                             ids=["spectral", "uc"])
+    def test_numerically_disconnected_component_is_refused_before_the_walk(
+            self, pipeline, monkeypatch):
+        # two K_16 joined by a 1e-10 bridge form one component whose L has
+        # two numerically zero eigenvalues: whitening by L^{+/2} would drop
+        # the bridge direction, so the family builder refuses the input
+        def walk(*args):
+            raise AssertionError("the walk ran on a numerically disconnected input")
+
+        monkeypatch.setattr(sparsify_mod, "partial_color", walk)
+        with pytest.raises(InvalidInput, match="lambda_2/lambda_max = 7.816e-13"):
+            pipeline(bridged_cliques(16, 1e-10), 0.45, c_support=1.0)
 
 
 class TestUcSparsify:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import in_subspace, subspace_basis
-from walksparse import linalg
-from walksparse.errors import InvalidInput
+from walksparse import linalg, matrix_walk
+from walksparse.errors import InvalidInput, StepTooLarge
 from walksparse.matrix_walk import (
     WalkLog,
     _heaviest,
@@ -159,7 +159,10 @@ class TestVectorPartialColor:
         bound = 12.0 * max(1.0, np.sqrt(np.log(k / m)))
         assert float(np.max(ratios)) <= bound
         assert np.count_nonzero(np.abs(x) == 1.0) >= m / 4
-        assert max(log.step_norm) <= 0.5 + 1e-9
+        # every step's exact potential increase is within its bound, as the loop checked it
+        assert len(log.increase) == len(log.increase_bound) == log.iterations
+        assert all(v <= b * (1.0 + 2e-9) for v, b in zip(log.increase, log.increase_bound))
+        assert not log.step_norm
         # every iteration's y^T G y <= tr G/(cut + 1) ||y||^2, as observe checked it
         assert len(log.gram_term) == len(log.gram_bound) == log.iterations
         assert all(q <= b * (1.0 + 1e-9) for q, b in zip(log.gram_term, log.gram_bound))
@@ -202,6 +205,111 @@ class TestVectorPartialColor:
         bad = np.full((25, 20), np.nan)
         with pytest.raises(InvalidInput):
             vector_partial_color(bad)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The vector side's state at each step search: weights, unit rows,
+    active coordinates, tr G/(cut + 1), the direction, the step limit and
+    the cap the search returned."""
+    calls = []
+    rows, step_cap = _VectorSide.rows, _VectorSide.step_cap
+
+    def recording_rows(self, x, active):
+        out = rows(self, x, active)
+        calls.append({"weights": self.weights.copy(), "ahat": self.ahat, "lam": self.lambda0,
+                      "active": active.copy(), "bound": self.bound})
+        return out
+
+    def recording_cap(self, y_full, limit=np.inf):
+        cap = step_cap(self, y_full, limit)
+        calls[-1].update(y=y_full.copy(), limit=limit, cap=cap)
+        return cap
+
+    monkeypatch.setattr(_VectorSide, "rows", recording_rows)
+    monkeypatch.setattr(_VectorSide, "step_cap", recording_cap)
+    return calls
+
+
+def steep_walk(log=None):
+    """A vector walk whose boundary step overshoots the increase bound on
+    some iterations: lambda0 = 20 on 1000 Gaussian rows of length 30 (the
+    step rule holds for any lambda0; at the default the increase stays
+    below a sixth of its bound up to the boundary on Gaussian, sparse and
+    low-rank rows alike)."""
+    side = tenth_side(gaussian_rows(1000, 30, seed=7))
+    side.lambda0, side.base_cap = 20.0, 1.0 / 40.0
+    return matrix_walk._walk_loop(30, [side], np.zeros((0, 30)), True, log)
+
+
+def increase_and_bound(call, delta):
+    """sum_i w_i (e^t_i - 1 - t_i) and lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2
+    rebuilt from a recorded step search, with G from the weights."""
+    w, y, active, lam = call["weights"], call["y"], call["active"], call["lam"]
+    a = call["ahat"][:, active]
+    gram = (a.T * (w / np.sum(w))) @ a
+    g_bound = np.trace(gram) / (int(np.ceil(0.1 * len(active))) + 1)
+    assert call["bound"] == pytest.approx(g_bound, rel=1e-12)
+    t = lam * delta * (call["ahat"] @ y)
+    return float(np.sum(w * (np.expm1(t) - t))), lam**2 * delta**2 * np.sum(w) * g_bound * (y @ y)
+
+
+class TestStepRule:
+    """A step is the largest up to the box boundary whose exact potential
+    increase sum_i w_i (e^{t_i} - 1 - t_i) meets its bound
+    lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2, found by bisection up from the
+    cap 1/(2 lambda0 max_i |<a_i, y>|)."""
+
+    @pytest.mark.parametrize("walk", [
+        lambda log: vector_partial_color(gaussian_rows(400, 50, seed=7), log=log),
+        steep_walk,
+    ], ids=["default-lambda0", "steep"])
+    def test_exact_increase_within_its_bound(self, step_calls, walk):
+        log = WalkLog()
+        walk(log)
+        assert len(step_calls) == len(log.increase) == len(log.increase_bound) == log.iterations
+        for call, delta, logged, logged_bound in zip(
+                step_calls, log.delta, log.increase, log.increase_bound):
+            increase, bound = increase_and_bound(call, delta)
+            assert logged == pytest.approx(increase, rel=1e-9)
+            assert logged_bound == pytest.approx(bound, rel=1e-9)
+            assert 0.0 < logged <= logged_bound * (1.0 + 2e-9)
+
+    def test_steps_never_below_the_half_cap(self, step_calls):
+        log = WalkLog()
+        steep_walk(log)
+        searched = 0
+        for call, delta, boundary in zip(step_calls, log.delta, log.boundary):
+            half_cap = 0.5 / (call["lam"] * np.max(np.abs(call["ahat"] @ call["y"])))
+            assert call["limit"] == boundary and delta == min(call["cap"], boundary)
+            assert min(half_cap, boundary) <= delta <= boundary
+            if delta < boundary:
+                # the search stops just below the crossing: the increase
+                # reaches its bound, and overshoots it a little further on
+                searched += 1
+                increase, bound = increase_and_bound(call, delta)
+                assert increase >= bound * (1.0 - 1e-6)
+                increase, bound = increase_and_bound(call, delta * (1.0 + 1e-6))
+                assert increase > bound
+        assert searched >= 2
+
+    def test_a_step_past_the_crossing_is_refused(self, monkeypatch):
+        step_cap = _VectorSide.step_cap
+
+        def overshoot(self, y_full, limit):
+            # a search that returns 1.5 times the crossing it found
+            cap = step_cap(self, y_full, limit)
+            return 1.5 * cap if cap < limit else cap
+
+        monkeypatch.setattr(_VectorSide, "step_cap", overshoot)
+        with pytest.raises(StepTooLarge, match="inadmissible step"):
+            steep_walk()
+
+    def test_search_is_deterministic(self):
+        log_a, log_b = WalkLog(), WalkLog()
+        x_a, x_b = steep_walk(log_a), steep_walk(log_b)
+        assert x_a.tobytes() == x_b.tobytes()
+        assert log_a.delta == log_b.delta and log_a.increase == log_b.increase
 
 
 class TestLambdaDefault:
