@@ -12,6 +12,7 @@ Exit codes: 0 success (and check passed), 1 check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -127,7 +128,7 @@ def _emit(args, out_graph, report):
         else:
             sys.stdout.write(text)
     if report is not None:
-        fields = report.to_dict() if hasattr(report, "to_dict") else dict(report)
+        fields = dict(report)
         if getattr(args, "blas_threads", None) is not None:
             # the BLAS could not be pinned to one thread; say what ran
             fields["blas_threads"] = args.blas_threads
@@ -172,18 +173,25 @@ def _decompose(args, g):
     return 0
 
 
+def _halved(res, target):
+    """(graph, target, report fields) of a halving command's PipelineResult:
+    the fields are its rounds and its stop reason."""
+    rounds = [dataclasses.asdict(r) for r in res.diagnostics]
+    return res.graph, target, {"rounds": rounds, "stopped_early": res.stopped_early}
+
+
 def _construct(args, g, kvecs):
-    """(output graph, check target) of a construction command."""
+    """(output graph, check target, report fields) of a construction command."""
     if args.command == "partial-color":
         if g.m == 0:
             # the target 16 sqrt(2n/m) needs an edge
             raise InvalidInput(f"partial-color needs at least one edge; the graph has {g.m} edges")
         x = partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
-        return g.reweighted(1.0 + x), 16.0 * np.sqrt(2.0 * g.n / g.m)
+        return g.reweighted(1.0 + x), 16.0 * np.sqrt(2.0 * g.n / g.m), {}
     if args.command == "sparsify":
-        return sparsify.spectral_sparsify(g, args.epsilon, args.c_support).graph, args.epsilon
+        return _halved(sparsify.spectral_sparsify(g, args.epsilon, args.c_support), args.epsilon)
     if args.command == "uc":
-        return sparsify.uc_sparsify(g, args.epsilon, args.c_support).graph, args.epsilon
+        return _halved(sparsify.uc_sparsify(g, args.epsilon, args.c_support), args.epsilon)
     if args.command == "sv":
         if g.directed:
             out = sparsify.sv_sparsify(g, args.epsilon, args.phi_target, args.c_support)
@@ -191,12 +199,12 @@ def _construct(args, g, kvecs):
             raise InvalidInput("--phi-target applies only to directed input")
         else:
             out = sparsify.sv_sparsify_expander(g, args.epsilon, args.c_support)
-        return out.graph, args.epsilon
+        return _halved(out, args.epsilon)
     if args.command == "sketch":
-        out = sketches.sketch(g, kvecs[0], args.epsilon, args.phi_target).graph
-        return out, args.c_sketch * args.epsilon
-    out = sketches.resistance_sparsify(g, args.epsilon, args.phi_target, args.c_resist).graph
-    return out, args.c_resist * args.epsilon
+        out = sketches.sketch(g, kvecs[0], args.epsilon, args.phi_target)
+        return _halved(out, args.c_sketch * args.epsilon)
+    out = sketches.resistance_sparsify(g, args.epsilon, args.phi_target, args.c_resist)
+    return _halved(out, args.c_resist * args.epsilon)
 
 
 def _run_command(args):
@@ -207,9 +215,9 @@ def _run_command(args):
     kind = args.kind if verifying else _KIND[args.command]
     against = load_graph(args.against) if verifying else None
     kvecs = (_sketch_vectors(args, g.n),) if kind == "sketch" else ()
-    out, target = (against, args.epsilon) if verifying else _construct(args, g, kvecs)
+    out, target, fields = (against, args.epsilon, {}) if verifying else _construct(args, g, kvecs)
     rep = getattr(verify, _CHECKS[kind])(g, out, *kvecs, target=target)
-    _emit(args, None if verifying else out, rep)
+    _emit(args, None if verifying else out, {**rep.to_dict(), **fields})
     return 1 if args.check and not rep.passed else 0
 
 

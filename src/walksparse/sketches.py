@@ -22,8 +22,6 @@ graphs are handled piece by piece through the expander decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import graph as graph_mod
@@ -37,17 +35,6 @@ from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8
-
-
-@dataclass
-class RoundDiagnostics:
-    support: int
-    frozen_sets: tuple
-    norm_chain_margin: float
-    identity_residual: float
-    walk_iterations: int
-    walk_discrepancy: float
-    degree_dev: float
 
 
 def shift_center(z, g):
@@ -127,10 +114,8 @@ def _check_norm_chain(norms, zbar_d, n_eff, m_r):
     """||a_z|| <= 100 (n/m) zbar^T D zbar, a consequence of the freeze sets,
     up to a rounding slack relative to the bound (0 for a constant z)."""
     bound = NORM_CHAIN_CONST * (n_eff / m_r) * zbar_d
-    slack = bound - norms
-    if np.any(slack < -1e-9 * bound):
+    if np.any(norms - bound > 1e-9 * bound):
         raise WalksparseError("freeze-set norm bound violated")
-    return float(np.min(slack, initial=np.inf))
 
 
 def _check_courant_fischer(g, zbar, zbar_d, lam2):
@@ -158,7 +143,6 @@ def _check_identity(g, kvecs, a_x, x_sub, s, support, zbar_d):
     worst = float(np.max(resid / np.where(zbar_d > 0, zbar_d, 1.0), initial=0.0))
     if worst > IDENTITY_RTOL:
         raise WalksparseError(f"degree-preserving rewrite failed: residual {worst:.3e}")
-    return worst
 
 
 def _check_degrees_preserved(g, s):
@@ -167,7 +151,6 @@ def _check_degrees_preserved(g, s):
     dev = float(np.max(np.abs(g.reweighted(s).weighted_degrees() - d), initial=0.0))
     if dev > 1e-7 * max(1.0, float(np.max(d, initial=1.0))):
         raise WalksparseError(f"degree preservation failed: deviation {dev:.3e}")
-    return dev
 
 
 def sketch_expander(g, kvecs, eps):
@@ -191,7 +174,7 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
-    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff)
+    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff, _sketch_error(g, kvecs))
 
 
 def _expander_pieces(g, eps, phi_target, vectors, run):
@@ -228,9 +211,9 @@ def resistance_pairs(g):
 
 
 def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
-    """One halving round of the walk on a piece; returns (s_new, diagnostics),
-    or the stop reason when the freeze sets leave too few movable edges or
-    the walk raises SubspaceExhausted.
+    """One halving round of the walk on a piece; returns (s_new, walk
+    iterations), or the stop reason when the freeze sets leave too few
+    movable edges or the walk raises SubspaceExhausted.
 
     The vector side steers the recentered constraints a_z.  Given the
     piece's spectral family {A_e}, the matrix side also steers
@@ -241,7 +224,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     """
     support = np.flatnonzero(s)
     m_r = len(support)
-    e0, e1, es = freeze_sets(piece, s)
+    es = freeze_sets(piece, s)[2]
     if len(es) < int(np.ceil(m_r / 4.0)):
         return "walk stopped: freeze sets leave too few movable edges"
     movable = np.isin(support, es)
@@ -250,7 +233,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     a_rows = _constraint_matrix(zbar, piece, s, support, movable)
     unit, norms, kept = prepare_constraints(a_rows, zbar_d)
     del a_rows
-    margin = _check_norm_chain(norms, zbar_d, n_eff, m_r)
+    _check_norm_chain(norms, zbar_d, n_eff, m_r)
     # the walk takes orthonormal static rows
     extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, support, movable))
 
@@ -274,30 +257,55 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
     a_x = np.zeros(len(norms))
     a_x[kept] = norms[kept] * unit_x
+    _check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d)
     s_new = halve_support(s, support, x_sub)
-    return s_new, RoundDiagnostics(
-        support=m_r,
-        frozen_sets=(len(e0), len(e1), len(es)),
-        norm_chain_margin=margin,
-        identity_residual=_check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d),
-        walk_iterations=wlog.iterations,
-        walk_discrepancy=float(np.max(np.abs(unit_x), initial=0.0)),
-        degree_dev=_check_degrees_preserved(piece, s_new),
-    )
+    _check_degrees_preserved(piece, s_new)
+    return s_new, wlog.iterations
 
 
-def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, family=None):
-    """`halve` with `_combined_round` on one piece with n_eff non-isolated
-    vertices until its support is at most threshold, as a one-piece result."""
+def _sketch_error(piece, kvecs):
+    """error(s) of a sketch piece: the worst |z^T L_s z / z^T L z - 1| over
+    the constraint vectors z, skipping those `verify.check_sketch` skips."""
+    b = piece.incidence_signed()
+    bw = b * piece.weights()
+    forms = lambda z, s: np.sum((z @ ((bw * s) @ b.T)) * z, axis=1)
+    bound = 2.0 * float(np.max(piece.weighted_degrees(), initial=0.0))
+    den = forms(kvecs, 1.0)
+    keep = den > 1e-12 * np.sum(kvecs * kvecs, axis=1) * bound
+    z, den = kvecs[keep], den[keep]
+    return lambda s: float(np.max(np.abs(forms(z, s) / den - 1.0), initial=0.0))
+
+
+def _resistance_error(piece):
+    """error(s) of a resist piece: the worst |R_s(i,j) / R(i,j) - 1| over the
+    pairs of its non-isolated vertices, inf once s disconnects them."""
+    sub = piece.induced_on(piece.non_isolated())[0]  # the same edges, in order
+    iu = np.triu_indices(sub.n, k=1)
+
+    def resistances(h):
+        ldag = linalg.matrix_function(h.laplacian(), "pinv")
+        return (np.diag(ldag)[:, None] + np.diag(ldag)[None, :] - 2 * ldag)[iu]
+
+    r = resistances(sub)
+
+    def error(s):
+        h = sub.reweighted(s)
+        if not h.is_connected():
+            return np.inf
+        return float(np.max(np.abs(resistances(h) / r - 1.0), initial=0.0))
+
+    return error
+
+
+def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
+    """`halve` with `_combined_round` and error(s) on one piece with n_eff
+    non-isolated vertices until its support is at most threshold."""
     zbar = shift_center(kvecs, piece)
     zbar_d = (zbar**2) @ piece.weighted_degrees()
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
-    s, diagnostics, stopped = halve(
-        np.ones(piece.m),
-        threshold,
-        lambda s: _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff),
-    )
-    return PipelineResult(piece.reweighted(s), stopped, 1, diagnostics)
+    round_fn = lambda s: _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff)
+    s, rounds, stopped = halve(np.ones(piece.m), threshold, round_fn, error)
+    return PipelineResult(piece.reweighted(s), stopped, 1, rounds)
 
 
 def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
@@ -316,6 +324,6 @@ def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
         lam = graph_mod.lambda2(piece)
         threshold = c_resist * n_eff * np.sqrt(np.log(n_eff)) / (max(lam, 1e-12) * eps)
         family = sparsify.spectral_family(piece)
-        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, family)
+        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, _resistance_error(piece), family)
 
     return _expander_pieces(g, eps, phi_target, resistance_pairs, run)

@@ -24,7 +24,7 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg
 from .errors import InvalidInput, WalksparseError
-from .matrix_walk import MatrixFamily, Rank1Block, WalkOptions, partial_color
+from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, WalkOptions, partial_color
 
 
 # the halving rounds take the largest admissible walk steps
@@ -68,10 +68,11 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
 
     family members must be PSD with sum A_i <= I; h is a Subspace of the
     coloring space containing s - 1 on exit.  Runs `halve` with
-    `_matrix_round` and returns its (s, records, stop_reason), one record
-    per round: the support size after it.  A round whose restricted
-    subspace is below (4/5) of the support size stops the loop with the
-    support of the last completed round.
+    `_matrix_round` and returns its (s, rounds, stop_reason); a round's
+    error is ||sum_i (s(i) - 1) A_i||, the measured eps of `spectral` and
+    `uc` families (for the `sv` family it is lam_build times the SV error).
+    A round whose restricted subspace is below (4/5) of the support size
+    stops the loop with the support of the last completed round.
     """
     _check_settings(eps, c_support)
     _validate_psd_family(family)
@@ -82,12 +83,13 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     if top > 1.0 + 1e-8:
         raise InvalidInput(f"sum of the family members has norm {top:.6f} > 1")
     threshold = c_support * n / eps**2
-    return halve(np.ones(m), threshold, lambda s: _matrix_round(family, h, s))
+    return halve(np.ones(m), threshold, lambda s: _matrix_round(family, h, s),
+                 lambda s: family.aggregate_norm(s - 1.0))
 
 
 def _matrix_round(family, h, s):
     """One walk on {s(i)/2 * A_i} over the support, keeping s - 1 in h;
-    returns (s_new, new support size) or, below the walk minimum or when the
+    returns (s_new, walk iterations) or, below the walk minimum or when the
     restricted subspace is below (4/5) of the support, the stop reason.
     `partial_color` checks sum_i s(i) A_i <= 2I."""
     support = np.flatnonzero(s)
@@ -98,39 +100,50 @@ def _matrix_round(family, h, s):
     h_sub = linalg.nullspace(scaled_rows)
     if h_sub.dim < 0.8 * m_r - 1e-9:
         return f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}"
-    x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, options=_WALK)
+    wlog = WalkLog()
+    x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, _WALK, wlog)
     s_new = halve_support(s, support, x_sub)
     diff = s_new - 1.0
     resid = float(np.linalg.norm(h.complement_rows @ diff))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(diff))):
         raise WalksparseError(f"reweighting left the constraint subspace: residual {resid:.3e}")
-    return s_new, int(np.count_nonzero(s_new))
+    return s_new, wlog.iterations
 
 
-def halve(s, threshold, round_fn):
+@dataclass(frozen=True)
+class Round:
+    """One completed halving round: the support size after it, the error
+    of its new weights and the iterations of its walk."""
+
+    support: int
+    error: float
+    walk_iterations: int
+
+
+def halve(s, threshold, round_fn, error):
     """The halving driver of every pipeline: rounds until at most threshold
     entries of s are nonzero.
 
-    round_fn(s) returns (s_new, record), or a stop reason (a str) that ends
-    the loop when the round cannot start.  A round that leaves a negative
-    entry, or zeroes fewer than ceil(m_r / 8) of its m_r support entries,
-    raises WalksparseError.
-    Returns (s, records, stop_reason), stop_reason None at the threshold.
+    round_fn(s) returns (s_new, walk iterations), or a stop reason (a str)
+    that ends the loop when the round cannot start.  A round that leaves a
+    negative entry, or zeroes fewer than ceil(m_r / 8) of its m_r support
+    entries, raises WalksparseError.  Each completed round appends a
+    `Round` whose error is error(s_new).
+    Returns (s, rounds, stop_reason), stop_reason None at the threshold.
     """
-    records = []
+    rounds = []
     while (m_r := np.count_nonzero(s)) > threshold:
         out = round_fn(s)
         if isinstance(out, str):
-            return s, records, out
-        s_new, record = out
-        if np.any(s_new < 0):
+            return s, rounds, out
+        s, walk_iterations = out
+        if np.any(s < 0):
             raise WalksparseError("a round left a negative weight")
-        dropped, need = m_r - np.count_nonzero(s_new), int(np.ceil(m_r / 8.0))
+        dropped, need = m_r - np.count_nonzero(s), int(np.ceil(m_r / 8.0))
         if dropped < need:
             raise WalksparseError(f"support only dropped {dropped} of the required {need}")
-        s = s_new
-        records.append(record)
-    return s, records, None
+        rounds.append(Round(int(m_r - dropped), error(s), walk_iterations))
+    return s, rounds, None
 
 
 def halve_support(s, support, x_sub):
@@ -169,10 +182,9 @@ class PipelineResult:
     The pieces are connected components (spectral, uc), expander pieces of
     the bipartite lift (sv) or expander pieces of the graph (sketch,
     resist).  stopped_early holds the first piece's stop reason, and
-    diagnostics holds one record per halving round of every piece, in piece
-    order: the support size after the round for the matrix pipelines, a
-    RoundDiagnostics for the sketch pipelines.  The error is measured by
-    `verify`.
+    diagnostics holds the `Round` records of every piece, in piece order,
+    each with its piece's error after the round.  `verify` certifies the
+    union independently.
     """
 
     graph: graph_mod.Graph
@@ -200,8 +212,8 @@ def _union_pieces(g, pieces, run):
 
 def _sparsify_graph(g, family, eps, c_support):
     """Halving loop in the degree subspace of g, as a one-piece result."""
-    s, records, stopped = sparsify(family, degree_subspace(g), eps, c_support)
-    return PipelineResult(g.reweighted(s), stopped, 1, records)
+    s, rounds, stopped = sparsify(family, degree_subspace(g), eps, c_support)
+    return PipelineResult(g.reweighted(s), stopped, 1, rounds)
 
 
 def _sparsify_components(g, eps, c_support, family_of):

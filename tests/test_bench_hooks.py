@@ -159,6 +159,26 @@ def test_rounds_call_the_patched_names(monkeypatch):
     assert res.pieces >= 2 and len(expanders) == res.pieces
 
 
+@pytest.mark.parametrize("run", [
+    lambda: sparsify.spectral_sparsify(complete_graph(16), 0.45, c_support=1.0),
+    lambda: sparsify.uc_sparsify(complete_graph(14), 0.5, c_support=0.5),
+    # K_12,12 less a perfect matching: a connected bipartite expander
+    lambda: sparsify.sv_sparsify_expander(
+        Graph(24, tuple((i, 12 + (i + k) % 12, 1.0) for i in range(12) for k in range(11))),
+        0.5, c_support=1.0),
+    lambda: sketches.sketch(complete_graph(16), np.random.default_rng(0).normal(size=(20, 16)),
+                            0.5),
+    lambda: sketches.resistance_sparsify(complete_graph(12), 1.9),
+], ids=["spectral", "uc", "sv", "sketch", "resist"])
+def test_every_pipeline_has_the_round_fields_the_bench_reads(run):
+    # bench/test_bench.py sums walk_iterations over PipelineResult.diagnostics
+    # and compares PipelineResult.rounds with its own round count
+    res = run()
+    assert res.rounds == len(res.diagnostics) > 0
+    assert all(isinstance(r.walk_iterations, int) and r.walk_iterations > 0
+               for r in res.diagnostics)
+
+
 def test_the_cli_parses_every_bench_command_line(tmp_path):
     # a renamed or deleted flag would otherwise show only as bench runs
     # that exit 2; each job's own command and its `verify` re-check

@@ -377,8 +377,26 @@ class TestCheckTable:
         assert main(["verify", path, out, "--kind", kind, "--epsilon", repr(target),
                      *vectors, "--report", checked]) == 0
         assert calls == [CHECK_OF_KIND[kind]] * 2
-        with open(built, "rb") as a, open(checked, "rb") as b:
-            assert a.read() == b.read()
+        # the halving command's report is verify's, then its rounds and stop reason
+        built, checked = json.loads(open(built).read()), json.loads(open(checked).read())
+        assert list(built) == [*checked, "rounds", "stopped_early"]
+        assert {key: built[key] for key in checked} == checked
+        assert built["rounds"][-1]["support"] == built["support_size"]
+        assert all(set(r) == {"support", "error", "walk_iterations"} for r in built["rounds"])
+
+    def test_stop_reason_reaches_the_report(self, tmp_path):
+        # K_12 at eps 1.5 with these 30 vectors: the seventh sketch round's
+        # walk finds its update subspace empty
+        path = write_graph(tmp_path, complete_graph(12))
+        rows = np.random.default_rng(0).normal(size=(30, 12))
+        (tmp_path / "v.txt").write_text(
+            "".join(" ".join(repr(float(x)) for x in r) + "\n" for r in rows))
+        report = tmp_path / "r.json"
+        assert main(["sketch", path, "--epsilon", "1.5", "--vectors", str(tmp_path / "v.txt"),
+                     "--out", str(tmp_path / "o.txt"), "--report", str(report)]) == 0
+        fields = json.loads(report.read_text())
+        assert fields["stopped_early"].startswith("walk stopped: update subspace is empty")
+        assert len(fields["rounds"]) == 7 and fields["rounds"][-1]["support"] == 19
 
 
 # every flag of the CLI with a sample value, and the flags each command reads

@@ -115,20 +115,34 @@ class TestSketchExpander:
         assert res.graph.edges == g.edges
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 1e-12
 
-    def test_k16_quality(self):
+    def test_k16_quality(self, monkeypatch):
+        # each walk's discrepancy max |<a_z/||a_z||, x>| over the unit rows
+        # that `prepare_constraints` gave its round
+        units, walks = [], []
+        prepare, walk_loop = sketches.prepare_constraints, sketches._walk_loop
+
+        def spy_prepare(*args):
+            out = prepare(*args)
+            units.append(out[0])
+            return out
+
+        def spy_walk(m, *args):
+            x = walk_loop(m, *args)
+            walks.append((m, float(np.max(np.abs(units[-1] @ x), initial=0.0))))
+            return x
+
+        monkeypatch.setattr(sketches, "prepare_constraints", spy_prepare)
+        monkeypatch.setattr(sketches, "_walk_loop", spy_walk)
         g = complete_graph(16)
         kvecs = unit_vectors(200, 16, seed=8)
         res = sketch_expander(g, kvecs, 0.25)
-        assert res.rounds >= 1
+        assert res.rounds >= 1 and len(walks) == res.rounds
         assert res.graph.m < g.m
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.25
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
-        for diag in res.diagnostics:
-            assert diag.identity_residual <= 1e-8
-            assert diag.norm_chain_margin >= -1e-9
-            assert diag.degree_dev <= 1e-6
-            lam_factor = max(1.0, np.sqrt(max(0.0, np.log(200.0 / diag.support))))
-            assert diag.walk_discrepancy <= 12.0 * lam_factor
+        for m_r, discrepancy in walks:
+            lam_factor = max(1.0, np.sqrt(max(0.0, np.log(200.0 / m_r))))
+            assert discrepancy <= 12.0 * lam_factor
 
     def test_too_few_vectors_rejected(self):
         g = complete_graph(8)
@@ -327,6 +341,40 @@ class TestHalvingStops:
 
 
 class TestRoundChecks:
+    def test_norm_chain_check_fires_on_long_rows(self, monkeypatch):
+        # rows 10^6 times longer than a_z break the freeze sets' bound
+        # ||a_z|| <= 100 (n/m) zbar^T D zbar
+        prepare = sketches.prepare_constraints
+
+        def long_rows(a_rows, zbar_d):
+            unit, norms, kept = prepare(a_rows, zbar_d)
+            return unit, 1e6 * norms, kept
+
+        monkeypatch.setattr(sketches, "prepare_constraints", long_rows)
+        with pytest.raises(WalksparseError, match="freeze-set norm bound violated"):
+            sketch_expander(complete_graph(12), unit_vectors(40, 12, seed=12), 0.4)
+
+    def test_degree_check_fires_on_a_moved_weight(self, monkeypatch):
+        # an update that also scales one kept edge moves both its endpoints'
+        # weighted degrees
+        update = sketches.halve_support
+
+        def heavier(s, support, x_sub):
+            s_new = update(s, support, x_sub)
+            s_new[np.flatnonzero(s_new)[0]] *= 1.5
+            return s_new
+
+        monkeypatch.setattr(sketches, "halve_support", heavier)
+        with pytest.raises(WalksparseError, match="degree preservation failed"):
+            sketch_expander(complete_graph(12), unit_vectors(40, 12, seed=12), 0.4)
+
+    def test_courant_fischer_check_fires_on_uncentred_vectors(self, monkeypatch):
+        # a constant shift adds to zbar^T D zbar and not to zbar^T L zbar, so
+        # zbar^T L zbar >= lambda_2 zbar^T D zbar fails without the recentring
+        monkeypatch.setattr(sketches, "shift_center", lambda z, g: np.asarray(z) + 1.0)
+        with pytest.raises(WalksparseError, match="variational lower bound"):
+            sketch_expander(complete_graph(12), unit_vectors(40, 12, seed=12), 0.4)
+
     @pytest.mark.parametrize("scale", [1.0, 2.0**-30], ids=["1", "2^-30"])
     def test_rewrite_check_fires_on_a_non_degree_preserving_coloring(self, monkeypatch, scale):
         # x = 1/2 on every coordinate moves every support degree, so

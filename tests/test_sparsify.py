@@ -18,7 +18,7 @@ from conftest import (
     tournament_union,
 )
 from walksparse import graph as graph_mod
-from walksparse import linalg, sparsify as sparsify_mod, verify
+from walksparse import linalg, sketches, sparsify as sparsify_mod, verify
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
@@ -36,20 +36,23 @@ from walksparse.sparsify import (
     uc_sparsify,
 )
 
+SKETCH_VECTORS = np.random.default_rng(0).normal(size=(20, 16))
+
 
 class TestCoreLoop:
     def test_below_threshold_identity(self):
         fam = spectral_family(complete_graph(8))
-        s, records, stopped = sparsify(fam, Subspace.full(fam.m), eps=0.5)
+        s, rounds, stopped = sparsify(fam, Subspace.full(fam.m), eps=0.5)
         assert np.array_equal(s, np.ones(fam.m))
-        assert records == [] and stopped is None
+        assert rounds == [] and stopped is None
         assert linalg.operator_norm(fam.blocks[0].aggregate(s - 1.0)) == 0.0
 
     def test_forced_rounds_contract(self):
         g = complete_graph(16)
         fam = spectral_family(g)
         h = degree_subspace(g)
-        s, records, stopped = sparsify(fam, h, eps=0.45, c_support=1.0)
+        s, rounds, stopped = sparsify(fam, h, eps=0.45, c_support=1.0)
+        records = [r.support for r in rounds]
         assert len(records) >= 2 and stopped is None
         assert np.count_nonzero(s) == records[-1] <= 1.0 * g.n / 0.45**2
         assert np.all(s >= 0.0)
@@ -61,8 +64,9 @@ class TestCoreLoop:
         diff = s - 1.0
         resid = np.linalg.norm(h.complement_rows @ diff)
         assert resid <= 1e-7 * max(1.0, np.linalg.norm(diff))
-        # error from an independent eigen oracle
+        # error from an independent eigen oracle, which the last round reports
         assert linalg.operator_norm(fam.blocks[0].aggregate(diff)) <= 0.45
+        assert rounds[-1].error == linalg.operator_norm(fam.blocks[0].aggregate(diff))
 
     def test_dense_family_halves(self):
         # 48 random PSD 6 x 6 members whose sum has norm 1: each round walks
@@ -72,7 +76,8 @@ class TestCoreLoop:
         mats = a @ np.swapaxes(a, 1, 2)
         mats /= linalg.operator_norm(mats.sum(axis=0))
         fam = MatrixFamily.from_matrices(mats)
-        s, records, stopped = sparsify(fam, Subspace.full(48), eps=0.5, c_support=1.0)
+        s, rounds, stopped = sparsify(fam, Subspace.full(48), eps=0.5, c_support=1.0)
+        records = [r.support for r in rounds]
         assert records and np.all(s >= 0.0) and np.count_nonzero(s) == records[-1]
         assert stopped is None or stopped.startswith("support")
         for prev, cur in zip([48] + records[:-1], records):
@@ -117,9 +122,9 @@ class TestCoreLoop:
         g = complete_graph(16)
         fam = spectral_family(g)
         h = degree_subspace(g)
-        s, records, stopped = sparsify(fam, h, eps=0.5, c_support=0.25)
+        s, rounds, stopped = sparsify(fam, h, eps=0.5, c_support=0.25)
         assert re.fullmatch(r"restricted subspace dim \d+ < \(4/5\) m_r = [\d.]+", stopped)
-        assert records and np.count_nonzero(s) == records[-1] > 0.25 * g.n / 0.5**2
+        assert rounds and np.count_nonzero(s) == rounds[-1].support > 0.25 * g.n / 0.5**2
         diff = s - 1.0
         assert np.linalg.norm(h.complement_rows @ diff) <= 1e-7 * np.linalg.norm(diff)
 
@@ -411,12 +416,46 @@ class TestHalvingStops:
     def test_stops_below_walk_minimum(self):
         # K_10 has 45 edges; one round leaves 39, below the walk minimum of 40
         fam = spectral_family(complete_graph(10))
-        s, records, stopped = sparsify(fam, Subspace.full(45), 0.5, c_support=0.05)
-        assert records == [39]
+        s, rounds, stopped = sparsify(fam, Subspace.full(45), 0.5, c_support=0.05)
+        assert [r.support for r in rounds] == [39]
         assert np.count_nonzero(s) == 39
         assert stopped == "support 39 below walk minimum 40"
 
     def test_negative_weight_raises(self):
         # the round drops three of four entries but leaves -0.5 on the last
         with pytest.raises(WalksparseError, match="negative weight"):
-            halve(np.ones(4), 1, lambda s: (np.array([-0.5, 0.0, 0.0, 0.0]), None))
+            halve(np.ones(4), 1, lambda s: (np.array([-0.5, 0.0, 0.0, 0.0]), 1), np.sum)
+
+
+class TestRoundRecords:
+    """Each round records the support after it and its error, which on a
+    one-piece input ends at what `verify` measures on the output."""
+
+    @pytest.mark.parametrize("pipeline,check", [
+        (lambda: spectral_sparsify(complete_graph(16), 0.45, c_support=1.0),
+         lambda g, out: verify.check_spectral(g, out, np.inf)),
+        (lambda: uc_sparsify(complete_graph(14), 0.5, c_support=0.5),
+         lambda g, out: verify.check_uc_undirected(g, out, np.inf)),
+        (lambda: sketches.sketch(complete_graph(16), SKETCH_VECTORS, 0.5),
+         lambda g, out: verify.check_sketch(g, out, SKETCH_VECTORS, np.inf)),
+        (lambda: sketches.resistance_sparsify(complete_graph(14), 0.5, c_resist=1.0),
+         lambda g, out: verify.check_resistance(g, out, np.inf)),
+    ], ids=["spectral", "uc", "sketch", "resist"])
+    def test_last_round_is_the_verified_output(self, pipeline, check):
+        res = pipeline()
+        assert res.pieces == 1 and res.rounds >= 2
+        last = res.diagnostics[-1]
+        assert last.support == res.graph.m
+        n = res.graph.n
+        assert last.error == pytest.approx(check(complete_graph(n), res.graph).measured_eps,
+                                           rel=0.0, abs=1e-9)
+        supports = [r.support for r in res.diagnostics]
+        assert supports == sorted(supports, reverse=True)
+        assert all(r.error > 0.0 and r.walk_iterations > 0 for r in res.diagnostics)
+
+    def test_resistance_error_is_inf_once_disconnected(self):
+        # K_4 less the edges at vertex 3: vertex 3 has no path to the rest
+        g = complete_graph(4)
+        error = sketches._resistance_error(g)
+        s = np.array([1.0 if 3 not in (u, v) else 0.0 for u, v, _ in g.edges])
+        assert error(np.ones(g.m)) == 0.0 and error(s) == np.inf
