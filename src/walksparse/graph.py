@@ -8,7 +8,9 @@ bit; everything is desk scale.  The expander decomposition is a
 deterministic sweep cut over one depth-first work list: pieces with second
 normalized-Laplacian eigenvalue above the target are emitted, otherwise the
 best Cheeger sweep cut (prefix sums along the Fiedler order) splits the
-piece and the two sides and the cut edges are decomposed in turn.
+piece and the two sides and the cut edges are decomposed in turn.  The
+sketch and resistance errors live here, below both the halving rounds that
+record them and `verify`, which reports them.
 """
 
 from __future__ import annotations
@@ -280,6 +282,56 @@ def require_numerically_connected(g, lap):
             f"Laplacian is numerically disconnected: lambda_{c + 1}/lambda_max = "
             f"{w[c] / w[-1]:.3e} <= {linalg.ZERO_RTOL:g}"
         )
+
+
+def check_vectors(vectors, n):
+    """vectors as a float array; raise InvalidInput unless it holds finite
+    rows of length n."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != n:
+        raise InvalidInput("constraint vectors must be rows of length n")
+    if not np.all(np.isfinite(vectors)):
+        raise InvalidInput("constraint vectors have non-finite entries")
+    return vectors
+
+
+def sketch_error(g, g_tilde, vectors):
+    """Worst |z^T L~ z / z^T L z - 1| over the rows z of vectors (as
+    `check_vectors` returns them), L~ the Laplacian of g_tilde.
+
+    A row is skipped when z^T L z <= 1e-12 ||z||^2 * 2 max weighted degree
+    (2 max degree bounds the top eigenvalue of L), a cut-off that scales with
+    z, so the result does not depend on the vectors' scale.
+    """
+    z, lap = vectors, g.laplacian()
+    bound = 2.0 * float(np.max(np.diag(lap), initial=0.0))
+    den = np.sum((z @ lap) * z, axis=1)
+    keep = den > 1e-12 * np.sum(z * z, axis=1) * bound
+    num = np.sum((z[keep] @ g_tilde.laplacian()) * z[keep], axis=1)
+    return float(np.max(np.abs(num / den[keep] - 1.0), initial=0.0))
+
+
+def _resistances(g):
+    """Effective resistances of g's vertex pairs i < j, in triu order."""
+    ldag = linalg.matrix_function(g.laplacian(), "pinv")
+    d = np.diag(ldag)
+    return (d[:, None] + d[None, :] - 2 * ldag)[np.triu_indices(g.n, k=1)]
+
+
+def resistance_error(g, g_tilde):
+    """Worst |R~(i,j)/R(i,j) - 1| over the vertex pairs of each connected
+    component of g, R~ the effective resistances of g_tilde; inf once
+    g_tilde disconnects a component."""
+    worst = 0.0
+    for comp in g.connected_components():
+        if len(comp) < 2:
+            continue
+        sub, sub_t = g.induced_on(comp)[0], g_tilde.induced_on(comp)[0]
+        if not sub_t.is_connected():
+            return np.inf
+        ratios = np.abs(_resistances(sub_t) / _resistances(sub) - 1.0)
+        worst = max(worst, float(np.max(ratios, initial=0.0)))
+    return worst
 
 
 def default_phi_target(n):

@@ -233,14 +233,12 @@ class DoubledFamily:
     backs the public quadratic-form operation and the tests.
     """
 
-    original: list
     doubled: list
 
     @classmethod
     def from_matrices(cls, mats):
-        original = [linalg.sym(np.asarray(a, dtype=float)) for a in mats]
-        doubled = [linalg.block_diag(a, -a) for a in original]
-        return cls(original=original, doubled=doubled)
+        symmetric = (linalg.sym(np.asarray(a, dtype=float)) for a in mats)
+        return cls([linalg.block_diag(a, -a) for a in symmetric])
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +408,12 @@ def _lanczos_direction(quad, bound, w, start, active):
         v = q_basis[k - 1]
 
 
+def _unit_row(v):
+    """[v / ||v||] as a list of one row, or [] when ||v|| <= _ROW_DROP_TOL."""
+    norm = float(np.sqrt(v @ v))
+    return [v[None, :] / norm] if norm > _ROW_DROP_TOL else []
+
+
 def _grown(a, rows):
     """a's rows in a new array with `rows` rows (the rest uninitialized)."""
     out = np.empty((rows, a.shape[1]))
@@ -475,10 +479,7 @@ class _MatrixSide:
         if keep <= 0:
             raise SubspaceExhausted("low-eigenspace budget is empty")
         self.bound = float(np.trace(self.quad)) / (m_t - keep + 1)
-        lin_norm = float(np.sqrt(self.linear @ self.linear))
-        if lin_norm > _ROW_DROP_TOL:
-            return [self.linear[None, :] / lin_norm]
-        return []
+        return _unit_row(self.linear)
 
     def potential(self):
         tr_inv = sum(np.sum(dp) + np.sum(dm) for dp, dm in zip(self.d_plus, self.d_minus))
@@ -593,11 +594,7 @@ class _VectorSide:
         self.quad = None
         self.weights = np.exp(self.lambda0 * (self.ahat @ x) - self.lambda0**2)
         a_act = self.ahat[:, active]
-        rows = []
-        grad = self.weights @ a_act
-        g_norm = float(np.sqrt(grad @ grad))
-        if g_norm > _ROW_DROP_TOL:
-            rows.append(grad[None, :] / g_norm)
+        rows = _unit_row(self.weights @ a_act)
         budget = self.budget(len(active))
         heavy = min(budget, len(self.weights))
         if heavy > 0:
@@ -690,11 +687,8 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             raise SubspaceExhausted(f"walk did not converge within {max_iter} iterations")
         iterations += 1
 
-        rows = []
         x_act = x[active]
-        x_norm = float(np.sqrt(x_act @ x_act))
-        if x_norm > _ROW_DROP_TOL:
-            rows.append(x_act[None, :] / x_norm)
+        rows = _unit_row(x_act)
         for side in sides:
             rows.extend(side.rows(x, active))
         m_t = len(active)

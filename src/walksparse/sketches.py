@@ -80,17 +80,6 @@ def _require_sketchable(g):
         raise InvalidInput("sketches expect unweighted input graphs")
 
 
-def _check_vectors(kvecs, n):
-    """kvecs as a float array; raise InvalidInput unless it holds finite rows
-    of length n."""
-    kvecs = np.asarray(kvecs, dtype=float)
-    if kvecs.ndim != 2 or kvecs.shape[1] != n:
-        raise InvalidInput("constraint vectors must be rows of length n")
-    if not np.all(np.isfinite(kvecs)):
-        raise InvalidInput("constraint vectors have non-finite entries")
-    return kvecs
-
-
 def _degree_and_pin_rows(g, s, support, movable):
     """Static constraint rows for one round, in support coordinates:
     weighted-degree preservation plus the identity rows where not movable."""
@@ -164,7 +153,7 @@ def sketch_expander(g, kvecs, eps):
     """
     _check_positive("eps", eps)
     _require_sketchable(g)
-    kvecs = _check_vectors(kvecs, g.n)
+    kvecs = graph_mod.check_vectors(kvecs, g.n)
     n_eff = len(g.non_isolated())
     if kvecs.shape[0] < n_eff:
         raise InvalidInput(f"need at least n={n_eff} constraint vectors")
@@ -174,7 +163,8 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
-    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff, _sketch_error(g, kvecs))
+    error = lambda s: graph_mod.sketch_error(g, g.reweighted(s), kvecs)
+    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff, error)
 
 
 def _expander_pieces(g, eps, phi_target, vectors, run):
@@ -197,7 +187,7 @@ def sketch(g, kvecs, eps, phi_target=None):
     target (default `graph.default_phi_target`).
     """
     return _expander_pieces(
-        g, eps, phi_target, lambda _: _check_vectors(kvecs, g.n),
+        g, eps, phi_target, lambda _: graph_mod.check_vectors(kvecs, g.n),
         lambda p, checked: sketch_expander(p, checked, eps),
     )
 
@@ -263,40 +253,6 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     return s_new, wlog.iterations
 
 
-def _sketch_error(piece, kvecs):
-    """error(s) of a sketch piece: the worst |z^T L_s z / z^T L z - 1| over
-    the constraint vectors z, skipping those `verify.check_sketch` skips."""
-    b = piece.incidence_signed()
-    bw = b * piece.weights()
-    forms = lambda z, s: np.sum((z @ ((bw * s) @ b.T)) * z, axis=1)
-    bound = 2.0 * float(np.max(piece.weighted_degrees(), initial=0.0))
-    den = forms(kvecs, 1.0)
-    keep = den > 1e-12 * np.sum(kvecs * kvecs, axis=1) * bound
-    z, den = kvecs[keep], den[keep]
-    return lambda s: float(np.max(np.abs(forms(z, s) / den - 1.0), initial=0.0))
-
-
-def _resistance_error(piece):
-    """error(s) of a resist piece: the worst |R_s(i,j) / R(i,j) - 1| over the
-    pairs of its non-isolated vertices, inf once s disconnects them."""
-    sub = piece.induced_on(piece.non_isolated())[0]  # the same edges, in order
-    iu = np.triu_indices(sub.n, k=1)
-
-    def resistances(h):
-        ldag = linalg.matrix_function(h.laplacian(), "pinv")
-        return (np.diag(ldag)[:, None] + np.diag(ldag)[None, :] - 2 * ldag)[iu]
-
-    r = resistances(sub)
-
-    def error(s):
-        h = sub.reweighted(s)
-        if not h.is_connected():
-            return np.inf
-        return float(np.max(np.abs(resistances(h) / r - 1.0), initial=0.0))
-
-    return error
-
-
 def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
     """`halve` with `_combined_round` and error(s) on one piece with n_eff
     non-isolated vertices until its support is at most threshold."""
@@ -324,6 +280,7 @@ def resistance_sparsify(g, eps, phi_target=None, c_resist=1.0):
         lam = graph_mod.lambda2(piece)
         threshold = c_resist * n_eff * np.sqrt(np.log(n_eff)) / (max(lam, 1e-12) * eps)
         family = sparsify.spectral_family(piece)
-        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, _resistance_error(piece), family)
+        error = lambda s: graph_mod.resistance_error(piece, piece.reweighted(s))
+        return _sketch_piece(piece, kvecs, lam, threshold, n_eff, error, family)
 
     return _expander_pieces(g, eps, phi_target, resistance_pairs, run)

@@ -17,7 +17,7 @@ with the degree subspace forcing exact weighted-degree preservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     coloring space containing s - 1 on exit.  Runs `halve` with
     `_matrix_round` and returns its (s, rounds, stop_reason); a round's
     error is ||sum_i (s(i) - 1) A_i||, the measured eps of `spectral` and
-    `uc` families (for the `sv` family it is lam_build times the SV error).
+    `uc` families (`sv_sparsify_expander` divides it by its family scale).
     A round whose restricted subspace is below (4/5) of the support size
     stops the loop with the support of the last completed round.
     """
@@ -297,7 +297,10 @@ def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):
     # raw = 0 means E = 0 (e.g. a permutation digraph's lift): the family is
     # identically zero and the guarantee is vacuous; any scale works
     lam_build = min(lam, 1.0 / raw) if raw > 1e-12 else lam
-    return _sparsify_graph(g, base.scaled(np.full(g.m, lam_build)), eps, c_support)
+    res = _sparsify_graph(g, base.scaled(np.full(g.m, lam_build)), eps, c_support)
+    # the family's error is lam_build times the SV error
+    res.diagnostics = [replace(r, error=r.error / lam_build) for r in res.diagnostics]
+    return res
 
 
 def sv_sparsify(g, eps, phi_target=None, c_support=C_SUPPORT):

@@ -5,7 +5,9 @@ roots, kernel bases, quadratic forms) so a report never trusts anything the
 construction pipeline produced along the way.  Reports are pure functions
 of their inputs and serialize to JSON with a stable key order.  The five
 graph checks measure their error and take the rest of the report (degree
-deviation, support size) from one builder, `_graph_report`.
+deviation, support size) from one builder, `_graph_report`.  The sketch and
+resistance errors are `graph.sketch_error` and `graph.resistance_error`, the
+measures the halving rounds record.
 """
 
 from __future__ import annotations
@@ -167,54 +169,19 @@ def check_sv(g, g_tilde, target):
 
 
 def check_sketch(g, g_tilde, vectors, target):
-    """Worst relative quadratic-form deviation over the constraint vectors.
-
-    A vector is skipped when z^T L z <= 1e-12 ||z||^2 * 2 max weighted
-    degree (2 max degree bounds the top eigenvalue of L), a cut-off that
-    scales with z, so the result does not depend on the vectors' scale.
-    """
+    """Worst relative quadratic-form deviation over the constraint vectors
+    (`graph.sketch_error`, which skips the near-zero forms)."""
     _require_comparable(g, g_tilde)
-    lap = g.laplacian()
-    lap_t = g_tilde.laplacian()
-    vectors = np.asarray(vectors, dtype=float)
-    if not np.all(np.isfinite(vectors)):
-        raise InvalidInput("sketch vectors have non-finite entries")
-    lap_bound = 2.0 * float(np.max(np.diag(lap), initial=0.0))
-    worst = 0.0
-    for z in vectors:
-        denom = float(z @ lap @ z)
-        num = float(z @ lap_t @ z)
-        if denom <= 1e-12 * float(z @ z) * lap_bound:
-            continue
-        worst = max(worst, abs(num / denom - 1.0))
-    return _graph_report("sketch", g, g_tilde, target, worst)
+    error = graph_mod.sketch_error(g, g_tilde, graph_mod.check_vectors(vectors, g.n))
+    return _graph_report("sketch", g, g_tilde, target, error)
 
 
 def effective_resistance_report(g, g_tilde):
-    """Worst |R_tilde(i,j)/R(i,j) - 1| over all connected pairs.
-
-    Pairs are evaluated per connected component of the input; pairs the
-    reweighted graph disconnects give an infinite ratio.
-    """
+    """Worst |R_tilde(i,j)/R(i,j) - 1| over the pairs of each connected
+    component of the input, inf where the reweighted graph disconnects one
+    (`graph.resistance_error`)."""
     _require_comparable(g, g_tilde)
-    worst = 0.0
-    for comp in g.connected_components():
-        if len(comp) < 2:
-            continue
-        sub, ids = g.induced_on(comp)
-        sub_t, _ = g_tilde.induced_on(comp)
-        if not sub_t.is_connected() or sub_t.m == 0:
-            return float("inf")
-        ldag = linalg.matrix_function(sub.laplacian(), "pinv")
-        ldag_t = linalg.matrix_function(sub_t.laplacian(), "pinv")
-        dl = np.diag(ldag)
-        dlt = np.diag(ldag_t)
-        r = dl[:, None] + dl[None, :] - 2 * ldag
-        rt = dlt[:, None] + dlt[None, :] - 2 * ldag_t
-        iu = np.triu_indices(len(comp), k=1)
-        ratios = np.abs(rt[iu] / r[iu] - 1.0)
-        worst = max(worst, float(np.max(ratios, initial=0.0)))
-    return worst
+    return graph_mod.resistance_error(g, g_tilde)
 
 
 def check_resistance(g, g_tilde, target):

@@ -1,10 +1,11 @@
-"""Module layering: the construction modules never import the certifier,
-no module keeps an import it does not read, and no CLI command loads
-scipy.
+"""Module layering: the construction modules and the certifier never
+import each other, no module keeps an import it does not read, and no CLI
+command loads scipy.
 
-`verify` is the one place outputs are measured, so neither the walks nor
-the pipelines built on them may reach it, directly or through another
-walksparse module.
+`verify` certifies outputs, so neither the walks nor the pipelines built on
+them may reach it, directly or through another walksparse module.  The
+sketch and resistance errors that both sides measure live in `graph`,
+below both, so `graph` reaches neither.
 """
 
 import ast
@@ -47,9 +48,21 @@ def reachable(module):
     return seen
 
 
-@pytest.mark.parametrize("module", ["sparsify", "sketches", "matrix_walk", "vector_walk"])
+CONSTRUCTION = ["sparsify", "sketches", "matrix_walk", "vector_walk"]
+
+
+@pytest.mark.parametrize("module", CONSTRUCTION)
 def test_construction_does_not_import_verify(module):
     assert "walksparse.verify" not in reachable(f"walksparse.{module}")
+
+
+@pytest.mark.parametrize("module,forbidden", [
+    ("verify", CONSTRUCTION),
+    ("graph", [*CONSTRUCTION, "verify"]),
+], ids=["verify", "graph"])
+def test_measures_sit_below_construction(module, forbidden):
+    # graph holds the measures both sides call, so it reaches neither side
+    assert not {f"walksparse.{name}" for name in forbidden} & reachable(f"walksparse.{module}")
 
 
 def test_cli_reaches_verify():

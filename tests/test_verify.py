@@ -151,6 +151,14 @@ class TestGraphChecks:
             with pytest.raises(InvalidInput):
                 check_sketch(g, g, kvecs, target=0.1)
 
+    @pytest.mark.parametrize("shape", [(10, 9), (10, 7), (8,)],
+                             ids=["long-rows", "short-rows", "one-dimensional"])
+    def test_sketch_check_rejects_misshapen_vectors(self, shape):
+        g = complete_graph(8)
+        kvecs = np.random.default_rng(1).normal(size=shape)
+        with pytest.raises(InvalidInput, match="rows of length n"):
+            check_sketch(g, g, kvecs, target=0.1)
+
     def test_sketch_check_scale_free(self):
         # the skip cut-off is relative to ||z||^2, so tiny vectors still count
         kvecs = np.random.default_rng(0).normal(size=(40, 8))
