@@ -142,23 +142,25 @@ class Graph:
     # -- structure ---------------------------------------------------------
 
     def _traverse(self):
-        """(components, coloring) of the underlying undirected graph.
+        """(components, coloring, odd) of the underlying undirected graph.
 
         A stack DFS from each smallest unseen root, pushing neighbours in
         increasing order: components come out sorted and in root order,
-        and the 0/1 coloring (roots 0) is None if an odd cycle exists.
+        the 0/1 coloring gives each root 0, and odd[k] says whether
+        component k has an odd cycle (its coloring is then not proper).
         """
         adj = [set() for _ in range(self.n)]
         for u, v, _ in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         color = [-1] * self.n
-        comps, odd = [], False
+        comps, odd = [], []
         for root in range(self.n):
             if color[root] != -1:
                 continue
             color[root] = 0
             stack, comp = [root], []
+            odd.append(False)
             while stack:
                 v = stack.pop()
                 comp.append(v)
@@ -167,9 +169,9 @@ class Graph:
                         color[w] = 1 - color[v]
                         stack.append(w)
                     elif color[w] == color[v]:
-                        odd = True
+                        odd[-1] = True
             comps.append(sorted(comp))
-        return comps, None if odd else color
+        return comps, color, odd
 
     def connected_components(self):
         """Vertex components of the underlying undirected graph, each sorted."""
@@ -188,8 +190,8 @@ class Graph:
         Per component the smallest vertex is assigned to X; isolated
         vertices land in X.  Returns None if any odd cycle exists.
         """
-        color = self._traverse()[1]
-        if color is None:
+        _, color, odd = self._traverse()
+        if any(odd):
             return None
         return tuple([v for v, c in enumerate(color) if c == k] for k in (0, 1))
 
@@ -270,18 +272,24 @@ def lambda2(g):
     return float(w[1])
 
 
-def require_numerically_connected(g, lap):
-    """Raise InvalidInput when g's Laplacian lap has more numerically zero
-    eigenvalues (<= ZERO_RTOL * lambda_max) than g has connected components
-    c: its pseudoinverse would drop the light cut's direction, so a family
-    whitened by it, or an error measured with it, would lose that cut."""
-    c = len(g.connected_components())
-    w = linalg.eigvalsh(lap)
+def require_numerically_connected(g, unsigned=False):
+    """g's Laplacian L (with unsigned, its unsigned Laplacian U) once it has
+    no more numerically zero eigenvalues (<= ZERO_RTOL * lambda_max) than its
+    exact kernel's dimension c: g's components for L, those without an odd
+    cycle for U.  Otherwise InvalidInput: the pseudoinverse would drop a light
+    cut (of L) or odd-cycle edge (of U) that whitening and `verify` need."""
+    comps, _, odd = g._traverse()
+    if unsigned:
+        mat, c, what = g.unsigned_laplacian(), odd.count(False), "numerically bipartite"
+    else:
+        mat, c, what = g.laplacian(), len(comps), "numerically disconnected"
+    w = linalg.eigvalsh(mat)
     if w.size > c and w[c] <= linalg.ZERO_RTOL * w[-1]:
         raise InvalidInput(
-            f"Laplacian is numerically disconnected: lambda_{c + 1}/lambda_max = "
+            f"{'unsigned ' if unsigned else ''}Laplacian is {what}: lambda_{c + 1}/lambda_max = "
             f"{w[c] / w[-1]:.3e} <= {linalg.ZERO_RTOL:g}"
         )
+    return mat
 
 
 def check_vectors(vectors, n):

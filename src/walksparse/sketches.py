@@ -28,7 +28,7 @@ from . import graph as graph_mod
 from . import linalg, sparsify
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import WalkLog, _MatrixSide, _VectorSide, _walk_loop
-from .matrix_walk import default_lambda0
+from .matrix_walk import check_family_norm, default_lambda0
 from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_rows, halve
 from .sparsify import halve_support
 from .vector_walk import prepare_constraints
@@ -232,9 +232,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     sides = [_VectorSide(unit, budget)]
     if family is not None:
         half = family.scaled(0.5 * s).restricted(support)
-        top = half.aggregate_norm(np.ones(m_r))
-        if top > 1.0 + 1e-6:
-            raise WalksparseError(f"loop invariant failed: half-aggregate norm {top:.4f} > 1")
+        check_family_norm(half)
         keep = lambda mt: mt - int(np.floor(cut * mt))
         sides.insert(0, _MatrixSide(half, keep_count=keep))
     wlog = WalkLog()

@@ -24,7 +24,8 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg
 from .errors import InvalidInput, WalksparseError
-from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, WalkOptions, partial_color
+from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, WalkOptions, check_family_norm
+from .matrix_walk import partial_color
 
 
 # the halving rounds take the largest admissible walk steps
@@ -79,9 +80,7 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     m, n = family.m, family.n
     if h.ambient_dim != m:
         raise InvalidInput("subspace ambient dimension does not match the family")
-    top = family.aggregate_norm(np.ones(m))
-    if top > 1.0 + 1e-8:
-        raise InvalidInput(f"sum of the family members has norm {top:.6f} > 1")
+    check_family_norm(family)
     threshold = c_support * n / eps**2
     return halve(np.ones(m), threshold, lambda s: _matrix_round(family, h, s),
                  lambda s: family.aggregate_norm(s - 1.0))
@@ -229,25 +228,24 @@ def _sparsify_components(g, eps, c_support, family_of):
     )
 
 
-def _whitened_family(g, pairs, scale=1.0):
+def _whitened_family(g, pairs):
     """One Rank1Block per (X, C) in pairs, with the edge weights of g: members
-    w_e scale^2 X^{+/2} c_e c_e^T X^{+/2} over the columns c_e of C."""
-    factors = [scale * (linalg.matrix_function(x, "pinv_sqrt") @ c) for x, c in pairs]
+    w_e X^{+/2} c_e c_e^T X^{+/2} over the columns c_e of C."""
+    factors = [linalg.matrix_function(x, "pinv_sqrt") @ c for x, c in pairs]
     return MatrixFamily([Rank1Block(f, g.weights()) for f in factors])
 
 
-def _signed_pair(g):
-    """(L, B) of g; InvalidInput when L is numerically disconnected, before
-    its pseudoinverse whitens the light cut away."""
-    lap = g.laplacian()
-    graph_mod.require_numerically_connected(g, lap)
-    return lap, g.incidence_signed()
+def _laplacian_pair(g, unsigned=False):
+    """(L, B) of g, or with unsigned (U, |B|), the matrix checked by
+    `graph.require_numerically_connected` before its pseudoinverse whitens."""
+    inc = g.incidence_unsigned() if unsigned else g.incidence_signed()
+    return graph_mod.require_numerically_connected(g, unsigned), inc
 
 
 def spectral_family(g):
     """Rank-one family A_e = w_e L^{+/2} b_e b_e^T L^{+/2} summing to the
     projection off the all-ones vector."""
-    return _whitened_family(g, [_signed_pair(g)])
+    return _whitened_family(g, [_laplacian_pair(g)])
 
 
 def spectral_sparsify(g, eps, c_support=C_SUPPORT):
@@ -259,8 +257,7 @@ def spectral_sparsify(g, eps, c_support=C_SUPPORT):
 def uc_family(g):
     """Block family diag(L-part, U-part); its members sum to
     diag(proj off ker L, proj off ker U) inside I_{2n}."""
-    unsigned = (g.unsigned_laplacian(), g.incidence_unsigned())
-    return _whitened_family(g, [_signed_pair(g), unsigned])
+    return _whitened_family(g, [_laplacian_pair(g), _laplacian_pair(g, unsigned=True)])
 
 
 def uc_sparsify(g, eps, c_support=C_SUPPORT):
@@ -270,10 +267,10 @@ def uc_sparsify(g, eps, c_support=C_SUPPORT):
     return _sparsify_components(g, eps, c_support, uc_family)
 
 
-def sv_expander_family(g, lam):
-    """Rank-one family lam * w_e E^{+/2} b_e b_e^T E^{+/2} for bipartite g."""
+def sv_expander_family(g):
+    """Rank-one family w_e E^{+/2} b_e b_e^T E^{+/2} for bipartite g."""
     e_mat, _ = graph_mod.sv_error_matrices(g)
-    return _whitened_family(g, [(e_mat, g.incidence_signed())], np.sqrt(lam))
+    return _whitened_family(g, [(e_mat, g.incidence_signed())])
 
 
 def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):
@@ -292,7 +289,7 @@ def sv_sparsify_expander(g, eps, c_support=C_SUPPORT):
     if g.bipartition() is None:
         raise InvalidInput("graph is not bipartite")
     lam = graph_mod.lambda2(g)
-    base = sv_expander_family(g, 1.0)
+    base = sv_expander_family(g)
     raw = base.aggregate_norm(np.ones(g.m))
     # raw = 0 means E = 0 (e.g. a permutation digraph's lift): the family is
     # identically zero and the guarantee is vacuous; any scale works

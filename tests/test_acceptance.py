@@ -195,7 +195,7 @@ def test_criterion_06_uc_sparsifier():
 
 def test_criterion_07_sv_expander():
     g = complete_bipartite(4, 4)
-    fam = sv_expander_family(g, 1.0)
+    fam = sv_expander_family(g)
     norm = fam.aggregate_norm(np.ones(g.m))
     assert abs(norm - 1.0) <= 1e-8  # lam / lambda_2 with lambda_2(K44) = 1
     res = sv_sparsify_expander(g, eps=0.5)

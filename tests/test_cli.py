@@ -268,6 +268,21 @@ class TestCommands:
         assert f"numerically disconnected: lambda_2/lambda_max = {ratio}" in err
         assert not out.exists() and not rep.exists()
 
+    @pytest.mark.parametrize("command", ["sparsify", "uc"])
+    def test_light_bridge_above_the_kernel_cut_off_passes_its_check(self, tmp_path, command):
+        # two K_16 joined by a 3e-7 bridge (lambda_2/lambda_max 2.3e-9) are one
+        # numerically connected component; whitening sums the family to 1 only
+        # up to ~1e-6 rounding, inside FAMILY_NORM_SLACK, and the output keeps
+        # the bridge and passes its from-scratch check
+        path = write_graph(tmp_path, bridged_cliques(16, 3e-7))
+        out = tmp_path / "out.txt"
+        assert main([command, path, "--epsilon", "0.45", "--c-support", "1", "--check",
+                     "--out", str(out)]) == 0
+        got = parse_edge_list(out.read_text())
+        assert any(e[:2] == (0, 16) for e in got.edges)
+        if command == "sparsify":
+            assert got.m < 241  # the halving rounds ran (uc's 2n threshold takes none)
+
     def test_numerically_disconnected_input_is_refused_before_the_walk(
             self, tmp_path, capsys, monkeypatch):
         # the family builder refuses the input, so no walk runs before exit 2

@@ -13,7 +13,8 @@ from walksparse.cli import load_vectors, main, parse_edge_list
 from walksparse.errors import InvalidInput, ParseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace
-from walksparse.matrix_walk import DenseBlock, MatrixFamily, Rank1Block, partial_color
+from walksparse.matrix_walk import FAMILY_NORM_SLACK, DenseBlock, MatrixFamily, Rank1Block
+from walksparse.matrix_walk import partial_color
 
 
 @pytest.mark.parametrize(
@@ -139,6 +140,18 @@ def test_combined_round_stops_when_the_freeze_sets_leave_too_few_movable_edges()
     assert out == "walk stopped: freeze sets leave too few movable edges"
 
 
+def test_combined_round_checks_its_half_family_with_the_one_slack():
+    # at s = 2.1 the half family {s(e)/2 A_e} of K_8 sums to 1.05 times a
+    # projection: the round refuses it as `sparsify` and the walk do
+    g = complete_graph(8)
+    kvecs = np.random.default_rng(0).normal(size=(8, 8))
+    zbar = sketches.shift_center(kvecs, g)
+    zbar_d = (zbar**2) @ g.weighted_degrees()
+    with pytest.raises(InvalidInput, match=r"sum of \|A_i\| has operator norm 1.050000 > 1"):
+        sketches._combined_round(g, sparsify.spectral_family(g), kvecs, zbar, zbar_d,
+                                 np.full(g.m, 2.1), 8)
+
+
 def spectral_family_with_subspace_of(m):
     return sparsify.spectral_family(complete_graph(6)), Subspace.full(m)
 
@@ -162,6 +175,20 @@ def spectral_family_with_subspace_of(m):
 def test_sparsify_errors(call, message):
     with pytest.raises(InvalidInput, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda fam: sparsify.sparsify(fam, Subspace.full(3), 0.5), partial_color],
+    ids=["sparsify", "partial-color"],
+)
+def test_family_norm_is_checked_with_one_slack(walk):
+    # three members summing to 1 + FAMILY_NORM_SLACK / 2 pass and to
+    # 1 + 2 FAMILY_NORM_SLACK fail, in the halving loop and in the walk alike
+    family = lambda total: MatrixFamily.from_rank_one(np.full((1, 3), np.sqrt(total / 3)))
+    walk(family(1.0 + FAMILY_NORM_SLACK / 2))
+    with pytest.raises(InvalidInput, match=r"sum of \|A_i\| has operator norm 1.000020 > 1"):
+        walk(family(1.0 + 2 * FAMILY_NORM_SLACK))
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from walksparse import linalg, sketches, sparsify as sparsify_mod, verify
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
-from walksparse.matrix_walk import MatrixFamily
+from walksparse.matrix_walk import FAMILY_NORM_SLACK, MatrixFamily
 from walksparse.sparsify import (
     degree_subspace,
     halve,
@@ -275,10 +275,16 @@ class TestComponents:
         with pytest.raises(InvalidInput):
             pipeline(g, 0.45)
 
-    @pytest.mark.parametrize("pipeline", [spectral_sparsify, uc_sparsify],
-                             ids=["spectral", "uc"])
+    @pytest.mark.parametrize("pipeline,g,message", [
+        (spectral_sparsify, bridged_cliques(16, 1e-10), "lambda_2/lambda_max = 7.816e-13"),
+        (uc_sparsify, bridged_cliques(16, 1e-10), "lambda_2/lambda_max = 7.816e-13"),
+        # K_12,12 plus a 1e-10 edge inside one side: U has no exact kernel
+        # (the edge closes odd cycles) but one numerically zero eigenvalue
+        (uc_sparsify, Graph(24, complete_bipartite(12, 12).edges + ((0, 1, 1e-10),)),
+         "unsigned Laplacian is numerically bipartite: lambda_1/lambda_max = 6.945e-13"),
+    ], ids=["spectral", "uc", "uc-light-odd-edge"])
     def test_numerically_disconnected_component_is_refused_before_the_walk(
-            self, pipeline, monkeypatch):
+            self, pipeline, g, message, monkeypatch):
         # two K_16 joined by a 1e-10 bridge form one component whose L has
         # two numerically zero eigenvalues: whitening by L^{+/2} would drop
         # the bridge direction, so the family builder refuses the input
@@ -286,8 +292,21 @@ class TestComponents:
             raise AssertionError("the walk ran on a numerically disconnected input")
 
         monkeypatch.setattr(sparsify_mod, "partial_color", walk)
-        with pytest.raises(InvalidInput, match="lambda_2/lambda_max = 7.816e-13"):
-            pipeline(bridged_cliques(16, 1e-10), 0.45, c_support=1.0)
+        with pytest.raises(InvalidInput, match=message):
+            pipeline(g, 0.45, c_support=1.0)
+
+    @pytest.mark.parametrize("side,bridge", [(8, 1.3e-8), (8, 1.73e-8), (16, 1.3e-8),
+                                             (16, 3e-7)])
+    @pytest.mark.parametrize("family_of", [spectral_family, uc_family], ids=["spectral", "uc"])
+    def test_family_of_a_light_bridge_is_accepted(self, family_of, side, bridge):
+        # whitening two cliques joined by a light (but numerically connected)
+        # bridge sums to a projection only up to ~1e-6 rounding, which
+        # FAMILY_NORM_SLACK admits; the default c_support takes no round
+        g = bridged_cliques(side, bridge)
+        fam = family_of(g)
+        assert fam.abs_aggregate_norm() <= 1.0 + FAMILY_NORM_SLACK
+        s, rounds, stopped = sparsify(fam, degree_subspace(g), 0.45)
+        assert np.array_equal(s, np.ones(g.m)) and rounds == [] and stopped is None
 
 
 class TestUcSparsify:
@@ -335,13 +354,13 @@ class TestUcSparsify:
 class TestSvSparsify:
     def test_k44_family_norm(self):
         g = complete_bipartite(4, 4)
-        fam = sv_expander_family(g, 1.0)
+        fam = sv_expander_family(g)
         norm = fam.aggregate_norm(np.ones(g.m))
         assert abs(norm - 1.0) <= 1e-9  # lam / lambda_2 with lambda_2 = 1
 
     def test_small_lambda_vacuous_but_valid(self):
         g = complete_bipartite(4, 4)
-        fam = sv_expander_family(g, 1e-6)
+        fam = sv_expander_family(g).scaled(np.full(g.m, 1e-6))
         assert fam.aggregate_norm(np.ones(g.m)) <= 2e-6
 
     def test_expander_degrees_preserved(self):

@@ -14,6 +14,7 @@ from conftest import (
     random_connected_graph,
 )
 from walksparse import linalg
+from walksparse import verify as verify_mod
 from walksparse.errors import InvalidInput
 from walksparse.graph import Graph
 from walksparse.sparsify import spectral_sparsify
@@ -28,6 +29,17 @@ from walksparse.verify import (
     check_uc_undirected,
     effective_resistance_report,
 )
+
+
+def two_k4(joined):
+    """Two disjoint K_4; joined moves 1e-4 from (0, 1) and (4, 5) onto the
+    cross edges (0, 4) and (1, 5), which keeps every degree."""
+    edges = complete_graph(4).edges
+    edges += tuple((u + 4, v + 4, w) for u, v, w in edges)
+    if not joined:
+        return Graph(8, edges)
+    moved = tuple((u, v, w - 1e-4 if (u, v) in ((0, 1), (4, 5)) else w) for u, v, w in edges)
+    return Graph(8, moved + ((0, 4, 1e-4), (1, 5, 1e-4)))
 
 
 def lognormal_graph(n, m, seed):
@@ -99,6 +111,44 @@ class TestGraphChecks:
         out = spectral_sparsify(g, 0.45, c_support=1.0).graph
         assert check_spectral(g, out, 0.45).passed
         assert not check_spectral(g, out.reweighted(np.full(out.m, 1.001)), 0.45).passed
+        # kernel residuals are checked against KERNEL_RTOL times ||L|| of the
+        # input: two K_4 joined in the candidate by two 1e-4 edges, degrees
+        # kept, leave ker L at every scale (a floor of 1 passed it at 2^-40)
+        g, joined = two_k4(joined=False), two_k4(joined=True)
+        g, joined = (h.reweighted(np.full(h.m, 2.0**k)) for h in (g, joined))
+        for check in (check_spectral, check_uc_undirected):
+            rep = check(g, joined, 0.45)
+            assert not rep.kernel_ok and not rep.passed
+
+    def test_uc_kernel_of_a_bipartite_component_beside_an_odd_cycle(self):
+        # C_4 beside a triangle: U's kernel holds the C_4's sign vector, and
+        # weight moved onto both C_4 diagonals (degrees kept) leaves it
+        c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+        triangle = ((4, 5, 1.0), (5, 6, 1.0), (4, 6, 1.0))
+        g = Graph(7, c4 + triangle)
+        moved = Graph(7, tuple((u, v, 1.0 - 5e-4) for u, v in c4)
+                      + ((0, 2, 1e-3), (1, 3, 1e-3)) + triangle)
+        rep = check_uc_undirected(g, moved, 0.5)
+        assert rep.measured_eps <= 1e-3 and rep.degree_max_dev <= 1e-12
+        assert not rep.kernel_ok and not rep.passed
+        assert check_uc_undirected(g, g, 0.5).passed
+
+    def test_matrix_notions_measure_through_check_matrix_approx(self, monkeypatch):
+        # spectral and sv are one matrix approximation each, uc is two (L, U)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return check_matrix_approx(*args)
+
+        monkeypatch.setattr(verify_mod, "check_matrix_approx", spy)
+        g, d = complete_graph(6), Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)), directed=True)
+        counts = []
+        for check, h in ((check_spectral, g), (check_uc_undirected, g), (check_sv, d)):
+            before = len(calls)
+            assert check(h, h, 0.5).passed
+            counts.append(len(calls) - before)
+        assert counts == [1, 2, 1]
 
     @pytest.mark.parametrize("bridge,ratio", [(1e-8, "7.812e-11"), (1e-10, "7.816e-13")])
     @pytest.mark.parametrize("check", [check_spectral, check_uc_undirected])
@@ -108,6 +158,16 @@ class TestGraphChecks:
         g = bridged_cliques(16, bridge)
         with pytest.raises(InvalidInput, match=f"lambda_2/lambda_max = {ratio}"):
             check(g, g, 0.45)
+
+    def test_numerically_bipartite_unsigned_laplacian_is_refused(self):
+        # K_12,12 plus a 1e-10 edge inside one side has an odd cycle, so U
+        # has no exact kernel, but lambda_1(U) is below ZERO_RTOL lambda_max:
+        # U^{+/2} would drop the light edge's direction
+        g = Graph(24, complete_bipartite(12, 12).edges + ((0, 1, 1e-10),))
+        with pytest.raises(InvalidInput, match="unsigned Laplacian is numerically bipartite: "
+                                               "lambda_1/lambda_max = 6.945e-13"):
+            check_uc_undirected(g, g, 0.45)
+        assert check_spectral(g, g, 0.45).passed
 
     def test_a_light_bridge_above_the_kernel_cut_off_is_checked(self):
         g = bridged_cliques(16, 1e-6)
