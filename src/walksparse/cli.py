@@ -23,6 +23,10 @@ from . import linalg, sketches, sparsify, verify
 from .errors import InvalidInput, ParseError, WalksparseError
 from .matrix_walk import partial_color
 
+# every command but decompose builds dense n x n float64 matrices (Laplacians,
+# pseudoinverse roots); one such array at n = 8192 is 512 MiB
+MAX_DENSE_N = 8192
+
 
 def parse_edge_list(text):
     """Parse the edge-list format into a Graph, with line-numbered errors."""
@@ -211,6 +215,8 @@ def _run_command(args):
     g = load_graph(args.input)
     if args.command == "decompose":
         return _decompose(args, g)
+    if g.n > MAX_DENSE_N:
+        raise InvalidInput(f"n = {g.n} exceeds {MAX_DENSE_N}, the bound for dense linear algebra")
     verifying = args.command == "verify"
     kind = args.kind if verifying else _KIND[args.command]
     against = load_graph(args.against) if verifying else None

@@ -18,7 +18,7 @@ class StepTooLarge(WalksparseError):
 
 
 class SubspaceExhausted(WalksparseError):
-    """The feasible update subspace is empty (dimension budget ran out)."""
+    """A walk or halving round cannot continue (its support or subspace ran out)."""
 
 
 class ParseError(WalksparseError):

@@ -97,7 +97,7 @@ class Graph:
 
     def weighted_degrees(self):
         if self.directed:
-            raise InvalidInput("directed graphs have in/out degrees")
+            raise InvalidInput("expects undirected graphs (a directed graph has in/out degrees)")
         u, v, w = self.edge_arrays()
         # edges are sorted with u < v, so a vertex's edges as v all precede
         # its edges as u: this adds in edge order, as a per-edge loop does

@@ -202,8 +202,8 @@ def resistance_pairs(g):
 
 def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     """One halving round of the walk on a piece; returns (s_new, walk
-    iterations), or the stop reason when the freeze sets leave too few
-    movable edges or the walk raises SubspaceExhausted.
+    iterations).  Raises SubspaceExhausted when the freeze sets leave too
+    few movable edges or the walk runs out.
 
     The vector side steers the recentered constraints a_z.  Given the
     piece's spectral family {A_e}, the matrix side also steers
@@ -216,7 +216,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     m_r = len(support)
     es = freeze_sets(piece, s)[2]
     if len(es) < int(np.ceil(m_r / 4.0)):
-        return "walk stopped: freeze sets leave too few movable edges"
+        raise SubspaceExhausted("freeze sets leave too few movable edges")
     movable = np.isin(support, es)
     # at most two k x m_r arrays live at once: a_z, unit rows, active columns;
     # a row a_z is zero at ||a_z|| <= _ROW_DROP_TOL zbar^T D zbar
@@ -236,10 +236,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
         keep = lambda mt: mt - int(np.floor(cut * mt))
         sides.insert(0, _MatrixSide(half, keep_count=keep))
     wlog = WalkLog()
-    try:
-        x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
-    except SubspaceExhausted as exc:
-        return f"walk stopped: {exc}"
+    x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
     unit_x = unit @ x_sub
     del sides, unit
     # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows

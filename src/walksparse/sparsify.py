@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import linalg
-from .errors import InvalidInput, WalksparseError
+from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, WalkOptions, check_family_norm
 from .matrix_walk import partial_color
 
@@ -32,7 +32,11 @@ from .matrix_walk import partial_color
 _WALK = WalkOptions(adaptive_steps=True)
 # default support constant c of the stopping threshold c * n / eps^2
 C_SUPPORT = 1024.0
-# the halving loop stops once the support is too small to walk on
+# a matrix round's smallest support.  On a degree subspace the (4/5) rule stops
+# first: a support component passes it only from 11 vertices and 55 edges (19
+# and 90 if bipartite).  Without degree rows the halving invariant wears out
+# near 40 edges (on `Subspace.full`, error 0.871 at 40 edges of K_24 and 0.951
+# at 39 of K_28); with no minimum, K_10 fails the family-norm check in round 2.
 WALK_MIN = 40
 
 
@@ -72,8 +76,6 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
     `_matrix_round` and returns its (s, rounds, stop_reason); a round's
     error is ||sum_i (s(i) - 1) A_i||, the measured eps of `spectral` and
     `uc` families (`sv_sparsify_expander` divides it by its family scale).
-    A round whose restricted subspace is below (4/5) of the support size
-    stops the loop with the support of the last completed round.
     """
     _check_settings(eps, c_support)
     _validate_psd_family(family)
@@ -88,17 +90,18 @@ def sparsify(family, h, eps, c_support=C_SUPPORT):
 
 def _matrix_round(family, h, s):
     """One walk on {s(i)/2 * A_i} over the support, keeping s - 1 in h;
-    returns (s_new, walk iterations) or, below the walk minimum or when the
-    restricted subspace is below (4/5) of the support, the stop reason.
-    `partial_color` checks sum_i s(i) A_i <= 2I."""
+    returns (s_new, walk iterations), or raises SubspaceExhausted below the
+    walk minimum, below a (4/5) restricted subspace or when the walk runs
+    out.  `partial_color` checks sum_i s(i) A_i <= 2I."""
     support = np.flatnonzero(s)
     m_r = len(support)
     if m_r < WALK_MIN:
-        return f"support {m_r} below walk minimum {WALK_MIN}"
+        raise SubspaceExhausted(f"support {m_r} below walk minimum {WALK_MIN}")
     scaled_rows = (h.complement_rows * s[None, :])[:, support]
     h_sub = linalg.nullspace(scaled_rows)
     if h_sub.dim < 0.8 * m_r - 1e-9:
-        return f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}"
+        raise SubspaceExhausted(
+            f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}")
     wlog = WalkLog()
     x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, _WALK, wlog)
     s_new = halve_support(s, support, x_sub)
@@ -123,19 +126,20 @@ def halve(s, threshold, round_fn, error):
     """The halving driver of every pipeline: rounds until at most threshold
     entries of s are nonzero.
 
-    round_fn(s) returns (s_new, walk iterations), or a stop reason (a str)
-    that ends the loop when the round cannot start.  A round that leaves a
-    negative entry, or zeroes fewer than ceil(m_r / 8) of its m_r support
-    entries, raises WalksparseError.  Each completed round appends a
-    `Round` whose error is error(s_new).
+    round_fn(s) returns (s_new, walk iterations) or raises SubspaceExhausted,
+    the one stop signal: halve returns the last completed weights, its
+    message the stop reason.  A round that leaves a negative entry, or
+    zeroes fewer than ceil(m_r / 8) of its m_r support entries, raises
+    WalksparseError.  Each completed round appends a `Round` whose error
+    is error(s_new).
     Returns (s, rounds, stop_reason), stop_reason None at the threshold.
     """
     rounds = []
     while (m_r := np.count_nonzero(s)) > threshold:
-        out = round_fn(s)
-        if isinstance(out, str):
-            return s, rounds, out
-        s, walk_iterations = out
+        try:
+            s, walk_iterations = round_fn(s)
+        except SubspaceExhausted as exc:
+            return s, rounds, str(exc)
         if np.any(s < 0):
             raise WalksparseError("a round left a negative weight")
         dropped, need = m_r - np.count_nonzero(s), int(np.ceil(m_r / 8.0))

@@ -13,7 +13,7 @@ measures the halving rounds record.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,15 +53,9 @@ class ApproxReport:
         )
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "measured_eps": self.measured_eps,
-            "kernel_ok": self.kernel_ok,
-            "degree_max_dev": self.degree_max_dev,
-            "support_size": self.support_size,
-            "pass": self.passed,
-        }
+        fields = asdict(self)
+        del fields["degree_scale"]
+        return {**fields, "pass": self.passed}
 
 
 def check_matrix_approx(a, a_tilde, e_mat, f_mat, target):
@@ -131,8 +125,6 @@ def check_uc_undirected(g, g_tilde, target):
     approximated in the sense of `check_matrix_approx`, kernels included;
     the report takes the larger error, and both kernel inclusions must hold."""
     _require_comparable(g, g_tilde)
-    if g.directed:
-        raise InvalidInput("unit-circle check expects undirected graphs")
     reps = [_laplacian_approx(g, g_tilde, target, unsigned) for unsigned in (False, True)]
     measured = max(r.measured_eps for r in reps)
     return _graph_report("uc", g, g_tilde, target, measured, all(r.kernel_ok for r in reps))

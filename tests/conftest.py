@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, settings
 
 from walksparse import linalg
+from walksparse.errors import SubspaceExhausted
 from walksparse.graph import Graph
 
 settings.register_profile(
@@ -16,6 +17,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def exhaust_on_call(monkeypatch, module, name, call):
+    """Patch module.name so that its call-th call raises
+    SubspaceExhausted("patched"), as a walk that runs out does; the other
+    calls run it."""
+    calls, original = [], getattr(module, name)
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise SubspaceExhausted("patched")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
 
 
 def complete_graph(n):

@@ -121,7 +121,7 @@ def counting(monkeypatch, module, attr):
 def test_rounds_call_the_patched_names(monkeypatch):
     # bench/spans.py counts sparsify.rounds as partial_color calls and
     # sketches.rounds as _combined_round calls, looked up through these
-    # module globals at call time; a round that returns its stop reason
+    # module globals at call time; a round that raises SubspaceExhausted
     # is one call more than the rounds that ran.  Its family, piece and
     # prepare spans time the other names counted here, which the pipeline
     # drivers must look up at call time too

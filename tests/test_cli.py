@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bridged_cliques, complete_bipartite, complete_graph, dumbbell_graph
+from conftest import (
+    bridged_cliques,
+    complete_bipartite,
+    complete_graph,
+    dumbbell_graph,
+    exhaust_on_call,
+)
 from walksparse import cli, sparsify, verify
 from walksparse.cli import (
     build_parser,
@@ -101,6 +107,19 @@ class TestCommands:
         assert code == (0 if payload["pass"] else 1)
         assert 64 < payload["support_size"] < 120
 
+    def test_walk_that_runs_out_exits_by_its_check(self, tmp_path, monkeypatch):
+        # the second round's walk raises: the run reports the first round
+        # and exits by its check instead of 2
+        exhaust_on_call(monkeypatch, sparsify, "partial_color", 2)
+        path = write_graph(tmp_path, complete_graph(16))
+        rep = tmp_path / "rep.json"
+        code = main(["sparsify", path, "--epsilon", "0.45", "--c-support", "1",
+                     "--check", "--report", str(rep)])
+        payload = json.loads(rep.read_text())
+        assert code == (0 if payload["pass"] else 1)
+        assert payload["stopped_early"] == "patched" and len(payload["rounds"]) == 1
+        assert payload["support_size"] == payload["rounds"][0]["support"]
+
     def test_verify_identical(self, tmp_path):
         path = write_graph(tmp_path, complete_graph(8))
         rep = tmp_path / "rep.json"
@@ -163,6 +182,27 @@ class TestCommands:
         path.write_text("n 3\n")
         assert main(["partial-color", str(path), "--check"]) == 2
         assert "the graph has 0 edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("partial-color", []), ("sparsify", []), ("uc", []), ("sv", []),
+        ("sketch", ["--vectors", "v.txt"]), ("resist", []),
+        ("verify", ["g.txt", "--kind", "resistance"]),
+    ])
+    def test_graph_too_large_for_dense_work_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                     command, flags):
+        # refused before any n x n matrix is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("dense work on a graph above the size bound")
+
+        n = cli.MAX_DENSE_N + 1
+        (tmp_path / "g.txt").write_text(f"n {n}\n0 1\n")
+        monkeypatch.chdir(tmp_path)
+        # decompose runs at any n; it measures its small pieces densely
+        assert main(["decompose", "g.txt", "--report", "d.json"]) == 0
+        for name in ("adjacency", "laplacian", "unsigned_laplacian", "normalized_laplacian"):
+            monkeypatch.setattr(Graph, name, unreachable)
+        assert main([command, "g.txt", *flags]) == 2
+        assert f"n = {n} exceeds {cli.MAX_DENSE_N}" in capsys.readouterr().err
 
     def test_sv_undirected_rejects_phi_target(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_bipartite(4, 4))
@@ -410,7 +450,7 @@ class TestCheckTable:
         assert main(["sketch", path, "--epsilon", "1.5", "--vectors", str(tmp_path / "v.txt"),
                      "--out", str(tmp_path / "o.txt"), "--report", str(report)]) == 0
         fields = json.loads(report.read_text())
-        assert fields["stopped_early"].startswith("walk stopped: update subspace is empty")
+        assert fields["stopped_early"].startswith("update subspace is empty")
         assert len(fields["rounds"]) == 7 and fields["rounds"][-1]["support"] == 19
 
 

@@ -10,7 +10,7 @@ from conftest import complete_bipartite, complete_graph, cycle_graph
 from walksparse import graph as graph_mod
 from walksparse import sketches, sparsify, verify
 from walksparse.cli import load_vectors, main, parse_edge_list
-from walksparse.errors import InvalidInput, ParseError
+from walksparse.errors import InvalidInput, ParseError, SubspaceExhausted
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace
 from walksparse.matrix_walk import FAMILY_NORM_SLACK, DenseBlock, MatrixFamily, Rank1Block
@@ -136,8 +136,8 @@ def test_combined_round_stops_when_the_freeze_sets_leave_too_few_movable_edges()
     kvecs = np.random.default_rng(0).normal(size=(8, 8))
     zbar = sketches.shift_center(kvecs, g)
     zbar_d = (zbar**2) @ g.weighted_degrees()
-    out = sketches._combined_round(g, None, kvecs, zbar, zbar_d, np.full(g.m, 20.0), 8)
-    assert out == "walk stopped: freeze sets leave too few movable edges"
+    with pytest.raises(SubspaceExhausted, match="^freeze sets leave too few movable edges$"):
+        sketches._combined_round(g, None, kvecs, zbar, zbar_d, np.full(g.m, 20.0), 8)
 
 
 def test_combined_round_checks_its_half_family_with_the_one_slack():
@@ -191,14 +191,26 @@ def test_family_norm_is_checked_with_one_slack(walk):
         walk(family(1.0 + 2 * FAMILY_NORM_SLACK))
 
 
+DIRECTED_TRIANGLE = Graph(3, ((0, 1), (1, 2), (2, 0)), directed=True)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
         (lambda: verify.check_uc_undirected(*[Graph(3, ((0, 1), (1, 2)), directed=True)] * 2,
                                             0.5), "expects undirected graphs"),
+        # what `walksparse partial-color` runs first
+        (lambda: partial_color(sparsify.spectral_family(DIRECTED_TRIANGLE),
+                               sparsify.degree_subspace(DIRECTED_TRIANGLE)),
+         "expects undirected graphs"),
+        (lambda: verify.check_spectral(DIRECTED_TRIANGLE, DIRECTED_TRIANGLE, 0.5),
+         "expects undirected graphs"),
+        (lambda: verify.check_resistance(DIRECTED_TRIANGLE, DIRECTED_TRIANGLE, 0.5),
+         "expects undirected graphs"),
         (lambda: verify.brute_force_min_discrepancy([]), "empty family"),
     ],
-    ids=["uc-directed", "brute-force-empty"],
+    ids=["uc-directed", "partial-color-directed", "spectral-directed", "resistance-directed",
+         "brute-force-empty"],
 )
 def test_verify_errors(call, message):
     with pytest.raises(InvalidInput, match=message):

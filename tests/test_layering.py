@@ -1,6 +1,6 @@
 """Module layering: the construction modules and the certifier never
-import each other, no module keeps an import it does not read, and no CLI
-command loads scipy.
+import each other, no module keeps an import it does not read, no CLI
+command loads scipy, and only `sparsify.halve` catches SubspaceExhausted.
 
 `verify` certifies outputs, so neither the walks nor the pipelines built on
 them may reach it, directly or through another walksparse module.  The
@@ -106,6 +106,52 @@ def test_unused_import_found():
     assert unused_imports(source) == []
     assert unused_imports(source.replace("# noqa", "#")) == ["default_lambda0"]
     assert unused_imports("import os.path\nos.sep\n") == []
+
+
+def handlers_of(exc_name, source):
+    """Names of the functions (None at module level) whose own `except`
+    clauses name exc_name, one entry per clause."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                getattr(n, "id", getattr(n, "attr", None)) == exc_name
+                for n in ast.walk(child.type)
+            ):
+                found.append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_handler_turns_an_exhausted_round_into_the_stop():
+    # rounds raise SubspaceExhausted and `halve` alone catches it
+    found = [
+        (path.stem, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in handlers_of("SubspaceExhausted", path.read_text())
+    ]
+    assert found == [("sparsify", "halve")]
+
+
+def test_handler_search_finds_nested_and_tuple_clauses():
+    # the check itself: a clause inside a nested function counts for that
+    # function, and a tuple or dotted name counts as naming the exception
+    source = (
+        "def outer():\n"
+        "    def inner():\n"
+        "        try: pass\n"
+        "        except (ValueError, errors.SubspaceExhausted): pass\n"
+        "    try: pass\n"
+        "    except SubspaceExhausted as exc: pass\n"
+        "    except Exception: pass\n"
+    )
+    assert handlers_of("SubspaceExhausted", source) == ["inner", "outer"]
 
 
 NO_SCIPY_RUN = """

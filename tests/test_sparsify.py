@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     bridged_cliques,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    exhaust_on_call,
     in_subspace,
     random_connected_graph,
     star_graph,
@@ -19,7 +22,7 @@ from conftest import (
 )
 from walksparse import graph as graph_mod
 from walksparse import linalg, sketches, sparsify as sparsify_mod, verify
-from walksparse.errors import InvalidInput, WalksparseError
+from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
 from walksparse.matrix_walk import FAMILY_NORM_SLACK, MatrixFamily
@@ -439,6 +442,36 @@ class TestHalvingStops:
         assert [r.support for r in rounds] == [39]
         assert np.count_nonzero(s) == 39
         assert stopped == "support 39 below walk minimum 40"
+
+    def test_walk_that_runs_out_keeps_the_completed_rounds(self, monkeypatch):
+        # K_16 at eps 0.45, c_support 1 needs a second round; its walk
+        # raises, so the pipeline returns the first round's weights
+        exhaust_on_call(monkeypatch, sparsify_mod, "partial_color", 2)
+        res = spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)
+        assert res.rounds == 1 and res.stopped_early == "patched"
+        assert res.graph.m == res.diagnostics[0].support
+
+    @given(m=st.integers(8, 64), k=st.integers(0, 3))
+    def test_a_raising_round_returns_the_last_completed_one(self, m, k):
+        # each round zeroes the first half of the support and doubles the
+        # rest; round k + 1 raises, before the threshold 0 is reached
+        after = [np.ones(m)]
+
+        def round_fn(s):
+            if len(after) == k + 1:
+                raise SubspaceExhausted(f"round {k + 1} cannot run")
+            support = np.flatnonzero(s)
+            s_new = 2.0 * s
+            s_new[support[: (len(support) + 1) // 2]] = 0.0
+            after.append(s_new)
+            return s_new, len(after) - 1
+
+        s, rounds, stopped = halve(np.ones(m), 0, round_fn, np.sum)
+        assert stopped == f"round {k + 1} cannot run"
+        assert np.array_equal(s, after[k]) and len(rounds) == k
+        assert [r.support for r in rounds] == [np.count_nonzero(a) for a in after[1:]]
+        assert [r.error for r in rounds] == [np.sum(a) for a in after[1:]]
+        assert [r.walk_iterations for r in rounds] == list(range(1, k + 1))
 
     def test_negative_weight_raises(self):
         # the round drops three of four entries but leaves -0.5 on the last
