@@ -23,8 +23,8 @@ import time
 import numpy as np
 
 from walksparse import linalg
-from walksparse.matrix_walk import MatrixFamily, WalkLog, WalkOptions, partial_color
-from walksparse.vector_walk import discrepancy_ratios, vector_partial_color
+from walksparse.matrix_walk import MatrixFamily, WalkLog, WalkOptions, discrepancy_ratios
+from walksparse.matrix_walk import partial_color, vector_partial_color
 
 
 def projection_vectors(n, m, seed):

@@ -11,6 +11,7 @@ from .errors import (
 from .graph import Graph, bipartite_lift, expander_decompose, sv_error_matrices
 from .linalg import Subspace, nullspace
 from .matrix_walk import DoubledFamily, MatrixFamily, WalkLog, WalkOptions, partial_color
+from .matrix_walk import vector_partial_color
 from .sketches import resistance_sparsify, sketch, sketch_expander
 from .sparsify import (
     PipelineResult,
@@ -20,7 +21,6 @@ from .sparsify import (
     sv_sparsify_expander,
     uc_sparsify,
 )
-from .vector_walk import vector_partial_color
 from .verify import (
     ApproxReport,
     brute_force_min_discrepancy,

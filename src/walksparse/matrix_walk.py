@@ -1,10 +1,21 @@
-"""Deterministic discrepancy walk for matrix partial coloring.
+"""Deterministic discrepancy walk for matrix and vector partial coloring.
 
 Given symmetric matrices A_1..A_m with sum_i |A_i| <= I and a constraint
 subspace H of dimension >= (4/5) m, `partial_color` returns x in [-1,1]^m
 with at least m/4 coordinates at +-1, x in H, and
 
     || sum_i x(i) A_i ||_op <= 16 sqrt(2 n / m).
+
+Given constraint vectors a_1..a_k in R^m (k >= m), `vector_partial_color`
+returns such an x with
+
+    |<a_i, x>| <= C_disc * ||a_i||_2 * max(1, sqrt(log(k/m)))  for all i,
+
+with C_disc calibrated once against a Gaussian oracle family (the tests use
+12), by tracking the exponential potential sum_i exp(lambda0 <a_i/||a_i||, x>
+- lambda0^2).  `prepare_constraints` decides which rows are zero, relative to
+their scale.  Both run one walk loop, `_walk_loop`, with one side per kind of
+constraint (`_MatrixSide`, `_VectorSide`); the resistance rounds give it both.
 
 The operator norm is tracked through the block doubling diag(A_i, -A_i),
 whose top eigenvalue equals the norm of the original aggregate; the walk
@@ -259,14 +270,15 @@ class DoubledFamily:
 
 @dataclass
 class WalkOptions:
-    """Walk switches; eta = sqrt(m)/4 and the step cap 1/(2 eta) are fixed.
+    """Walk switches; eta = sqrt(m)/4 is fixed.
 
-    With adaptive_steps the cap is raised to 1/(2 eta ||M^{1/2} A(y)||_op),
-    which preserves the admissibility condition exactly while letting the
-    walk reach the box boundary in far fewer iterations.
+    With adaptive_steps, the default and the step of every pipeline, the cap
+    is 1/(2 eta ||M^{1/2} A(y)||_op), which preserves the admissibility
+    condition exactly while letting the walk reach the box boundary in far
+    fewer iterations; adaptive_steps=False takes the fixed cap 1/(2 eta).
     """
 
-    adaptive_steps: bool = False
+    adaptive_steps: bool = True
 
 
 @dataclass
@@ -574,6 +586,25 @@ class _MatrixSide:
         log.phi.append(self.potential())
 
 
+def prepare_constraints(vectors, scale=None):
+    """(unit rows, row norms, kept mask) of the rows of vectors (1-D: one row).
+
+    The one zero-row rule: a row is dropped when its norm is at most
+    _ROW_DROP_TOL times its scale (a number or one per row; default the
+    largest row norm).  The unit rows are one new C-ordered array.
+    """
+    a = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("constraint vectors have non-finite entries")
+    norms = np.linalg.norm(a, axis=1)
+    if scale is None:
+        scale = np.max(norms, initial=0.0)
+    kept = norms > _ROW_DROP_TOL * scale
+    unit = a[kept]
+    unit /= norms[kept, None]
+    return unit, norms, kept
+
+
 class _VectorSide:
     """Multiplicative-weights constraints: the potential gradient and the
     budget(m_t) heaviest rows, plus the weighted Gram matrix
@@ -586,15 +617,12 @@ class _VectorSide:
     step cap is the largest such delta up to the step limit.  No step short
     of the boundary is below base_cap = 1/(2 lambda0), from which the walk
     counts its iteration budget.  Without rows (k = 0) it adds no constraint
-    row, G = 0, and its step cap is unbounded.
-
-    unit_rows must be C-ordered: the BLAS products over them take their
-    rounding from that layout, so it fixes the walk's path and with it every
-    sketch and resist output (`prepare_constraints` returns such rows).
+    row, G = 0, and its step cap is unbounded.  The rows are held C-ordered,
+    so the walk's path does not depend on the layout they come in.
     """
 
     def __init__(self, unit_rows, budget):
-        self.ahat = np.asarray(unit_rows, dtype=float)
+        self.ahat = np.ascontiguousarray(unit_rows, dtype=float)
         self.lambda0 = default_lambda0(*self.ahat.shape)
         self.base_cap = 1.0 / (2.0 * self.lambda0)
         self.budget = budget
@@ -805,6 +833,7 @@ def partial_color(family, h=None, options=None, log=None):
 
     family: MatrixFamily or list of symmetric n x n matrices, sum |A_i| <= I.
     h: constraint Subspace of dimension >= (4/5) m (default: full space).
+    options: WalkOptions (default: the adaptive step every pipeline takes).
     Returns x in [-1,1]^m with >= m/4 frozen coordinates, x in H, and
     ||sum x(i) A_i||_op <= 16 sqrt(2 n / m).
     """
@@ -824,3 +853,35 @@ def partial_color(family, h=None, options=None, log=None):
 
     side = _MatrixSide(family, keep_count=lambda mt: int(np.floor(mt / 3.0)))
     return _walk_loop(m, [side], h.complement_rows, options.adaptive_steps, log)
+
+
+def vector_partial_color(vectors, extra=None, log=None):
+    """Partial coloring with small discrepancy against all constraint vectors.
+
+    vectors: (k, m) array of constraint vectors (zero rows, relative to the
+    largest, are dropped), k >= m.  extra: optional Subspace the coloring must lie in.
+
+    lambda0 is max(1, sqrt(log(k/m))).  Each step is the largest up to the
+    box boundary whose exact potential increase
+    sum_i w_i (e^{t_i} - 1 - t_i), t_i = lambda0 delta <a_i_hat, y>, meets its
+    bound lambda0^2 delta^2 W tr G/(cut + 1) ||y||^2 (the walk's vector side).
+    """
+    unit, norms, _ = prepare_constraints(vectors)
+    m = unit.shape[1] if extra is None else extra.ambient_dim
+    if len(norms) < m:
+        raise InvalidInput(f"need at least m={m} constraint vectors, got {len(norms)}")
+    if len(norms) and unit.shape[1] != m:
+        raise InvalidInput("constraint vector length mismatch")
+    # the heaviest tenth of the constraints are cut from the update subspace,
+    # and y^T G y is held to tr G / (cut + 1) with cut a tenth of m_t
+    tenth = lambda mt: int(np.ceil(0.1 * mt))
+    side = _VectorSide(unit, budget=tenth)
+    extra_rows = extra.complement_rows if extra is not None else np.zeros((0, m))
+    return _walk_loop(m, [side], extra_rows, True, log)
+
+
+def discrepancy_ratios(vectors, x):
+    """|<a_i, x>| / ||a_i|| for each constraint vector that
+    `vector_partial_color` keeps (the nonzero rows)."""
+    unit, _, _ = prepare_constraints(vectors)
+    return np.abs(unit @ x)

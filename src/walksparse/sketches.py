@@ -28,10 +28,9 @@ from . import graph as graph_mod
 from . import linalg, sparsify
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
 from .matrix_walk import WalkLog, _MatrixSide, _VectorSide, _walk_loop
-from .matrix_walk import check_family_norm, default_lambda0
+from .matrix_walk import check_family_norm, default_lambda0, prepare_constraints
 from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_rows, halve
 from .sparsify import halve_support
-from .vector_walk import prepare_constraints
 
 NORM_CHAIN_CONST = 100.0
 IDENTITY_RTOL = 1e-8

@@ -24,12 +24,9 @@ import numpy as np
 from . import graph as graph_mod
 from . import linalg
 from .errors import InvalidInput, SubspaceExhausted, WalksparseError
-from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, WalkOptions, check_family_norm
+from .matrix_walk import MatrixFamily, Rank1Block, WalkLog, check_family_norm
 from .matrix_walk import partial_color
 
-
-# the halving rounds take the largest admissible walk steps
-_WALK = WalkOptions(adaptive_steps=True)
 # default support constant c of the stopping threshold c * n / eps^2
 C_SUPPORT = 1024.0
 # a matrix round's smallest support.  On a degree subspace the (4/5) rule stops
@@ -103,7 +100,7 @@ def _matrix_round(family, h, s):
         raise SubspaceExhausted(
             f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}")
     wlog = WalkLog()
-    x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, _WALK, wlog)
+    x_sub = partial_color(family.scaled(0.5 * s).restricted(support), h_sub, log=wlog)
     s_new = halve_support(s, support, x_sub)
     diff = s_new - 1.0
     resid = float(np.linalg.norm(h.complement_rows @ diff))

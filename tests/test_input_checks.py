@@ -14,7 +14,7 @@ from walksparse.errors import InvalidInput, ParseError, SubspaceExhausted
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace
 from walksparse.matrix_walk import FAMILY_NORM_SLACK, DenseBlock, MatrixFamily, Rank1Block
-from walksparse.matrix_walk import partial_color
+from walksparse.matrix_walk import partial_color, vector_partial_color
 
 
 @pytest.mark.parametrize(
@@ -97,9 +97,12 @@ def two_blocks():
          "coefficient length"),
         (lambda: partial_color(MatrixFamily.from_rank_one(np.eye(5) / 2), Subspace.full(6)),
          "ambient dimension"),
+        (lambda: vector_partial_color(np.ones((6, 5)), Subspace.full(6)),
+         "^constraint vector length mismatch$"),
     ],
     ids=["rank1-shape", "rank1-weights", "rank1-finite", "rank1-negative", "dense-shape",
-         "dense-finite", "family-empty", "family-sizes", "scaled-length", "walk-subspace"],
+         "dense-finite", "family-empty", "family-sizes", "scaled-length", "walk-subspace",
+         "vector-walk-subspace"],
 )
 def test_matrix_walk_errors(call, message):
     with pytest.raises(InvalidInput, match=message):

@@ -48,7 +48,7 @@ def reachable(module):
     return seen
 
 
-CONSTRUCTION = ["sparsify", "sketches", "matrix_walk", "vector_walk"]
+CONSTRUCTION = ["sparsify", "sketches", "matrix_walk"]
 
 
 @pytest.mark.parametrize("module", CONSTRUCTION)

@@ -24,6 +24,7 @@ from walksparse.matrix_walk import (
     _walk_loop,
     partial_color,
     quad_matrix,
+    vector_partial_color,
 )
 
 
@@ -370,7 +371,8 @@ class TestDirectionInOldSubspace:
 
 
 class TestWalkInvariantChecks:
-    """The walk raises when the chosen direction breaks a constraint."""
+    """The walk raises when the chosen direction breaks a constraint, or
+    when no direction or step lets it finish."""
 
     def test_quadratic_slack(self):
         m = 40
@@ -414,6 +416,29 @@ class TestWalkInvariantChecks:
         monkeypatch.setattr(linalg, "fix_signs", lambda v: np.array(v, dtype=float) + 1e-6)
         with pytest.raises(WalksparseError, match="constraint residual"):
             partial_color(fam, h)
+
+    @pytest.mark.parametrize("cap,message", [
+        (1e-9, "walk did not converge within 456 iterations"),
+        (0.0, "no admissible step length"),
+    ], ids=["tiny-steps", "no-step"])
+    def test_step_caps_that_stall_the_walk(self, cap, message, monkeypatch):
+        # m = 40 allows ceil(m / (1/(2 eta))^2) + m + 16 = 456 iterations
+        fam = MatrixFamily.from_rank_one(projection_vectors(8, 40, seed=23))
+        step_cap = _MatrixSide.step_cap
+        monkeypatch.setattr(_MatrixSide, "step_cap",
+                            lambda self, y, limit=np.inf: min(step_cap(self, y, limit), cap))
+        with pytest.raises(SubspaceExhausted, match=f"^{message}$"):
+            partial_color(fam, options=WalkOptions(adaptive_steps=True))
+
+    def test_no_direction_meets_the_bound(self, monkeypatch):
+        # a negative bound: no Ritz value on null(R) certifies it
+        fam = MatrixFamily.from_rank_one(projection_vectors(8, 40, seed=23))
+        combined = matrix_walk._combined_form
+        monkeypatch.setattr(matrix_walk, "_combined_form",
+                            lambda sides: (combined(sides)[0], -1.0))
+        with pytest.raises(SubspaceExhausted, match=r"min of y\^T Q y over null\(R\) is .* > "
+                                                    r"bound -1\.000000e\+00 at m_t=40$"):
+            partial_color(fam)
 
     def test_two_matrix_sides_each_certificate_holds(self):
         # Q = N_1 + (b_1 / b_2) N_2: one Ritz bound meets both sides' bounds,
@@ -502,6 +527,18 @@ class TestPartialColor:
         assert fam.aggregate_norm(x) <= 16.0 * np.sqrt(2.0 * n / m)
         assert max(log.step_norm) <= 0.5 + 1e-9
         assert all(b >= a - 1e-12 for a, b in zip(log.norm_sq, log.norm_sq[1:]))
+
+    def test_default_step_is_the_adaptive_one(self):
+        # the step every pipeline takes: 17 iterations on K_12 with its degree
+        # subspace, where the fixed cap 1/(2 eta) takes 446
+        g = complete_graph(12)
+        fam, h = sparsify.spectral_family(g), sparsify.degree_subspace(g)
+        logs = {name: WalkLog() for name in ("default", "adaptive", "fixed")}
+        x = partial_color(fam, h, log=logs["default"])
+        adaptive = partial_color(fam, h, WalkOptions(adaptive_steps=True), logs["adaptive"])
+        partial_color(fam, h, WalkOptions(adaptive_steps=False), logs["fixed"])
+        assert x.tobytes() == adaptive.tobytes()
+        assert [log.iterations for log in logs.values()] == [17, 17, 446]
 
     def test_deterministic(self):
         fam = MatrixFamily.from_rank_one(projection_vectors(4, 40, seed=31))
@@ -774,7 +811,7 @@ class TestAdmissibilityCheck:
         monkeypatch.setattr(_MatrixSide, "product_norm",
                             lambda self, y, step_limit=np.inf: 200.0 * bound(self, y, step_limit))
         with pytest.raises(StepTooLarge, match="inadmissible step"):
-            partial_color(fam)
+            partial_color(fam, options=WalkOptions(adaptive_steps=False))
         log = WalkLog()
         x = partial_color(fam, options=WalkOptions(adaptive_steps=True), log=log)
         assert np.count_nonzero(np.abs(x) == 1.0) >= fam.m / 4
@@ -784,8 +821,6 @@ class TestAdmissibilityCheck:
     def test_side_without_rows_logs_zero(self):
         # all-zero constraint rows are dropped: cap unbounded, increase and
         # bound 0
-        from walksparse.vector_walk import vector_partial_color
-
         log = WalkLog()
         x = vector_partial_color(np.zeros((25, 20)), log=log)
         assert np.count_nonzero(np.abs(x) == 1.0) >= 5

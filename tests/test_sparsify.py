@@ -473,6 +473,20 @@ class TestHalvingStops:
         assert [r.error for r in rounds] == [np.sum(a) for a in after[1:]]
         assert [r.walk_iterations for r in rounds] == list(range(1, k + 1))
 
+    def test_round_that_leaves_the_subspace_raises(self, monkeypatch):
+        # one coordinate that the walk left free is set to -1: its edge is
+        # dropped, and the degree rows no longer hold
+        walk = sparsify_mod.partial_color
+
+        def off_subspace(*args, **kwargs):
+            x = walk(*args, **kwargs)
+            x[np.flatnonzero(np.abs(x) < 1.0)[0]] = -1.0
+            return x
+
+        monkeypatch.setattr(sparsify_mod, "partial_color", off_subspace)
+        with pytest.raises(WalksparseError, match="reweighting left the constraint subspace"):
+            spectral_sparsify(complete_graph(16), 0.45, c_support=1.0)
+
     def test_negative_weight_raises(self):
         # the round drops three of four entries but leaves -0.5 on the last
         with pytest.raises(WalksparseError, match="negative weight"):

@@ -13,8 +13,6 @@ from walksparse.matrix_walk import (
     _start_vector,
     _VectorSide,
     default_lambda0,
-)
-from walksparse.vector_walk import (
     discrepancy_ratios,
     prepare_constraints,
     vector_partial_color,
@@ -80,6 +78,16 @@ class TestState:
             assert unit.tobytes() == expect.tobytes()
             assert np.array_equal(kept, keep) and got_norms.tobytes() == norms.tobytes()
         assert np.array_equal(a, before)
+
+    def test_walk_does_not_depend_on_the_row_layout(self):
+        # the BLAS products over the rows round by their layout, so the side
+        # holds one layout whatever its caller passes
+        unit, _, _ = prepare_constraints(np.random.default_rng(0).normal(size=(240, 60)))
+        walks = [
+            matrix_walk._walk_loop(60, [tenth_side(rows)], np.zeros((0, 60)), True, None)
+            for rows in (unit, np.asfortranarray(unit))
+        ]
+        assert walks[0].tobytes() == walks[1].tobytes()
 
 
 class TestSubspace:
