@@ -11,9 +11,11 @@ jobs are the benchmark's (`bench/workloads.make_jobs`, every workload, seeds
 1 to 3) and a fixed set of seeded extra jobs for what the benchmark does not
 run: `uc`, `sv` on undirected and directed input, `partial-color`,
 `sparsify`, `sketch`, `resist` and `decompose` (whose piece files are hashed
-too).  The output maps each job to its exit code and the sha256 of each file
-it wrote.  With --against, the jobs whose entry differs from BASE.json's are
-listed, and the exit code is 1 if there are any.
+too), and `sketch` and `resist` on three cliques in a path, which the
+expander decomposition splits.  The output maps each job to its exit code
+and the sha256 of each file it wrote.  With --against, the jobs whose entry
+differs from BASE.json's are listed, and the exit code is 1 if there are
+any.
 
 To compare with another revision, export it (`git archive REV | tar -x -C
 DIR`), copy this script into DIR/scripts and run it there with --out, then
@@ -36,7 +38,10 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+from walksparse.cli import load_graph  # noqa: E402
 from walksparse.cli import main as cli_main  # noqa: E402
+from walksparse.linalg import one_blas_thread  # noqa: E402
+from walksparse.sketches import resistance_pairs  # noqa: E402
 from workloads import (  # noqa: E402
     WORKLOADS,
     complete_edges,
@@ -56,6 +61,18 @@ def _complete(n):
 def _bipartite(a, less_matching):
     """K_{a,a} on sides 0..a-1 and a..2a-1, less the matching i -- a+i if asked."""
     return [(i, a + j, 1.0) for i in range(a) for j in range(a) if not (less_matching and i == j)]
+
+
+def _cliques_in_a_path(count, side, links, rng):
+    """count copies of K_side in a path, each neighbouring pair joined by
+    `links` distinct random edges."""
+    edges = [(b * side + i, b * side + j, 1.0) for b in range(count) for i, j, _ in _complete(side)]
+    for b in range(count - 1):
+        pairs = set()
+        while len(pairs) < links:
+            pairs.add((b * side + int(rng.integers(side)), (b + 1) * side + int(rng.integers(side))))
+        edges += [(u, v, 1.0) for u, v in sorted(pairs)]
+    return edges
 
 
 def _write(path, text):
@@ -85,6 +102,14 @@ def extra_jobs(directory):
                             for r in unit_vectors(40, 14, rng)))
     dumbbell = graph("dumbbell", 16, _complete(8) + [(i + 8, j + 8, 1.0) for i, j, _ in
                                                      _complete(8)] + [(7, 8, 1.0)])
+    # split-prone: at --phi-target 0.1 the expander decomposition cuts it
+    # into pieces, on which many resistance rows are constant
+    cliques = graph("cliques3x14", 42, _cliques_in_a_path(3, 14, 4, rng))
+    cliques_pairs = os.path.join(directory, "cliques3x14.pairs.txt")
+    with one_blas_thread():
+        pairs = resistance_pairs(load_graph(cliques))
+    _write(cliques_pairs, "".join(" ".join(repr(float(x)) for x in r) + "\n" for r in pairs))
+    split = ["--epsilon", "0.25", "--phi-target", "0.1"]
     spectral = ["--epsilon", "0.45", "--c-support", "1"]
     # a uc family has 2n rows, so half the support constant halves as far
     uc = ["--epsilon", "0.45", "--c-support", "0.5"]
@@ -102,6 +127,8 @@ def extra_jobs(directory):
         ("sketch-k14", ["sketch", k14, "--vectors", vectors, "--epsilon", "0.25"]),
         ("resist-k14", ["resist", k14, "--epsilon", "0.25", "--c-resist", "1"]),
         ("decompose-dumbbell", ["decompose", dumbbell, "--phi-target", "0.1"]),
+        ("sketch-cliques3x14", ["sketch", cliques, "--vectors", cliques_pairs, *split]),
+        ("resist-cliques3x14", ["resist", cliques, *split, "--c-resist", "1"]),
     ]
 
 

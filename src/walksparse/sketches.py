@@ -9,9 +9,13 @@ a degree-preserving update x as a plain vector-discrepancy constraint
 where zbar is z recentered so its degree-weighted mean vanishes, freezes
 the high-weight edges and the edges at low support-degree vertices (the
 freeze sets keep ||a_z|| <= 100 (n/m) zbar^T D zbar), and runs the
-multiplicative-weights walk on the remaining coordinates.  Zero rows a_z
-and the certificates are judged relative to each row's zbar^T D zbar, so a
-sketch does not change with the scale of the vectors.
+multiplicative-weights walk on the remaining coordinates, one walk per
+edge chunk of about 4n support edges (one walk below 8n).  The identity
+is linear in x, so the chunks' colorings add up to one round, whose
+measured error certifies it.  Zero rows a_z and the certificates are
+judged relative to each row's zbar^T D zbar, so a sketch does not change
+with the scale of the vectors; a z constant on a piece up to rounding
+gets zbar = 0 there.
 
 The effective-resistance sparsifier runs the same loop with the constraint
 set {L^+ b_ij} while simultaneously steering the matrix-discrepancy side of
@@ -33,7 +37,19 @@ from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_row
 from .sparsify import halve_support
 
 NORM_CHAIN_CONST = 100.0
+# support edges per non-isolated vertex in a walk chunk of `_combined_round`:
+# a walk costs about k m_t^3, and a round of m_r >= 2 CHUNK_PER_VERTEX n edges
+# walks two or more chunks.  At 4 the bench's K_24 `sketch` jobs (seeds 4-6,
+# 1 BLAS thread, 2-vCPU x86_64) take 6.8 s, not 10.4 s whole, at worst error
+# 0.255, not 0.336; 3 takes 5.1 s but raises `resist` K_22's error
+# 0.094 -> 0.116, near the bench's 25% bound, where 4 reads 0.105
+CHUNK_PER_VERTEX = 4
 IDENTITY_RTOL = 1e-8
+# zbar^T D zbar <= CONSTANT_RTOL z^T D z marks a row z constant on a piece:
+# recentring cancels it to rounding error, about machine eps^2 (at most
+# 4e-26 on the resistance rows of three K_14 in a path cut into pieces,
+# against 9e-5 or more on the rows that vary on their piece)
+CONSTANT_RTOL = 1e-20
 
 
 def shift_center(z, g):
@@ -202,14 +218,23 @@ def resistance_pairs(g):
 def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     """One halving round of the walk on a piece; returns (s_new, walk
     iterations).  Raises SubspaceExhausted when the freeze sets leave too
-    few movable edges or the walk runs out.
+    few movable edges or a walk runs out.
 
-    The vector side steers the recentered constraints a_z.  Given the
-    piece's spectral family {A_e}, the matrix side also steers
-    {(1/2) s(e) A_e} over the support, as a `sparsify` round does, with
-    keep = 5/6 of m_t, and the vector side's heavy rows and Gram cut shrink
-    from 1/10 to 1/6 budgets, so the feasible set keeps positive dimension
-    alongside the degree and freeze rows.
+    The support is walked in c = max(1, m_r // (CHUNK_PER_VERTEX n_eff))
+    chunks, round-robin on the support index, one walk each: a walk costs
+    about k m_t^3, so c chunks take about 1/c^2 of a whole walk's time.  Each
+    chunk's walk keeps its own degrees, stays in the box and freezes a
+    quarter of its coordinates, so the chunks' x together are one valid
+    round; the worst-case discrepancy bound is sqrt(c) weaker (Cauchy-Schwarz
+    over the chunks), and the measured `Round.error` certifies the round.
+    The vector side steers the recentered constraints a_z on the chunk's
+    columns.  Given the piece's spectral family {A_e}, the matrix side also
+    steers {(1/2) s(e) A_e} over the chunk, as a `sparsify` round does,
+    scaled to norm 1 when the round has more than one chunk, with keep = 5/6
+    of m_t, and the vector side's heavy rows and Gram cut shrink from 1/10
+    to 1/6 budgets, so the feasible set keeps positive dimension alongside
+    the degree and freeze rows.  The rewrite, norm-chain and degree checks
+    run on the whole round.
     """
     support = np.flatnonzero(s)
     m_r = len(support)
@@ -217,41 +242,58 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     if len(es) < int(np.ceil(m_r / 4.0)):
         raise SubspaceExhausted("freeze sets leave too few movable edges")
     movable = np.isin(support, es)
-    # at most two k x m_r arrays live at once: a_z, unit rows, active columns;
-    # a row a_z is zero at ||a_z|| <= _ROW_DROP_TOL zbar^T D zbar
-    a_rows = _constraint_matrix(zbar, piece, s, support, movable)
-    unit, norms, kept = prepare_constraints(a_rows, zbar_d)
-    del a_rows
-    _check_norm_chain(norms, zbar_d, n_eff, m_r)
-    # the walk takes orthonormal static rows
-    extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, support, movable))
-
     cut = 0.1 if family is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
-    sides = [_VectorSide(unit, budget)]
-    if family is not None:
-        half = family.scaled(0.5 * s).restricted(support)
-        check_family_norm(half)
-        keep = lambda mt: mt - int(np.floor(cut * mt))
-        sides.insert(0, _MatrixSide(half, keep_count=keep))
-    wlog = WalkLog()
-    x_sub = _walk_loop(m_r, sides, extra_rows, True, wlog)
-    unit_x = unit @ x_sub
-    del sides, unit
-    # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
-    a_x = np.zeros(len(norms))
-    a_x[kept] = norms[kept] * unit_x
+    keep = lambda mt: mt - int(np.floor(cut * mt))
+    count = max(1, m_r // (CHUNK_PER_VERTEX * n_eff))
+    chunks = [np.arange(i, m_r, count) for i in range(count)]
+    x_sub = np.zeros(m_r)
+    # <a_z, x> and ||a_z||^2 summed over the chunks
+    a_x = np.zeros(len(zbar))
+    norms_sq = np.zeros(len(zbar))
+    iterations = 0
+    for chunk in chunks:
+        edges, chunk_movable = support[chunk], movable[chunk]
+        # at most two k x |chunk| arrays live at once: a_z, unit rows, active
+        # columns; a row a_z is zero at ||a_z|| <= _ROW_DROP_TOL zbar^T D zbar
+        a_rows = _constraint_matrix(zbar, piece, s, edges, chunk_movable)
+        unit, norms, kept = prepare_constraints(a_rows, zbar_d)
+        del a_rows
+        sides = [_VectorSide(unit, budget)]
+        if family is not None:
+            chunk_family = family.scaled(0.5 * s).restricted(edges)
+            if count > 1:
+                # the walk sees the chunk's family at norm 1
+                norm = chunk_family.abs_aggregate_norm()
+                chunk_family = chunk_family.scaled(np.full(len(chunk), 1.0 / norm))
+            check_family_norm(chunk_family)
+            sides.insert(0, _MatrixSide(chunk_family, keep_count=keep))
+        # the walk takes orthonormal static rows
+        extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, edges, chunk_movable))
+        wlog = WalkLog()
+        x_chunk = _walk_loop(len(chunk), sides, extra_rows, True, wlog)
+        iterations += wlog.iterations
+        x_sub[chunk] = x_chunk
+        # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
+        a_x[kept] += norms[kept] * (unit @ x_chunk)
+        norms_sq += norms**2
+        del sides, unit
+    _check_norm_chain(np.sqrt(norms_sq), zbar_d, n_eff, m_r)
     _check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d)
     s_new = halve_support(s, support, x_sub)
     _check_degrees_preserved(piece, s_new)
-    return s_new, wlog.iterations
+    return s_new, iterations
 
 
 def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
     """`halve` with `_combined_round` and error(s) on one piece with n_eff
     non-isolated vertices until its support is at most threshold."""
+    d = piece.weighted_degrees()
     zbar = shift_center(kvecs, piece)
-    zbar_d = (zbar**2) @ piece.weighted_degrees()
+    # a row whose recentred mass is at most CONSTANT_RTOL of its own is
+    # constant on the piece, and its zbar is cancellation noise: zeroed
+    zbar[(zbar**2) @ d <= CONSTANT_RTOL * ((kvecs**2) @ d)] = 0.0
+    zbar_d = (zbar**2) @ d
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
     round_fn = lambda s: _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff)
     s, rounds, stopped = halve(np.ones(piece.m), threshold, round_fn, error)

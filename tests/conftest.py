@@ -68,6 +68,20 @@ def bridged_cliques(side, weight):
     return Graph(2 * side, k + shifted + ((0, side, weight),))
 
 
+def cliques_in_a_path(count=3, side=14, links=4, seed=0):
+    """count copies of K_side in a path, each neighbouring pair joined by
+    `links` distinct seeded random edges (three K_14: n 42, m 281)."""
+    rng = np.random.default_rng(seed)
+    edges = [(b * side + u, b * side + v, w)
+             for b in range(count) for u, v, w in complete_graph(side).edges]
+    for b in range(count - 1):
+        pairs = set()
+        while len(pairs) < links:
+            pairs.add((b * side + int(rng.integers(side)), (b + 1) * side + int(rng.integers(side))))
+        edges += [(u, v, 1.0) for u, v in sorted(pairs)]
+    return Graph(count * side, tuple(edges))
+
+
 def ring_matching_expander(n=32):
     """Cycle plus the antipodal perfect matching: 3-regular, connected."""
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)]

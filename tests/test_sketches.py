@@ -1,5 +1,6 @@
 """Sketch machinery: recentering, freeze sets, sketch and resistance loops."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    cliques_in_a_path,
     complete_graph,
     cycle_graph,
     dumbbell_graph,
@@ -16,7 +18,9 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from walksparse import graph as graph_mod
 from walksparse import linalg, sketches, verify
+from walksparse.cli import main, serialize_graph
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
 from walksparse.sketches import (
@@ -411,14 +415,115 @@ class TestRoundChecks:
 
 def test_sketch_round_holds_under_three_constraint_copies():
     # a round holds at most two k x m float64 arrays at once (a_z and its
-    # unit rows, then the unit rows and the vector side's active columns)
-    g = complete_graph(16)
-    kvecs = unit_vectors(600, 16, seed=13)
-    tracemalloc.start()
-    try:
+    # unit rows, then the unit rows and the vector side's active columns);
+    # K_16 walks its rounds whole, K_24's first round walks two chunks
+    for n in (16, 24):
+        g = complete_graph(n)
+        kvecs = unit_vectors(600, n, seed=13)
+        tracemalloc.start()
+        try:
+            res = sketch(g, kvecs, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rounds >= 1
+        assert peak < 3 * kvecs.shape[0] * g.m * 8
+
+
+def spy_round_walks(monkeypatch):
+    """Per `_combined_round` call, the (m, iterations) of each walk it ran."""
+    rounds = []
+    combined, walk_loop = sketches._combined_round, sketches._walk_loop
+
+    def spy_round(*args):
+        rounds.append([])
+        return combined(*args)
+
+    def spy_walk(m, sides, extra_rows, adaptive_steps, log):
+        x = walk_loop(m, sides, extra_rows, adaptive_steps, log)
+        rounds[-1].append((m, log.iterations))
+        return x
+
+    monkeypatch.setattr(sketches, "_combined_round", spy_round)
+    monkeypatch.setattr(sketches, "_walk_loop", spy_walk)
+    return rounds
+
+
+class TestChunkedRounds:
+    # a round of m_r support edges on n vertices walks
+    # max(1, m_r // (CHUNK_PER_VERTEX n)) chunks, round-robin on the support
+
+    @pytest.mark.parametrize("n,first", [(24, [138, 138]), (16, [120])])
+    def test_rounds_walk_their_chunks_and_keep_their_certificates(self, monkeypatch, n, first):
+        # K_24: 276 >= 8 * 24 edges, two chunks in round 1; K_16: 120 < 8 * 16, one walk
+        rounds = spy_round_walks(monkeypatch)
+        g = complete_graph(n)
+        kvecs = unit_vectors(300, n, seed=21)
         res = sketch(g, kvecs, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.rounds >= 1
-    assert peak < 3 * kvecs.shape[0] * g.m * 8
+        assert res.rounds >= 2 and [m for m, _ in rounds[0]] == first
+        supports = [g.m] + [r.support for r in res.diagnostics]
+        for m_r, record, walks in zip(supports, res.diagnostics, rounds):
+            assert sum(m for m, _ in walks) == m_r
+            assert len(walks) == max(1, m_r // (sketches.CHUNK_PER_VERTEX * n))
+            assert record.walk_iterations == sum(iterations for _, iterations in walks)
+        assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-12
+        # the last round's error is the result's, measured the same way
+        assert res.diagnostics[-1].error == graph_mod.sketch_error(g, res.graph, kvecs)
+        assert verify.check_sketch(g, res.graph, kvecs, 4.0 * 0.25).passed
+
+    def test_resist_chunk_families_have_norm_one(self, monkeypatch):
+        # each chunk walks its members of the half family scaled to norm 1,
+        # which passes check_family_norm; whole rounds walk it unscaled
+        norms = []
+        check = sketches.check_family_norm
+
+        def spy_check(family):
+            check(family)
+            norms.append(family.abs_aggregate_norm())
+
+        monkeypatch.setattr(sketches, "check_family_norm", spy_check)
+        rounds = spy_round_walks(monkeypatch)
+        res = resistance_sparsify(complete_graph(22), 0.25, c_resist=1.0)
+        assert res.rounds >= 1 and [m for m, _ in rounds[0]] == [116, 115]
+        # the chunk count of each walk's round, in walk order
+        chunk_counts = [len(r) for r in rounds for _ in r]
+        assert len(norms) >= len(chunk_counts)
+        for chunks, norm in zip(chunk_counts, norms):
+            if chunks > 1:
+                assert norm == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert norm <= 1.0
+
+
+class TestPiecesWithConstantRows:
+    # three K_14 in a path, cut into pieces at phi_target 0.1: for a pair
+    # outside a piece, L^+ b_ij is constant on the piece up to rounding, and
+    # its recentred row is noise that failed the variational check before
+
+    @pytest.mark.parametrize("command,eps", [("sketch", 0.25), ("resist", 0.25), ("resist", 0.4)])
+    def test_library_and_cli_agree_with_the_measured_error(self, tmp_path, command, eps):
+        g = cliques_in_a_path()
+        path, vpath = tmp_path / "g.txt", tmp_path / "v.txt"
+        path.write_text(serialize_graph(g))
+        argv = [command, str(path), "--epsilon", str(eps), "--phi-target", "0.1"]
+        # the command pins the BLAS to one thread; the library run matches it
+        with linalg.one_blas_thread():
+            if command == "sketch":
+                kvecs = resistance_pairs(g)
+                vpath.write_text("".join(" ".join(repr(float(x)) for x in row) + "\n"
+                                         for row in kvecs))
+                argv += ["--vectors", str(vpath)]
+                res = sketch(g, kvecs, eps, phi_target=0.1)
+                rep = verify.check_sketch(g, res.graph, kvecs, 4.0 * eps)
+            else:
+                argv += ["--c-resist", "1"]
+                res = resistance_sparsify(g, eps, phi_target=0.1, c_resist=1.0)
+                rep = verify.check_resistance(g, res.graph, eps)
+        assert res.pieces > 1 and res.rounds > 0 and res.graph.m < g.m
+        # resist at eps 0.4 measures 0.403: a miss, not an input error
+        assert rep.passed == (rep.measured_eps <= rep.target) == (eps == 0.25)
+        out, report = tmp_path / "out.txt", tmp_path / "rep.json"
+        code = main([*argv, "--check", "--out", str(out), "--report", str(report)])
+        assert code == (0 if rep.passed else 1)
+        assert json.loads(report.read_text())["measured_eps"] == rep.measured_eps
+        assert out.read_text() == serialize_graph(res.graph)
