@@ -11,8 +11,9 @@ jobs are the benchmark's (`bench/workloads.make_jobs`, every workload, seeds
 1 to 3) and a fixed set of seeded extra jobs for what the benchmark does not
 run: `uc`, `sv` on undirected and directed input, `partial-color`,
 `sparsify`, `sketch`, `resist` and `decompose` (whose piece files are hashed
-too), and `sketch` and `resist` on three cliques in a path, which the
-expander decomposition splits.  The output maps each job to its exit code
+too), `sketch` and `resist` on three cliques in a path, which the expander
+decomposition splits, and `sparsify` and `uc` on K_32, whose first rounds
+walk their support in chunks.  The output maps each job to its exit code
 and the sha256 of each file it wrote.  With --against, the jobs whose entry
 differs from BASE.json's are listed, and the exit code is 1 if there are
 any.
@@ -109,6 +110,8 @@ def extra_jobs(directory):
     with one_blas_thread():
         pairs = resistance_pairs(load_graph(cliques))
     _write(cliques_pairs, "".join(" ".join(repr(float(x)) for x in r) + "\n" for r in pairs))
+    # 496 edges >= 12 r for its r = 32 degree rows: the first matrix rounds walk in chunks
+    k32 = graph("k32", 32, complete_edges(32, rng))
     split = ["--epsilon", "0.25", "--phi-target", "0.1"]
     spectral = ["--epsilon", "0.45", "--c-support", "1"]
     # a uc family has 2n rows, so half the support constant halves as far
@@ -124,6 +127,8 @@ def extra_jobs(directory):
         ("partial-color-k12", ["partial-color", k12]),
         ("partial-color-lognormal24", ["partial-color", lognormal]),
         ("sparsify-k12", ["sparsify", k12, *spectral]),
+        ("sparsify-k32", ["sparsify", k32, *spectral]),
+        ("uc-k32", ["uc", k32, "--epsilon", "0.45", "--c-support", "1"]),
         ("sketch-k14", ["sketch", k14, "--vectors", vectors, "--epsilon", "0.25"]),
         ("resist-k14", ["resist", k14, "--epsilon", "0.25", "--c-resist", "1"]),
         ("decompose-dumbbell", ["decompose", dumbbell, "--phi-target", "0.1"]),

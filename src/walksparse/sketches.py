@@ -135,16 +135,10 @@ def _check_courant_fischer(g, zbar, zbar_d, lam2):
         raise WalksparseError("variational lower bound on the quadratic form failed")
 
 
-def _check_identity(g, kvecs, a_x, x_sub, s, support, zbar_d):
-    """Per-round rewrite check: sum_e x s <b_e, z>^2 == -2 <a_z, x> = -2 a_x, with
-    residuals over each row's zbar_d, or unscaled at zbar_d = 0 (a constant z)."""
-    u, v, _ = g.edge_arrays()
-    du = kvecs[:, u[support]]
-    du -= kvecs[:, v[support]]
-    du *= du
-    lhs = du @ (x_sub * s[support])
-    resid = np.abs(lhs + 2.0 * a_x)
-    worst = float(np.max(resid / np.where(zbar_d > 0, zbar_d, 1.0), initial=0.0))
+def _check_identity(resid, zbar_d):
+    """Per-round rewrite check: resid = sum_e x s <b_e, z>^2 + 2 <a_z, x> == 0, over each
+    row's zbar_d, or unscaled at zbar_d = 0 (a constant z)."""
+    worst = float(np.max(np.abs(resid) / np.where(zbar_d > 0, zbar_d, 1.0), initial=0.0))
     if worst > IDENTITY_RTOL:
         raise WalksparseError(f"degree-preserving rewrite failed: residual {worst:.3e}")
 
@@ -220,21 +214,16 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     iterations).  Raises SubspaceExhausted when the freeze sets leave too
     few movable edges or a walk runs out.
 
-    The support is walked in c = max(1, m_r // (CHUNK_PER_VERTEX n_eff))
-    chunks, round-robin on the support index, one walk each: a walk costs
-    about k m_t^3, so c chunks take about 1/c^2 of a whole walk's time.  Each
-    chunk's walk keeps its own degrees, stays in the box and freezes a
-    quarter of its coordinates, so the chunks' x together are one valid
-    round; the worst-case discrepancy bound is sqrt(c) weaker (Cauchy-Schwarz
-    over the chunks), and the measured `Round.error` certifies the round.
-    The vector side steers the recentered constraints a_z on the chunk's
-    columns.  Given the piece's spectral family {A_e}, the matrix side also
-    steers {(1/2) s(e) A_e} over the chunk, as a `sparsify` round does,
-    scaled to norm 1 when the round has more than one chunk, with keep = 5/6
-    of m_t, and the vector side's heavy rows and Gram cut shrink from 1/10
-    to 1/6 budgets, so the feasible set keeps positive dimension alongside
-    the degree and freeze rows.  The rewrite, norm-chain and degree checks
-    run on the whole round.
+    One walk per `sparsify.round_chunks` chunk of CHUNK_PER_VERTEX n_eff
+    edges, each keeping its own degrees.  The vector side steers the
+    recentered constraints a_z on the chunk's columns.  Given the piece's
+    spectral family {A_e}, the matrix side also steers {(1/2) s(e) A_e} over
+    the chunk, as a `sparsify` round does, scaled to norm 1 when the round
+    has more than one chunk, with keep = 5/6 of m_t, and the vector side's
+    heavy rows and Gram cut shrink from 1/10 to 1/6 budgets, so the feasible
+    set keeps positive dimension alongside the degree and freeze rows.  The
+    rewrite, norm-chain and degree checks run on the whole round, on sums
+    taken chunk by chunk.
     """
     support = np.flatnonzero(s)
     m_r = len(support)
@@ -245,11 +234,12 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     cut = 0.1 if family is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
     keep = lambda mt: mt - int(np.floor(cut * mt))
-    count = max(1, m_r // (CHUNK_PER_VERTEX * n_eff))
-    chunks = [np.arange(i, m_r, count) for i in range(count)]
+    chunks = sparsify.round_chunks(m_r, CHUNK_PER_VERTEX * n_eff)
+    half = None if family is None else family.scaled(0.5 * s).restricted(support)
+    u, v, _ = piece.edge_arrays()
     x_sub = np.zeros(m_r)
-    # <a_z, x> and ||a_z||^2 summed over the chunks
-    a_x = np.zeros(len(zbar))
+    # the rewrite's residual sum_e x s <b_e, z>^2 + 2 <a_z, x> and ||a_z||^2 over the chunks
+    resid = np.zeros(len(zbar))
     norms_sq = np.zeros(len(zbar))
     iterations = 0
     for chunk in chunks:
@@ -261,13 +251,9 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
         del a_rows
         sides = [_VectorSide(unit, budget)]
         if family is not None:
-            chunk_family = family.scaled(0.5 * s).restricted(edges)
-            if count > 1:
-                # the walk sees the chunk's family at norm 1
-                norm = chunk_family.abs_aggregate_norm()
-                chunk_family = chunk_family.scaled(np.full(len(chunk), 1.0 / norm))
-            check_family_norm(chunk_family)
-            sides.insert(0, _MatrixSide(chunk_family, keep_count=keep))
+            part = sparsify.chunk_family(half, chunk)
+            check_family_norm(part)
+            sides.insert(0, _MatrixSide(part, keep_count=keep))
         # the walk takes orthonormal static rows
         extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, edges, chunk_movable))
         wlog = WalkLog()
@@ -275,11 +261,16 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
         iterations += wlog.iterations
         x_sub[chunk] = x_chunk
         # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
-        a_x[kept] += norms[kept] * (unit @ x_chunk)
+        resid[kept] += 2.0 * norms[kept] * (unit @ x_chunk)
         norms_sq += norms**2
         del sides, unit
+        du = kvecs[:, u[edges]]
+        du -= kvecs[:, v[edges]]
+        du *= du
+        resid += du @ (x_chunk * s[edges])
+        del du
     _check_norm_chain(np.sqrt(norms_sq), zbar_d, n_eff, m_r)
-    _check_identity(piece, kvecs, a_x, x_sub, s, support, zbar_d)
+    _check_identity(resid, zbar_d)
     s_new = halve_support(s, support, x_sub)
     _check_degrees_preserved(piece, s_new)
     return s_new, iterations

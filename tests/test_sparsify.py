@@ -25,7 +25,8 @@ from walksparse import linalg, sketches, sparsify as sparsify_mod, verify
 from walksparse.errors import InvalidInput, SubspaceExhausted, WalksparseError
 from walksparse.graph import Graph
 from walksparse.linalg import Subspace, kernel_basis
-from walksparse.matrix_walk import FAMILY_NORM_SLACK, MatrixFamily
+from walksparse.matrix_walk import FAMILY_NORM_SLACK, MatrixFamily, check_family_norm
+from walksparse.matrix_walk import partial_color
 from walksparse.sparsify import (
     degree_subspace,
     halve,
@@ -491,6 +492,62 @@ class TestHalvingStops:
         # the round drops three of four entries but leaves -0.5 on the last
         with pytest.raises(WalksparseError, match="negative weight"):
             halve(np.ones(4), 1, lambda s: (np.array([-0.5, 0.0, 0.0, 0.0]), 1), np.sum)
+
+
+def spy_walks(monkeypatch):
+    """The (family, subspace) of every `partial_color` call of a matrix round."""
+    walks, walk = [], sparsify_mod.partial_color
+
+    def spy(family, h, **kwargs):
+        walks.append((family, h))
+        return walk(family, h, **kwargs)
+
+    monkeypatch.setattr(sparsify_mod, "partial_color", spy)
+    return walks
+
+
+class TestChunkedRounds:
+    @given(m_r=st.integers(0, 500), width=st.integers(1, 80))
+    def test_round_chunks_partition_the_support(self, m_r, width):
+        chunks = sparsify_mod.round_chunks(m_r, width)
+        assert len(chunks) == max(1, m_r // width)
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(m_r))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert len(chunks) == 1 or min(sizes) >= width
+
+    def test_chunk_walks_see_a_family_of_norm_one(self, monkeypatch):
+        # K_32's first two rounds, of 496 and 432 edges, reach 12 r = 384 for
+        # its r = 32 degree rows: two walks each, in the chunk's own subspace
+        walks = spy_walks(monkeypatch)
+        g = complete_graph(32)
+        res = spectral_sparsify(g, 0.45, c_support=1.0)
+        assert [f.m for f, _ in walks[:5]] == [248, 248, 216, 216, res.diagnostics[1].support]
+        assert len(walks) == res.rounds + 2
+        for family, h in walks:
+            check_family_norm(family)
+            assert h.dim >= 0.8 * family.m
+        for family, _ in walks[:4]:
+            assert abs(family.abs_aggregate_norm() - 1.0) <= 1e-9
+        assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
+
+    def test_round_below_twelve_rows_walks_whole(self, monkeypatch):
+        # K_24's 276 edges are below 12 r = 288: one walk on the whole
+        # support, bit for bit; K_25's 300 edges walk two chunks of 150
+        walks = spy_walks(monkeypatch)
+        for n, sizes in ((24, [276]), (25, [150, 150])):
+            g = complete_graph(n)
+            fam, h, s = spectral_family(g), degree_subspace(g), np.ones(g.m)
+            walks.clear()
+            s_new, _ = sparsify_mod._matrix_round(fam, h, s)
+            assert [f.m for f, _ in walks] == sizes
+        g = complete_graph(24)
+        fam, h = spectral_family(g), degree_subspace(g)
+        s, support = np.ones(g.m), np.arange(g.m)
+        s_new, _ = sparsify_mod._matrix_round(fam, h, s)
+        x = partial_color(fam.scaled(0.5 * s).restricted(support),
+                          linalg.nullspace((h.complement_rows * s)[:, support]))
+        assert np.array_equal(s_new, sparsify_mod.halve_support(s, support, x))
 
 
 class TestRoundRecords:
