@@ -12,11 +12,12 @@ jobs are the benchmark's (`bench/workloads.make_jobs`, every workload, seeds
 run: `uc`, `sv` on undirected and directed input, `partial-color`,
 `sparsify`, `sketch`, `resist` and `decompose` (whose piece files are hashed
 too), `sketch` and `resist` on three cliques in a path, which the expander
-decomposition splits, and `sparsify` and `uc` on K_32, whose first rounds
-walk their support in chunks.  The output maps each job to its exit code
-and the sha256 of each file it wrote.  With --against, the jobs whose entry
-differs from BASE.json's are listed, and the exit code is 1 if there are
-any.
+decomposition splits, `sparsify` and `uc` on K_32, whose first rounds walk
+their support in chunks, and `resist` on a dense G(32, 0.7), whose round
+walks two chunks of dense resistance rows.  The output maps each job to its
+exit code and the sha256 of each file it wrote.  With --against, the jobs
+whose entry differs from BASE.json's are listed, and the exit code is 1 if
+there are any.
 
 To compare with another revision, export it (`git archive REV | tar -x -C
 DIR`), copy this script into DIR/scripts and run it there with --out, then
@@ -76,6 +77,11 @@ def _cliques_in_a_path(count, side, links, rng):
     return edges
 
 
+def _gnp(n, p, rng):
+    """G(n, p): each pair i < j an edge with probability p."""
+    return [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -112,6 +118,9 @@ def extra_jobs(directory):
     _write(cliques_pairs, "".join(" ".join(repr(float(x)) for x in r) + "\n" for r in pairs))
     # 496 edges >= 12 r for its r = 32 degree rows: the first matrix rounds walk in chunks
     k32 = graph("k32", 32, complete_edges(32, rng))
+    # 357 edges on one piece, drawn from its own generator so that the inputs above stay
+    # as they are: every resistance row a_z is dense, where on K_n each has one nonzero
+    gnp32 = graph("gnp32", 32, _gnp(32, 0.7, np.random.default_rng(11)))
     split = ["--epsilon", "0.25", "--phi-target", "0.1"]
     spectral = ["--epsilon", "0.45", "--c-support", "1"]
     # a uc family has 2n rows, so half the support constant halves as far
@@ -131,6 +140,7 @@ def extra_jobs(directory):
         ("uc-k32", ["uc", k32, "--epsilon", "0.45", "--c-support", "1"]),
         ("sketch-k14", ["sketch", k14, "--vectors", vectors, "--epsilon", "0.25"]),
         ("resist-k14", ["resist", k14, "--epsilon", "0.25", "--c-resist", "1"]),
+        ("resist-gnp32", ["resist", gnp32, "--epsilon", "0.25", "--c-resist", "1"]),
         ("decompose-dumbbell", ["decompose", dumbbell, "--phi-target", "0.1"]),
         ("sketch-cliques3x14", ["sketch", cliques, "--vectors", cliques_pairs, *split]),
         ("resist-cliques3x14", ["resist", cliques, *split, "--c-resist", "1"]),

@@ -209,7 +209,7 @@ def resistance_pairs(g):
     return vecs.T
 
 
-def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
+def _combined_round(piece, family, zbar, zbar_d, s, n_eff):
     """One halving round of the walk on a piece; returns (s_new, walk
     iterations).  Raises SubspaceExhausted when the freeze sets leave too
     few movable edges or a walk runs out.
@@ -217,13 +217,13 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     One walk per `sparsify.round_chunks` chunk of CHUNK_PER_VERTEX n_eff
     edges, each keeping its own degrees.  The vector side steers the
     recentered constraints a_z on the chunk's columns.  Given the piece's
-    spectral family {A_e}, the matrix side also steers {(1/2) s(e) A_e} over
-    the chunk, as a `sparsify` round does, scaled to norm 1 when the round
-    has more than one chunk, with keep = 5/6 of m_t, and the vector side's
-    heavy rows and Gram cut shrink from 1/10 to 1/6 budgets, so the feasible
-    set keeps positive dimension alongside the degree and freeze rows.  The
-    rewrite, norm-chain and degree checks run on the whole round, on sums
-    taken chunk by chunk.
+    spectral family {A_e}, the round checks the half family {(1/2) s(e) A_e}
+    once, as a `sparsify` round does, and the matrix side steers its chunk
+    members, scaled to norm 1 when the round has several chunks.  The budget
+    fraction is 1/6 with a matrix side and 1/10 without: the matrix side
+    keeps m_t less that fraction, the vector side takes it as heavy rows and
+    Gram cut.  The norm-chain, rewrite and degree checks run on the whole
+    round, the rewrite's walk-independent term as one n x n form.
     """
     support = np.flatnonzero(s)
     m_r = len(support)
@@ -235,10 +235,11 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
     budget = lambda mt: int(np.ceil(cut * mt))
     keep = lambda mt: mt - int(np.floor(cut * mt))
     chunks = sparsify.round_chunks(m_r, CHUNK_PER_VERTEX * n_eff)
-    half = None if family is None else family.scaled(0.5 * s).restricted(support)
-    u, v, _ = piece.edge_arrays()
+    if family is not None:
+        half = family.scaled(0.5 * s).restricted(support)
+        check_family_norm(half)
     x_sub = np.zeros(m_r)
-    # the rewrite's residual sum_e x s <b_e, z>^2 + 2 <a_z, x> and ||a_z||^2 over the chunks
+    # the walk rows' terms 2 <a_z, x> of the rewrite's residual and ||a_z||^2 over the chunks
     resid = np.zeros(len(zbar))
     norms_sq = np.zeros(len(zbar))
     iterations = 0
@@ -251,9 +252,7 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
         del a_rows
         sides = [_VectorSide(unit, budget)]
         if family is not None:
-            part = sparsify.chunk_family(half, chunk)
-            check_family_norm(part)
-            sides.insert(0, _MatrixSide(part, keep_count=keep))
+            sides.insert(0, _MatrixSide(sparsify.chunk_family(half, chunk), keep_count=keep))
         # the walk takes orthonormal static rows
         extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, edges, chunk_movable))
         wlog = WalkLog()
@@ -264,11 +263,9 @@ def _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff):
         resid[kept] += 2.0 * norms[kept] * (unit @ x_chunk)
         norms_sq += norms**2
         del sides, unit
-        du = kvecs[:, u[edges]]
-        du -= kvecs[:, v[edges]]
-        du *= du
-        resid += du @ (x_chunk * s[edges])
-        del du
+    # sum_e x s <b_e, z>^2, with <b_e, z> = <b_e, zbar>: the diagonal of zbar B diag(x s) B^T zbar^T
+    b = piece.incidence_signed()[:, support]
+    resid += np.einsum("kn,nm,km->k", zbar, (b * (x_sub * s[support])) @ b.T, zbar)
     _check_norm_chain(np.sqrt(norms_sq), zbar_d, n_eff, m_r)
     _check_identity(resid, zbar_d)
     s_new = halve_support(s, support, x_sub)
@@ -286,7 +283,7 @@ def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
     zbar[(zbar**2) @ d <= CONSTANT_RTOL * ((kvecs**2) @ d)] = 0.0
     zbar_d = (zbar**2) @ d
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
-    round_fn = lambda s: _combined_round(piece, family, kvecs, zbar, zbar_d, s, n_eff)
+    round_fn = lambda s: _combined_round(piece, family, zbar, zbar_d, s, n_eff)
     s, rounds, stopped = halve(np.ones(piece.m), threshold, round_fn, error)
     return PipelineResult(piece.reweighted(s), stopped, 1, rounds)
 

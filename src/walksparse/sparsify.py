@@ -107,23 +107,22 @@ def chunk_family(half, chunk):
 def _matrix_round(family, h, s):
     """One round on {s(i)/2 * A_i}, keeping s - 1 in h and sum_i s(i) A_i <= 2I: a `partial_color`
     per `round_chunks` chunk, in its restricted subspace.  Returns (s_new, iterations); raises
-    SubspaceExhausted below WALK_MIN, below a (4/5) restricted subspace or if a walk runs out."""
+    SubspaceExhausted below WALK_MIN, below a (4/5) subspace on a chunk or if a walk runs out."""
     support = np.flatnonzero(s)
     m_r = len(support)
     if m_r < WALK_MIN:
         raise SubspaceExhausted(f"support {m_r} below walk minimum {WALK_MIN}")
     scaled_rows = (h.complement_rows * s[None, :])[:, support]
-    h_sub = linalg.nullspace(scaled_rows)
-    if h_sub.dim < 0.8 * m_r - 1e-9:
-        raise SubspaceExhausted(
-            f"restricted subspace dim {h_sub.dim} < (4/5) m_r = {0.8 * m_r:.1f}")
     half = family.scaled(0.5 * s).restricted(support)
     check_family_norm(half)
     rows = max(len(scaled_rows), *(b.dim for b in family.blocks))
     chunks = round_chunks(m_r, max(WALK_MIN, CHUNK_PER_ROW * rows))
     x_sub, logs = np.zeros(m_r), [WalkLog() for _ in chunks]
     for chunk, wlog in zip(chunks, logs):
-        h_part = h_sub if len(chunk) == m_r else linalg.nullspace(scaled_rows[:, chunk])
+        h_part = linalg.nullspace(scaled_rows[:, chunk])
+        if h_part.dim < 0.8 * len(chunk) - 1e-9:
+            raise SubspaceExhausted(
+                f"restricted subspace dim {h_part.dim} < (4/5) m_r = {0.8 * len(chunk):.1f}")
         x_sub[chunk] = partial_color(chunk_family(half, chunk), h_part, log=wlog)
     s_new = halve_support(s, support, x_sub)
     diff = s_new - 1.0

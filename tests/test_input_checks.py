@@ -133,26 +133,42 @@ def test_sketch_expander_leaves_an_edgeless_graph_as_it_is():
     assert res.graph == edgeless() and res.rounds == 0 and res.stopped_early is None
 
 
+def combined_round(g, family, s):
+    """`sketches._combined_round` of g at weights s, on seeded Gaussian vectors."""
+    kvecs = np.random.default_rng(0).normal(size=(g.n, g.n))
+    zbar = sketches.shift_center(kvecs, g)
+    zbar_d = (zbar**2) @ g.weighted_degrees()
+    return sketches._combined_round(g, family, zbar, zbar_d, s, g.n)
+
+
 def test_combined_round_stops_when_the_freeze_sets_leave_too_few_movable_edges():
     # every weight is above 10 d(v)/d_s(v) = 10, so every edge is in E0
     g = complete_graph(8)
-    kvecs = np.random.default_rng(0).normal(size=(8, 8))
-    zbar = sketches.shift_center(kvecs, g)
-    zbar_d = (zbar**2) @ g.weighted_degrees()
     with pytest.raises(SubspaceExhausted, match="^freeze sets leave too few movable edges$"):
-        sketches._combined_round(g, None, kvecs, zbar, zbar_d, np.full(g.m, 20.0), 8)
+        combined_round(g, None, np.full(g.m, 20.0))
+
+
+HALF_FAMILY_TOO_LONG = r"sum of \|A_i\| has operator norm 1.050000 > 1"
 
 
 def test_combined_round_checks_its_half_family_with_the_one_slack():
     # at s = 2.1 the half family {s(e)/2 A_e} of K_8 sums to 1.05 times a
     # projection: the round refuses it as `sparsify` and the walk do
     g = complete_graph(8)
-    kvecs = np.random.default_rng(0).normal(size=(8, 8))
-    zbar = sketches.shift_center(kvecs, g)
-    zbar_d = (zbar**2) @ g.weighted_degrees()
-    with pytest.raises(InvalidInput, match=r"sum of \|A_i\| has operator norm 1.050000 > 1"):
-        sketches._combined_round(g, sparsify.spectral_family(g), kvecs, zbar, zbar_d,
-                                 np.full(g.m, 2.1), 8)
+    with pytest.raises(InvalidInput, match=HALF_FAMILY_TOO_LONG):
+        combined_round(g, sparsify.spectral_family(g), np.full(g.m, 2.1))
+
+
+def test_chunked_combined_round_checks_its_half_family():
+    # K_22's 231 edges walk two chunks of 116 and 115, each scaled to norm 1
+    # for its walk: the round checks the half family, 1.05 times a projection,
+    # before it cuts it into chunks
+    g = complete_graph(22)
+    family = sparsify.spectral_family(g).scaled(np.full(g.m, 2.1))
+    assert [len(c) for c in sparsify.round_chunks(g.m, sketches.CHUNK_PER_VERTEX * g.n)] == [
+        116, 115]
+    with pytest.raises(InvalidInput, match=HALF_FAMILY_TOO_LONG):
+        combined_round(g, family, np.ones(g.m))
 
 
 def spectral_family_with_subspace_of(m):

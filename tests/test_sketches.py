@@ -472,27 +472,36 @@ class TestChunkedRounds:
         assert verify.check_sketch(g, res.graph, kvecs, 4.0 * 0.25).passed
 
     def test_resist_chunk_families_have_norm_one(self, monkeypatch):
-        # each chunk walks its members of the half family scaled to norm 1,
-        # which passes check_family_norm; whole rounds walk it unscaled
-        norms = []
-        check = sketches.check_family_norm
+        # each chunk's matrix side walks its members of the half family
+        # scaled to norm 1; whole rounds walk it unscaled.  The round checks
+        # the half family itself, once, with check_family_norm
+        half_norms, side_norms = [], []
+        check, side = sketches.check_family_norm, sketches._MatrixSide
 
         def spy_check(family):
             check(family)
-            norms.append(family.abs_aggregate_norm())
+            half_norms.append(family.abs_aggregate_norm())
+
+        def spy_side(family, **kwargs):
+            side_norms.append(family.abs_aggregate_norm())
+            return side(family, **kwargs)
 
         monkeypatch.setattr(sketches, "check_family_norm", spy_check)
+        monkeypatch.setattr(sketches, "_MatrixSide", spy_side)
         rounds = spy_round_walks(monkeypatch)
         res = resistance_sparsify(complete_graph(22), 0.25, c_resist=1.0)
         assert res.rounds >= 1 and [m for m, _ in rounds[0]] == [116, 115]
         # the chunk count of each walk's round, in walk order
         chunk_counts = [len(r) for r in rounds for _ in r]
-        assert len(norms) >= len(chunk_counts)
-        for chunks, norm in zip(chunk_counts, norms):
+        assert len(side_norms) == len(chunk_counts)
+        for chunks, norm in zip(chunk_counts, side_norms):
             if chunks > 1:
                 assert norm == pytest.approx(1.0, abs=1e-12)
             else:
                 assert norm <= 1.0
+        # one check per round that walked, on its half family: 231 and 179 edges
+        assert len(half_norms) == sum(1 for r in rounds if r)
+        assert half_norms[:2] == [pytest.approx(0.500, abs=5e-4), pytest.approx(0.617, abs=5e-4)]
 
 
 class TestPiecesWithConstantRows:

@@ -533,14 +533,24 @@ class TestChunkedRounds:
 
     def test_round_below_twelve_rows_walks_whole(self, monkeypatch):
         # K_24's 276 edges are below 12 r = 288: one walk on the whole
-        # support, bit for bit; K_25's 300 edges walk two chunks of 150
-        walks = spy_walks(monkeypatch)
+        # support, bit for bit; K_25's 300 edges walk two chunks of 150.
+        # Each walk's subspace is the round's one factorization of its chunk
+        walks, factored = spy_walks(monkeypatch), []
+        nullspace = linalg.nullspace
+
+        def spy_nullspace(rows):
+            factored.append(rows.shape[1])
+            return nullspace(rows)
+
+        monkeypatch.setattr(linalg, "nullspace", spy_nullspace)
         for n, sizes in ((24, [276]), (25, [150, 150])):
             g = complete_graph(n)
             fam, h, s = spectral_family(g), degree_subspace(g), np.ones(g.m)
             walks.clear()
+            factored.clear()
             s_new, _ = sparsify_mod._matrix_round(fam, h, s)
             assert [f.m for f, _ in walks] == sizes
+            assert factored == sizes
         g = complete_graph(24)
         fam, h = spectral_family(g), degree_subspace(g)
         s, support = np.ones(g.m), np.arange(g.m)
