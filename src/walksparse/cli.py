@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -107,7 +108,7 @@ def load_vectors(path, n):
             vals = [float(t) for t in line.split()]
         except ValueError:
             raise ParseError("malformed vector line", line=lineno) from None
-        if not np.all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ParseError("non-finite vector entry", line=lineno)
         if len(vals) != n:
             raise ParseError(f"vector of length {len(vals)}, expected {n}", line=lineno)

@@ -47,9 +47,10 @@ gradient and heavy rows) are projected off them and factored, by one
 Householder QR (`linalg.orthonormalize`; its rank test takes the singular
 values of the small triangular factor only).  Together they give
 orthonormal rows W spanning the rows of R; Lanczos on Q = sum_s (b_0/b_s) Q_s
-with full reorthogonalization against W and its Krylov basis, from fixed
-pseudo-random starts (the next one at each breakdown), returns the smallest
-Ritz vector of Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every
+with full reorthogonalization against W and its Krylov basis, started from
+the walk's unit fixed pseudo-random start plus the direction it last took
+(the next fixed start at each breakdown), returns the smallest Ritz vector
+of Q on null(R), extending until y^T Q y <= b_0 ||y||^2.  Every
 term is PSD, so that meets each side's bound, and fewer than tr Q / b_0
 eigenvalues of Q exceed b_0.  The walk advances with step min(cap, distance
 to the [-1,1]^m boundary).
@@ -83,8 +84,13 @@ _ROW_DROP_TOL = 1e-12
 _FREEZE_TOL = 1e-9
 # |r . y| allowed for a stacked unit constraint row r and the chosen direction y
 _RESIDUAL_TOL = 1e-8
-# Lanczos steps before the first Ritz check, and per extension after it
-LANCZOS_STEPS = 20
+# Lanczos steps before the first Ritz check, and per extension after it.  A
+# search starts from the direction the walk last took, so 10 steps end as far
+# inside the bound as 20 from a fixed start did: on the benchmark's seed-1
+# jobs theta/b is at most 0.34 (K_28), 0.07 (lognormal), 0.08 (sketch) and
+# 0.27 (resist), and no search extends.  20 such steps raised a sketch error
+# to 0.344 (seed 1); 10 from the fixed start left K_28 at 1.031 x eps
+LANCZOS_STEPS = 10
 # a Krylov vector that keeps less than this share of its norm through
 # reorthogonalization ends its Krylov sequence (breakdown)
 _BREAKDOWN_TOL = 1e-8
@@ -373,9 +379,10 @@ def _lanczos_direction(quad, bound, w, start, active):
     w holds orthonormal rows.  Lanczos with full reorthogonalization against
     w and the Krylov basis runs at least LANCZOS_STEPS steps (or to
     dim null(w)) and extends LANCZOS_STEPS at a time until the Ritz value
-    certifies y^T quad y <= bound.  It starts from start[active], the walk's
-    first fixed start over its m coordinates; a breakdown restarts from the
-    next one.  Returns (y, Ritz value, steps) and raises SubspaceExhausted
+    certifies y^T quad y <= bound.  It starts from start[active]: the walk
+    passes its unit fixed start over its m coordinates plus the direction it
+    last took, zero where it was frozen.  A breakdown restarts from the next
+    fixed start.  Returns (y, Ritz value, steps) and raises SubspaceExhausted
     when null(w) is used up first.
     """
     m_t, r = quad.shape[0], w.shape[0]
@@ -718,7 +725,9 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
     static = Subspace(m, extra_rows).complement_rows
     x = np.zeros(m)
     active = np.arange(m)
-    start = _start_vector(m, 0)
+    start0 = _start_vector(m, 0)
+    start0 /= np.linalg.norm(start0)
+    start = start0
     base_cap = min(side.base_cap for side in sides)
     max_iter = int(np.ceil(m / base_cap**2)) + m + 16
     iterations = 0
@@ -782,6 +791,8 @@ def _walk_loop(m, sides, extra_rows, adaptive_steps, log):
             side.observe(y_act, step, log)
 
         x[active] = x_act + delta * y_act
+        # the next search starts from the fixed start plus the direction just taken
+        start = start0 + y_full
 
         log.boundary.append(boundary)
         log.m_t.append(m_t)

@@ -130,7 +130,7 @@ def _check_courant_fischer(g, zbar, zbar_d, lam2):
     back to the sketch denominators.
     """
     lap = g.laplacian()
-    z_lz = np.einsum("kn,nm,km->k", zbar, lap, zbar)
+    z_lz = np.einsum("kn,kn->k", zbar @ lap, zbar)
     if np.any(z_lz < (lam2 - 1e-8) * zbar_d):
         raise WalksparseError("variational lower bound on the quadratic form failed")
 
@@ -265,7 +265,7 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff):
         del sides, unit
     # sum_e x s <b_e, z>^2, with <b_e, z> = <b_e, zbar>: the diagonal of zbar B diag(x s) B^T zbar^T
     b = piece.incidence_signed()[:, support]
-    resid += np.einsum("kn,nm,km->k", zbar, (b * (x_sub * s[support])) @ b.T, zbar)
+    resid += np.einsum("kn,kn->k", zbar @ ((b * (x_sub * s[support])) @ b.T), zbar)
     _check_norm_chain(np.sqrt(norms_sq), zbar_d, n_eff, m_r)
     _check_identity(resid, zbar_d)
     s_new = halve_support(s, support, x_sub)

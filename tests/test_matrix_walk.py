@@ -142,6 +142,22 @@ def min_on_null(n_mat, rows):
     return float(linalg.eigvalsh(basis.T @ n_mat @ basis)[0])
 
 
+def krylov_ritz_values(quad, w, start, steps):
+    """Smallest Ritz value of quad on the Krylov space of P quad P from P start,
+    P the projection off w's orthonormal rows, after each of 1..steps steps
+    (Arnoldi with two Gram-Schmidt passes)."""
+    proj = np.eye(quad.shape[0]) - w.T @ w
+    basis, ritz = np.zeros((0, quad.shape[0])), []
+    v = proj @ start
+    for _ in range(steps):
+        for _ in range(2):
+            v = proj @ (v - (basis @ v) @ basis)
+        basis = np.vstack([basis, v / np.linalg.norm(v)])
+        ritz.append(float(linalg.eigvalsh(basis @ quad @ basis.T)[0]))
+        v = quad @ basis[-1]
+    return ritz
+
+
 def direction(side, w, m):
     """The walk's direction for a lone side over all m coordinates."""
     return _lanczos_direction(side.quad, side.bound, w, matrix_walk._start_vector(m, 0),
@@ -200,9 +216,10 @@ class TestLanczosDirection:
     """`_lanczos_direction`: the smallest Ritz vector of N on null(R)."""
 
     def test_exact_minimum_when_krylov_fills_null_space(self):
-        # dim null(R) = 24 - 8 <= LANCZOS_STEPS: the Krylov basis spans null(R)
+        # dim null(R) = m - 8 = LANCZOS_STEPS: the Krylov basis spans null(R)
         # before the first Ritz check, so the Ritz value is the exact minimum
-        m, n = 24, 8
+        n = 8
+        m = n + matrix_walk.LANCZOS_STEPS
         fam = MatrixFamily.from_rank_one(projection_vectors(n, m, seed=61))
         rng = np.random.default_rng(61)
         x = 0.5 * rng.uniform(-1, 1, size=m)
@@ -219,9 +236,10 @@ class TestLanczosDirection:
         assert abs(ritz - exact) <= 1e-9
 
     def test_search_extends_until_the_bound_holds(self):
-        # eigenvalues packed in [1, 2]: 20 steps leave the Ritz value 3e-4
-        # above the minimum on null(w), so a bound 1e-4 above it needs the
-        # search to extend, growing its Krylov arrays
+        # eigenvalues packed in [1, 2]: LANCZOS_STEPS steps leave the Ritz
+        # value above a bound 1e-4 over the minimum on null(w), so the search
+        # extends, growing its Krylov arrays, by LANCZOS_STEPS at a time up to
+        # the first multiple whose Ritz value meets the bound
         m = 120
         rng = np.random.default_rng(71)
         eigvecs = np.linalg.qr(rng.normal(size=(m, m)))[0]
@@ -229,8 +247,14 @@ class TestLanczosDirection:
         w = np.linalg.qr(rng.normal(size=(m, 3)))[0].T
         exact = min_on_null(quad, [w])
         start = matrix_walk._start_vector(m, 0)
+        ritz_by_steps = krylov_ritz_values(quad, w, start, m - 3)
+        per = matrix_walk.LANCZOS_STEPS
+        checks = range(per, m - 3, per)
+        expected = next(k for k in checks if ritz_by_steps[k - 1] <= exact + 1e-4)
+        assert expected > per
         y, ritz, steps = _lanczos_direction(quad, exact + 1e-4, w, start, np.arange(m))
-        assert steps == 2 * matrix_walk.LANCZOS_STEPS
+        assert steps == expected
+        assert abs(ritz - ritz_by_steps[steps - 1]) <= 1e-10
         assert exact <= ritz <= exact + 1e-4
         assert abs(float(y @ quad @ y) - ritz) <= 1e-12
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
@@ -258,6 +282,33 @@ class TestLanczosDirection:
         partial_color(MatrixFamily.from_rank_one(projection_vectors(n, 40, seed=3)))
         x2 = partial_color(fam, h)
         assert np.array_equal(x1, x2)
+
+    def test_each_search_starts_from_the_last_direction(self, monkeypatch):
+        # the first search starts from the walk's unit fixed start; each next
+        # one from that start plus the unit direction just taken, zero at the
+        # coordinates that were frozen when it was taken
+        g = complete_graph(12)
+        starts, taken = [], []
+        search, cap = _lanczos_direction, _MatrixSide.step_cap
+
+        def spy_search(quad, bound, w, start, active):
+            starts.append(start.copy())
+            return search(quad, bound, w, start, active)
+
+        def spy_cap(self, y_full, limit=np.inf):
+            taken.append(y_full.copy())
+            return cap(self, y_full, limit)
+
+        monkeypatch.setattr(matrix_walk, "_lanczos_direction", spy_search)
+        monkeypatch.setattr(_MatrixSide, "step_cap", spy_cap)
+        partial_color(sparsify.spectral_family(g), sparsify.degree_subspace(g))
+        start0 = matrix_walk._start_vector(g.m, 0)
+        start0 = start0 / np.linalg.norm(start0)
+        assert len(starts) == len(taken) >= 2
+        assert np.array_equal(starts[0], start0)
+        for start, y_full in zip(starts[1:], taken):
+            assert abs(np.linalg.norm(y_full) - 1.0) <= 1e-12
+            assert np.array_equal(start, start0 + y_full)
 
 
 class _Recorder:
@@ -530,7 +581,7 @@ class TestPartialColor:
 
     def test_default_step_is_the_adaptive_one(self):
         # the step every pipeline takes: 17 iterations on K_12 with its degree
-        # subspace, where the fixed cap 1/(2 eta) takes 446
+        # subspace, where the fixed cap 1/(2 eta) takes 427
         g = complete_graph(12)
         fam, h = sparsify.spectral_family(g), sparsify.degree_subspace(g)
         logs = {name: WalkLog() for name in ("default", "adaptive", "fixed")}
@@ -538,7 +589,7 @@ class TestPartialColor:
         adaptive = partial_color(fam, h, WalkOptions(adaptive_steps=True), logs["adaptive"])
         partial_color(fam, h, WalkOptions(adaptive_steps=False), logs["fixed"])
         assert x.tobytes() == adaptive.tobytes()
-        assert [log.iterations for log in logs.values()] == [17, 17, 446]
+        assert [log.iterations for log in logs.values()] == [17, 17, 427]
 
     def test_deterministic(self):
         fam = MatrixFamily.from_rank_one(projection_vectors(4, 40, seed=31))

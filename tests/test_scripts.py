@@ -89,3 +89,18 @@ def test_bench_pairs_report_exit_code(capsys):
     assert "traced seed 1: matrix_walk.iterations 10 -> 10" in out
     assert bench_pairs.report(bench_doc(failed=1)) == 1
     assert bench_pairs.report(bench_doc(failed=0, traced_failed=1)) == 1
+
+
+def test_frontier_takes_the_smallest_round_within_each_target():
+    from walksparse.sparsify import Round
+
+    frontier = load_script(SCRIPTS[0].parent / "frontier.py")
+    rounds = [Round(100, 0.2, 5), Round(80, 0.4, 4), Round(70, 0.3, 3)]
+    assert [frontier.certified(120, rounds, eps) for eps in (0.1, 0.25, 0.35, 0.45)] == \
+        [120, 100, 70, 70]
+    # a run halves until its walk stops, whatever the target
+    g = frontier.complete_graph(16)
+    res = frontier.run("spectral", g)
+    assert res.pieces == 1 and res.rounds >= 2 and res.stopped_early
+    assert [r.support for r in res.diagnostics] == sorted(
+        (r.support for r in res.diagnostics), reverse=True)
