@@ -3,7 +3,10 @@
 ladder of runs, and the smallest support certified at each target eps.
 
 Usage:
-    python3 scripts/frontier.py
+    python3 scripts/frontier.py [--pipeline NAME]
+
+--pipeline runs one pipeline's part of the ladder alone.  Each run prints
+its wall seconds beside its rounds.
 
 Every run halves until its walk stops: its threshold is below one edge, so
 the rounds do not depend on the target.  A round's error is its
@@ -21,7 +24,8 @@ The ladder:
     (n 44, m 317) of seeds 4 to 8;
   - `uc` on K_32;
   - `sketch` on the benchmark's K_24 jobs of seeds 4 to 6, three vector
-    sets of 2000 unit vectors each;
+    sets of 2000 unit vectors each, and on K_32 with 2000 seeded unit
+    vectors;
   - `resist` on K_22, K_26 and a seeded G(32, 0.7).
 Seeds 4 and up of the benchmark's generators are the inputs that the
 benchmark's own pairs use least.  Everything runs at one BLAS thread, as
@@ -30,9 +34,11 @@ the CLI does.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -44,8 +50,9 @@ from walksparse.graph import Graph  # noqa: E402
 from walksparse.linalg import one_blas_thread  # noqa: E402
 from walksparse.sketches import resistance_sparsify, sketch_expander  # noqa: E402
 from walksparse.sparsify import spectral_sparsify, uc_sparsify  # noqa: E402
-from workloads import make_jobs  # noqa: E402
+from workloads import make_jobs, unit_vectors  # noqa: E402
 
+PIPELINES = ("spectral", "uc", "sketch", "resist")
 TARGETS = (0.25, 0.35, 0.45)
 # a halving constant that puts every threshold below one edge
 BELOW_ONE_EDGE = 1e-9
@@ -94,18 +101,28 @@ def ladder(directory):
         for job in make_jobs("sketch", seed, os.path.join(directory, f"sketch-{seed}")):
             g = load_graph(job.graph)
             runs.append(("sketch", f"{job.name} s{seed}", g, load_vectors(job.vectors, g.n)))
+    runs.append(("sketch", "K_32", complete_graph(32),
+                 unit_vectors(2000, 32, np.random.default_rng(32))))
     runs += [("resist", f"K_{n}", complete_graph(n), None) for n in (22, 26)]
     runs.append(("resist", "G(32, 0.7)", gnp(32, 0.7, 11), None))
     return runs
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pipeline", choices=PIPELINES, help="run only this pipeline's runs")
+    args = parser.parse_args(argv)
     rows = []
     with tempfile.TemporaryDirectory() as tmp, one_blas_thread():
         for pipeline, name, g, vectors in ladder(tmp):
+            if args.pipeline not in (None, pipeline):
+                continue
+            start = time.perf_counter()
             res = run(pipeline, g, vectors)
+            seconds = time.perf_counter() - start
             rounds = " ".join(f"{r.support}/{r.error:.4f}" for r in res.diagnostics)
-            print(f"{pipeline} {name} (n {g.n}, m {g.m}, {res.pieces} piece(s)): {rounds}")
+            print(f"{pipeline} {name} (n {g.n}, m {g.m}, {res.pieces} piece(s)): "
+                  f"{seconds:.2f} s: {rounds}")
             print(f"  stop: {res.stopped_early or 'threshold'}")
             if res.pieces == 1:
                 rows.append((pipeline, name, [certified(g.m, res.diagnostics, eps)

@@ -13,11 +13,13 @@ run: `uc`, `sv` on undirected and directed input, `partial-color`,
 `sparsify`, `sketch`, `resist` and `decompose` (whose piece files are hashed
 too), `sketch` and `resist` on three cliques in a path, which the expander
 decomposition splits, `sparsify` and `uc` on K_32, whose first rounds walk
-their support in chunks, and `resist` on a dense G(32, 0.7), whose round
-walks two chunks of dense resistance rows.  The output maps each job to its
-exit code and the sha256 of each file it wrote.  With --against, the jobs
-whose entry differs from BASE.json's are listed, and the exit code is 1 if
-there are any.
+their support in chunks, `resist` on a dense G(32, 0.7), whose round
+walks two chunks of dense resistance rows, and `sketch` on K_32 with 2000
+seeded unit vectors, whose first rounds walk 7 chunks, a search over 128
+sign patterns.  That is 35 jobs: the 18 benchmark jobs and 17 extras.  The
+output maps each job to its exit code and the sha256 of each file it
+wrote.  With --against, the jobs whose entry differs from BASE.json's are
+listed, and the exit code is 1 if there are any.
 
 To compare with another revision, export it (`git archive REV | tar -x -C
 DIR`), copy this script into DIR/scripts and run it there with --out, then
@@ -121,6 +123,10 @@ def extra_jobs(directory):
     # 357 edges on one piece, drawn from its own generator so that the inputs above stay
     # as they are: every resistance row a_z is dense, where on K_n each has one nonzero
     gnp32 = graph("gnp32", 32, _gnp(32, 0.7, np.random.default_rng(11)))
+    # 2000 vectors from their own generator, as gnp32's graph
+    k32_vectors = os.path.join(directory, "k32.vectors.txt")
+    _write(k32_vectors, "".join(" ".join(repr(float(x)) for x in r) + "\n"
+                                for r in unit_vectors(2000, 32, np.random.default_rng(32))))
     split = ["--epsilon", "0.25", "--phi-target", "0.1"]
     spectral = ["--epsilon", "0.45", "--c-support", "1"]
     # a uc family has 2n rows, so half the support constant halves as far
@@ -139,6 +145,7 @@ def extra_jobs(directory):
         ("sparsify-k32", ["sparsify", k32, *spectral]),
         ("uc-k32", ["uc", k32, "--epsilon", "0.45", "--c-support", "1"]),
         ("sketch-k14", ["sketch", k14, "--vectors", vectors, "--epsilon", "0.25"]),
+        ("sketch-k32", ["sketch", k32, "--vectors", k32_vectors, "--epsilon", "0.25"]),
         ("resist-k14", ["resist", k14, "--epsilon", "0.25", "--c-resist", "1"]),
         ("resist-gnp32", ["resist", gnp32, "--epsilon", "0.25", "--c-resist", "1"]),
         ("decompose-dumbbell", ["decompose", dumbbell, "--phi-target", "0.1"]),

@@ -303,19 +303,23 @@ def check_vectors(vectors, n):
     return vectors
 
 
-def sketch_error(g, g_tilde, vectors):
-    """Worst |z^T L~ z / z^T L z - 1| over the rows z of vectors (as
-    `check_vectors` returns them), L~ the Laplacian of g_tilde.
-
-    A row is skipped when z^T L z <= 1e-12 ||z||^2 * 2 max weighted degree
-    (2 max degree bounds the top eigenvalue of L), a cut-off that scales with
-    z, so the result does not depend on the vectors' scale.
-    """
+def sketch_forms(g, vectors):
+    """(z^T L z, kept) over the rows z of vectors (as `check_vectors` returns
+    them), L the Laplacian of g.  A row is kept when z^T L z > 1e-12 ||z||^2
+    * 2 max weighted degree (which bounds the top eigenvalue of L), a cut-off
+    that scales with z, so the kept rows do not depend on the vectors' scale."""
     z, lap = vectors, g.laplacian()
     bound = 2.0 * float(np.max(np.diag(lap), initial=0.0))
     den = np.sum((z @ lap) * z, axis=1)
-    keep = den > 1e-12 * np.sum(z * z, axis=1) * bound
-    num = np.sum((z[keep] @ g_tilde.laplacian()) * z[keep], axis=1)
+    return den, den > 1e-12 * np.sum(z * z, axis=1) * bound
+
+
+def sketch_error(g, g_tilde, vectors):
+    """Worst |z^T L~ z / z^T L z - 1| over the rows z of vectors that
+    `sketch_forms` keeps, L~ the Laplacian of g_tilde."""
+    den, keep = sketch_forms(g, vectors)
+    z = vectors[keep]
+    num = np.sum((z @ g_tilde.laplacian()) * z, axis=1)
     return float(np.max(np.abs(num / den[keep] - 1.0), initial=0.0))
 
 

@@ -10,12 +10,14 @@ where zbar is z recentered so its degree-weighted mean vanishes, freezes
 the high-weight edges and the edges at low support-degree vertices (the
 freeze sets keep ||a_z|| <= 100 (n/m) zbar^T D zbar), and runs the
 multiplicative-weights walk on the remaining coordinates, one walk per
-edge chunk of about 4n support edges (one walk below 8n).  The identity
-is linear in x, so the chunks' colorings add up to one round, whose
-measured error certifies it.  Zero rows a_z and the certificates are
-judged relative to each row's zbar^T D zbar, so a sketch does not change
-with the scale of the vectors; a z constant on a piece up to rounding
-gets zbar = 0 there.
+edge chunk of about 2n support edges for a sketch and 4n for a
+resistance sparsifier (one walk below twice that).  The identity is
+linear in x, so the chunks' colorings add up to one round, whose measured
+error certifies it; a sketch round first negates the chunk colorings
+whose signs give the union the least sketch error.  Zero rows a_z and the
+certificates are judged relative to each row's zbar^T D zbar, so a sketch
+does not change with the scale of the vectors; a z constant on a piece up
+to rounding gets zbar = 0 there.
 
 The effective-resistance sparsifier runs the same loop with the constraint
 set {L^+ b_ij} while simultaneously steering the matrix-discrepancy side of
@@ -37,13 +39,21 @@ from .sparsify import PipelineResult, _check_positive, _union_pieces, degree_row
 from .sparsify import halve_support
 
 NORM_CHAIN_CONST = 100.0
-# support edges per non-isolated vertex in a walk chunk of `_combined_round`:
-# a walk costs about k m_t^3, and a round of m_r >= 2 CHUNK_PER_VERTEX n edges
-# walks two or more chunks.  At 4 the bench's K_24 `sketch` jobs (seeds 4-6,
-# 1 BLAS thread, 2-vCPU x86_64) take 6.8 s, not 10.4 s whole, at worst error
-# 0.255, not 0.336; 3 takes 5.1 s but raises `resist` K_22's error
-# 0.094 -> 0.116, near the bench's 25% bound, where 4 reads 0.105
+# support edges per non-isolated vertex in a walk chunk of a combined
+# (`resist`) round: a walk costs about k m_t^3, and a round of
+# m_r >= 2 CHUNK_PER_VERTEX n edges walks two or more chunks.  3 does no worse
+# on K_22 (135 edges at 0.109, against 138 at 0.117) but loses on K_26, whose
+# smallest certified support at eps 0.25/0.35/0.45 (`scripts/frontier.py`)
+# is 118/92/92, against 94/94/71 at 4
 CHUNK_PER_VERTEX = 4
+# the same in a `sketch` round.  The bench's K_24 `sketch` pass, seeds 1-10
+# (in-process, 1 BLAS thread, 2-vCPU x86_64; median time, median and max
+# worst error): 1.13 s, 0.243/0.261 at 2; 1.50 s, 0.243/0.274 at 3; 2.06 s,
+# 0.249/0.269 at 4; 2 without the sign search reads 0.261/0.326
+SKETCH_CHUNK_PER_VERTEX = 2
+# most chunks of a `sketch` round: its sign search over 2^C patterns takes
+# 49 ms at C = 12, k = 2000, doubling per chunk (K_48's 11 take 9 of 570 ms)
+SKETCH_MAX_CHUNKS = 12
 IDENTITY_RTOL = 1e-8
 # zbar^T D zbar <= CONSTANT_RTOL z^T D z marks a row z constant on a piece:
 # recentring cancels it to rounding error, about machine eps^2 (at most
@@ -209,21 +219,35 @@ def resistance_pairs(g):
     return vecs.T
 
 
-def _combined_round(piece, family, zbar, zbar_d, s, n_eff):
+def _pattern_errors(base, change, den, patterns):
+    """max |(base + change sigma) / den - 1| over the rows of each column
+    sigma of patterns: the sketch error of a union, scored 64 patterns at a
+    time, so that no k x 2^C array is built."""
+    return np.concatenate([np.max(np.abs((base[:, None] + change @ patterns[:, i:i + 64])
+                                         / den[:, None] - 1.0), axis=0, initial=0.0)
+                           for i in range(0, patterns.shape[1], 64)])
+
+
+def _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms):
     """One halving round of the walk on a piece; returns (s_new, walk
     iterations).  Raises SubspaceExhausted when the freeze sets leave too
     few movable edges or a walk runs out.
 
-    One walk per `sparsify.round_chunks` chunk of CHUNK_PER_VERTEX n_eff
-    edges, each keeping its own degrees.  The vector side steers the
-    recentered constraints a_z on the chunk's columns.  Given the piece's
-    spectral family {A_e}, the round checks the half family {(1/2) s(e) A_e}
-    once, as a `sparsify` round does, and the matrix side steers its chunk
-    members, scaled to norm 1 when the round has several chunks.  The budget
-    fraction is 1/6 with a matrix side and 1/10 without: the matrix side
-    keeps m_t less that fraction, the vector side takes it as heavy rows and
-    Gram cut.  The norm-chain, rewrite and degree checks run on the whole
-    round, the rewrite's walk-independent term as one n x n form.
+    One walk per `sparsify.round_chunks` chunk, each keeping its own
+    degrees, its vector side steering the recentered constraints a_z on the
+    chunk's columns.  Given the piece's spectral family {A_e} (`resist`), the
+    round checks the half family {(1/2) s(e) A_e} once, as a `sparsify`
+    round does, and walks chunks of CHUNK_PER_VERTEX n_eff edges whose
+    matrix side steers their members, scaled to norm 1 when there are
+    several.  Without one (`sketch`), chunks hold SKETCH_CHUNK_PER_VERTEX
+    n_eff edges, at most SKETCH_MAX_CHUNKS of them; a negated chunk coloring
+    keeps its degrees, pins and box, so the round takes the union
+    sum_c sigma_c x_c of least sketch error, which is linear in x, over the
+    rows that forms = `graph.sketch_forms` keeps, among the sign patterns
+    sigma whose union `halve_support` keeps unflipped.  The budget fraction is 1/6 with a
+    matrix side and 1/10 without: the matrix side keeps m_t less that
+    fraction, the vector side takes it as heavy rows and Gram cut.  The
+    norm-chain, rewrite and degree checks run on the whole round.
     """
     support = np.flatnonzero(s)
     m_r = len(support)
@@ -234,16 +258,21 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff):
     cut = 0.1 if family is None else 1.0 / 6.0
     budget = lambda mt: int(np.ceil(cut * mt))
     keep = lambda mt: mt - int(np.floor(cut * mt))
-    chunks = sparsify.round_chunks(m_r, CHUNK_PER_VERTEX * n_eff)
-    if family is not None:
+    if family is None:
+        width = max(SKETCH_CHUNK_PER_VERTEX * n_eff, -(-m_r // SKETCH_MAX_CHUNKS))
+    else:
+        width = CHUNK_PER_VERTEX * n_eff
         half = family.scaled(0.5 * s).restricted(support)
         check_family_norm(half)
-    x_sub = np.zeros(m_r)
-    # the walk rows' terms 2 <a_z, x> of the rewrite's residual and ||a_z||^2 over the chunks
-    resid = np.zeros(len(zbar))
+    chunks = sparsify.round_chunks(m_r, width)
+    b = piece.incidence_signed()[:, support]
+    xs = np.zeros((len(chunks), m_r))
+    # per chunk c, its change sum_e x s <b_e, z>^2 to z^T L~ z, the diagonal of zbar B_c
+    # diag(x s) B_c^T zbar^T, and 2 <a_z, x>: their sum is its term of the rewrite's residual
+    change, resid = np.zeros((2, len(zbar), len(chunks)))
     norms_sq = np.zeros(len(zbar))
     iterations = 0
-    for chunk in chunks:
+    for c, chunk in enumerate(chunks):
         edges, chunk_movable = support[chunk], movable[chunk]
         # at most two k x |chunk| arrays live at once: a_z, unit rows, active
         # columns; a row a_z is zero at ||a_z|| <= _ROW_DROP_TOL zbar^T D zbar
@@ -256,19 +285,26 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff):
         # the walk takes orthonormal static rows
         extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, edges, chunk_movable))
         wlog = WalkLog()
-        x_chunk = _walk_loop(len(chunk), sides, extra_rows, True, wlog)
+        xs[c, chunk] = x_chunk = _walk_loop(len(chunk), sides, extra_rows, True, wlog)
         iterations += wlog.iterations
-        x_sub[chunk] = x_chunk
+        b_c = b[:, chunk]
+        change[:, c] = np.einsum("kn,kn->k", zbar @ ((b_c * (x_chunk * s[edges])) @ b_c.T), zbar)
         # <a_z, x> = ||a_z|| <a_z/||a_z||, x>, and 0 on the dropped rows
-        resid[kept] += 2.0 * norms[kept] * (unit @ x_chunk)
+        resid[kept, c] = 2.0 * norms[kept] * (unit @ x_chunk)
         norms_sq += norms**2
         del sides, unit
-    # sum_e x s <b_e, z>^2, with <b_e, z> = <b_e, zbar>: the diagonal of zbar B diag(x s) B^T zbar^T
-    b = piece.incidence_signed()[:, support]
-    resid += np.einsum("kn,kn->k", zbar @ ((b * (x_sub * s[support])) @ b.T), zbar)
+    signs = np.ones(len(chunks))
+    if family is None:
+        den, rows = forms
+        base = np.einsum("kn,kn->k", zbar[rows] @ ((b * s[support]) @ b.T), zbar[rows])
+        patterns = 1.0 - 2.0 * ((np.arange(2 ** len(xs)) >> np.arange(len(xs))[:, None]) & 1)
+        # a union's +1 entries less its -1 entries: sum_c sigma_c (those of x_c)
+        excess = np.sum(xs == 1.0, axis=1) - np.sum(xs == -1.0, axis=1)
+        patterns = patterns[:, excess @ patterns <= 0]
+        signs = patterns[:, np.argmin(_pattern_errors(base, change[rows], den[rows], patterns))]
     _check_norm_chain(np.sqrt(norms_sq), zbar_d, n_eff, m_r)
-    _check_identity(resid, zbar_d)
-    s_new = halve_support(s, support, x_sub)
+    _check_identity((resid + change) @ signs, zbar_d)
+    s_new = halve_support(s, support, signs @ xs)
     _check_degrees_preserved(piece, s_new)
     return s_new, iterations
 
@@ -283,7 +319,8 @@ def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
     zbar[(zbar**2) @ d <= CONSTANT_RTOL * ((kvecs**2) @ d)] = 0.0
     zbar_d = (zbar**2) @ d
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
-    round_fn = lambda s: _combined_round(piece, family, zbar, zbar_d, s, n_eff)
+    forms = graph_mod.sketch_forms(piece, kvecs) if family is None else None
+    round_fn = lambda s: _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms)
     s, rounds, stopped = halve(np.ones(piece.m), threshold, round_fn, error)
     return PipelineResult(piece.reweighted(s), stopped, 1, rounds)
 

@@ -451,7 +451,7 @@ class TestCheckTable:
                      "--out", str(tmp_path / "o.txt"), "--report", str(report)]) == 0
         fields = json.loads(report.read_text())
         assert fields["stopped_early"].startswith("update subspace is empty")
-        assert len(fields["rounds"]) == 7 and fields["rounds"][-1]["support"] == 20
+        assert len(fields["rounds"]) == 7 and fields["rounds"][-1]["support"] == 19
 
 
 # every flag of the CLI with a sample value, and the flags each command reads

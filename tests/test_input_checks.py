@@ -138,7 +138,8 @@ def combined_round(g, family, s):
     kvecs = np.random.default_rng(0).normal(size=(g.n, g.n))
     zbar = sketches.shift_center(kvecs, g)
     zbar_d = (zbar**2) @ g.weighted_degrees()
-    return sketches._combined_round(g, family, zbar, zbar_d, s, g.n)
+    forms = graph_mod.sketch_forms(g, kvecs) if family is None else None
+    return sketches._combined_round(g, family, zbar, zbar_d, s, g.n, forms)
 
 
 def test_combined_round_stops_when_the_freeze_sets_leave_too_few_movable_edges():

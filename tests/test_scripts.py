@@ -104,3 +104,22 @@ def test_frontier_takes_the_smallest_round_within_each_target():
     assert res.pieces == 1 and res.rounds >= 2 and res.stopped_early
     assert [r.support for r in res.diagnostics] == sorted(
         (r.support for r in res.diagnostics), reverse=True)
+
+
+def test_frontier_runs_one_pipeline_alone(monkeypatch, capsys):
+    from walksparse.sparsify import PipelineResult, Round
+
+    frontier = load_script(SCRIPTS[0].parent / "frontier.py")
+    ran = []
+
+    def fake_run(pipeline, g, vectors=None):
+        ran.append(pipeline)
+        return PipelineResult(g, "stopped", 1, [Round(g.m // 2, 0.3, 1)])
+
+    monkeypatch.setattr(frontier, "run", fake_run)
+    assert frontier.main(["--pipeline", "resist"]) == 0
+    assert ran == ["resist"] * 3
+    out = capsys.readouterr().out
+    assert re.search(r"^resist K_22 \(n 22, m 231, 1 piece\(s\)\): \d+\.\d\d s: 115/0\.3000$",
+                     out, re.M)
+    assert "spectral" not in out and "sketch" not in out

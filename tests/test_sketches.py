@@ -1,5 +1,6 @@
 """Sketch machinery: recentering, freeze sets, sketch and resistance loops."""
 
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -19,7 +20,7 @@ from conftest import (
     star_graph,
 )
 from walksparse import graph as graph_mod
-from walksparse import linalg, sketches, verify
+from walksparse import linalg, sketches, sparsify, verify
 from walksparse.cli import main, serialize_graph
 from walksparse.errors import InvalidInput, WalksparseError
 from walksparse.graph import Graph
@@ -140,7 +141,10 @@ class TestSketchExpander:
         g = complete_graph(16)
         kvecs = unit_vectors(200, 16, seed=8)
         res = sketch_expander(g, kvecs, 0.25)
-        assert res.rounds >= 1 and len(walks) == res.rounds
+        # each round walks its support in chunks, K_16's first in three of 40
+        assert res.rounds >= 1 and [m for m, _ in walks[:3]] == [40, 40, 40]
+        supports = [g.m] + [r.support for r in res.diagnostics[:-1]]
+        assert sum(m for m, _ in walks) == sum(supports)
         assert res.graph.m < g.m
         assert verify.check_sketch(g, res.graph, kvecs, np.inf).measured_eps <= 4.0 * 0.25
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
@@ -319,7 +323,7 @@ class TestHalvingStops:
         g = complete_graph(12)
         kvecs = np.random.default_rng(0).normal(size=(30, 12))
         res = sketch_expander(g, kvecs, 1.5)
-        assert res.rounds == 7 and res.graph.m == 20
+        assert res.rounds == 7 and res.graph.m == 19
         assert res.stopped_early.startswith("update subspace is empty")
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-6
 
@@ -330,12 +334,13 @@ class TestHalvingStops:
 
     def test_round_that_freezes_nothing_raises(self, monkeypatch):
         # a walk that returns x = 0 leaves s unchanged; `halve` must reject
-        # the round instead of repeating it
+        # the round instead of repeating it.  The round's chunk walks cover
+        # K_12's 66 edges once
         calls = []
 
         def frozen_nothing(m, sides, extra_rows, adaptive_steps, log):
             calls.append(m)
-            assert len(calls) == 1, "the halving loop repeated a round that zeroed nothing"
+            assert sum(calls) <= 66, "the halving loop repeated a round that zeroed nothing"
             return np.zeros(m)
 
         monkeypatch.setattr(sketches, "_walk_loop", frozen_nothing)
@@ -381,14 +386,16 @@ class TestRoundChecks:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-30], ids=["1", "2^-30"])
     def test_rewrite_check_fires_on_a_non_degree_preserving_coloring(self, monkeypatch, scale):
-        # x = 1/2 on every coordinate moves every support degree, so
-        # sum_e x s <b_e, z>^2 + 2 <a_z, x> = (1/2) sum_v d_s(v) zbar(v)^2 != 0,
+        # x = 1/2 on every coordinate of a chunk moves every support degree,
+        # so chunk c's term of sum_e x s <b_e, z>^2 + 2 <a_z, x> is
+        # (1/2) sum_v d_c(v) zbar(v)^2.  K_12 walks two chunks, and the union
+        # of signs (1, -1) leaves (1/2) sum_v (d_1(v) - d_2(v)) zbar(v)^2 != 0,
         # at any scale of the vectors
         def wrong(m, sides, extra_rows, adaptive_steps, log):
             return np.full(m, 0.5)
 
         monkeypatch.setattr(sketches, "_walk_loop", wrong)
-        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed: residual 5"):
+        with pytest.raises(WalksparseError, match="degree-preserving rewrite failed: residual 7.8"):
             sketch(complete_graph(12), scale * unit_vectors(40, 12, seed=12), 0.4)
 
     def test_rewrite_check_covers_dropped_pair_rows(self, monkeypatch):
@@ -449,13 +456,18 @@ def spy_round_walks(monkeypatch):
     return rounds
 
 
-class TestChunkedRounds:
-    # a round of m_r support edges on n vertices walks
-    # max(1, m_r // (CHUNK_PER_VERTEX n)) chunks, round-robin on the support
+def sketch_width(m_r, n):
+    """Chunk width of a `sketch` round of m_r support edges on n vertices."""
+    return max(sketches.SKETCH_CHUNK_PER_VERTEX * n, -(-m_r // sketches.SKETCH_MAX_CHUNKS))
 
-    @pytest.mark.parametrize("n,first", [(24, [138, 138]), (16, [120])])
+
+class TestChunkedRounds:
+    # a `sketch` round of m_r support edges on n vertices walks
+    # max(1, m_r // sketch_width(m_r, n)) chunks, round-robin on the support
+
+    @pytest.mark.parametrize("n,first", [(24, [56, 55, 55, 55, 55]), (16, [40, 40, 40])])
     def test_rounds_walk_their_chunks_and_keep_their_certificates(self, monkeypatch, n, first):
-        # K_24: 276 >= 8 * 24 edges, two chunks in round 1; K_16: 120 < 8 * 16, one walk
+        # K_24: 276 edges, five chunks of about 2 * 24 in round 1; K_16: 120, three of 40
         rounds = spy_round_walks(monkeypatch)
         g = complete_graph(n)
         kvecs = unit_vectors(300, n, seed=21)
@@ -464,7 +476,7 @@ class TestChunkedRounds:
         supports = [g.m] + [r.support for r in res.diagnostics]
         for m_r, record, walks in zip(supports, res.diagnostics, rounds):
             assert sum(m for m, _ in walks) == m_r
-            assert len(walks) == max(1, m_r // (sketches.CHUNK_PER_VERTEX * n))
+            assert len(walks) == max(1, m_r // sketch_width(m_r, n))
             assert record.walk_iterations == sum(iterations for _, iterations in walks)
         assert np.max(np.abs(res.graph.weighted_degrees() - g.weighted_degrees())) <= 1e-12
         # the last round's error is the result's, measured the same way
@@ -502,6 +514,72 @@ class TestChunkedRounds:
         # one check per round that walked, on its half family: 231 and 176 edges
         assert len(half_norms) == sum(1 for r in rounds if r)
         assert half_norms[:2] == [pytest.approx(0.500, abs=5e-4), pytest.approx(0.609, abs=5e-4)]
+
+
+class TestSignChoice:
+    def test_k16_round_takes_the_best_admissible_sign_pattern(self, monkeypatch):
+        # K_16's second `sketch` round, on uneven weights s, walks three
+        # chunks.  The closed form scores every one of the 2^3 sign patterns
+        # as `graph.sketch_error` measures the weights s (1 + sum_c sigma_c
+        # x_c), and the round takes the least among the unions with no more
+        # +1 than -1 entries
+        g = complete_graph(16)
+        kvecs = unit_vectors(200, 16, seed=8)
+        zbar = shift_center(kvecs, g)
+        zbar_d = (zbar**2) @ g.weighted_degrees()
+        forms = graph_mod.sketch_forms(g, kvecs)
+        s = sketches._combined_round(g, None, zbar, zbar_d, np.ones(g.m), g.n, forms)[0]
+        support = np.flatnonzero(s)
+        colorings, scored = [], []
+        walk, score = sketches._walk_loop, sketches._pattern_errors
+        monkeypatch.setattr(sketches, "_walk_loop",
+                            lambda m, *a: colorings.append(walk(m, *a)) or colorings[-1])
+        monkeypatch.setattr(sketches, "_pattern_errors",
+                            lambda *a: scored.append(a) or score(*a))
+        s_new, _ = sketches._combined_round(g, None, zbar, zbar_d, s, g.n, forms)
+        chunks = sparsify.round_chunks(len(support), sketch_width(len(support), g.n))
+        assert len(chunks) == len(colorings) == 3
+        xs = np.zeros((3, g.m))
+        for c, (chunk, x) in enumerate(zip(chunks, colorings)):
+            xs[c, support[chunk]] = x
+        patterns = np.array(list(itertools.product([1.0, -1.0], repeat=3))).T
+        base, change, den, _ = scored[0]
+        closed = score(base, change, den, patterns)
+        admissible, best = [], None
+        for sigma, err in zip(patterns.T, closed):
+            x = sigma @ xs
+            exact = graph_mod.sketch_error(g, g.reweighted(s * (1.0 + x)), kvecs)
+            assert err == pytest.approx(exact, rel=1e-9)
+            if np.sum(x == 1.0) <= np.sum(x == -1.0):
+                admissible.append(tuple(sigma))
+                if best is None or exact < best[0]:
+                    best = (exact, s * (1.0 + x))
+        assert len(scored) == 1 and sorted(map(tuple, scored[0][3].T)) == sorted(admissible)
+        assert np.array_equal(s_new, best[1])
+
+    def test_resist_rounds_walk_four_n_chunks_and_keep_their_signs(self, monkeypatch):
+        # a combined round walks round_chunks(m_r, CHUNK_PER_VERTEX n) chunks,
+        # [116, 115] in K_22's round 1, and its coloring is the plain
+        # concatenation of its chunk colorings: no sign search runs
+        colorings, unions = [], []
+        walk, update = sketches._walk_loop, sketches.halve_support
+        monkeypatch.setattr(sketches, "_walk_loop",
+                            lambda m, *a: colorings.append(walk(m, *a)) or colorings[-1])
+        monkeypatch.setattr(sketches, "halve_support",
+                            lambda s, support, x: unions.append((s, x)) or update(s, support, x))
+        monkeypatch.setattr(sketches, "_pattern_errors", None)
+        g = complete_graph(22)
+        res = resistance_sparsify(g, 0.25, c_resist=1.0)
+        assert res.rounds == len(unions) >= 2
+        for s, x in unions:
+            chunks = sparsify.round_chunks(len(x), sketches.CHUNK_PER_VERTEX * g.n)
+            concatenated = np.zeros(len(x))
+            for chunk in chunks:
+                concatenated[chunk] = colorings.pop(0)
+            assert np.array_equal(x, concatenated)
+        assert [len(c) for c in sparsify.round_chunks(g.m, sketches.CHUNK_PER_VERTEX * g.n)] == [
+            116, 115]
+        assert not colorings
 
 
 class TestPiecesWithConstantRows:
