@@ -119,8 +119,9 @@ def counting(monkeypatch, module, attr):
 
 
 def test_rounds_call_the_patched_names(monkeypatch):
-    # bench/spans.py counts sparsify.rounds as partial_color calls and
-    # sketches.rounds as _combined_round calls, looked up through these
+    # bench/spans.py splits its sparsify.loop and sketches.loop spans (the
+    # latter around each _combined_round call) into rounds at the ends of
+    # their partial_color and _walk_loop walks, each looked up through these
     # module globals at call time; a round that raises SubspaceExhausted
     # is one call more than the rounds that ran.  Its family, piece and
     # prepare spans time the other names counted here, which the pipeline

@@ -557,6 +557,27 @@ class TestSignChoice:
         assert len(scored) == 1 and sorted(map(tuple, scored[0][3].T)) == sorted(admissible)
         assert np.array_equal(s_new, best[1])
 
+    def test_dense_round_walks_at_most_the_chunk_cap(self, monkeypatch):
+        # K_54's 1431 edges hold 13 chunks of 2n = 108, past the cap of 12:
+        # the round widens its chunks to ceil(1431 / 12) = 120 and walks 11,
+        # so its sign search scores at most 2^12 patterns
+        g = complete_graph(54)
+        kvecs = unit_vectors(54, 54, seed=3)
+        zbar = shift_center(kvecs, g)
+        zbar_d = (zbar**2) @ g.weighted_degrees()
+        forms = graph_mod.sketch_forms(g, kvecs)
+        walks, scored = [], []
+        walk, score = sketches._walk_loop, sketches._pattern_errors
+        monkeypatch.setattr(sketches, "_walk_loop", lambda m, *a: walks.append(m) or walk(m, *a))
+        monkeypatch.setattr(sketches, "_pattern_errors",
+                            lambda *a: scored.append(a[3].shape[1]) or score(*a))
+        s, _ = sketches._combined_round(g, None, zbar, zbar_d, np.ones(g.m), g.n, forms)
+        assert g.m // (sketches.SKETCH_CHUNK_PER_VERTEX * g.n) > sketches.SKETCH_MAX_CHUNKS
+        assert len(walks) == 11 <= sketches.SKETCH_MAX_CHUNKS and sum(walks) == g.m
+        assert len(scored) == 1
+        assert 0 < scored[0] <= 2 ** len(walks) <= 2**sketches.SKETCH_MAX_CHUNKS
+        assert np.count_nonzero(s) < g.m
+
     def test_resist_rounds_walk_four_n_chunks_and_keep_their_signs(self, monkeypatch):
         # a combined round walks round_chunks(m_r, CHUNK_PER_VERTEX n) chunks,
         # [116, 115] in K_22's round 1, and its coloring is the plain
