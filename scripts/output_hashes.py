@@ -3,7 +3,7 @@
 leaves every output byte-identical.
 
 Usage:
-    python3 scripts/output_hashes.py --out HASHES.json [--against BASE.json]
+    python3 scripts/output_hashes.py [--out HASHES.json] [--against BASE.json | --base REV]
 
 Each job runs through `walksparse.cli.main` in this process, in a temporary
 directory, on the package of the tree this script sits in (`src/`).  The
@@ -21,9 +21,10 @@ output maps each job to its exit code and the sha256 of each file it
 wrote.  With --against, the jobs whose entry differs from BASE.json's are
 listed, and the exit code is 1 if there are any.
 
-To compare with another revision, export it (`git archive REV | tar -x -C
-DIR`), copy this script into DIR/scripts and run it there with --out, then
-run it here with --against that file.
+--base REV compares with another revision in one command: REV's committed
+files are exported with `git archive` to a temporary directory, this script
+is copied into its scripts/ and run there in a subprocess, and its hashes
+are compared as with --against.  An unknown REV exits 2 before any job runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
@@ -189,6 +193,30 @@ def all_hashes():
     return hashes
 
 
+def resolve(rev):
+    """The full hash of the commit rev names in this repository, or None."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def revision_hashes(commit):
+    """all_hashes() of commit's committed files, run by this script in a
+    subprocess on a `git archive` export."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        script = os.path.join(tmp, "scripts", "output_hashes.py")
+        os.makedirs(os.path.dirname(script), exist_ok=True)
+        shutil.copyfile(os.path.abspath(__file__), script)
+        out = os.path.join(tmp, "hashes.json")
+        subprocess.run([sys.executable, script, "--out", out], cwd=tmp, check=True)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
 def differences(base, change):
     """Names of the jobs whose entries differ, or that only one side ran."""
     return sorted(name for name in base.keys() | change.keys()
@@ -198,17 +226,26 @@ def differences(base, change):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write the hashes to")
-    parser.add_argument("--against", help="hashes JSON of the base to compare with")
+    compare = parser.add_mutually_exclusive_group()
+    compare.add_argument("--against", help="hashes JSON of the base to compare with")
+    compare.add_argument("--base", metavar="REV", help="git revision to hash and compare with")
     args = parser.parse_args(argv)
+    commit = args.base and resolve(args.base)
+    if args.base and not commit:
+        print(f"error: unknown revision {args.base!r}", file=sys.stderr)
+        return 2
     hashes = all_hashes()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(hashes, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if not args.against:
+    if commit:
+        base = revision_hashes(commit)
+    elif args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            base = json.load(fh)
+    else:
         return 0
-    with open(args.against, encoding="utf-8") as fh:
-        base = json.load(fh)
     differ = differences(base, hashes)
     for name in differ:
         print(f"differs: {name}: {base.get(name)} -> {hashes.get(name)}")

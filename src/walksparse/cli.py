@@ -12,10 +12,13 @@ Exit codes: 0 success (and check passed), 1 check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -99,8 +102,17 @@ def load_graph(path):
 
 
 def load_vectors(path, n):
+    text = _read_text(path)
+    # a well-formed file parses in one call; the line loop reads what loadtxt
+    # rejects (a lone CR, tokens only Python's float reads) or names a bad line
+    vals = np.zeros((0, 0))
+    with warnings.catch_warnings(), contextlib.suppress(ValueError):
+        warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
+        vals = np.loadtxt(io.StringIO(text), ndmin=2)
+    if vals.size and vals.shape[1] == n and np.all(np.isfinite(vals)):
+        return vals
     rows = []
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

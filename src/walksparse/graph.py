@@ -3,18 +3,19 @@
 A Graph stores a vertex count, a canonical weighted edge list (undirected
 edges with u < v, sorted, duplicates merged by weight sum) and a directed
 flag.  Matrices and degrees are built on demand as dense arrays from
-`edge_arrays()`, summed in edge order so they equal a per-edge loop bit for
-bit; everything is desk scale.  The expander decomposition is a
-deterministic sweep cut over one depth-first work list: pieces with second
-normalized-Laplacian eigenvalue above the target are emitted, otherwise the
-best Cheeger sweep cut (prefix sums along the Fiedler order) splits the
-piece and the two sides and the cut edges are decomposed in turn.  The
-sketch and resistance errors live here, below both the halving rounds that
-record them and `verify`, which reports them.
+`edge_arrays()` (read-only, built with the graph), summed in edge order so
+they equal a per-edge loop bit for bit; everything is desk scale.  The
+expander decomposition is a deterministic sweep cut over one depth-first
+work list: pieces with second normalized-Laplacian eigenvalue above the
+target are emitted, otherwise the best Cheeger sweep cut (prefix sums along
+the Fiedler order) splits the piece and the two sides and the cut edges are
+decomposed in turn.  The sketch and resistance errors live here, below both
+the halving rounds that record them and `verify`, which reports them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +57,22 @@ class Graph:
                 u, v = v, u
             canon[(u, v)] = canon.get((u, v), 0.0) + w
         ordered = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
-        object.__setattr__(self, "edges", ordered)
+        u, v, w = zip(*ordered) if ordered else ((), (), ())
+        self._set(ordered, (np.array(u, dtype=int), np.array(v, dtype=int), np.array(w)))
+
+    def _set(self, edges, arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def m(self):
         return len(self.edges)
 
     def edge_arrays(self):
-        if not self.edges:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-        u, v, w = zip(*self.edges)
-        return np.asarray(u, dtype=int), np.asarray(v, dtype=int), np.asarray(w)
+        """(u, v, w) of the edges as read-only arrays, in edge order."""
+        return self._arrays
 
     def weights(self):
         return self.edge_arrays()[2]
@@ -80,10 +86,16 @@ class Graph:
             raise InvalidInput("non-finite reweighting")
         if np.any(s < -1e-12):
             raise InvalidInput("negative reweighting")
-        kept = [
-            (u, v, w * si) for (u, v, w), si in zip(self.edges, s) if si > 0.0
-        ]
-        return Graph(self.n, tuple(kept), self.directed)
+        keep = s > 0.0
+        u, v, w = (a[keep] for a in self._arrays)
+        w *= s[keep]
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+        if bad.size:
+            e = bad[0]
+            raise InvalidInput(f"edge ({u[e]},{v[e]}) has non-positive weight {float(w[e])}")
+        sub = copy.copy(self)  # a subset of a canonical edge list is canonical
+        sub._set(tuple(zip(u.tolist(), v.tolist(), w.tolist())), (u, v, w))
+        return sub
 
     # -- matrices ----------------------------------------------------------
 
@@ -314,10 +326,10 @@ def sketch_forms(g, vectors):
     return den, den > 1e-12 * np.sum(z * z, axis=1) * bound
 
 
-def sketch_error(g, g_tilde, vectors):
+def sketch_error(g, g_tilde, vectors, forms=None):
     """Worst |z^T L~ z / z^T L z - 1| over the rows z of vectors that
-    `sketch_forms` keeps, L~ the Laplacian of g_tilde."""
-    den, keep = sketch_forms(g, vectors)
+    `sketch_forms` keeps (or forms, its result), L~ the Laplacian of g_tilde."""
+    den, keep = sketch_forms(g, vectors) if forms is None else forms
     z = vectors[keep]
     num = np.sum((z @ g_tilde.laplacian()) * z, axis=1)
     return float(np.max(np.abs(num / den[keep] - 1.0), initial=0.0))

@@ -625,11 +625,13 @@ class _VectorSide:
     of the boundary is below base_cap = 1/(2 lambda0), from which the walk
     counts its iteration budget.  Without rows (k = 0) it adds no constraint
     row, G = 0, and its step cap is unbounded.  The rows are held C-ordered,
-    so the walk's path does not depend on the layout they come in.
+    so the walk's path does not depend on the layout they come in, and so is
+    their transpose, whose rows give each iteration its active columns.
     """
 
     def __init__(self, unit_rows, budget):
         self.ahat = np.ascontiguousarray(unit_rows, dtype=float)
+        self.ahat_t = np.ascontiguousarray(self.ahat.T)
         self.lambda0 = default_lambda0(*self.ahat.shape)
         self.base_cap = 1.0 / (2.0 * self.lambda0)
         self.budget = budget
@@ -640,15 +642,16 @@ class _VectorSide:
     def rows(self, x, active):
         self.quad = None
         self.weights = np.exp(self.lambda0 * (self.ahat @ x) - self.lambda0**2)
-        a_act = self.ahat[:, active]
-        rows = _unit_row(self.weights @ a_act)
+        # the active columns as rows, a copy: scaled in place, it is the Gram
+        # factor (syrk: G is symmetric)
+        a_act = self.ahat_t[active]
+        rows = _unit_row(a_act @ self.weights)
         budget = self.budget(len(active))
         heavy = min(budget, len(self.weights))
         if heavy > 0:
-            rows.append(a_act[_heaviest(self.weights, heavy)])
-        # a_act is a copy: scaled in place, it is the Gram factor (syrk: G is symmetric)
-        a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))[:, None]
-        self.quad = a_act.T @ a_act
+            rows.append(a_act[:, _heaviest(self.weights, heavy)].T)
+        a_act *= np.sqrt(self.weights / float(np.sum(self.weights)))
+        self.quad = a_act @ a_act.T
         self.bound = float(np.trace(self.quad)) / (budget + 1)
         return rows
 

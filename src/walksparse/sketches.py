@@ -105,13 +105,13 @@ def _require_sketchable(g):
         raise InvalidInput("sketches expect unweighted input graphs")
 
 
-def _degree_and_pin_rows(g, s, support, movable):
-    """Static constraint rows for one round, in support coordinates:
-    weighted-degree preservation plus the identity rows where not movable."""
+def _degree_and_pin_rows(degrees, movable):
+    """Static constraint rows for one chunk: its weighted-degree rows plus
+    the identity rows where not movable."""
     pin_pos = np.flatnonzero(~movable)
-    pins = np.zeros((len(pin_pos), len(support)))
+    pins = np.zeros((len(pin_pos), len(movable)))
     pins[np.arange(len(pin_pos)), pin_pos] = 1.0
-    return np.vstack([degree_rows(g, s)[:, support], pins])
+    return np.vstack([degrees, pins])
 
 
 def _constraint_matrix(zbar, g, s, support, movable):
@@ -182,8 +182,9 @@ def sketch_expander(g, kvecs, eps):
         raise InvalidInput("expected a connected graph apart from isolated vertices")
     lam = graph_mod.lambda2(g)
     f_factor = default_lambda0(kvecs.shape[0], g.m) / lam
-    error = lambda s: graph_mod.sketch_error(g, g.reweighted(s), kvecs)
-    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff, error)
+    forms = graph_mod.sketch_forms(g, kvecs)
+    error = lambda s: graph_mod.sketch_error(g, g.reweighted(s), kvecs, forms)
+    return _sketch_piece(g, kvecs, lam, n_eff * f_factor / eps, n_eff, error, forms=forms)
 
 
 def _expander_pieces(g, eps, phi_target, vectors, run):
@@ -266,6 +267,7 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms):
         check_family_norm(half)
     chunks = sparsify.round_chunks(m_r, width)
     b = piece.incidence_signed()[:, support]
+    degrees = degree_rows(piece, s)[:, support]
     xs = np.zeros((len(chunks), m_r))
     # per chunk c, its change sum_e x s <b_e, z>^2 to z^T L~ z, the diagonal of zbar B_c
     # diag(x s) B_c^T zbar^T, and 2 <a_z, x>: their sum is its term of the rewrite's residual
@@ -283,7 +285,7 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms):
         if family is not None:
             sides.insert(0, _MatrixSide(sparsify.chunk_family(half, chunk), keep_count=keep))
         # the walk takes orthonormal static rows
-        extra_rows = linalg.orthonormalize(_degree_and_pin_rows(piece, s, edges, chunk_movable))
+        extra_rows = linalg.orthonormalize(_degree_and_pin_rows(degrees[:, chunk], chunk_movable))
         wlog = WalkLog()
         xs[c, chunk] = x_chunk = _walk_loop(len(chunk), sides, extra_rows, True, wlog)
         iterations += wlog.iterations
@@ -309,9 +311,9 @@ def _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms):
     return s_new, iterations
 
 
-def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
-    """`halve` with `_combined_round` and error(s) on one piece with n_eff
-    non-isolated vertices until its support is at most threshold."""
+def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None, forms=None):
+    """`halve` with `_combined_round` (given family and forms) and error(s) on one
+    piece with n_eff non-isolated vertices until its support is at most threshold."""
     d = piece.weighted_degrees()
     zbar = shift_center(kvecs, piece)
     # a row whose recentred mass is at most CONSTANT_RTOL of its own is
@@ -319,7 +321,6 @@ def _sketch_piece(piece, kvecs, lam2, threshold, n_eff, error, family=None):
     zbar[(zbar**2) @ d <= CONSTANT_RTOL * ((kvecs**2) @ d)] = 0.0
     zbar_d = (zbar**2) @ d
     _check_courant_fischer(piece, zbar, zbar_d, lam2)
-    forms = graph_mod.sketch_forms(piece, kvecs) if family is None else None
     round_fn = lambda s: _combined_round(piece, family, zbar, zbar_d, s, n_eff, forms)
     s, rounds, stopped = halve(np.ones(piece.m), threshold, round_fn, error)
     return PipelineResult(piece.reweighted(s), stopped, 1, rounds)

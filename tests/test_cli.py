@@ -75,6 +75,78 @@ class TestParse:
         assert back == g  # exact: weights round-trip losslessly
 
 
+class TestVectorParse:
+    """`load_vectors` reads a well-formed file in one `np.loadtxt` call and
+    every other file in its line loop; both give the same array, or name the
+    same bad line."""
+
+    @staticmethod
+    def fast_and_loop(monkeypatch, path, n):
+        """(result, whether loadtxt's array was returned, the line loop's result)."""
+        parsed = []
+        real = np.loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(real(*args, **kwargs))
+            return parsed[-1]
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        fast = load_vectors(str(path), n)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        loop = load_vectors(str(path), n)
+        monkeypatch.undo()
+        return fast, any(fast is p for p in parsed), loop
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 3), (300, 24)])
+    def test_repr_written_files_parse_in_one_call(self, tmp_path, monkeypatch, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        vecs = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        vecs[rng.random(shape) < 0.1] = 0.0
+        path = tmp_path / "z.txt"
+        path.write_text("".join(" ".join(repr(float(x)) for x in row) + "\n" for row in vecs))
+        fast, one_call, loop = self.fast_and_loop(monkeypatch, path, shape[1])
+        assert one_call
+        assert np.array_equal(fast, vecs) and np.array_equal(fast, loop)
+        assert fast.dtype == loop.dtype == np.float64 and fast.shape == loop.shape == shape
+        assert fast.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("text", [
+        "# head\n\n1 2.5 -3 # tail\n   \n4e-3 .5 6.\n",
+        "1 2 3\r\n4 5 6\r\n",
+        "1_000 2 3\n4 5 6\n",
+        "١٢ 2 3\n４ 5 6\n",
+        "1　 2\x0c3\n4 5\t6\n",
+        "1 2 3\r4 5 6",
+    ], ids=["comments-blanks", "crlf", "underscore", "non-ascii-digits", "unicode-space",
+            "lone-cr"])
+    def test_other_files_match_the_line_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "z.txt"
+        path.write_bytes(text.encode("utf-8"))
+        fast, _, loop = self.fast_and_loop(monkeypatch, path, 3)
+        assert np.array_equal(fast, loop)
+        assert fast.dtype == loop.dtype and fast.shape == loop.shape == (2, 3)
+
+    @pytest.mark.parametrize("text,line", [
+        ("0 1 2\n0 x 2\n", 2), ("# none\n\n", None), ("1 2 3\n4 5\n", 2),
+        ("1 2 3\n\n4 nan 6\n", 3), ("1 2 3\n1e400 1 1\n", 2), ("1 2\n3 4\n", 1),
+    ])
+    def test_bad_files_name_the_loop_line(self, tmp_path, monkeypatch, text, line):
+        path = tmp_path / "z.txt"
+        path.write_text(text)
+        errors = []
+        for loop_only in (False, True):
+            if loop_only:
+                monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((0, 0)))
+            with pytest.raises(ParseError) as exc:
+                load_vectors(str(path), 3)
+            errors.append((str(exc.value), exc.value.line))
+        monkeypatch.undo()
+        assert errors[0] == errors[1] and errors[0][1] == line
+
+
 def write_graph(tmp_path, g, name="g.txt"):
     path = tmp_path / name
     path.write_text(serialize_graph(g))

@@ -1,5 +1,7 @@
 """Graph model, derived matrices, bipartite lift, expander decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,6 +29,12 @@ from walksparse.graph import (
     sv_error_matrices,
 )
 from walksparse.cli import parse_edge_list
+
+
+def lognormal_weights(g, seed):
+    """g with seeded lognormal edge weights."""
+    w = np.random.default_rng(seed).lognormal(size=g.m)
+    return Graph(g.n, tuple((u, v, float(x)) for (u, v, _), x in zip(g.edges, w)), g.directed)
 
 
 class TestModel:
@@ -57,6 +65,50 @@ class TestModel:
         g = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(InvalidInput, match="non-finite"):
             g.reweighted([1.0, bad])
+
+    @pytest.mark.parametrize("g", [
+        random_graph(14, 0.5, 3),
+        lognormal_weights(random_graph(16, 0.5, 4), 4),
+        lognormal_weights(random_tournament(9, 5), 5),
+    ], ids=["undirected", "weighted", "directed"])
+    def test_reweighted_equals_the_constructed_subgraph(self, g):
+        # reweighted keeps a subset of the canonical edges without
+        # canonicalizing them again: the same edges, float bits included
+        rng = np.random.default_rng(g.m)
+        for _ in range(5):
+            s = rng.lognormal(size=g.m) * (rng.random(g.m) < 0.7)
+            kept = tuple((u, v, w * si) for (u, v, w), si in zip(g.edges, s) if si > 0.0)
+            out, expect = g.reweighted(s), Graph(g.n, kept, g.directed)
+            assert out == expect and hash(out) == hash(expect)
+            assert out.directed == g.directed and out.n == g.n
+            assert [tuple(map(type, e)) for e in out.edges] == [(int, int, float)] * out.m
+            assert np.array_equal(np.array(out.edges).view(np.uint64),
+                                  np.array(expect.edges).view(np.uint64))
+            for got, want in zip(out.edge_arrays(), expect.edge_arrays()):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_reweighted_refuses_a_weight_that_underflows(self):
+        g = Graph(3, ((0, 1, 1.0), (1, 2, 1e-300)))
+        with pytest.raises(InvalidInput, match=r"edge \(1,2\) has non-positive weight 0.0"):
+            g.reweighted([1.0, 1e-300])
+
+    def test_edge_arrays_are_read_only(self):
+        for g in (complete_graph(5), complete_graph(5).reweighted(np.arange(10.0)), Graph(3, ())):
+            for a in g.edge_arrays():
+                with pytest.raises(ValueError):
+                    a[:1] = 0
+            with pytest.raises(ValueError):
+                g.weights()[:1] = 2.0
+
+    def test_equality_and_hash_read_the_fields(self):
+        # the cached arrays are no dataclass field: equality and hashing
+        # read (n, edges, directed) alone
+        g = Graph(4, ((0, 1, 2.0), (2, 3, 1.0)))
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "edges", "directed"]
+        assert hash(g) == hash((g.n, g.edges, g.directed))
+        assert g == Graph(4, ((3, 2), (1, 0, 2.0))) == g.reweighted(np.ones(2))
+        assert g != Graph(4, g.edges, directed=True) and g != Graph(5, g.edges)
+        assert g != g.reweighted([1.0, 2.0])
 
     @given(st.integers(0, 10_000))
     def test_components_cover_vertices(self, seed):

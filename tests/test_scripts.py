@@ -123,3 +123,11 @@ def test_frontier_runs_one_pipeline_alone(monkeypatch, capsys):
     assert re.search(r"^resist K_22 \(n 22, m 231, 1 piece\(s\)\): \d+\.\d\d s: 115/0\.3000$",
                      out, re.M)
     assert "spectral" not in out and "sketch" not in out
+
+
+def test_output_hashes_refuses_an_unknown_revision(monkeypatch, capsys):
+    # the revision is resolved before any job runs: an unknown one exits 2 at once
+    hashes = load_script(SCRIPTS[0].parent / "output_hashes.py")
+    monkeypatch.setattr(hashes, "all_hashes", lambda: pytest.fail("jobs ran"))
+    assert hashes.main(["--base", "no-such-revision"]) == 2
+    assert "unknown revision" in capsys.readouterr().err

@@ -89,6 +89,38 @@ class TestState:
         ]
         assert walks[0].tobytes() == walks[1].tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_a_row_major_gather_bit_for_bit(self, seed):
+        # the side gathers its active columns as rows of the rows' transpose;
+        # its gradient row, heavy rows, G and bound equal those of the
+        # row-major gather a = ahat[:, active], weights @ a and a^T a
+        rng = np.random.default_rng(seed)
+        k, m = 300, 40
+        a = rng.normal(size=(k, m))
+        a[rng.integers(k)] = 0.0
+        unit, _, kept = prepare_constraints(a)
+        assert kept.sum() == k - 1
+        side = tenth_side(np.asfortranarray(unit))
+        lam = side.lambda0
+        for size in (m, 1, *rng.integers(2, m, size=4)):
+            active = np.sort(rng.choice(m, size=size, replace=False))
+            x = np.zeros(m)
+            x[active] = rng.uniform(-0.9, 0.9, size=size)
+            with linalg.one_blas_thread():
+                got = side.rows(x, active)
+                weights = np.exp(lam * (unit @ x) - lam**2)
+                a_act = unit[:, active]
+                grad = weights @ a_act
+                budget = int(np.ceil(0.1 * size))
+                expect = [grad[None, :] / np.sqrt(grad @ grad),
+                          a_act[_heaviest(weights, budget)]]
+                a_act *= np.sqrt(weights / np.sum(weights))[:, None]
+                gram = a_act.T @ a_act
+            assert len(got) == len(expect)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+            assert np.array_equal(side.weights, weights) and np.array_equal(side.quad, gram)
+            assert side.bound == float(np.trace(gram)) / (budget + 1)
+
 
 class TestSubspace:
     def test_no_constraints(self):
