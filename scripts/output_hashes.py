@@ -16,7 +16,9 @@ decomposition splits, `sparsify` and `uc` on K_32, whose first rounds walk
 their support in chunks, `resist` on a dense G(32, 0.7), whose round
 walks two chunks of dense resistance rows, and `sketch` on K_32 with 2000
 seeded unit vectors, whose first rounds walk 7 chunks, a search over 128
-sign patterns.  That is 35 jobs: the 18 benchmark jobs and 17 extras.  The
+sign patterns, and `sparsify` on a multigraph file that repeats each edge
+in both orientations with weights whose sum depends on the order they are
+added in.  That is 36 jobs: the 18 benchmark jobs and 18 extras.  The
 output maps each job to its exit code and the sha256 of each file it
 wrote.  With --against, the jobs whose entry differs from BASE.json's are
 listed, and the exit code is 1 if there are any.
@@ -88,6 +90,16 @@ def _gnp(n, p, rng):
     return [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
 
 
+def _split_edges(edges, parts, rng):
+    """Each edge as one line per weight in parts, the lines shuffled and
+    each in a random orientation: (0.1 + 0.2) + 0.7 and 0.7 + 0.2 + 0.1
+    differ in the last bit, so the merged weights pin the merge order."""
+    lines = [(u, v, w) for u, v, _ in edges for w in parts]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    flip = rng.random(len(lines)) < 0.5
+    return [(v, u, w) if f else (u, v, w) for (u, v, w), f in zip(lines, flip)]
+
+
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -131,6 +143,10 @@ def extra_jobs(directory):
     k32_vectors = os.path.join(directory, "k32.vectors.txt")
     _write(k32_vectors, "".join(" ".join(repr(float(x)) for x in r) + "\n"
                                 for r in unit_vectors(2000, 32, np.random.default_rng(32))))
+    # its own generator too; three lines per edge of G(20, 0.6)
+    multi_rng = np.random.default_rng(20)
+    multigraph = graph("multigraph20", 20,
+                       _split_edges(_gnp(20, 0.6, multi_rng), (0.1, 0.2, 0.7), multi_rng))
     split = ["--epsilon", "0.25", "--phi-target", "0.1"]
     spectral = ["--epsilon", "0.45", "--c-support", "1"]
     # a uc family has 2n rows, so half the support constant halves as far
@@ -147,6 +163,7 @@ def extra_jobs(directory):
         ("partial-color-lognormal24", ["partial-color", lognormal]),
         ("sparsify-k12", ["sparsify", k12, *spectral]),
         ("sparsify-k32", ["sparsify", k32, *spectral]),
+        ("sparsify-multigraph20", ["sparsify", multigraph, *spectral]),
         ("uc-k32", ["uc", k32, "--epsilon", "0.45", "--c-support", "1"]),
         ("sketch-k14", ["sketch", k14, "--vectors", vectors, "--epsilon", "0.25"]),
         ("sketch-k32", ["sketch", k32, "--vectors", k32_vectors, "--epsilon", "0.25"]),

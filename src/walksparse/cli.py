@@ -28,7 +28,8 @@ from .errors import InvalidInput, ParseError, WalksparseError
 from .matrix_walk import partial_color
 
 # every command but decompose builds dense n x n float64 matrices (Laplacians,
-# pseudoinverse roots); one such array at n = 8192 is 512 MiB
+# pseudoinverse roots), and decompose builds them per connected component; one
+# such array at n = 8192 is 512 MiB
 MAX_DENSE_N = 8192
 
 
@@ -172,6 +173,10 @@ _KIND = {"partial-color": "spectral", "sparsify": "spectral", "uc": "uc", "sv": 
 
 
 def _decompose(args, g):
+    largest = max(map(len, g.connected_components()), default=0)
+    if largest > MAX_DENSE_N:
+        raise InvalidInput(f"a connected component of {largest} vertices exceeds {MAX_DENSE_N}, "
+                           "the bound for dense linear algebra")
     phi = args.phi_target if args.phi_target is not None else graph_mod.default_phi_target(g.n)
     pieces = graph_mod.expander_decompose(g, phi)
     if args.out:

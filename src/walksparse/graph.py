@@ -1,21 +1,20 @@
 """Graph data model, derived matrices, bipartite lift, expander decomposition.
 
-A Graph stores a vertex count, a canonical weighted edge list (undirected
-edges with u < v, sorted, duplicates merged by weight sum) and a directed
-flag.  Matrices and degrees are built on demand as dense arrays from
-`edge_arrays()` (read-only, built with the graph), summed in edge order so
+A Graph stores a vertex count, a directed flag and the weighted edge list
+that its constructor alone canonicalizes (undirected edges as u < v, sorted,
+duplicates merged by weight sums in input order).  Matrices and degrees are
+dense arrays built on demand from `edge_arrays()`, summed in edge order so
 they equal a per-edge loop bit for bit; everything is desk scale.  The
-expander decomposition is a deterministic sweep cut over one depth-first
-work list: pieces with second normalized-Laplacian eigenvalue above the
-target are emitted, otherwise the best Cheeger sweep cut (prefix sums along
-the Fiedler order) splits the piece and the two sides and the cut edges are
-decomposed in turn.  The sketch and resistance errors live here, below both
-the halving rounds that record them and `verify`, which reports them.
+expander decomposition is a deterministic sweep cut over one depth-first work
+list: pieces with second normalized-Laplacian eigenvalue above the target are
+emitted, otherwise the best Cheeger sweep cut (prefix sums along the Fiedler
+order) splits the piece and the two sides and the cut edges are decomposed in
+turn.  The sketch and resistance errors live here, below both the halving
+rounds that record them and `verify`, which reports them.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,32 +38,30 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise InvalidInput("negative vertex count")
-        canon = {}
         for item in self.edges:
-            if len(item) == 2:
-                u, v = item
-                w = 1.0
-            else:
-                u, v, w = item
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise InvalidInput(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidInput(f"edge ({u},{v}) out of range for n={self.n}")
-            if not np.isfinite(w) or w <= 0:
-                raise InvalidInput(f"edge ({u},{v}) has non-positive weight {w}")
-            if not self.directed and u > v:
-                u, v = v, u
-            canon[(u, v)] = canon.get((u, v), 0.0) + w
-        ordered = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
-        u, v, w = zip(*ordered) if ordered else ((), (), ())
-        self._set(ordered, (np.array(u, dtype=int), np.array(v, dtype=int), np.array(w)))
-
-    def _set(self, edges, arrays):
+            if len(item) not in (2, 3):
+                raise InvalidInput(f"edge {item!r} is not a (u, v) or (u, v, w) tuple")
+        # object arrays hold any Python int: an id beyond int64 is refused as out of range
+        u = np.array([int(e[0]) for e in self.edges], dtype=object)
+        v = np.array([int(e[1]) for e in self.edges], dtype=object)
+        w = np.array([float(e[2]) if len(e) == 3 else 1.0 for e in self.edges])
+        loop = u == v
+        out = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
+        bad = np.flatnonzero(loop | out | ~(np.isfinite(w) & (w > 0)))
+        if bad.size:  # the first bad edge, by its first failing check
+            e = bad[0]
+            raise InvalidInput(f"self-loop at vertex {u[e]}" if loop[e] else
+                               f"edge ({u[e]},{v[e]}) out of range for n={self.n}" if out[e] else
+                               f"edge ({u[e]},{v[e]}) has non-positive weight {float(w[e])}")
+        pairs = np.stack([u, v], 1).astype(int)
+        if not self.directed:
+            pairs.sort(axis=1)
+        pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)  # sorted, distinct
+        arrays = (*pairs.T.copy(), _sums(inverse, w, len(pairs)))  # sums in input order
         for a in arrays:
             a.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "edges", tuple(zip(*(a.tolist() for a in arrays))))
 
     @property
     def m(self):
@@ -88,14 +85,8 @@ class Graph:
             raise InvalidInput("negative reweighting")
         keep = s > 0.0
         u, v, w = (a[keep] for a in self._arrays)
-        w *= s[keep]
-        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-        if bad.size:
-            e = bad[0]
-            raise InvalidInput(f"edge ({u[e]},{v[e]}) has non-positive weight {float(w[e])}")
-        sub = copy.copy(self)  # a subset of a canonical edge list is canonical
-        sub._set(tuple(zip(u.tolist(), v.tolist(), w.tolist())), (u, v, w))
-        return sub
+        return Graph(self.n, tuple(zip(u.tolist(), v.tolist(), (w * s[keep]).tolist())),
+                     self.directed)
 
     # -- matrices ----------------------------------------------------------
 
@@ -208,15 +199,14 @@ class Graph:
         return tuple([v for v, c in enumerate(color) if c == k] for k in (0, 1))
 
     def induced_on(self, vertices):
-        """(subgraph on the listed vertices with relabeled ids, id list)."""
+        """(subgraph on the listed distinct vertex ids, relabeled in sorted order, id list)."""
         vertices = sorted(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        kept = [
-            (index[u], index[v], w)
-            for u, v, w in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(vertices), tuple(kept), self.directed), vertices
+        index = np.full(self.n, -1)
+        index[vertices] = np.arange(len(vertices))
+        u, v, w = self._arrays
+        keep = (index[u] >= 0) & (index[v] >= 0)
+        edges = zip(index[u[keep]].tolist(), index[v[keep]].tolist(), w[keep].tolist())
+        return Graph(len(vertices), tuple(edges), self.directed), vertices
 
 
 def bipartite_lift(g):

@@ -269,12 +269,27 @@ class TestCommands:
         n = cli.MAX_DENSE_N + 1
         (tmp_path / "g.txt").write_text(f"n {n}\n0 1\n")
         monkeypatch.chdir(tmp_path)
-        # decompose runs at any n; it measures its small pieces densely
+        # decompose runs at any n whose components are small; it measures its pieces densely
         assert main(["decompose", "g.txt", "--report", "d.json"]) == 0
         for name in ("adjacency", "laplacian", "unsigned_laplacian", "normalized_laplacian"):
             monkeypatch.setattr(Graph, name, unreachable)
         assert main([command, "g.txt", *flags]) == 2
         assert f"n = {n} exceeds {cli.MAX_DENSE_N}" in capsys.readouterr().err
+
+    def test_decompose_refuses_a_component_too_large_for_dense_work(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # a path is one component: refused before its lambda_2 builds an n x n Laplacian
+        def unreachable(*args, **kwargs):
+            raise AssertionError("dense work on a component above the size bound")
+
+        n = cli.MAX_DENSE_N + 1
+        path = tmp_path / "path.txt"
+        path.write_text(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        for name in ("adjacency", "laplacian", "unsigned_laplacian", "normalized_laplacian"):
+            monkeypatch.setattr(Graph, name, unreachable)
+        assert main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"a connected component of {n} vertices exceeds {cli.MAX_DENSE_N}" in err
 
     def test_sv_undirected_rejects_phi_target(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_bipartite(4, 4))

@@ -72,8 +72,8 @@ class TestModel:
         lognormal_weights(random_tournament(9, 5), 5),
     ], ids=["undirected", "weighted", "directed"])
     def test_reweighted_equals_the_constructed_subgraph(self, g):
-        # reweighted keeps a subset of the canonical edges without
-        # canonicalizing them again: the same edges, float bits included
+        # reweighted builds its subgraph through the constructor: the same
+        # edges as Graph(n, kept), float bits included
         rng = np.random.default_rng(g.m)
         for _ in range(5):
             s = rng.lognormal(size=g.m) * (rng.random(g.m) < 0.7)
@@ -115,6 +115,153 @@ class TestModel:
         g = random_graph(8, 0.3, seed)
         comps = g.connected_components()
         assert sorted(v for c in comps for v in c) == list(range(8))
+
+
+def reference_canonical(n, items, directed):
+    """(edges, edge arrays) from the per-edge dict loop that canonicalized
+    edge lists before the array constructor: the same checks, in the same
+    order, with the same messages."""
+    if n < 0:
+        raise InvalidInput("negative vertex count")
+    canon = {}
+    for item in items:
+        if len(item) == 2:
+            u, v = item
+            w = 1.0
+        else:
+            u, v, w = item
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            raise InvalidInput(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInput(f"edge ({u},{v}) out of range for n={n}")
+        if not np.isfinite(w) or w <= 0:
+            raise InvalidInput(f"edge ({u},{v}) has non-positive weight {w}")
+        if not directed and u > v:
+            u, v = v, u
+        canon[(u, v)] = canon.get((u, v), 0.0) + w
+    ordered = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
+    u, v, w = zip(*ordered) if ordered else ((), (), ())
+    return ordered, (np.array(u, dtype=int), np.array(v, dtype=int), np.array(w))
+
+
+def multigraph_items(n, m, seed):
+    """m seeded edge items on n vertices, drawn from about m/3 pairs so that
+    pairs repeat, each in a random orientation: weights 0.1, 0.2 and 0.7
+    (whose sums depend on the order they are added in), lognormal ones or
+    none (a 2-tuple), with Python or numpy ids and weights."""
+    rng = np.random.default_rng(seed)
+    pairs = [rng.choice(n, 2, replace=False).tolist() for _ in range(max(1, m // 3))]
+    id_types = (int, np.int64, np.int32)
+    weights = (0.1, 0.2, 0.7, 0.1, 0.2, 0.7, None, "lognormal")
+    items = []
+    for _ in range(m):
+        u, v = pairs[rng.integers(len(pairs))][:: 1 if rng.random() < 0.5 else -1]
+        to_id = id_types[rng.integers(len(id_types))]
+        w = weights[rng.integers(len(weights))]
+        if w is None:
+            items.append((to_id(u), to_id(v)))
+            continue
+        w = rng.lognormal() if w == "lognormal" else w
+        items.append((to_id(u), to_id(v), (float, np.float64, np.float32)[rng.integers(3)](w)))
+    return items
+
+
+def outcome(build, *args):
+    """(exception type, message) that build(*args) raises, or None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestConstructorParity:
+    """The array constructor against the per-edge dict loop it replaced."""
+
+    def assert_same(self, n, items, directed):
+        g = Graph(n, tuple(items), directed)
+        edges, arrays = reference_canonical(n, items, directed)
+        assert g.edges == edges
+        assert [tuple(map(type, e)) for e in g.edges] == [(int, int, float)] * len(edges)
+        assert [w.hex() for _, _, w in g.edges] == [w.hex() for _, _, w in edges]
+        got = g.edge_arrays()
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2 + [np.dtype(np.float64)]
+        for a, b in zip(got, arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_multigraphs(self, seed, directed):
+        n = 3 + 4 * seed
+        self.assert_same(n, multigraph_items(n, 12 * n, seed), directed)
+
+    def test_merge_adds_in_input_order(self):
+        # (0.1 + 0.2) + 0.7 is 1.0 and (0.7 + 0.2) + 0.1 is not
+        for parts, want in (((0.1, 0.2, 0.7), 1.0), ((0.7, 0.2, 0.1), 0.9999999999999999)):
+            items = [(0, 1, w) if k % 2 else (1, 0, w) for k, w in enumerate(parts)]
+            assert Graph(2, tuple(items)).edges == ((0, 1, want),)
+            self.assert_same(2, items, False)
+
+    def test_antiparallel_arcs_stay_apart(self):
+        items = [(0, 1, 0.3), (1, 0, 1.7), (0, 1, 0.2), (2, 1), (1, 2, 2.9)]
+        assert Graph(3, tuple(items), directed=True).m == 4
+        self.assert_same(3, items, True)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edgeless(self, n, directed):
+        self.assert_same(n, [], directed)
+
+    BAD = [
+        (-1, 2, 1.0), (2, -3), (9, 0, 1.0), (0, 2**70), (2**63, 1, 0.5), (-2**70, -2**70),
+        (3, 3, float("nan")), (np.int64(2), np.int64(2)), (1, 2, 0.0), (1, 2, -1.0),
+        (2, 1, float("nan")), (0, 1, float("inf")), (1, 0, -np.inf), (4, 10, np.nan),
+        (2, 0, np.float64(-0.0)),
+    ]
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_bad_edge_is_named_as_before(self, seed, directed):
+        rng = np.random.default_rng(seed)
+        items = multigraph_items(9, 20, seed)
+        for k in rng.choice(len(self.BAD), 3, replace=False):
+            items.insert(int(rng.integers(len(items) + 1)), self.BAD[k])
+        want = outcome(reference_canonical, 9, items, directed)
+        assert want is not None and want[0] is InvalidInput
+        assert outcome(Graph, 9, tuple(items), directed) == want
+
+    def test_negative_vertex_count(self):
+        assert outcome(Graph, -1, ()) == outcome(reference_canonical, -1, (), False)
+
+    @pytest.mark.parametrize("item", [(0, 1, 1.0, 2.0), [0, 1, 2.0, 3.0], (0,), ()])
+    def test_item_that_is_not_a_pair_or_triple_is_refused(self, item):
+        # a 4-tuple is refused, not cut to its first three fields
+        with pytest.raises(InvalidInput, match=r"is not a \(u, v\) or \(u, v, w\) tuple"):
+            Graph(3, ((0, 1, 1.0), item))
+
+
+def reference_induced(g, vertices):
+    """The dict relabel that induced_on used before its index array."""
+    vertices = sorted(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    kept = [(index[u], index[v], w) for u, v, w in g.edges if u in index and v in index]
+    return len(vertices), tuple(kept), vertices
+
+
+@pytest.mark.parametrize("g", [
+    lognormal_weights(random_graph(16, 0.5, 6), 6),
+    lognormal_weights(random_tournament(11, 7), 7),
+    Graph(5, ((0, 1, 0.3), (1, 0, 1.7), (3, 4, 0.2), (4, 2, 2.9)), directed=True),
+], ids=["undirected", "directed", "antiparallel"])
+def test_induced_on_matches_the_dict_relabel(g):
+    rng = np.random.default_rng(g.m)
+    for size in (0, 1, 2, g.n // 2, g.n - 1, g.n):
+        vertices = rng.permutation(g.n)[:size].tolist()
+        sub, ids = g.induced_on(vertices)
+        n, edges, want_ids = reference_induced(g, vertices)
+        assert (sub.n, sub.edges, sub.directed, ids) == (n, edges, g.directed, want_ids)
+        assert [w.hex() for _, _, w in sub.edges] == [w.hex() for _, _, w in edges]
 
 
 class TestMatrices:

@@ -154,6 +154,47 @@ def test_handler_search_finds_nested_and_tuple_clauses():
     assert handlers_of("SubspaceExhausted", source) == ["inner", "outer"]
 
 
+def setattr_owners(source):
+    """Dotted names of the classes and functions ("" at module level) whose
+    own code names `object.__setattr__`, one entry per occurrence."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_graph_fields_are_set_only_by_the_constructor():
+    # one construction path: every Graph, subgraphs included, gets its
+    # canonical edges and edge arrays from Graph.__post_init__
+    found = setattr_owners(module_file("graph").read_text())
+    assert found and set(found) == {"Graph.__post_init__"}
+
+
+def test_setattr_search_names_the_enclosing_function():
+    # the check itself: a call or a bare reference counts, under the
+    # innermost class or function around it
+    source = (
+        "object.__setattr__(x, 'a', 1)\n"
+        "class Graph:\n"
+        "    def _set(self, edges):\n"
+        "        object.__setattr__(self, 'edges', edges)\n"
+        "def copy_into(g):\n"
+        "    setter = object.__setattr__\n"
+        "    setattr(g, 'edges', ())\n"
+    )
+    assert setattr_owners(source) == ["", "Graph._set", "copy_into"]
+
+
 NO_SCIPY_RUN = """
 import sys
 import numpy as np
